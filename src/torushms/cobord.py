@@ -30,7 +30,7 @@ from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .errors import NonElementary, NullClass
-from .torus import Brane, det2, is_primitive
+from .torus import Brane, bezout, det2, is_primitive
 
 __all__ = [
     "CurveClass",
@@ -216,22 +216,7 @@ def _unimodular_complement(v: Vec) -> Vec:
     """Some w with det(w, v) = 1 (extended Euclid on the slope)."""
     m, n = v
     # det((a, b), (m, n)) = a n - b m = 1
-    a, b = _bezout_pair(n, -m)
-    return (a, b)
-
-def _bezout_pair(p: int, q: int) -> Tuple[int, int]:
-    """(a, b) with a p + b q = gcd = 1 for coprime inputs."""
-    old_r, r = p, q
-    old_a, a = 1, 0
-    old_b, b = 0, 1
-    while r != 0:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_a, a = a, old_a - quo * a
-        old_b, b = b, old_b - quo * b
-    if old_r == -1:
-        old_a, old_b = -old_a, -old_b
-    return old_a, old_b
+    return bezout(n, -m)
 
 
 def pl_surgery_flux(c0: CurveClass, c1: CurveClass) -> Fraction:

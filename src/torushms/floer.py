@@ -23,7 +23,14 @@ i(y0) = i(y1) + i(y2) fails, consistently).
 
 mu^1 vanishes identically: two straight lines of different slopes meet
 exactly once in the cover, so no bigons exist.  With mu^1 = 0, mu^2 is
-strictly associative, which the test suite checks to machine precision.
+associative up to the Koszul sign of the first input: for a composable
+chain a, b, c,
+
+    mu2(mu2(c, b), a) = (-1)^deg(a) * mu2(c, mu2(b, a)),
+
+so the two bracketings agree for even deg(a) and are exact negatives
+for odd deg(a).  The test suite checks this graded identity to machine
+precision.
 """
 
 from __future__ import annotations
@@ -38,15 +45,17 @@ from .errors import (
     MarkerCollision,
     NonTransverse,
 )
-from .novikov import NovikovSeries, Rational
+from .novikov import ZERO_TOL, NovikovSeries, Rational, _min_cutoff
 from .torus import (
     Brane,
     IntersectionPoint,
     Matrix,
     Vec,
+    bezout,
     det2,
     index_of,
     intersections,
+    mat_add,
     mat_mul,
     mat_scale,
 )
@@ -98,17 +107,8 @@ def cf(l0: Brane, l1: Brane) -> CFSpace:
     return CFSpace(l0, l1, intersections(l0, l1))
 
 
-def _zero_matrix(shape: Tuple[int, int]) -> Matrix:
-    z = NovikovSeries.zero()
-    return tuple(tuple(z for _ in range(shape[1])) for _ in range(shape[0]))
-
-
 def _mat_is_zero(m: Matrix) -> bool:
     return all(x.is_zero() for row in m for x in row)
-
-
-def _mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,8 @@ class FloerElement:
     def __init__(self, space: CFSpace, components):
         if isinstance(components, dict):
             components = components.items()
-        valid = set(space.coords())
+        # keys are the space's own coordinate objects, shared, not copies
+        valid = {c: c for c in space.coords()}
         shape = space.hom_shape
         clean = []
         for coords, matrix in sorted(components):
@@ -131,6 +132,7 @@ class FloerElement:
                 raise ValueError(
                     f"{coords} is not an intersection point of the pair"
                 )
+            coords = valid[coords]
             matrix = tuple(tuple(row) for row in matrix)
             if (len(matrix), len(matrix[0])) != shape:
                 raise ValueError(
@@ -177,7 +179,7 @@ class FloerElement:
             raise ValueError("cannot add elements of different CF spaces")
         acc: Dict[Vec, Matrix] = dict(self.components)
         for c, m in other.components:
-            acc[c] = _mat_add(acc[c], m) if c in acc else m
+            acc[c] = mat_add(acc[c], m) if c in acc else m
         return FloerElement(self.space, acc)
 
     def __neg__(self):
@@ -235,20 +237,6 @@ def mu1(a: FloerElement) -> FloerElement:
     return FloerElement(a.space, {})
 
 
-def _bezout(m: int, n: int) -> Tuple[int, int]:
-    """(a, b) with a*m + b*n = 1 for a primitive pair (m, n)."""
-    a0, a1 = abs(m), abs(n)
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while a1:
-        qd, (a0, a1) = a0 // a1, (a1, a0 % a1)
-        x0, x1 = x1, x0 - qd * x1
-        y0, y1 = y1, y0 - qd * y1
-    a = x0 * (1 if m >= 0 else -1)
-    b = y0 * (1 if n >= 0 else -1)
-    assert a * m + b * n == 1
-    return a, b
-
-
 def _ratio_along(delta: Vec, v) -> Fraction:
     """d with delta = d*v, for delta parallel to v."""
     if v[0] != 0:
@@ -262,7 +250,7 @@ def _count_markers(brane: Brane, p: Vec, q: Vec) -> int:
     MarkerCollision if a marker lift sits on an endpoint."""
     d = _ratio_along((q[0] - p[0], q[1] - p[1]), brane.slope)
     mk = brane.marker_point
-    a, b = _bezout(*brane.slope)
+    a, b = bezout(*brane.slope)
     c = a * (mk[0] - p[0]) + b * (mk[1] - p[1])
     lo, hi = (Fraction(0), d) if d > 0 else (d, Fraction(0))
     if (hi - c).denominator == 1 or (lo - c).denominator == 1:
@@ -298,6 +286,37 @@ def _transport_cache(brane: Brane):
     return get
 
 
+class _EntrySum:
+    """One matrix entry of a mu2 output as exponent -> coefficient.
+
+    Adding a contribution gives the same terms and cutoff as repeated
+    NovikovSeries addition: contributions arrive in triangle order, a
+    key is dropped as soon as its partial sum has |c| <= ZERO_TOL, and
+    the weakest cutoff wins.  Terms at or above that cutoff are left in
+    the map; `series` drops them, as each addition would have.
+    """
+
+    __slots__ = ("terms", "cutoff")
+
+    def __init__(self):
+        self.terms: Dict[Fraction, complex] = {}
+        self.cutoff: Optional[Fraction] = None
+
+    def add(self, x: NovikovSeries) -> None:
+        terms = self.terms
+        for e, c in x.terms:
+            total = terms.get(e, 0) + c
+            if abs(total) <= ZERO_TOL:
+                terms.pop(e, None)
+            else:
+                terms[e] = total
+        self.cutoff = _min_cutoff(self.cutoff, x.cutoff)
+
+    def series(self, cutoff: Fraction) -> NovikovSeries:
+        cut = _min_cutoff(self.cutoff, cutoff)
+        return NovikovSeries(self.terms.items(), cut)
+
+
 def mu2(
     phi2: FloerElement,
     phi1: FloerElement,
@@ -323,7 +342,9 @@ def mu2(
         _transport_cache(b2),
     )
     out_coords = set(out_space.coords())
-    acc: Dict[Vec, Matrix] = {}
+    phi2_at = dict(phi2.components)
+    rows, cols = out_space.hom_shape
+    acc: Dict[Vec, List[List[_EntrySum]]] = {}
     base2v = det2(b2.base_point, v2)
     area_coeff = Fraction(abs(d01), 2 * abs(d02 * d12))
     for y1c, a1 in phi1.components:
@@ -351,7 +372,7 @@ def mu2(
             y0g = (p0[0] % 1, p0[1] % 1)
             y2g = (p2[0] % 1, p2[1] % 1)
             assert y0g in out_coords
-            a2 = phi2.component(y2g)
+            a2 = phi2_at.get(y2g)
             if a2 is None and _collect is None:
                 return True
             d_arc = _ratio_along((p0[0] - p2[0], p0[1] - p2[1]), v2)
@@ -386,7 +407,14 @@ def mu2(
             m = mat_mul(t2_of(-d_arc), mat_mul(a2, mat_mul(t1_of(-t),
                 mat_mul(a1, t0_of(s)))))
             m = mat_scale(weight, m)
-            acc[y0g] = _mat_add(acc[y0g], m) if y0g in acc else m
+            sums = acc.get(y0g)
+            if sums is None:
+                sums = acc[y0g] = [
+                    [_EntrySum() for _ in range(cols)] for _ in range(rows)
+                ]
+            for sum_row, m_row in zip(sums, m):
+                for entry, x in zip(sum_row, m_row):
+                    entry.add(x)
             return True
 
         kc = math.floor(-r)
@@ -397,8 +425,8 @@ def mu2(
         while process(k):
             k += 1
     final = {
-        c: tuple(tuple(x.truncated(cutoff) for x in row) for row in m)
-        for c, m in acc.items()
+        c: tuple(tuple(x.series(cutoff) for x in row) for row in sums)
+        for c, sums in acc.items()
     }
     return FloerElement(out_space, final)
 
@@ -509,7 +537,7 @@ def mu2_bruteforce(
                     ),
                 )
                 m = mat_scale(weight, m)
-                acc[y0g] = _mat_add(acc[y0g], m) if y0g in acc else m
+                acc[y0g] = mat_add(acc[y0g], m) if y0g in acc else m
     final = {
         c: tuple(tuple(x.truncated(cutoff) for x in row) for row in m)
         for c, m in acc.items()
@@ -526,7 +554,12 @@ def assoc_defect(
 ) -> float:
     """max |coefficient| of mu2(mu2(c,b),a) - mu2(c,mu2(b,a)) on
     exponents < cutoff - slack, for a composable chain
-    a in CF(L0,L1), b in CF(L1,L2), c in CF(L2,L3)."""
+    a in CF(L0,L1), b in CF(L1,L2), c in CF(L2,L3).
+
+    This is the unsigned difference of the two bracketings, so it is
+    (near) zero only when deg(a) is even.  For odd deg(a) the bracketings
+    are exact negatives (see the module docstring) and the defect is
+    twice the largest coefficient of either bracketing."""
     cutoff = Fraction(cutoff)
     lhs = mu2(mu2(c, b, cutoff), a, cutoff)
     rhs = mu2(c, mu2(b, a, cutoff), cutoff)

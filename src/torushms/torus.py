@@ -44,6 +44,23 @@ def is_primitive(v: Slope) -> bool:
     return v != (0, 0) and math.gcd(v[0], v[1]) == 1
 
 
+def bezout(m: int, n: int) -> Tuple[int, int]:
+    """(a, b) with a*m + b*n = 1 for coprime m, n (extended Euclid)."""
+    old_r, r = m, n
+    old_a, a = 1, 0
+    old_b, b = 0, 1
+    while r != 0:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_a, a = a, old_a - quo * a
+        old_b, b = b, old_b - quo * b
+    if old_r == -1:
+        old_a, old_b = -old_a, -old_b
+    elif old_r != 1:
+        raise ValueError(f"{m} and {n} are not coprime")
+    return old_a, old_b
+
+
 def canonical_direction(v: Slope) -> Slope:
     """The positive direction of the unoriented line through v:
     second coordinate positive, or first positive when horizontal."""
@@ -340,7 +357,7 @@ class Brane:
         return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntersectionPoint:
     """One transverse intersection y of an ordered brane pair, with its
     degree and the arc parameters (fractions of the primitive period
@@ -367,6 +384,11 @@ def index_of(l0: Brane, l1: Brane) -> int:
 def intersections(l0: Brane, l1: Brane) -> Tuple[IntersectionPoint, ...]:
     """All |det(v0,v1)| intersection points, sorted by coordinates.
 
+    With d = det(v0,v1) and c = det(p1-p0, v1), the points are
+    y_j = p0 + s_j*v0 (mod 1) for s_j = (c+j)/d, j = 0..|d|-1; the arc
+    parameter on L1 is t = a*(y-p1)_x + b*(y-p1)_y (mod 1), where
+    a*v1_x + b*v1_y = 1.
+
     Raises NonTransverse for parallel slopes and MarkerCollision when a
     Pin marker sits on an intersection point.
     """
@@ -376,17 +398,14 @@ def intersections(l0: Brane, l1: Brane) -> Tuple[IntersectionPoint, ...]:
         raise NonTransverse(f"branes {l0} and {l1} are parallel")
     p0, p1 = l0.base_point, l1.base_point
     idx = index_of(l0, l1)
-    bound = abs(v0[0]) + abs(v0[1]) + abs(v1[0]) + abs(v1[1]) + 2
+    a, b = bezout(*v1)
+    c = det2((p1[0] - p0[0], p1[1] - p0[1]), v1)
     found = {}
-    for j in range(-bound, bound + 1):
-        for k in range(-bound, bound + 1):
-            rx = p1[0] - p0[0] + j
-            ry = p1[1] - p0[1] + k
-            # solve s*v0 - t*v1 = r
-            s = Fraction(rx * (-v1[1]) - ry * (-v1[0]), -d)
-            t = Fraction(v0[0] * ry - v0[1] * rx, -d)
-            y = ((p0[0] + s * v0[0]) % 1, (p0[1] + s * v0[1]) % 1)
-            found.setdefault(y, (s % 1, t % 1))
+    for j in range(abs(d)):
+        s = (c + j) / d
+        y = ((p0[0] + s * v0[0]) % 1, (p0[1] + s * v0[1]) % 1)
+        t = (a * (y[0] - p1[0]) + b * (y[1] - p1[1])) % 1
+        found[y] = (s % 1, t)
     if len(found) != abs(d):
         raise AssertionError(
             f"expected {abs(d)} intersection points, found {len(found)}"

@@ -1,8 +1,10 @@
 """End-to-end acceptance gate.
 
-One test per headline check, with the tolerances and runtime budgets
-pinned in the assertions.  Each test is self-contained: oracles are
-recomputed here rather than imported from the other test modules.
+One test per headline check, with the tolerances pinned in the
+assertions.  Criteria 1, 3 and 5 also assert a coarse wall-clock ceiling
+(5 s, 10 s per chain, 1 s) against runaway loops; no test measures
+speed.  Each test is self-contained: oracles are recomputed here rather
+than imported from the other test modules.
 """
 
 import cmath

@@ -16,6 +16,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torushms.errors import (
     DegenerateConfiguration,
@@ -24,6 +25,7 @@ from torushms.errors import (
 )
 from torushms.floer import (
     FloerElement,
+    _EntrySum,
     assoc_defect,
     cf,
     cone_criterion_mu2_checks,
@@ -174,6 +176,46 @@ def test_triangle_listing_consistent():
         assert tuple(tri["output"]) in out_coords
 
 
+# exponents that collide, coefficients that cancel exactly (1, -1) or to
+# a partial sum at or below ZERO_TOL (0.1 + 0.2 - 0.3, 2.1e-12 - 1.1e-12)
+# that a later small term would carry, and cutoffs
+_SMALL = [2e-12, 2.1e-12, -1.1e-12, -1.5e-12]
+_parts = st.builds(
+    NovikovSeries,
+    st.lists(
+        st.tuples(
+            st.sampled_from([F(0), F(1, 2), F(2), F(5, 2)]),
+            st.sampled_from([1.0, -1.0, 0.1, 0.2, -0.3, 0.5 - 0.25j, 3j]
+                            + _SMALL),
+        ),
+        max_size=4,
+    ),
+    st.sampled_from([None, F(2), F(3)]),
+)
+
+
+def _at_zero(*coeffs):
+    return [NovikovSeries.constant(c) for c in coeffs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_parts, min_size=1, max_size=6),
+       st.sampled_from([F(1), F(5, 2), F(4)]))
+@example(_at_zero(2e-12, -1.5e-12, 2e-12), F(1))  # dropped below the tol
+@example(_at_zero(2.1e-12, -1.1e-12, 2e-12), F(1))  # dropped at the tol
+def test_entry_sum_matches_repeated_series_addition(parts, cutoff):
+    """The mu2 accumulator against the NovikovSeries sums it replaces."""
+    total = parts[0]
+    for x in parts[1:]:
+        total = total + x
+    acc = _EntrySum()
+    for x in parts:
+        acc.add(x)
+    got, want = acc.series(cutoff), total.truncated(cutoff)
+    assert got == want
+    assert repr(got) == repr(want)  # signed zeros too
+
+
 # ---------------------------------------------------------------------------
 # structural behaviour of mu2
 # ---------------------------------------------------------------------------
@@ -292,6 +334,42 @@ def test_assoc_defect_with_jordan_block():
         cf(l2, l3), {p: ((C(1), C(0.5)),) for p in cf(l2, l3).coords()}
     )
     assert assoc_defect(a, b, c, F(6)) <= 1e-12
+
+
+ODD_CHAINS = [
+    (Brane((0, -1), F(3, 5)), Brane((1, 2), F(3, 7)),
+     Brane((2, 1), F(9, 11)), Brane((1, -1), F(7, 12))),
+    (Brane((2, 1), F(3, 5)), Brane((1, 0), F(1, 7), 1),
+     Brane((-1, 2), F(4, 11)), Brane((0, 1), F(5, 6))),
+    (Brane((1, 1), F(1, 5)), Brane((2, 1), F(0), 1),
+     Brane((1, -1), F(7, 11)), Brane((0, 1), F(11, 12))),
+]
+
+
+@pytest.mark.parametrize("branes", ODD_CHAINS)
+def test_graded_associativity_for_odd_degree(branes):
+    """mu2(mu2(c,b),a) = (-1)^deg(a) mu2(c,mu2(b,a)): for odd deg(a) the
+    two bracketings are exact negatives, and assoc_defect, the unsigned
+    difference, measures twice their size."""
+    elems = []
+    for k, (b0, b1) in enumerate(zip(branes, branes[1:])):
+        space = cf(b0, b1)
+        elems.append(FloerElement(space, {
+            c: ((C(complex(1 + j, 0.5 * k - j / 3)),),)
+            for j, c in enumerate(space.coords())
+        }))
+    a, b, c = elems
+    assert a.degree % 2 == 1
+    cutoff = F(6)
+    lhs = mu2(mu2(c, b, cutoff), a, cutoff)
+    rhs = mu2(c, mu2(b, a, cutoff), cutoff)
+    size = lhs.max_abs_coeff(below=cutoff - 1)
+    assert size > 1.0  # the identity is not vacuous
+    graded = lhs - rhs * (-1) ** a.degree
+    assert graded.max_abs_coeff(below=cutoff - 1) <= 1e-8
+    unsigned = (lhs - rhs).max_abs_coeff(below=cutoff - 1)
+    assert assoc_defect(a, b, c, cutoff) == unsigned
+    assert unsigned == pytest.approx(2 * size, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

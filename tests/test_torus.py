@@ -6,13 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from torushms.errors import MarkerCollision, NonTransverse, NonUnit
 from torushms.novikov import NovikovSeries
 from torushms.torus import (
     Brane,
+    IntersectionPoint,
     LocalSystem,
     alpha0_float,
+    bezout,
     canonical_direction,
     compare_alpha0,
     det2,
@@ -140,6 +143,120 @@ def test_intersection_points_lie_on_both_circles():
             m, n = l.slope
             d = (p.coords[0] - bx) * n - (p.coords[1] - by) * m
             assert d.denominator == 1  # on the circle mod the lattice
+
+
+def test_arc_parameters_locate_the_point():
+    l0, l1 = Brane((3, -2), F(2, 7)), Brane((-1, 4), F(5, 11), 1)
+    for p in intersections(l0, l1):
+        for l, arc in ((l0, p.s), (l1, p.t)):
+            assert 0 <= arc < 1
+            y = (l.base_point[0] + arc * l.slope[0],
+                 l.base_point[1] + arc * l.slope[1])
+            assert (y[0] % 1, y[1] % 1) == p.coords
+
+
+def grid_intersections(l0: Brane, l1: Brane):
+    """Reference enumerator: solve s*v0 - t*v1 = p1 - p0 + (j, k) over a
+    (2B+1)^2 grid of lattice translates, B = sum of |slope entries| + 2,
+    and deduplicate the points mod 1."""
+    v0, v1 = l0.slope, l1.slope
+    d = det2(v0, v1)
+    if d == 0:
+        raise NonTransverse(f"branes {l0} and {l1} are parallel")
+    p0, p1 = l0.base_point, l1.base_point
+    idx = index_of(l0, l1)
+    bound = abs(v0[0]) + abs(v0[1]) + abs(v1[0]) + abs(v1[1]) + 2
+    found = {}
+    for j in range(-bound, bound + 1):
+        for k in range(-bound, bound + 1):
+            rx = p1[0] - p0[0] + j
+            ry = p1[1] - p0[1] + k
+            s = F(rx * (-v1[1]) - ry * (-v1[0]), -d)
+            t = F(v0[0] * ry - v0[1] * rx, -d)
+            y = ((p0[0] + s * v0[0]) % 1, (p0[1] + s * v0[1]) % 1)
+            found.setdefault(y, (s % 1, t % 1))
+    assert len(found) == abs(d)
+    marker_lifts = (
+        (l0, (l0.marker_point[0] % 1, l0.marker_point[1] % 1)),
+        (l1, (l1.marker_point[0] % 1, l1.marker_point[1] % 1)),
+    )
+    pts = []
+    for y in sorted(found):
+        for brane, mk in marker_lifts:
+            if y == mk:
+                raise MarkerCollision(
+                    f"Pin marker of {brane} sits on intersection point {y}"
+                )
+        s, t = found[y]
+        pts.append(IntersectionPoint(y, idx, s, t, (l0, l1)))
+    return tuple(pts)
+
+
+def _outcome(enumerate_points, l0, l1):
+    try:
+        return enumerate_points(l0, l1)
+    except (NonTransverse, MarkerCollision) as exc:
+        return type(exc), str(exc)
+
+
+_entries = st.integers(min_value=-6, max_value=6)
+_slopes = st.tuples(_entries, _entries).filter(is_primitive)
+_shifts = st.builds(
+    F,
+    st.integers(min_value=0, max_value=11),
+    st.sampled_from([1, 2, 5, 7, 11, 12]),
+)
+_branes = st.builds(
+    Brane, _slopes, _shifts, st.integers(min_value=-3, max_value=3)
+)
+_modes = st.sampled_from(
+    ["generic"] * 4
+    + ["parallel", "antiparallel", "marker0", "marker1", "markers"]
+)
+
+
+def _with_marker_on(brane: Brane, arc: F) -> Brane:
+    """The brane with its Pin marker moved onto the crossing at arc
+    position `arc` (markers run along the canonical direction)."""
+    if canonical_direction(brane.slope) != brane.slope:
+        arc = -arc
+    return Brane(brane.slope, brane.shift, brane.grading_offset, arc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_branes, _branes, _modes, st.integers(min_value=0, max_value=35))
+def test_closed_form_matches_grid_scan(l0, l1, mode, pick):
+    """Same points in the same order with the same s, t and index, and
+    the same error for parallel slopes and marker collisions."""
+    if mode in ("parallel", "antiparallel"):
+        sign = 1 if mode == "parallel" else -1
+        m, n = l0.slope
+        l1 = Brane((sign * m, sign * n), l1.shift, l1.grading_offset)
+    else:
+        assume(det2(l0.slope, l1.slope) != 0)
+        if mode != "generic":
+            try:
+                pts = intersections(l0, l1)
+            except MarkerCollision:  # the default marker already collides
+                pts = ()
+            if pts:
+                p = pts[pick % len(pts)]
+                if mode != "marker1":
+                    l0 = _with_marker_on(l0, p.s)
+                if mode != "marker0":
+                    l1 = _with_marker_on(l1, p.t)
+    want = _outcome(grid_intersections, l0, l1)
+    assert _outcome(intersections, l0, l1) == want
+
+
+def test_bezout():
+    for m in range(-9, 10):
+        for n in range(-9, 10):
+            if is_primitive((m, n)):
+                a, b = bezout(m, n)
+                assert a * m + b * n == 1
+    with pytest.raises(ValueError):
+        bezout(2, 4)
 
 
 def test_marker_on_an_intersection_point_is_rejected():
