@@ -29,15 +29,15 @@ Monodromy and point units are given as a rational number of turns:
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .config import RunConfig, RelationBounds, numeric_context, threads_from_env
+from .config import RunConfig, RelationBounds
 from .errors import ParseError, TorushmsError
 from .floer import (
     FloerElement,
@@ -402,38 +402,40 @@ def print_ast(ast) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _realize(ast: ItemAst, ctx):
+def _phase(turns: Fraction) -> complex:
+    """exp(2*pi*i*turns) for a rational number of turns."""
+    return cmath.exp(2j * cmath.pi * (turns.numerator / turns.denominator))
+
+
+def _realize(ast: ItemAst):
     if isinstance(ast, PointAst):
-        return TatePoint(ast.x, ctx.phase(ast.phase))
+        return TatePoint(ast.x, _phase(ast.phase))
     if isinstance(ast, BraneAst):
         if ast.phase == 0 and ast.rank == 1:
             system = LocalSystem.trivial()
         else:
-            system = LocalSystem.from_eigenvalue(
-                ctx.phase(ast.phase), ast.rank
-            )
+            system = LocalSystem.from_eigenvalue(_phase(ast.phase), ast.rank)
         return Brane((ast.m, ast.n), ast.x, ast.k, local_system=system)
     if isinstance(ast, OP0Ast):
         return o_of_n_p0(ast.n).shifted(ast.k)
     if isinstance(ast, DivAst):
         return line_bundle(
-            [_realize(p, ctx) for p in ast.plus],
-            [_realize(p, ctx) for p in ast.minus],
+            [_realize(p) for p in ast.plus],
+            [_realize(p) for p in ast.minus],
         ).shifted(ast.k)
     if isinstance(ast, SkyAst):
-        return Skyscraper(_realize(ast.pt, ctx), ast.h, ast.k)
+        return Skyscraper(_realize(ast.pt), ast.h, ast.k)
     if isinstance(ast, BunAst):
-        return Bundle(ast.r, ast.d, _realize(ast.pt, ctx), ast.k)
+        return Bundle(ast.r, ast.d, _realize(ast.pt), ast.k)
     raise TypeError(f"not an item: {ast!r}")
 
 
-def parse_expr(text: str, precision: int = 64):
+def parse_expr(text: str):
     """Parse and realize: a single Brane / sheaf / TatePoint for a
     one-term expression with multiplier 1, else a list of
     (object, multiplier) pairs."""
     ast = parse_ast(text)
-    ctx = numeric_context(precision)
-    terms = [(_realize(item, ctx), mult) for mult, item in ast.terms]
+    terms = [(_realize(item), mult) for mult, item in ast.terms]
     if len(terms) == 1 and terms[0][1] == 1:
         return terms[0][0]
     return terms
@@ -533,25 +535,32 @@ def _element_text(e: FloerElement) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A flag value the run configuration or a verb rejects (exit 1)."""
+
+
 def _config(args) -> RunConfig:
-    return RunConfig(
-        cutoff=Fraction(args.cutoff),
-        precision=args.prec,
-        tolerance=args.tol,
-        output="json" if args.json else "plain",
-        threads=threads_from_env(os.environ),
-    )
+    try:
+        return RunConfig(
+            cutoff=Fraction(args.cutoff),
+            tolerance=args.tol,
+            output="json" if args.json else "plain",
+        )
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(
+            f"--cutoff must be a positive rational p/q, got {args.cutoff!r}"
+        ) from None
 
 
-def _brane_arg(text: str, cfg: RunConfig) -> Brane:
-    obj = parse_expr(text, cfg.precision)
+def _brane_arg(text: str) -> Brane:
+    obj = parse_expr(text)
     if not isinstance(obj, Brane):
         raise ParseError(f"expected a single brane, got {text!r}")
     return obj
 
 
-def _point_arg(text: str, cfg: RunConfig) -> TatePoint:
-    obj = parse_expr(text, cfg.precision)
+def _point_arg(text: str) -> TatePoint:
+    obj = parse_expr(text)
     if not isinstance(obj, TatePoint):
         raise ParseError(f"expected a point literal, got {text!r}")
     return obj
@@ -578,8 +587,8 @@ def _generator(l0: Brane, l1: Brane, idx: int) -> FloerElement:
 
 
 def _cmd_cf(args, cfg: RunConfig):
-    l0 = _brane_arg(args.l0, cfg)
-    l1 = _brane_arg(args.l1, cfg)
+    l0 = _brane_arg(args.l0)
+    l1 = _brane_arg(args.l1)
     space = cf(l0, l1)
     gens = [
         {
@@ -598,9 +607,9 @@ def _cmd_cf(args, cfg: RunConfig):
 
 
 def _cmd_mu2(args, cfg: RunConfig):
-    l0 = _brane_arg(args.l0, cfg)
-    l1 = _brane_arg(args.l1, cfg)
-    l2 = _brane_arg(args.l2, cfg)
+    l0 = _brane_arg(args.l0)
+    l1 = _brane_arg(args.l1)
+    l2 = _brane_arg(args.l2)
     phi1 = _generator(l0, l1, args.phi1)
     phi2 = _generator(l1, l2, args.phi2)
     result = mu2(phi2, phi1, cfg.cutoff)
@@ -616,7 +625,7 @@ def _cmd_mu2(args, cfg: RunConfig):
 
 def _cmd_assoc(args, cfg: RunConfig):
     branes = [
-        _brane_arg(t, cfg) for t in (args.l0, args.l1, args.l2, args.l3)
+        _brane_arg(t) for t in (args.l0, args.l1, args.l2, args.l3)
     ]
     a = _generator(branes[0], branes[1], args.a)
     b = _generator(branes[1], branes[2], args.b)
@@ -630,7 +639,7 @@ def _cmd_assoc(args, cfg: RunConfig):
 
 
 def _cmd_theta(args, cfg: RunConfig):
-    p = _point_arg(args.point, cfg)
+    p = _point_arg(args.point)
     series = theta_eval(args.kind, p, cfg.cutoff)
     return (
         {"kind": args.kind, "series": series_json(series)},
@@ -639,8 +648,8 @@ def _cmd_theta(args, cfg: RunConfig):
 
 
 def _cmd_section(args, cfg: RunConfig):
-    q = _point_arg(args.q, cfg)
-    at = _point_arg(args.at, cfg)
+    q = _point_arg(args.q)
+    at = _point_arg(args.at)
     section = section_through(q, cfg.cutoff)
     value = eval_section(section, at, cfg.cutoff)
     vanishes = section_vanishes_at(section, at, cfg.cutoff)
@@ -660,7 +669,7 @@ def _cmd_section(args, cfg: RunConfig):
 
 def _cmd_k0(args, cfg: RunConfig):
     terms = _expect_all(
-        parse_expr(args.sheaf, cfg.precision),
+        parse_expr(args.sheaf),
         (Bundle, Skyscraper),
         "sheaves",
     )
@@ -669,14 +678,16 @@ def _cmd_k0(args, cfg: RunConfig):
 
 
 def _cmd_relations(args, cfg: RunConfig):
-    bounds = RelationBounds(args.r_max, args.d_max, args.n_max, args.h_max)
-    ctx = numeric_context(cfg.precision)
+    try:
+        bounds = RelationBounds(args.r_max, args.d_max, args.n_max, args.h_max)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     points = [
         TatePoint.zero(),
         TatePoint.two_torsion(),
-        TatePoint(Fraction(1, 3), ctx.phase(Fraction(1, 7))),
-        TatePoint(Fraction(2, 5), ctx.phase(Fraction(2, 5))),
-        TatePoint(Fraction(1, 7), ctx.phase(Fraction(1, 2))),
+        TatePoint(Fraction(1, 3), _phase(Fraction(1, 7))),
+        TatePoint(Fraction(2, 5), _phase(Fraction(2, 5))),
+        TatePoint(Fraction(1, 7), _phase(Fraction(1, 2))),
     ]
     suite = relation_suite(bounds, points)
     failures = [t for t in suite if not t.holds(cfg.tolerance)]
@@ -693,7 +704,7 @@ def _cmd_relations(args, cfg: RunConfig):
 
 
 def _cmd_mirror(args, cfg: RunConfig):
-    obj = parse_expr(args.sheaf, cfg.precision)
+    obj = parse_expr(args.sheaf)
     if not isinstance(obj, (Bundle, Skyscraper)):
         raise ParseError(f"expected a single sheaf, got {args.sheaf!r}")
     pair = mirror_of_sheaf(obj)
@@ -710,15 +721,19 @@ def _cmd_mirror(args, cfg: RunConfig):
 
 
 def _cmd_theta_sharp(args, cfg: RunConfig):
-    terms = _expect_all(
-        parse_expr(args.brane, cfg.precision), Brane, "branes"
-    )
+    terms = _expect_all(parse_expr(args.brane), Brane, "branes")
     cls = theta_sharp(terms)
     return ({"class": _k0_json(cls)}, [f"theta-sharp: {_k0_text(cls)}"])
 
 
 def _cmd_witness(args, cfg: RunConfig):
-    cls = zeta_injectivity_witness(Fraction(args.x))
+    try:
+        x = Fraction(args.x)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(
+            f"expected a rational p/q for --x, got {args.x!r}"
+        ) from None
+    cls = zeta_injectivity_witness(x)
     nonzero = not cls.is_zero(cfg.tolerance)
     payload = {"class": _k0_json(cls), "nonzero": nonzero}
     plain = [
@@ -729,7 +744,7 @@ def _cmd_witness(args, cfg: RunConfig):
 
 
 def _cmd_cob_nf(args, cfg: RunConfig):
-    b = _brane_arg(args.brane, cfg)
+    b = _brane_arg(args.brane)
     c = normal_form(b)
     return (
         {"class": _cob_json(c)},
@@ -738,8 +753,8 @@ def _cmd_cob_nf(args, cfg: RunConfig):
 
 
 def _cmd_cob_check(args, cfg: RunConfig):
-    lhs = _expect_all(parse_expr(args.lhs, cfg.precision), Brane, "branes")
-    rhs = _expect_all(parse_expr(args.rhs, cfg.precision), Brane, "branes")
+    lhs = _expect_all(parse_expr(args.lhs), Brane, "branes")
+    rhs = _expect_all(parse_expr(args.rhs), Brane, "branes")
     equal = relation_check(lhs, rhs)
     payload = {
         "equal": equal,
@@ -768,7 +783,6 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cutoff", default="8", help="truncation exponent p/q")
-    common.add_argument("--prec", type=int, default=64, help="coefficient bits")
     common.add_argument("--tol", type=float, default=1e-9, help="tolerance")
     common.add_argument("--json", action="store_true", help="machine output")
 
@@ -859,21 +873,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         cfg = _config(args)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         payload, plain = _COMMANDS[args.command](args, cfg)
+    except _UsageError as exc:
+        if args.json:
+            print(_emit_json({"error": str(exc), "kind": "usage",
+                              "detail": {}}))
+        else:
+            print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except ParseError as exc:
         detail = {"position": exc.position, "expected": list(exc.expected)}
-        if cfg.output == "json":
+        if args.json:
             print(_emit_json({"error": str(exc), "kind": "parse",
                               "detail": detail}))
         else:
             print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except TorushmsError as exc:
-        if cfg.output == "json":
+        if args.json:
             print(_emit_json({"error": str(exc), "kind": exc.kind,
                               "detail": {}}))
         else:

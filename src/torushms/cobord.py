@@ -30,7 +30,7 @@ from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .errors import NonElementary, NullClass
-from .torus import Brane, bezout, det2, is_primitive
+from .torus import Brane, bezout, det2, is_primitive, sum_with_multiplicities
 
 __all__ = [
     "CurveClass",
@@ -166,17 +166,7 @@ BraneTerm = Union[Brane, Tuple[Brane, int]]
 
 
 def class_of_sum(terms: Iterable[BraneTerm]) -> CobordClass:
-    total = CobordClass.identity()
-    for term in terms:
-        if isinstance(term, Brane):
-            brane, mult = term, 1
-        else:
-            brane, mult = term
-        cls = normal_form(brane)
-        step = cls if mult > 0 else -cls
-        for _ in range(abs(int(mult))):
-            total = total + step
-    return total
+    return sum_with_multiplicities(terms, normal_form, CobordClass.identity())
 
 
 def relation_check(

@@ -1,121 +1,49 @@
-"""Run-wide configuration objects and the numeric coefficient context.
+"""Run-wide configuration objects.
 
 Computations are exact in the exponents (rationals throughout); only
-series *coefficients* are floating.  The default backend is the machine
-complex double, which is far more precision than any tolerance used in
-the test suite.  Asking for more than 64 bits switches coefficients to
-mpmath (optional dependency, extra ``mp``).
+series *coefficients* are floating, as machine complex doubles, which is
+far more precision than any tolerance used in the test suite.
 """
 
 from __future__ import annotations
 
-import cmath
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Options shared by the CLI and the experiment scripts.
+    """Options shared by every CLI verb.
 
     cutoff     truncation exponent for Novikov series (reliable part is
                strictly below it)
-    precision  coefficient precision in bits; <= 64 selects machine
-               doubles, more selects mpmath
     tolerance  comparison tolerance for floating coefficients
     output     "plain" or "json"
-    threads    worker cap; all current computations are single-threaded,
-               so any positive value satisfies it
     """
 
     cutoff: Fraction = Fraction(8)
-    precision: int = 64
     tolerance: float = 1e-9
     output: str = "plain"
-    threads: int = 1
 
     def __post_init__(self):
         if self.cutoff <= 0:
             raise ValueError("cutoff must be positive")
-        if self.precision < 1:
-            raise ValueError("precision must be a positive bit count")
         if self.output not in ("plain", "json"):
             raise ValueError("output must be 'plain' or 'json'")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-
-
-def threads_from_env(env=os.environ) -> int:
-    """Read the TORUSHMS_THREADS worker cap (default 1).
-
-    Raises ValueError on a non-positive or non-integer setting so the
-    CLI can reject it as a usage error.
-    """
-    raw = env.get("TORUSHMS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"TORUSHMS_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"TORUSHMS_THREADS must be >= 1, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
 class RelationBounds:
-    """Sweep bounds for the K-theory relation suite."""
+    """Sweep bounds for the K-theory relation suite (each >= 0)."""
 
     r_max: int = 4
     d_max: int = 4
     n_max: int = 3
     h_max: int = 3
 
-
-class DoubleContext:
-    """Machine-double coefficient backend."""
-
-    name = "double"
-    precision = 64
-
-    def one(self):
-        return complex(1.0)
-
-    def phase(self, turns: Fraction):
-        """exp(2*pi*i*turns) for a rational number of turns."""
-        return cmath.exp(2j * cmath.pi * (turns.numerator / turns.denominator))
-
-    def from_complex(self, z) -> complex:
-        return complex(z)
-
-
-class MPContext:
-    """mpmath coefficient backend for precision > 64 bits."""
-
-    name = "mpmath"
-
-    def __init__(self, precision: int):
-        import mpmath
-
-        self._mp = mpmath
-        self.precision = precision
-        mpmath.mp.prec = precision
-
-    def one(self):
-        return self._mp.mpc(1)
-
-    def phase(self, turns: Fraction):
-        mp = self._mp
-        return mp.exp(2j * mp.pi * mp.mpf(turns.numerator) / turns.denominator)
-
-    def from_complex(self, z) -> complex:
-        return complex(z)
-
-
-def numeric_context(precision: int = 64):
-    """Select the coefficient backend for the requested bit precision."""
-    if precision <= 64:
-        return DoubleContext()
-    return MPContext(precision)
+    def __post_init__(self):
+        for name in ("r_max", "d_max", "n_max", "h_max"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )

@@ -89,14 +89,6 @@ class CFSpace:
         """(rows, cols) of a component matrix: rk(E1) x rk(E0)."""
         return (self.l1.rank, self.l0.rank)
 
-    @property
-    def generators(self):
-        dims = self.l0.rank * self.l1.rank
-        return tuple((p, dims) for p in self.points)
-
-    def graded_dimension(self, degree: int) -> int:
-        return sum(d for p, d in self.generators if p.index == degree)
-
     def coords(self) -> Tuple[Vec, ...]:
         return tuple(p.coords for p in self.points)
 

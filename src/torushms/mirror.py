@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Tuple, Union
+from typing import Tuple
 
 from .errors import DegenerateConfiguration, UnanchoredSlope
 from .floer import cf, FloerElement, generator_element, mu2, vanishes_truncated
@@ -39,7 +39,7 @@ from .tate import (
     point_pow,
     section_vanishes_at,
 )
-from .torus import Brane, LocalSystem
+from .torus import Brane, LocalSystem, sum_with_multiplicities
 
 __all__ = [
     "MirrorPair",
@@ -100,9 +100,6 @@ def mirror_of_sheaf(s: IndecSheaf) -> MirrorPair:
     )
 
 
-BraneTerm = Union[Brane, Tuple[Brane, int]]
-
-
 def _sharp_one(b: Brane) -> K0Class:
     m, n = b.slope
     if (m, n) in ((0, -1), (0, 1)):
@@ -136,17 +133,7 @@ def theta_sharp(b) -> K0Class:
     """K-class of an anchored brane (or formal sum of them)."""
     if isinstance(b, Brane):
         return _sharp_one(b)
-    total = K0Class.zero()
-    for term in b:
-        if isinstance(term, Brane):
-            brane, mult = term, 1
-        else:
-            brane, mult = term
-        cls = _sharp_one(brane)
-        step = cls if mult > 0 else -cls
-        for _ in range(abs(int(mult))):
-            total = total + step
-    return total
+    return sum_with_multiplicities(b, _sharp_one, K0Class.zero())
 
 
 def theta_floer_equiv(

@@ -5,9 +5,9 @@ rational exponents a_i and complex coefficients c_i, together with a
 per-series truncation cutoff: exponents >= cutoff are unspecified.  A
 cutoff of None means the series is exact.
 
-Exponents are exact (fractions.Fraction); coefficients are floating
-(complex by default, mpmath numbers work too).  Coefficients whose
-magnitude is below ZERO_TOL are dropped during normalization.
+Exponents are exact (fractions.Fraction); coefficients are machine
+complex doubles.  Coefficients whose magnitude is below ZERO_TOL are
+dropped during normalization.
 
 Binary operations propagate the weakest truncation guarantee:
 
@@ -32,23 +32,6 @@ ZERO_TOL = 1e-12
 
 Rational = Union[int, Fraction]
 Scalar = Union[int, float, complex, Fraction]
-
-
-def _cexp(z):
-    if isinstance(z, (int, float, complex)):
-        return cmath.exp(z)
-    import mpmath
-
-    return mpmath.exp(z)
-
-
-def _clog(z):
-    """Principal branch logarithm, backend-agnostic."""
-    if isinstance(z, (int, float, complex)):
-        return cmath.log(z)
-    import mpmath
-
-    return mpmath.log(z)
 
 
 def _min_cutoff(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
@@ -290,14 +273,6 @@ def series_json(a: NovikovSeries) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def add(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
-    return a + b
-
-
-def mul(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
-    return a * b
-
-
 def val(a: NovikovSeries) -> Fraction:
     return a.val()
 
@@ -366,7 +341,7 @@ def fractional_power(u: NovikovSeries, t: Rational) -> NovikovSeries:
     t = Fraction(t)
     c0 = u.leading_coefficient()
     eps = NovikovSeries(tuple(u.terms[1:]), u.cutoff) * (1.0 / c0)
-    scale = _cexp(t * _clog(c0)) if t != 0 else 1.0 + 0.0j
+    scale = cmath.exp(t * cmath.log(c0)) if t != 0 else 1.0 + 0.0j
     if eps.is_zero():
         return NovikovSeries.constant(scale, u.cutoff)
     if u.cutoff is None:

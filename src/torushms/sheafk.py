@@ -30,6 +30,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 from .errors import BadBase, BadGcd
 from .novikov import NovikovSeries
 from .tate import TatePoint, conjugate_zero, point_mul, point_pow
+from .torus import sum_with_multiplicities
 
 __all__ = [
     "Bundle",
@@ -199,13 +200,7 @@ def _class_of(sheaf: IndecSheaf) -> K0Class:
 def k0_class(s) -> K0Class:
     """The K-theory class of a sheaf or formal sum (a group morphism:
     additive, and homological shift flips the sign)."""
-    total = K0Class.zero()
-    for sheaf, mult in as_sum(s).terms:
-        cls = _class_of(sheaf)
-        step = cls if mult > 0 else -cls
-        for _ in range(abs(mult)):
-            total = total + step
-    return total
+    return sum_with_multiplicities(as_sum(s).terms, _class_of, K0Class.zero())
 
 
 def line_bundle(

@@ -36,7 +36,6 @@ from .novikov import NovikovSeries, Rational, invert
 __all__ = [
     "TatePoint",
     "SectionCoeffs",
-    "point_normalize",
     "point_mul",
     "point_pow",
     "conjugate_zero",
@@ -85,11 +84,6 @@ class TatePoint:
 
     def __str__(self):
         return f"pt(x={self.x}, unit={self.unit})"
-
-
-def point_normalize(w_x: Rational, w_unit) -> TatePoint:
-    """Reduce a raw presentation -q^(w_x) * w_unit modulo q^Z."""
-    return TatePoint(w_x, w_unit)
 
 
 def point_mul(p: TatePoint, r: TatePoint) -> TatePoint:

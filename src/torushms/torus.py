@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import MarkerCollision, NonTransverse, NonUnit
 from .novikov import NovikovSeries, Rational, _binom, fractional_power, invert
@@ -59,6 +59,25 @@ def bezout(m: int, n: int) -> Tuple[int, int]:
     elif old_r != 1:
         raise ValueError(f"{m} and {n} are not coprime")
     return old_a, old_b
+
+
+def sum_with_multiplicities(terms: Iterable, class_of: Callable, zero):
+    """The class of a formal sum: for each term `obj` or `(obj, mult)`,
+    in order, class_of(obj) is added to `zero` |mult| times (negated for
+    mult < 0).
+
+    The addition is repeated on purpose: a closed-form multiple rounds
+    the floating-point part of a class (the point unit of a K-class)
+    differently.
+    """
+    total = zero
+    for term in terms:
+        obj, mult = term if isinstance(term, tuple) else (term, 1)
+        cls = class_of(obj)
+        step = cls if mult > 0 else -cls
+        for _ in range(abs(int(mult))):
+            total = total + step
+    return total
 
 
 def canonical_direction(v: Slope) -> Slope:
@@ -115,11 +134,6 @@ def mat_identity(n: int) -> Matrix:
     return tuple(
         tuple(one if i == j else zero for j in range(n)) for i in range(n)
     )
-
-
-def mat_zero(rows: int, cols: int) -> Matrix:
-    zero = NovikovSeries.zero()
-    return tuple(tuple(zero for _ in range(cols)) for _ in range(rows))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -278,10 +292,6 @@ class LocalSystem:
         return LocalSystem(
             tuple((invert(e), s) for e, s in self.blocks), self.frame
         )
-
-
-def transport(e: LocalSystem, t: Rational) -> Matrix:
-    return e.transport(t)
 
 
 def ls_ses_triple(m_eigen, h: int):

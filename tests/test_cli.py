@@ -322,10 +322,37 @@ def test_exit_code_domain_errors(capsys):
     assert "degenerate-configuration" in err
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("TORUSHMS_THREADS", "0")
-    rc, _, err = run(capsys, "cf", "--l0", "L(1,2;0)", "--l1", "L(1,0;0)")
-    assert rc == 1 and "usage error" in err
-    monkeypatch.setenv("TORUSHMS_THREADS", "4")
-    rc, _, _ = run(capsys, "cf", "--l0", "L(1,2;0)", "--l1", "L(1,0;0)")
-    assert rc == 0
+def test_numeric_flags_that_fail_to_parse(capsys):
+    theta = ("theta", "--kind", "0", "--point", "pt(x=1/5, phase=1/3)")
+    for cutoff in ("1/0", "abc", "-2"):
+        rc, out, err = run(capsys, *theta, "--cutoff", cutoff)
+        assert rc == 1 and out == "" and "usage error" in err
+        rc, out, err = run(capsys, *theta, "--cutoff", cutoff, "--json")
+        assert rc == 1 and err == ""
+        assert json.loads(out)["kind"] == "usage"
+    for x in ("abc", "1/0"):
+        rc, out, err = run(capsys, "witness", "--x", x)
+        assert rc == 1 and out == "" and "parse error" in err
+        rc, out, err = run(capsys, "witness", "--x", x, "--json")
+        assert rc == 1 and err == ""
+        assert json.loads(out)["kind"] == "parse"
+
+
+def test_negative_relation_bounds_are_usage_errors(capsys):
+    rc, out, err = run(capsys, "relations", "--r-max", "-1")
+    assert rc == 1 and out == ""
+    assert "usage error" in err and "r_max" in err
+    rc, out, _ = run(capsys, "relations", "--h-max", "-2", "--json")
+    assert rc == 1
+    assert json.loads(out)["kind"] == "usage"
+
+
+def test_removed_precision_flag_is_rejected(capsys):
+    rc, out, err = run(
+        capsys, "mu2", "--l0", "L(0,-1;1/4)",
+        "--l1", "L(1,2;0){M=phase 1/7, rank 1}", "--l2", "L(1,0;1/3)",
+        "--prec", "128",
+    )
+    assert rc == 1 and out == ""
+    assert "unrecognized arguments: --prec" in err
+    assert "Traceback" not in err

@@ -1,12 +1,18 @@
-"""Golden corpus: byte-for-byte `--json` outputs of the Floer verbs
-(`cf`, `mu2` with and without `--triangles`, `assoc`) and the exact
-terms and cutoffs of three library-level `mu2` products.
+"""Golden corpus: byte-for-byte `--json` outputs of every verb (the
+Floer verbs `cf`, `mu2` with and without `--triangles` and `assoc`, and
+the theta, K-theory, mirror and cobordism verbs) and the exact terms and
+cutoffs of three library-level `mu2` products.
 
-The files under tests/golden/ were recorded once, from the grid-scan
-intersection enumerator and the series-by-series triangle accumulation
-that preceded the closed-form enumerator and the per-entry accumulator.
-They pin that behaviour: a mismatch here is a change in what torushms
-computes.  Never regenerate them to make this test pass.
+The Floer files under tests/golden/ were recorded once, from the
+grid-scan intersection enumerator and the series-by-series triangle
+accumulation that preceded the closed-form enumerator and the per-entry
+accumulator.  The files of the other verbs were recorded from the
+code that still carried the mpmath coefficient backend and three
+separate loops for sums with multiplicities; their inputs use grammar
+phases and large multiplicities, so a change in evaluation order or
+rounding shows up in the last bits.  They pin that behaviour: a mismatch
+here is a change in what torushms computes.  Never regenerate them to
+make this test pass.
 """
 
 import cmath
@@ -75,6 +81,47 @@ CASES = {
         "--cutoff", "16", "--a", "1", "--b", "2")),
     "assoc_odd_c8": (0, ("assoc",) + ODD_CHAIN + ("--cutoff", "8")),
     "assoc_odd_c16": (0, ("assoc",) + ODD_CHAIN + ("--cutoff", "16")),
+    "theta_k0_phase": (0, ("theta", "--kind", "0",
+                           "--point", "pt(x=1/3, phase=1/7)")),
+    "theta_k1_phase": (0, ("theta", "--kind", "1",
+                           "--point", "pt(x=2/5, phase=-3/11)",
+                           "--cutoff", "12")),
+    "section_vanishes": (0, ("section", "--q", "pt(x=1/3, phase=1/7)",
+                             "--at", "pt(x=1/3, phase=1/7)")),
+    "section_elsewhere": (0, ("section", "--q", "pt(x=1/3, phase=1/7)",
+                              "--at", "pt(x=1/5, phase=2/9)",
+                              "--cutoff", "6")),
+    "k0_mixed_mults": (0, ("k0", "--sheaf",
+                           "Sky(pt(x=1/3, phase=1/7), 5)"
+                           " + 7*Sky(pt(x=2/5, phase=2/9), 3)"
+                           " - 6*Bun(2,3,pt(x=1/7, phase=1/3))")),
+    "k0_sky_mult59": (0, ("k0", "--sheaf",
+                          "59*Sky(pt(x=1/7, phase=1/7), 1)")),
+    "k0_divisor": (0, ("k0", "--sheaf",
+                       "O(D: pt(x=1/3, phase=1/7) + pt(x=1/5, phase=2/9)"
+                       " - pt(x=0, phase=0))[1] + 3*O(-2P0)")),
+    "k0_readme": (0, ("k0", "--sheaf",
+                      "O(2P0) - 2*Sky(pt(x=1/3, phase=1/7), 1)")),
+    "relations_default": (0, ("relations",)),
+    "relations_bounds": (0, ("relations", "--r-max", "2", "--d-max", "3",
+                             "--n-max", "2", "--h-max", "4",
+                             "--tol", "1e-12")),
+    "mirror_sky": (0, ("mirror", "--sheaf", "Sky(pt(x=1/3, phase=1/7), 2)")),
+    "mirror_bun": (0, ("mirror", "--sheaf", "Bun(2,1,pt(x=0, phase=0))")),
+    "mirror_shifted": (0, ("mirror", "--sheaf", "O(3P0)[1]")),
+    "theta_sharp_mults": (0, ("theta-sharp", "--brane",
+                              "5*L(0,-1;1/3){M=phase 1/7, rank 3}"
+                              " - 4*L(1,2;0)")),
+    "theta_sharp_unanchored": (2, ("theta-sharp", "--brane", "L(2,1;0)")),
+    "witness_third": (0, ("witness", "--x", "1/3")),
+    "witness_above_one": (0, ("witness", "--x", "12/7")),
+    "cob_nf_shifted": (0, ("cob-nf", "--brane", "L(3,5;2/7)[1]")),
+    "cob_check_mult200": (0, ("cob-check",
+                              "--lhs", "200*L(3,5;1/7) - 3*L(1,2;0)",
+                              "--rhs", "L(1,0;0) + 200*L(3,5;1/7)")),
+    "cob_check_equal": (0, ("cob-check",
+                            "--lhs", "200*L(0,1;1/3) + L(1,0;0)",
+                            "--rhs", "L(1,0;0) + 200*L(0,1;1/3)")),
 }
 
 

@@ -218,3 +218,10 @@ def test_relation_suite_respects_bounds():
     assert all(tri.holds() for tri in small)
     labels = {tri.label for tri in small}
     assert labels == {"iso", "divisor", "atiyah-coprime", "jordan-tower"}
+
+
+def test_relation_bounds_reject_negative_values():
+    assert RelationBounds(0, 0, 0, 0).r_max == 0
+    for bad in ((-1, 4, 3, 3), (4, -1, 3, 3), (4, 4, -1, 3), (4, 4, 3, -1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            RelationBounds(*bad)

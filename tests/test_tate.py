@@ -16,7 +16,6 @@ from torushms.tate import (
     conjugate_zero,
     eval_section,
     point_mul,
-    point_normalize,
     point_pow,
     section_through,
     section_vanishes_at,
@@ -90,11 +89,6 @@ def test_point_pow_matches_repeated_multiplication():
     assert point_pow(p, 4).approx_eq(acc)
     assert point_pow(p, 0).approx_eq(TatePoint.zero())
     assert point_pow(p, -1).approx_eq(conjugate_zero(p))
-
-
-def test_point_normalize_agrees_with_constructor():
-    p = point_normalize(F(7, 5), 2.0)
-    assert p == TatePoint(F(2, 5), 2.0)
 
 
 # ---------------------------------------------------------------------------
