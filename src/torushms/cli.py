@@ -205,6 +205,9 @@ class _Parser:
         if self.peek().kind == "/":
             self.i += 1
             den = int(self.take("int", "denominator").text)
+            if den == 0:
+                self.i -= 1
+                self.fail("nonzero denominator")
             return Fraction(num, den)
         return Fraction(num)
 
@@ -539,6 +542,18 @@ class _UsageError(Exception):
     """A flag value the run configuration or a verb rejects (exit 1)."""
 
 
+class _ArgParser(argparse.ArgumentParser):
+    """argparse with one change: a rejected command line raises
+    _UsageError after argparse's usual text is on stderr, instead of
+    exiting with status 2.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        text = f"{self.prog}: error: {message}"
+        print(text, file=sys.stderr)
+        raise _UsageError(text)
+
+
 def _config(args) -> RunConfig:
     try:
         return RunConfig(
@@ -786,7 +801,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-9, help="tolerance")
     common.add_argument("--json", action="store_true", help="machine output")
 
-    top = argparse.ArgumentParser(
+    top = _ArgParser(
         prog="torushms",
         description="Floer products, theta functions, K-theory and "
         "cobordism classes for straight branes on the flat torus.",
@@ -869,8 +884,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
+    except _UsageError as exc:
+        if "--json" in argv:
+            print(_emit_json({"error": str(exc), "kind": "usage",
+                              "detail": {}}))
+        return 1
     try:
         cfg = _config(args)
         payload, plain = _COMMANDS[args.command](args, cfg)

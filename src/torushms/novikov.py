@@ -9,6 +9,17 @@ Exponents are exact (fractions.Fraction); coefficients are machine
 complex doubles.  Coefficients whose magnitude is below ZERO_TOL are
 dropped during normalization.
 
+Canonical form: `terms` is a tuple of (Fraction, coefficient) pairs with
+strictly increasing exponents, every exponent below the cutoff, every
+coefficient stored as `0 + c` (so a float -0.0 reads 0.0) and no
+coefficient with |c| <= ZERO_TOL.  The public constructor reaches it
+from any input by merging equal exponents and sorting.  Results that
+are canonical by construction (negation, truncation, a product with a
+one-term factor, the inverse of a one-term series) go through the
+private `NovikovSeries._sorted` instead, which applies the per-term
+rules only; its caller guarantees Fraction exponents in strictly
+increasing order and a Fraction (or None) cutoff.
+
 Binary operations propagate the weakest truncation guarantee:
 
     add: cutoff = min(cutoff_a, cutoff_b)
@@ -54,9 +65,12 @@ class NovikovSeries:
     ):
         acc = {}
         for e, c in terms:
-            e = Fraction(e)
+            if type(e) is not Fraction:
+                e = Fraction(e)
             acc[e] = acc.get(e, 0) + c
-        cut = None if cutoff is None else Fraction(cutoff)
+        cut = cutoff
+        if cut is not None and type(cut) is not Fraction:
+            cut = Fraction(cut)
         clean = []
         for e in sorted(acc):
             if cut is not None and e >= cut:
@@ -70,6 +84,31 @@ class NovikovSeries:
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("NovikovSeries is immutable")
+
+    @classmethod
+    def _sorted(
+        cls, terms: Iterable[Tuple[Fraction, Scalar]], cutoff: Optional[Fraction]
+    ) -> "NovikovSeries":
+        """The series of `terms`, which must have Fraction exponents in
+        strictly increasing order, and a Fraction (or None) cutoff.
+
+        Applies the public constructor's per-term rules and nothing
+        else: terms at or above the cutoff are dropped, each coefficient
+        is stored as `0 + c`, and |c| <= ZERO_TOL is dropped.  `terms`
+        may be a generator; it is not read past the cutoff.
+        """
+        clean = []
+        for e, c in terms:
+            if cutoff is not None and e >= cutoff:
+                break
+            c = 0 + c
+            if abs(c) <= ZERO_TOL:
+                continue
+            clean.append((e, c))
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", tuple(clean))
+        object.__setattr__(out, "cutoff", cutoff)
+        return out
 
     # -- constructors ------------------------------------------------
 
@@ -125,7 +164,9 @@ class NovikovSeries:
         return best
 
     def truncated(self, cutoff: Rational) -> "NovikovSeries":
-        return NovikovSeries(self.terms, _min_cutoff(self.cutoff, Fraction(cutoff)))
+        if type(cutoff) is not Fraction:
+            cutoff = Fraction(cutoff)
+        return NovikovSeries._sorted(self.terms, _min_cutoff(self.cutoff, cutoff))
 
     # -- ring structure ----------------------------------------------
 
@@ -147,7 +188,7 @@ class NovikovSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return NovikovSeries(tuple((e, -c) for e, c in self.terms), self.cutoff)
+        return NovikovSeries._sorted(((e, -c) for e, c in self.terms), self.cutoff)
 
     def __sub__(self, other):
         o = self._coerced(other)
@@ -174,6 +215,18 @@ class NovikovSeries:
             shift = self.terms[0][0] if self.terms else self.cutoff
             cut_b = None if shift is None else o.cutoff + shift
         cut = _min_cutoff(cut_a, cut_b)
+        # a one-term factor shifts every exponent by the same amount, so
+        # the product is already sorted and has no exponents to merge
+        if len(o.terms) == 1:
+            eb, cb = o.terms[0]
+            return NovikovSeries._sorted(
+                ((ea + eb, ca * cb) for ea, ca in self.terms), cut
+            )
+        if len(self.terms) == 1:
+            ea, ca = self.terms[0]
+            return NovikovSeries._sorted(
+                ((ea + eb, ca * cb) for eb, cb in o.terms), cut
+            )
         acc = {}
         for ea, ca in self.terms:
             for eb, cb in o.terms:
@@ -293,6 +346,13 @@ def invert(a: NovikovSeries) -> NovikovSeries:
         raise ZeroSeries("cannot invert the zero series")
     v = a.val()
     c0 = a.leading_coefficient()
+    if len(a.terms) == 1:
+        # the general path below, with eps = 0 and geo = one()
+        if a.cutoff is None:
+            return NovikovSeries._sorted(((-v, 1.0 / c0),), None)
+        return NovikovSeries._sorted(
+            ((-v, (1.0 + 0.0j) / c0),), a.cutoff - 2 * v
+        )
     # normalized unit 1 + eps, exponents shifted down by v
     eps = NovikovSeries(
         tuple((e - v, c / c0) for e, c in a.terms[1:]),

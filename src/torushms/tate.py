@@ -50,7 +50,8 @@ __all__ = [
 def _as_unit(unit: Union[NovikovSeries, int, float, complex]) -> NovikovSeries:
     if not isinstance(unit, NovikovSeries):
         unit = NovikovSeries.constant(unit)
-    if unit.is_zero() or unit.val() != 0:
+    # nonzero with valuation 0: the lowest canonical exponent is 0
+    if not (unit.terms and unit.terms[0][0] == 0):
         raise NonUnit("point unit coordinate must have valuation 0")
     return unit
 
@@ -63,13 +64,18 @@ class TatePoint:
     unit: NovikovSeries
 
     def __init__(self, x: Rational, unit=1):
-        object.__setattr__(self, "x", Fraction(x) % 1)
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if not 0 <= x.numerator < x.denominator:  # x outside [0, 1)
+            x = x % 1
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "unit", _as_unit(unit))
 
     @classmethod
     def zero(cls) -> "TatePoint":
-        """O = [1] = [-q^0 * (-1)], the group-law origin."""
-        return cls(0, -1)
+        """O = [1] = [-q^0 * (-1)], the group-law origin (one shared
+        instance: points are immutable)."""
+        return _ZERO
 
     @classmethod
     def two_torsion(cls) -> "TatePoint":
@@ -84,6 +90,9 @@ class TatePoint:
 
     def __str__(self):
         return f"pt(x={self.x}, unit={self.unit})"
+
+
+_ZERO = TatePoint(0, -1)
 
 
 def point_mul(p: TatePoint, r: TatePoint) -> TatePoint:

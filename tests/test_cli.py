@@ -356,3 +356,55 @@ def test_removed_precision_flag_is_rejected(capsys):
     assert rc == 1 and out == ""
     assert "unrecognized arguments: --prec" in err
     assert "Traceback" not in err
+
+
+def test_zero_denominator_is_a_parse_error(capsys):
+    # the error points at the denominator token, in every rational slot
+    cases = (
+        (("cob-nf", "--brane", "L(1,0;1/0)"), 9),
+        (("k0", "--sheaf", "Sky(pt(x=1/0, phase=1/7), 2)"), 12),
+        (("k0", "--sheaf", "Sky(pt(x=1/3, phase=-2/00), 2)"), 24),
+        (("theta-sharp", "--brane", "L(0,-1;0){M=phase 1/0, rank 2}"), 21),
+    )
+    for argv, col in cases:
+        rc, out, err = run(capsys, *argv, "--json")
+        assert rc == 1 and err == ""
+        payload = json.loads(out)
+        assert payload["kind"] == "parse"
+        assert payload["detail"] == {
+            "position": col, "expected": ["nonzero denominator"],
+        }
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert f"parse error: expected nonzero denominator at column {col}" in err
+    with pytest.raises(ParseError):
+        parse_ast("pt(x=1/0, phase=0)")
+
+
+MU2 = ("mu2", "--l0", "L(0,-1;1/4)", "--l1", "L(1,2;0)", "--l2", "L(1,0;1/3)")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (MU2 + ("--prec", "128"), "unrecognized arguments: --prec 128"),
+        (("cf", "--l0", "L(1,0;0)"), "the following arguments are required: --l1"),
+        (MU2 + ("--phi1", "x"), "argument --phi1: invalid int value: 'x'"),
+        (MU2 + ("--tol", "tight"), "argument --tol: invalid float value: 'tight'"),
+    ],
+    ids=["unknown-flag", "missing-flag", "bad-phi1", "bad-tol"],
+)
+def test_argparse_failures_under_json_print_one_usage_object(capsys, argv, message):
+    rc, out, err = run(capsys, *argv, "--json")
+    assert rc == 1
+    payload = json.loads(out)  # exactly one JSON object on stdout
+    assert payload["kind"] == "usage" and payload["detail"] == {}
+    assert payload["error"].endswith(message)
+    # argparse's own text stays on stderr
+    assert err.startswith("usage: torushms") and message in err
+    assert "Traceback" not in err
+
+
+def test_help_still_exits_zero_under_json(capsys):
+    rc, out, err = run(capsys, "cf", "--help", "--json")
+    assert rc == 0 and out.startswith("usage: torushms cf") and err == ""

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from torushms.errors import NonUnit, ZeroSeries
 from torushms.novikov import (
+    ZERO_TOL,
     NovikovSeries,
     fractional_power,
     invert,
@@ -252,3 +253,110 @@ def test_ultrametric_inequality(a, b):
 @given(_nonzero, _nonzero)
 def test_norm_is_multiplicative(a, b):
     assert math.isclose(norm(a * b), norm(a) * norm(b), rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the sorted-terms constructor: negation, truncation, products with a
+# one-term factor and the inverse of a one-term series skip the public
+# constructor's merge and sort; built the general way they must give the
+# same repr (coefficient types and signed zeros included)
+# ---------------------------------------------------------------------------
+
+_edge_coeffs = [
+    0, 1, -1, 3, F(-2, 3), F(1, 7), -0.0, 0.0, 0.5, -1.0, 2.5,
+    complex(-0.0, -0.0), complex(-0.0, 1.0), complex(1.0, -0.0), 1j, -1j,
+    complex(-1.0, 0.0), ZERO_TOL, -ZERO_TOL, complex(0.0, ZERO_TOL),
+    complex(-ZERO_TOL, -0.0), 2 * ZERO_TOL, -2 * ZERO_TOL,
+    math.nextafter(ZERO_TOL, 1.0), math.nextafter(ZERO_TOL, 0.0),
+]
+
+_any_coeff = st.one_of(
+    st.sampled_from(_edge_coeffs),
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+
+_cutoff = st.one_of(st.none(), _expo)
+
+_wild_series = st.builds(
+    NovikovSeries, st.lists(st.tuples(_expo, _any_coeff), max_size=4), _cutoff
+)
+
+_one_term = st.builds(
+    NovikovSeries, st.tuples(st.tuples(_expo, _any_coeff)), _cutoff
+).filter(lambda a: len(a.terms) == 1)
+
+
+def _min_cut(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _mul_through_constructor(a, b):
+    """a * b as the general path computes it: cutoffs shifted by the
+    valuations, one dict of exponents, then the public constructor."""
+    cut_a = cut_b = None
+    if a.cutoff is not None:
+        shift = b.terms[0][0] if b.terms else b.cutoff
+        cut_a = None if shift is None else a.cutoff + shift
+    if b.cutoff is not None:
+        shift = a.terms[0][0] if a.terms else a.cutoff
+        cut_b = None if shift is None else b.cutoff + shift
+    cut = _min_cut(cut_a, cut_b)
+    acc = {}
+    for ea, ca in a.terms:
+        for eb, cb in b.terms:
+            e = ea + eb
+            if cut is not None and e >= cut:
+                continue
+            acc[e] = acc.get(e, 0) + ca * cb
+    return NovikovSeries(acc.items(), cut)
+
+
+def _invert_one_term_through_constructor(a):
+    ((v, c0),) = a.terms
+    if a.cutoff is None:
+        return NovikovSeries.q_power(-v, 1.0 / c0)
+    geo = NovikovSeries.one()
+    return NovikovSeries(
+        tuple((e - v, c / c0) for e, c in geo.terms), a.cutoff - 2 * v
+    )
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.lists(st.tuples(_expo, _any_coeff), max_size=6, unique_by=lambda t: t[0]),
+    _cutoff,
+)
+def test_sorted_constructor_matches_public_constructor(pairs, cutoff):
+    pairs.sort(key=lambda t: t[0])
+    assert repr(NovikovSeries._sorted(pairs, cutoff)) == repr(
+        NovikovSeries(pairs, cutoff)
+    )
+
+
+@settings(max_examples=250, deadline=None)
+@given(_wild_series, _expo)
+def test_neg_and_truncated_match_public_constructor(a, c):
+    assert repr(-a) == repr(
+        NovikovSeries(tuple((e, -x) for e, x in a.terms), a.cutoff)
+    )
+    for cut in (c, int(c)):
+        assert repr(a.truncated(cut)) == repr(
+            NovikovSeries(a.terms, _min_cut(a.cutoff, F(cut)))
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wild_series, _one_term)
+def test_mul_by_one_term_matches_public_constructor(a, b):
+    assert repr(a * b) == repr(_mul_through_constructor(a, b))
+    assert repr(b * a) == repr(_mul_through_constructor(b, a))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_one_term)
+def test_invert_one_term_matches_general_path(a):
+    for u in (a, NovikovSeries(a.terms), a.truncated(a.terms[0][0] + 3)):
+        assert repr(invert(u)) == repr(_invert_one_term_through_constructor(u))

@@ -48,6 +48,28 @@ def test_unit_must_have_valuation_zero():
         TatePoint(0, 0)
 
 
+def test_x_matches_fraction_mod_one_for_every_input_kind():
+    inputs = (0, 1, 2, 7, -1, -3, F(0), F(1, 3), F(3, 3), F(5, 3), F(-1, 3),
+              F(-7, 2), F(99, 100), F(-1, 100), True)
+    for x in inputs:
+        p = TatePoint(x, phase("1/7"))
+        assert type(p.x) is F
+        assert repr(p.x) == repr(F(x) % 1)
+
+
+def test_non_units_are_rejected():
+    for unit in (
+        0, 0.0, 0j, 1e-13, NovikovSeries.zero(), NovikovSeries.zero(4),
+        NovikovSeries.q_power(F(1, 2)), NovikovSeries.q_power(-1, 2.0),
+        NovikovSeries(((F(-1, 3), 1.0), (0, 1.0)), 5),
+        NovikovSeries(((F(1, 3), 1.0), (1, 1.0)), 5),
+    ):
+        with pytest.raises(NonUnit):
+            TatePoint(F(1, 3), unit)
+    # a valuation-zero unit with higher terms is accepted
+    TatePoint(F(1, 3), NovikovSeries(((0, 1.0), (F(1, 2), 1.0)), 5))
+
+
 def test_zero_point_is_the_identity():
     o = TatePoint.zero()
     p = TatePoint(F(1, 3), phase("1/7"))
