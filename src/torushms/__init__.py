@@ -4,7 +4,7 @@ straight branes, theta functions on the Tate curve, K-theory of its
 coherent sheaves, the Lagrangian cobordism group, and the dictionary
 identifying the two sides."""
 
-from .config import RelationBounds, RunConfig
+from .config import RelationBounds
 from .errors import (
     BadBase,
     BadGcd,

@@ -1,9 +1,15 @@
 """Command-line surface: parse brane/point/sheaf expressions, run the
 library computations, print plain text or JSON.
 
-Exit codes: 0 success, 1 usage or input-syntax error, 2 domain error
-(non-transverse pair, degenerate configuration, ...).  JSON (--json) is
-the stable machine interface -- byte-identical for identical inputs and
+Exit codes: 0 success; 1 usage or input error; 2 domain error
+(non-transverse pair, degenerate configuration, ...).  Usage errors are
+a command line argparse rejects, a --cutoff that is not a positive
+rational and a --tol that is negative or not finite.  Input errors are
+syntax errors and literals their constructor rejects (L(2,4;0), a rank
+or thickness of 0, ...).  A rejected run prints one labelled line on
+stderr, or under --json one {"error", "kind", "detail"} object on
+stdout; it never ends in a traceback.  JSON (--json) is the stable
+machine interface -- byte-identical for identical inputs and
 configuration; the plain format is for humans and may change.
 
 Input grammar (EBNF; whitespace free between tokens):
@@ -31,13 +37,14 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .config import RunConfig, RelationBounds
+from .config import RelationBounds
 from .errors import ParseError, TorushmsError
 from .floer import (
     FloerElement,
@@ -46,7 +53,6 @@ from .floer import (
     generator_element,
     mu2,
     mu2_triangles,
-    vanishes_truncated,
 )
 from .mirror import mirror_of_sheaf, theta_sharp, zeta_injectivity_witness
 from .novikov import NovikovSeries, series_json, series_text
@@ -61,7 +67,6 @@ from .sheafk import (
     relation_suite,
 )
 from .tate import (
-    SectionCoeffs,
     TatePoint,
     eval_section,
     section_through,
@@ -69,7 +74,7 @@ from .tate import (
     theta_eval,
 )
 from .torus import Brane, LocalSystem
-from .cobord import CobordClass, class_of_sum, normal_form, relation_check
+from .cobord import CobordClass, class_of_sum, normal_form
 
 __all__ = ["main", "parse_expr", "print_ast", "parse_ast"]
 
@@ -436,20 +441,34 @@ def _realize(ast: ItemAst):
 def parse_expr(text: str):
     """Parse and realize: a single Brane / sheaf / TatePoint for a
     one-term expression with multiplier 1, else a list of
-    (object, multiplier) pairs."""
+    (object, multiplier) pairs.  A literal its constructor rejects
+    (slope (2,4), rank 0, thickness 0, ...) raises ParseError with the
+    constructor's message."""
     ast = parse_ast(text)
-    terms = [(_realize(item), mult) for mult, item in ast.terms]
+    try:
+        terms = [(_realize(item), mult) for mult, item in ast.terms]
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     if len(terms) == 1 and terms[0][1] == 1:
         return terms[0][0]
     return terms
 
 
-def _expect_all(terms, cls, what: str):
-    pairs = terms if isinstance(terms, list) else [(terms, 1)]
-    for obj, _ in pairs:
+def _expect_one(text: str, cls, what: str, sums: bool = False):
+    """parse_expr(text) checked against `cls`: one object, "expected
+    {what}" otherwise; with sums=True a formal sum of them, returned as
+    (object, multiplier) pairs, "expected only {what} in this
+    expression" otherwise."""
+    obj = parse_expr(text)
+    if not sums:
         if not isinstance(obj, cls):
+            raise ParseError(f"expected {what}, got {text!r}")
+        return obj
+    pairs = obj if isinstance(obj, list) else [(obj, 1)]
+    for item, _ in pairs:
+        if not isinstance(item, cls):
             raise ParseError(
-                f"expected only {what} in this expression, got {obj!r}"
+                f"expected only {what} in this expression, got {item!r}"
             )
     return pairs
 
@@ -459,23 +478,24 @@ def _expect_all(terms, cls, what: str):
 # ---------------------------------------------------------------------------
 
 
-def _point_json(p: TatePoint) -> dict:
-    out = {"x": _frac(p.x)}
-    terms = p.unit.terms
+def _unit(s: NovikovSeries, as_json: bool):
+    """A unit series for output: one constant term prints as a single
+    complex number, anything else as the series."""
+    terms = s.terms
     if len(terms) == 1 and terms[0][0] == 0:
         z = complex(terms[0][1])
-        out["unit"] = {"re": z.real, "im": z.imag}
-    else:
-        out["unit"] = series_json(p.unit)
-    return out
+        if as_json:
+            return {"re": z.real, "im": z.imag}
+        return f"{z.real:.9g}{z.imag:+.9g}i"
+    return series_json(s) if as_json else series_text(s)
+
+
+def _point_json(p: TatePoint) -> dict:
+    return {"x": _frac(p.x), "unit": _unit(p.unit, True)}
 
 
 def _point_text(p: TatePoint) -> str:
-    terms = p.unit.terms
-    if len(terms) == 1 and terms[0][0] == 0:
-        z = complex(terms[0][1])
-        return f"(x={_frac(p.x)}, unit={z.real:.9g}{z.imag:+.9g}i)"
-    return f"(x={_frac(p.x)}, unit={series_text(p.unit)})"
+    return f"(x={_frac(p.x)}, unit={_unit(p.unit, False)})"
 
 
 def _k0_json(c: K0Class) -> dict:
@@ -491,16 +511,10 @@ def _cob_json(c: CobordClass) -> dict:
 
 
 def _brane_json(b: Brane) -> dict:
-    blocks = []
-    for eig, size in b.local_system.blocks:
-        entry = {"size": size}
-        terms = eig.terms
-        if len(terms) == 1 and terms[0][0] == 0:
-            z = complex(terms[0][1])
-            entry["eigenvalue"] = {"re": z.real, "im": z.imag}
-        else:
-            entry["eigenvalue"] = series_json(eig)
-        blocks.append(entry)
+    blocks = [
+        {"size": size, "eigenvalue": _unit(eig, True)}
+        for eig, size in b.local_system.blocks
+    ]
     return {
         "slope": list(b.slope),
         "shift": _frac(b.shift),
@@ -539,7 +553,14 @@ def _element_text(e: FloerElement) -> List[str]:
 
 
 class _UsageError(Exception):
-    """A flag value the run configuration or a verb rejects (exit 1)."""
+    """A flag value argparse, `_cutoff`, `_tol` or a verb rejects (exit
+    1).  `on_stderr` is set when argparse has printed its own text."""
+
+    kind = "usage"
+
+    def __init__(self, message: str, on_stderr: bool = False):
+        super().__init__(message)
+        self.on_stderr = on_stderr
 
 
 class _ArgParser(argparse.ArgumentParser):
@@ -551,34 +572,28 @@ class _ArgParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         text = f"{self.prog}: error: {message}"
         print(text, file=sys.stderr)
-        raise _UsageError(text)
+        raise _UsageError(text, on_stderr=True)
 
 
-def _config(args) -> RunConfig:
+def _cutoff(text: str) -> Fraction:
+    """The --cutoff value: a positive rational."""
     try:
-        return RunConfig(
-            cutoff=Fraction(args.cutoff),
-            tolerance=args.tol,
-            output="json" if args.json else "plain",
-        )
+        cutoff = Fraction(text)
     except (ValueError, ZeroDivisionError):
+        cutoff = Fraction(0)
+    if cutoff <= 0:
         raise _UsageError(
-            f"--cutoff must be a positive rational p/q, got {args.cutoff!r}"
-        ) from None
+            f"--cutoff must be a positive rational p/q, got {text!r}"
+        )
+    return cutoff
 
 
-def _brane_arg(text: str) -> Brane:
-    obj = parse_expr(text)
-    if not isinstance(obj, Brane):
-        raise ParseError(f"expected a single brane, got {text!r}")
-    return obj
-
-
-def _point_arg(text: str) -> TatePoint:
-    obj = parse_expr(text)
-    if not isinstance(obj, TatePoint):
-        raise ParseError(f"expected a point literal, got {text!r}")
-    return obj
+def _tol(value: float) -> float:
+    """The --tol value: finite and >= 0.  NaN would fail every check and
+    inf would pass every one."""
+    if not (math.isfinite(value) and value >= 0):
+        raise _UsageError(f"--tol must be a finite number >= 0, got {value:g}")
+    return value
 
 
 def _generator(l0: Brane, l1: Brane, idx: int) -> FloerElement:
@@ -601,9 +616,12 @@ def _generator(l0: Brane, l1: Brane, idx: int) -> FloerElement:
     return generator_element(l0, l1, coords[idx], matrix=matrix)
 
 
-def _cmd_cf(args, cfg: RunConfig):
-    l0 = _brane_arg(args.l0)
-    l1 = _brane_arg(args.l1)
+def _branes(args, *flags) -> List[Brane]:
+    return [_expect_one(getattr(args, f), Brane, "a single brane") for f in flags]
+
+
+def _cmd_cf(args):
+    l0, l1 = _branes(args, "l0", "l1")
     space = cf(l0, l1)
     gens = [
         {
@@ -621,53 +639,51 @@ def _cmd_cf(args, cfg: RunConfig):
     return {"generators": gens}, plain
 
 
-def _cmd_mu2(args, cfg: RunConfig):
-    l0 = _brane_arg(args.l0)
-    l1 = _brane_arg(args.l1)
-    l2 = _brane_arg(args.l2)
+def _cmd_mu2(args):
+    l0, l1, l2 = _branes(args, "l0", "l1", "l2")
     phi1 = _generator(l0, l1, args.phi1)
     phi2 = _generator(l1, l2, args.phi2)
-    result = mu2(phi2, phi1, cfg.cutoff)
-    payload = {"cutoff": _frac(cfg.cutoff), "result": _element_json(result)}
-    plain = [f"mu2 product (cutoff {_frac(cfg.cutoff)}):"]
+    if args.triangles:
+        result, tris = mu2_triangles(phi2, phi1, args.cutoff)
+    else:
+        result = mu2(phi2, phi1, args.cutoff)
+    payload = {"cutoff": _frac(args.cutoff), "result": _element_json(result)}
+    plain = [f"mu2 product (cutoff {_frac(args.cutoff)}):"]
     plain += _element_text(result)
     if args.triangles:
-        _, tris = mu2_triangles(phi2, phi1, cfg.cutoff)
         payload["triangles"] = tris
         plain.append(f"triangles: {len(tris)}")
     return payload, plain
 
 
-def _cmd_assoc(args, cfg: RunConfig):
-    branes = [
-        _brane_arg(t) for t in (args.l0, args.l1, args.l2, args.l3)
-    ]
+def _cmd_assoc(args):
+    branes = _branes(args, "l0", "l1", "l2", "l3")
     a = _generator(branes[0], branes[1], args.a)
     b = _generator(branes[1], branes[2], args.b)
     c = _generator(branes[2], branes[3], args.c)
-    defect = assoc_defect(a, b, c, cfg.cutoff)
-    ok = defect <= cfg.tolerance
+    defect = assoc_defect(a, b, c, args.cutoff)
+    ok = defect <= args.tol
     return (
-        {"defect": defect, "pass": ok, "tolerance": cfg.tolerance},
+        {"defect": defect, "pass": ok, "tolerance": args.tol},
         [f"associativity defect: {defect:.3e}  ({'ok' if ok else 'FAIL'})"],
     )
 
 
-def _cmd_theta(args, cfg: RunConfig):
-    p = _point_arg(args.point)
-    series = theta_eval(args.kind, p, cfg.cutoff)
+def _cmd_theta(args):
+    p = _expect_one(args.point, TatePoint, "a point literal")
+    series = theta_eval(args.kind, p, args.cutoff)
     return (
         {"kind": args.kind, "series": series_json(series)},
         [f"theta{args.kind} = {series_text(series)}"],
     )
 
 
-def _cmd_section(args, cfg: RunConfig):
-    q = _point_arg(args.q)
-    at = _point_arg(args.at)
-    section = section_through(q, cfg.cutoff)
-    value = eval_section(section, at, cfg.cutoff)
-    vanishes = section_vanishes_at(section, at, cfg.cutoff)
+def _cmd_section(args):
+    q = _expect_one(args.q, TatePoint, "a point literal")
+    at = _expect_one(args.at, TatePoint, "a point literal")
+    section = section_through(q, args.cutoff)
+    value = eval_section(section, at, args.cutoff)
+    vanishes = section_vanishes_at(section, at, args.cutoff)
     payload = {
         "sigma0": series_json(section.sigma0),
         "sigma1": series_json(section.sigma1),
@@ -682,17 +698,13 @@ def _cmd_section(args, cfg: RunConfig):
     return payload, plain
 
 
-def _cmd_k0(args, cfg: RunConfig):
-    terms = _expect_all(
-        parse_expr(args.sheaf),
-        (Bundle, Skyscraper),
-        "sheaves",
-    )
+def _cmd_k0(args):
+    terms = _expect_one(args.sheaf, (Bundle, Skyscraper), "sheaves", sums=True)
     cls = k0_class(SheafSum(terms))
     return ({"class": _k0_json(cls)}, [f"K0 class: {_k0_text(cls)}"])
 
 
-def _cmd_relations(args, cfg: RunConfig):
+def _cmd_relations(args):
     try:
         bounds = RelationBounds(args.r_max, args.d_max, args.n_max, args.h_max)
     except ValueError as exc:
@@ -705,7 +717,7 @@ def _cmd_relations(args, cfg: RunConfig):
         TatePoint(Fraction(1, 7), _phase(Fraction(1, 2))),
     ]
     suite = relation_suite(bounds, points)
-    failures = [t for t in suite if not t.holds(cfg.tolerance)]
+    failures = [t for t in suite if not t.holds(args.tol)]
     payload = {
         "count": len(suite),
         "all_hold": not failures,
@@ -713,16 +725,14 @@ def _cmd_relations(args, cfg: RunConfig):
     }
     plain = [
         f"relations checked: {len(suite)}",
-        f"all hold (tol {cfg.tolerance:g}): {'yes' if not failures else 'no'}",
+        f"all hold (tol {args.tol:g}): {'yes' if not failures else 'no'}",
     ]
     return payload, plain
 
 
-def _cmd_mirror(args, cfg: RunConfig):
-    obj = parse_expr(args.sheaf)
-    if not isinstance(obj, (Bundle, Skyscraper)):
-        raise ParseError(f"expected a single sheaf, got {args.sheaf!r}")
-    pair = mirror_of_sheaf(obj)
+def _cmd_mirror(args):
+    sheaf = _expect_one(args.sheaf, (Bundle, Skyscraper), "a single sheaf")
+    pair = mirror_of_sheaf(sheaf)
     payload = {
         "brane": _brane_json(pair.brane),
         "anchored": pair.anchored,
@@ -735,13 +745,12 @@ def _cmd_mirror(args, cfg: RunConfig):
     return payload, plain
 
 
-def _cmd_theta_sharp(args, cfg: RunConfig):
-    terms = _expect_all(parse_expr(args.brane), Brane, "branes")
-    cls = theta_sharp(terms)
+def _cmd_theta_sharp(args):
+    cls = theta_sharp(_expect_one(args.brane, Brane, "branes", sums=True))
     return ({"class": _k0_json(cls)}, [f"theta-sharp: {_k0_text(cls)}"])
 
 
-def _cmd_witness(args, cfg: RunConfig):
+def _cmd_witness(args):
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
@@ -749,7 +758,7 @@ def _cmd_witness(args, cfg: RunConfig):
             f"expected a rational p/q for --x, got {args.x!r}"
         ) from None
     cls = zeta_injectivity_witness(x)
-    nonzero = not cls.is_zero(cfg.tolerance)
+    nonzero = not cls.is_zero(args.tol)
     payload = {"class": _k0_json(cls), "nonzero": nonzero}
     plain = [
         f"witness({args.x}): {_k0_text(cls)}",
@@ -758,24 +767,21 @@ def _cmd_witness(args, cfg: RunConfig):
     return payload, plain
 
 
-def _cmd_cob_nf(args, cfg: RunConfig):
-    b = _brane_arg(args.brane)
-    c = normal_form(b)
+def _cmd_cob_nf(args):
+    c = normal_form(_expect_one(args.brane, Brane, "a single brane"))
     return (
         {"class": _cob_json(c)},
         [f"normal form: zeta={_frac(c.zeta_part)} hom={c.hom}"],
     )
 
 
-def _cmd_cob_check(args, cfg: RunConfig):
-    lhs = _expect_all(parse_expr(args.lhs), Brane, "branes")
-    rhs = _expect_all(parse_expr(args.rhs), Brane, "branes")
-    equal = relation_check(lhs, rhs)
-    payload = {
-        "equal": equal,
-        "lhs": _cob_json(class_of_sum(lhs)),
-        "rhs": _cob_json(class_of_sum(rhs)),
-    }
+def _cmd_cob_check(args):
+    lhs, rhs = (
+        class_of_sum(_expect_one(text, Brane, "branes", sums=True))
+        for text in (args.lhs, args.rhs)
+    )
+    equal = lhs == rhs
+    payload = {"equal": equal, "lhs": _cob_json(lhs), "rhs": _cob_json(rhs)}
     return payload, [f"classes equal: {'yes' if equal else 'no'}"]
 
 
@@ -879,44 +885,37 @@ def _emit_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
+def _report(exc: Exception, as_json: bool) -> int:
+    """Print a rejected run and return its exit code: 2 for a domain
+    error, 1 for a usage or parse error.  Under --json one object goes to
+    stdout; otherwise one labelled line goes to stderr, unless argparse
+    has printed its own text already."""
+    domain = isinstance(exc, TorushmsError)
+    if as_json:
+        detail = {}
+        if isinstance(exc, ParseError):
+            detail = {"position": exc.position, "expected": list(exc.expected)}
+        print(_emit_json({"error": str(exc), "kind": exc.kind,
+                          "detail": detail}))
+    elif not getattr(exc, "on_stderr", False):
+        label = f"error[{exc.kind}]" if domain else f"{exc.kind} error"
+        print(f"{label}: {exc}", file=sys.stderr)
+    return 2 if domain else 1
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
+    as_json = "--json" in argv
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        as_json = args.json
+        args.cutoff, args.tol = _cutoff(args.cutoff), _tol(args.tol)
+        payload, plain = _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    except _UsageError as exc:
-        if "--json" in argv:
-            print(_emit_json({"error": str(exc), "kind": "usage",
-                              "detail": {}}))
-        return 1
-    try:
-        cfg = _config(args)
-        payload, plain = _COMMANDS[args.command](args, cfg)
-    except _UsageError as exc:
-        if args.json:
-            print(_emit_json({"error": str(exc), "kind": "usage",
-                              "detail": {}}))
-        else:
-            print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        detail = {"position": exc.position, "expected": list(exc.expected)}
-        if args.json:
-            print(_emit_json({"error": str(exc), "kind": "parse",
-                              "detail": detail}))
-        else:
-            print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    except TorushmsError as exc:
-        if args.json:
-            print(_emit_json({"error": str(exc), "kind": exc.kind,
-                              "detail": {}}))
-        else:
-            print(f"error[{exc.kind}]: {exc}", file=sys.stderr)
-        return 2
-    if cfg.output == "json":
+    except (_UsageError, ParseError, TorushmsError) as exc:
+        return _report(exc, as_json)
+    if as_json:
         print(_emit_json(payload))
     else:
         for line in plain:

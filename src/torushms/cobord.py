@@ -30,7 +30,7 @@ from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .errors import NonElementary, NullClass
-from .torus import Brane, bezout, det2, is_primitive, sum_with_multiplicities
+from .torus import Brane, bezout, det2, is_primitive
 
 __all__ = [
     "CurveClass",
@@ -166,7 +166,17 @@ BraneTerm = Union[Brane, Tuple[Brane, int]]
 
 
 def class_of_sum(terms: Iterable[BraneTerm]) -> CobordClass:
-    return sum_with_multiplicities(terms, normal_form, CobordClass.identity())
+    """The class of a formal sum: each term `brane` or `(brane, mult)`.
+    Classes are exact, so mult * class is one product, not |mult|
+    additions."""
+    total = CobordClass.identity()
+    for term in terms:
+        brane, mult = term if isinstance(term, tuple) else (term, 1)
+        c, n = normal_form(brane), int(mult)
+        total = total + CobordClass(
+            n * c.zeta_part, (n * c.hom[0], n * c.hom[1])
+        )
+    return total
 
 
 def relation_check(

@@ -1,11 +1,15 @@
 """Command-line surface: grammar round trips, verb outputs, exit codes,
-and byte-deterministic JSON."""
+byte-deterministic JSON, and the exit contract under mutated input."""
 
+import contextlib
+import io
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torushms.cli import (
     BraneAst,
@@ -408,3 +412,142 @@ def test_argparse_failures_under_json_print_one_usage_object(capsys, argv, messa
 def test_help_still_exits_zero_under_json(capsys):
     rc, out, err = run(capsys, "cf", "--help", "--json")
     assert rc == 0 and out.startswith("usage: torushms cf") and err == ""
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+ASSOC = ("assoc", "--l0", "L(1,2;0)", "--l1", "L(1,0;1/7)", "--l2",
+         "L(0,-1;1/5)", "--l3", "L(1,1;1/11)", "--cutoff", "5")
+
+
+@pytest.mark.parametrize(
+    "argv, kind, message",
+    [
+        (("cob-nf", "--brane", "L(2,4;0)"),
+         "parse", "slope (2, 4) must be primitive nonzero"),
+        (("cf", "--l0", "L(0,0;0)", "--l1", "L(1,0;0)"),
+         "parse", "slope (0, 0) must be primitive nonzero"),
+        (("mirror", "--sheaf", "Bun(0,1,pt(x=0, phase=0))"),
+         "parse", "bundle rank must be >= 1"),
+        (("k0", "--sheaf", "Sky(pt(x=1/3, phase=1/7), 0)"),
+         "parse", "skyscraper thickness must be >= 1"),
+        (("theta-sharp", "--brane", "L(1,0;0){M=phase 1/7, rank 0}"),
+         "parse", "Jordan block size must be >= 1"),
+        (ASSOC + ("--tol", "nan"),
+         "usage", "--tol must be a finite number >= 0, got nan"),
+        (("relations", "--tol", "inf"),
+         "usage", "--tol must be a finite number >= 0, got inf"),
+        (("witness", "--x", "1/3", "--tol", "-1"),
+         "usage", "--tol must be a finite number >= 0, got -1"),
+    ],
+    ids=["slope-not-primitive", "slope-zero", "bundle-rank-0",
+         "sky-thickness-0", "jordan-rank-0", "tol-nan", "tol-inf", "tol-negative"],
+)
+def test_invalid_literals_and_tolerances_exit_1(capsys, argv, kind, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err == f"{kind} error: {message}\n"
+    rc, out, err = run(capsys, *argv, "--json")
+    assert rc == 1 and err == ""
+    detail = {"position": None, "expected": []} if kind == "parse" else {}
+    assert json.loads(out, parse_constant=_no_constant) == {
+        "error": message, "kind": kind, "detail": detail,
+    }
+
+
+# ---------------------------------------------------------------------------
+# exit contract under mutation
+# ---------------------------------------------------------------------------
+
+#: verb argv whose grammar arguments are mutated
+GRAMMAR = [
+    ("cf", "--l0", "L(1,2;0)", "--l1", "L(1,0;1/5){M=phase 1/7, rank 2}"),
+    ("cob-nf", "--brane", "L(0,1;1/3)[1]"),
+    ("cob-check", "--lhs", "2*L(0,1;1/3) + L(1,0;0)",
+     "--rhs", "L(1,0;0) - L(0,-1;2/3)"),
+    ("k0", "--sheaf", "O(2P0) - 2*Sky(pt(x=1/3, phase=1/7), 1)"
+     " + Bun(2,1,pt(x=0, phase=0)) - O(D: pt(x=1/3, phase=0) - pt(x=0, phase=0))"),
+    ("mirror", "--sheaf", "Sky(pt(x=1/3, phase=1/7), 2)[1]"),
+    ("theta-sharp", "--brane", "3*L(1,-2;0) - L(0,-1;1/3){M=phase 1/7, rank 2}"),
+]
+#: verb argv whose flag values are mutated, with the flags to mutate
+FLAGS = [
+    (("mu2", "--l0", "L(0,-1;1/4)", "--l1", "L(1,2;0)", "--l2", "L(1,0;0)"),
+     ("--cutoff", "--tol", "--phi1")),
+    (("theta", "--kind", "1", "--point", "pt(x=1/5, phase=1/3)"),
+     ("--cutoff", "--tol")),
+    (("witness", "--x", "1/3"), ("--x", "--tol", "--cutoff")),
+    (("relations", "--r-max", "1", "--d-max", "1", "--n-max", "1",
+      "--h-max", "1"), ("--tol",)),
+]
+
+_TOKEN = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\S")
+_VOCAB = sorted(
+    {t for argv in GRAMMAR for a in argv[2::2] for t in _TOKEN.findall(a)}
+    | {"Sky", "Bun", "O", "pt", "L", "P0", "D", "0", "00", "999", "-", "/",
+       "*", "@", "#", "x", "abc"}
+)
+_INT = st.integers(-999, 999).map(str)
+_JUNK = st.sampled_from(
+    ["", " ", "abc", "nan", "inf", "-inf", "1/0", "0", "-0", "1.5", "0/5",
+     "1/-3", "--json", "1e-9", "x"]
+)
+_RATIONAL = st.builds("{}/{}".format, _INT, _INT)
+_VALUES = {
+    "--cutoff": st.one_of(_INT, _RATIONAL, _JUNK),
+    "--x": st.one_of(_INT, _RATIONAL, _JUNK),
+    "--phi1": st.one_of(_INT, _JUNK),
+    "--tol": st.one_of(_JUNK, st.just("1e400"), st.floats().map(repr)),
+}
+
+
+@st.composite
+def _mutated_grammar(draw):
+    argv = list(draw(st.sampled_from(GRAMMAR)))
+    slot = draw(st.sampled_from(range(2, len(argv), 2)))
+    toks = _TOKEN.findall(argv[slot])
+    i = draw(st.integers(0, len(toks) - 1))
+    op = draw(st.sampled_from(["drop", "repeat", "replace"]))
+    if op == "drop":
+        del toks[i]
+    elif op == "repeat":
+        toks.insert(i, toks[i])
+    else:
+        toks[i] = draw(st.sampled_from(_VOCAB))
+    argv[slot] = " ".join(toks)
+    return argv
+
+
+@st.composite
+def _mutated_flag(draw):
+    base, flags = draw(st.sampled_from(FLAGS))
+    flag = draw(st.sampled_from(flags))
+    argv = list(base)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = draw(_VALUES[flag])
+    else:
+        argv += [flag, draw(_VALUES[flag])]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_mutated_grammar(), _mutated_flag()))
+def test_every_input_exits_0_1_or_2_with_one_json_object(argv):
+    """Mutated inputs end in exit 0, 1 or 2 and, under --json, in exactly
+    one JSON object on stdout (NaN and Infinity are not JSON), never in a
+    traceback.  One token of a valid grammar argument is dropped,
+    repeated or replaced, or one flag value is replaced.
+
+    Integer tokens stay at three digits or fewer.  That bounds the work,
+    not the contract: K0 multiples cost O(|mult|) by design, and --cutoff
+    sets the length of the lattice walks and theta sums."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv + ["--json"])  # an escaping exception fails here
+    assert rc in (0, 1, 2), (argv, rc)
+    payload = json.loads(out.getvalue(), parse_constant=_no_constant)
+    assert isinstance(payload, dict), argv
+    assert (rc == 0) == ("error" not in payload), (argv, payload)
+    assert "Traceback" not in err.getvalue()

@@ -114,6 +114,32 @@ def test_zeta_matches_vertical_difference():
     assert diff == zeta(x)
 
 
+def test_class_of_sum_multiple_matches_repeated_addition():
+    rng = random.Random(2718)
+    branes = [
+        Brane((0, 1), F(1, 3)),
+        Brane((1, 2), F(2, 7), 1),
+        Brane((-3, 5), F(5, 11)),
+        Brane((1, 0), F(0), 3),
+    ]
+    for _ in range(40):
+        terms = [(b, rng.randint(-50, 50)) for b in branes]
+        want = CobordClass.identity()
+        for b, mult in terms:
+            step = normal_form(b) if mult > 0 else -normal_form(b)
+            for _ in range(abs(mult)):
+                want = want + step
+        assert class_of_sum(terms) == want
+
+
+def test_class_of_sum_huge_multiplier_is_closed_form():
+    b = Brane((0, 1), F(1, 3))  # normal form (1/3, (0, 1)); 10**12 = 1 mod 3
+    n = 10**12
+    assert class_of_sum([(b, n)]) == CobordClass(F(1, 3), (0, n))
+    assert class_of_sum([(b, -n)]) == CobordClass(F(2, 3), (0, -n))
+    assert class_of_sum([(b, n), (b, -n)]).is_identity()
+
+
 # ---------------------------------------------------------------------------
 # surgery
 # ---------------------------------------------------------------------------
