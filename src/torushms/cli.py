@@ -1,10 +1,14 @@
 """Command-line surface: parse brane/point/sheaf expressions, run the
 library computations, print plain text or JSON.
 
+Each verb takes --json and only the flags it reads: --cutoff on mu2,
+assoc, theta and section, --tol on assoc, relations and witness.
+
 Exit codes: 0 success; 1 usage or input error; 2 domain error
 (non-transverse pair, degenerate configuration, ...).  Usage errors are
-a command line argparse rejects, a --cutoff that is not a positive
-rational and a --tol that is negative or not finite.  Input errors are
+a command line argparse rejects (a flag the verb does not take among
+them), a --cutoff that is not a positive rational at most MAX_CUTOFF
+and a --tol that is negative or not finite.  Input errors are
 syntax errors and literals their constructor rejects (L(2,4;0), a rank
 or thickness of 0, ...).  A rejected run prints one labelled line on
 stderr, or under --json one {"error", "kind", "detail"} object on
@@ -46,14 +50,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .config import RelationBounds
 from .errors import ParseError, TorushmsError
-from .floer import (
-    FloerElement,
-    assoc_defect,
-    cf,
-    generator_element,
-    mu2,
-    mu2_triangles,
-)
+from .floer import FloerElement, assoc_defect, cf, mu2, mu2_triangles
 from .mirror import mirror_of_sheaf, theta_sharp, zeta_injectivity_witness
 from .novikov import NovikovSeries, series_json, series_text
 from .sheafk import (
@@ -553,8 +550,9 @@ def _element_text(e: FloerElement) -> List[str]:
 
 
 class _UsageError(Exception):
-    """A flag value argparse, `_cutoff`, `_tol` or a verb rejects (exit
-    1).  `on_stderr` is set when argparse has printed its own text."""
+    """A command line argparse rejects, a --cutoff or --tol value its
+    flag type rejects, or relation bounds `relations` rejects (exit 1).
+    `on_stderr` is set when argparse has printed its own text."""
 
     kind = "usage"
 
@@ -575,8 +573,16 @@ class _ArgParser(argparse.ArgumentParser):
         raise _UsageError(text, on_stderr=True)
 
 
+#: Largest --cutoff a verb accepts.  The walks and theta sums run up to
+#: the cutoff; at 4096 `section` takes 1.4-1.9 s and `theta`, `mu2` and
+#: `assoc` 0.05-0.3 s each on a 2-core x86-64 host (CPython 3.11).
+MAX_CUTOFF = 4096
+
+
 def _cutoff(text: str) -> Fraction:
-    """The --cutoff value: a positive rational."""
+    """The --cutoff type: a positive rational, at most MAX_CUTOFF.
+    argparse lets a _UsageError through as it is, so the message is the
+    one written here; an ArgumentTypeError would come back prefixed."""
     try:
         cutoff = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -585,12 +591,21 @@ def _cutoff(text: str) -> Fraction:
         raise _UsageError(
             f"--cutoff must be a positive rational p/q, got {text!r}"
         )
+    if cutoff > MAX_CUTOFF:
+        raise _UsageError(f"--cutoff must be at most {MAX_CUTOFF}, got {text!r}")
     return cutoff
 
 
-def _tol(value: float) -> float:
-    """The --tol value: finite and >= 0.  NaN would fail every check and
-    inf would pass every one."""
+def _tol(text: str) -> float:
+    """The --tol type: a float, finite and >= 0.  NaN would fail every
+    check and inf would pass every one.  Unreadable text gets argparse's
+    own "invalid float value" error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
     if not (math.isfinite(value) and value >= 0):
         raise _UsageError(f"--tol must be a finite number >= 0, got {value:g}")
     return value
@@ -605,15 +620,17 @@ def _generator(l0: Brane, l1: Brane, idx: int) -> FloerElement:
         )
     rows, cols = space.hom_shape
     if (rows, cols) == (1, 1):
-        return generator_element(l0, l1, coords[idx])
-    matrix = tuple(
-        tuple(
-            NovikovSeries.one() if (r == 0 and c == 0) else NovikovSeries.zero()
-            for c in range(cols)
+        matrix = ((NovikovSeries.constant(1),),)
+    else:
+        matrix = tuple(
+            tuple(
+                NovikovSeries.one() if (r == 0 and c == 0)
+                else NovikovSeries.zero()
+                for c in range(cols)
+            )
+            for r in range(rows)
         )
-        for r in range(rows)
-    )
-    return generator_element(l0, l1, coords[idx], matrix=matrix)
+    return FloerElement(space, {coords[idx]: matrix})
 
 
 def _branes(args, *flags) -> List[Brane]:
@@ -785,99 +802,62 @@ def _cmd_cob_check(args):
     return payload, [f"classes equal: {'yes' if equal else 'no'}"]
 
 
-_COMMANDS = {
-    "cf": _cmd_cf,
-    "mu2": _cmd_mu2,
-    "assoc": _cmd_assoc,
-    "theta": _cmd_theta,
-    "section": _cmd_section,
-    "k0": _cmd_k0,
-    "relations": _cmd_relations,
-    "mirror": _cmd_mirror,
-    "theta-sharp": _cmd_theta_sharp,
-    "witness": _cmd_witness,
-    "cob-nf": _cmd_cob_nf,
-    "cob-check": _cmd_cob_check,
-}
+def _opt(flag: str, **kwargs):
+    return flag, kwargs
+
+
+_CUTOFF = _opt(
+    "--cutoff", type=_cutoff, default="8", help="truncation exponent p/q"
+)
+_TOL = _opt("--tol", type=_tol, default=1e-9, help="tolerance")
+
+
+#: every verb: (name, handler, help, the flags it reads besides --json).
+#: A bare flag name is a required string; an `_opt` pair goes to
+#: add_argument as it is.  --help lists the verbs in this order.
+_VERBS = (
+    ("cf", _cmd_cf, "intersection generators", "--l0", "--l1"),
+    ("mu2", _cmd_mu2, "triangle product", "--l0", "--l1", "--l2", _CUTOFF,
+     _opt("--phi1", type=int, default=0, help="generator in CF(l0,l1)"),
+     _opt("--phi2", type=int, default=0, help="generator in CF(l1,l2)"),
+     _opt("--triangles", action="store_true", help="dump triangles")),
+    ("assoc", _cmd_assoc, "associativity defect", "--l0", "--l1", "--l2",
+     "--l3", _CUTOFF, _TOL, _opt("--a", type=int, default=0),
+     _opt("--b", type=int, default=0), _opt("--c", type=int, default=0)),
+    ("theta", _cmd_theta, "theta series at a point", _CUTOFF,
+     _opt("--kind", type=int, choices=(0, 1), required=True), "--point"),
+    ("section", _cmd_section, "evaluate a section", _CUTOFF,
+     _opt("--q", required=True, help="point the section vanishes at"),
+     _opt("--at", required=True, help="evaluation point")),
+    ("k0", _cmd_k0, "K-theory class of a sum", "--sheaf"),
+    ("relations", _cmd_relations, "check the K0 relation suite", _TOL,
+     _opt("--r-max", type=int, default=4), _opt("--d-max", type=int, default=4),
+     _opt("--n-max", type=int, default=3), _opt("--h-max", type=int, default=3)),
+    ("mirror", _cmd_mirror, "mirror brane of a sheaf", "--sheaf"),
+    ("theta-sharp", _cmd_theta_sharp, "K-class of anchored branes", "--brane"),
+    ("witness", _cmd_witness, "K-class separating flux x from 0", _TOL,
+     _opt("--x", required=True, help="rational p/q")),
+    ("cob-nf", _cmd_cob_nf, "cobordism normal form of a brane", "--brane"),
+    ("cob-check", _cmd_cob_check, "compare two formal brane sums",
+     "--lhs", "--rhs"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cutoff", default="8", help="truncation exponent p/q")
-    common.add_argument("--tol", type=float, default=1e-9, help="tolerance")
-    common.add_argument("--json", action="store_true", help="machine output")
-
     top = _ArgParser(
         prog="torushms",
         description="Floer products, theta functions, K-theory and "
         "cobordism classes for straight branes on the flat torus.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cf", parents=[common], help="intersection generators")
-    p.add_argument("--l0", required=True)
-    p.add_argument("--l1", required=True)
-
-    p = sub.add_parser("mu2", parents=[common], help="triangle product")
-    p.add_argument("--l0", required=True)
-    p.add_argument("--l1", required=True)
-    p.add_argument("--l2", required=True)
-    p.add_argument("--phi1", type=int, default=0, help="generator in CF(l0,l1)")
-    p.add_argument("--phi2", type=int, default=0, help="generator in CF(l1,l2)")
-    p.add_argument("--triangles", action="store_true", help="dump triangles")
-
-    p = sub.add_parser("assoc", parents=[common], help="associativity defect")
-    p.add_argument("--l0", required=True)
-    p.add_argument("--l1", required=True)
-    p.add_argument("--l2", required=True)
-    p.add_argument("--l3", required=True)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--c", type=int, default=0)
-
-    p = sub.add_parser("theta", parents=[common], help="theta series at a point")
-    p.add_argument("--kind", type=int, choices=(0, 1), required=True)
-    p.add_argument("--point", required=True)
-
-    p = sub.add_parser("section", parents=[common], help="evaluate a section")
-    p.add_argument("--q", required=True, help="point the section vanishes at")
-    p.add_argument("--at", required=True, help="evaluation point")
-
-    p = sub.add_parser("k0", parents=[common], help="K-theory class of a sum")
-    p.add_argument("--sheaf", required=True)
-
-    p = sub.add_parser(
-        "relations", parents=[common], help="check the K0 relation suite"
-    )
-    p.add_argument("--r-max", type=int, default=4)
-    p.add_argument("--d-max", type=int, default=4)
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--h-max", type=int, default=3)
-
-    p = sub.add_parser("mirror", parents=[common], help="mirror brane of a sheaf")
-    p.add_argument("--sheaf", required=True)
-
-    p = sub.add_parser(
-        "theta-sharp", parents=[common], help="K-class of anchored branes"
-    )
-    p.add_argument("--brane", required=True)
-
-    p = sub.add_parser(
-        "witness", parents=[common], help="K-class separating flux x from 0"
-    )
-    p.add_argument("--x", required=True, help="rational p/q")
-
-    p = sub.add_parser(
-        "cob-nf", parents=[common], help="cobordism normal form of a brane"
-    )
-    p.add_argument("--brane", required=True)
-
-    p = sub.add_parser(
-        "cob-check", parents=[common], help="compare two formal brane sums"
-    )
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-
+    for name, run, help, *flags in _VERBS:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        for flag in flags:
+            if isinstance(flag, str):
+                flag = _opt(flag, required=True)
+            p.add_argument(flag[0], **flag[1])
+        p.add_argument("--json", action="store_true", help="machine output")
     return top
 
 
@@ -909,8 +889,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         as_json = args.json
-        args.cutoff, args.tol = _cutoff(args.cutoff), _tol(args.tol)
-        payload, plain = _COMMANDS[args.command](args)
+        payload, plain = args.run(args)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     except (_UsageError, ParseError, TorushmsError) as exc:

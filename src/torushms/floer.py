@@ -320,7 +320,6 @@ def mu2(
     b0, b1, b2, d01, d02, d12 = _chain(phi2, phi1)
     cutoff = Fraction(cutoff)
     out_space = cf(b0, b2)
-    cf(b1, b2)  # marker/transversality validation for the second pair
     if (d01 * d02 * d12) > 0:
         # the corner cycle of every candidate triangle is negatively
         # oriented for this ordered product; nothing contributes

@@ -28,7 +28,7 @@ from math import gcd
 from typing import Tuple
 
 from .errors import DegenerateConfiguration, UnanchoredSlope
-from .floer import cf, FloerElement, generator_element, mu2, vanishes_truncated
+from .floer import cf, FloerElement, mu2, vanishes_truncated
 from .novikov import NovikovSeries, Rational
 from .sheafk import Bundle, IndecSheaf, K0Class, Skyscraper
 from .tate import (
@@ -175,8 +175,9 @@ def theta_floer_equiv(
             (Fraction(1, 2), Fraction(0)): ((sigma.sigma1,),),
         },
     )
-    (pt_20,) = cf(y2, y0).coords()
-    c3 = generator_element(y2, y0, pt_20)
+    space_20 = cf(y2, y0)
+    (pt_20,) = space_20.coords()
+    c3 = FloerElement(space_20, {pt_20: ((NovikovSeries.constant(1),),)})
     lhs = vanishes_truncated(mu2(c1, c3, cutoff), cutoff)
     rhs = section_vanishes_at(sigma, conjugate_zero(point), cutoff)
     return lhs, rhs

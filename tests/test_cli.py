@@ -4,14 +4,22 @@ byte-deterministic JSON, and the exit contract under mutated input."""
 import contextlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torushms.cli
+import torushms.floer
 from torushms.cli import (
+    MAX_CUTOFF,
     BraneAst,
     BunAst,
     DivAst,
@@ -25,6 +33,7 @@ from torushms.cli import (
     print_ast,
 )
 from torushms.errors import ParseError
+from torushms.floer import cf
 from torushms.sheafk import Bundle, Skyscraper
 from torushms.tate import TatePoint
 from torushms.torus import Brane
@@ -284,8 +293,7 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
     assert main(["cf", "--l0", "L(1,0;0)"]) == 1  # missing --l1
     capsys.readouterr()
-    rc, _, err = run(capsys, "cf", "--l0", "L(1,0;0)", "--l1", "L(0,1;0)",
-                     "--cutoff", "abc")
+    rc, _, err = run(capsys, *MU2, "--cutoff", "abc")
     assert rc == 1 and "usage error" in err
 
 
@@ -386,6 +394,8 @@ def test_zero_denominator_is_a_parse_error(capsys):
 
 
 MU2 = ("mu2", "--l0", "L(0,-1;1/4)", "--l1", "L(1,2;0)", "--l2", "L(1,0;1/3)")
+ASSOC = ("assoc", "--l0", "L(1,2;0)", "--l1", "L(1,0;1/7)", "--l2",
+         "L(0,-1;1/5)", "--l3", "L(1,1;1/11)", "--cutoff", "5")
 
 
 @pytest.mark.parametrize(
@@ -394,7 +404,8 @@ MU2 = ("mu2", "--l0", "L(0,-1;1/4)", "--l1", "L(1,2;0)", "--l2", "L(1,0;1/3)")
         (MU2 + ("--prec", "128"), "unrecognized arguments: --prec 128"),
         (("cf", "--l0", "L(1,0;0)"), "the following arguments are required: --l1"),
         (MU2 + ("--phi1", "x"), "argument --phi1: invalid int value: 'x'"),
-        (MU2 + ("--tol", "tight"), "argument --tol: invalid float value: 'tight'"),
+        (ASSOC + ("--tol", "tight"),
+         "argument --tol: invalid float value: 'tight'"),
     ],
     ids=["unknown-flag", "missing-flag", "bad-phi1", "bad-tol"],
 )
@@ -414,12 +425,112 @@ def test_help_still_exits_zero_under_json(capsys):
     assert rc == 0 and out.startswith("usage: torushms cf") and err == ""
 
 
+#: verb -> (a valid argv after the verb, the flags it reads besides
+#: --json), in the order `torushms --help` lists the verbs
+VERB_FLAGS = {
+    "cf": (("--l0", "L(1,2;0)", "--l1", "L(1,0;0)"), {"--l0", "--l1"}),
+    "mu2": (MU2[1:], {"--l0", "--l1", "--l2", "--cutoff", "--phi1",
+                      "--phi2", "--triangles"}),
+    "assoc": (ASSOC[1:-2], {"--l0", "--l1", "--l2", "--l3", "--cutoff",
+                            "--tol", "--a", "--b", "--c"}),
+    "theta": (("--kind", "0", "--point", "pt(x=1/5, phase=1/3)"),
+              {"--kind", "--point", "--cutoff"}),
+    "section": (("--q", "pt(x=1/3, phase=0)", "--at", "pt(x=1/5, phase=0)"),
+                {"--q", "--at", "--cutoff"}),
+    "k0": (("--sheaf", "O(P0)"), {"--sheaf"}),
+    "relations": (("--r-max", "1", "--d-max", "1", "--n-max", "1",
+                   "--h-max", "1"),
+                  {"--r-max", "--d-max", "--n-max", "--h-max", "--tol"}),
+    "mirror": (("--sheaf", "O(P0)"), {"--sheaf"}),
+    "theta-sharp": (("--brane", "L(1,-2;0)"), {"--brane"}),
+    "witness": (("--x", "1/3"), {"--x", "--tol"}),
+    "cob-nf": (("--brane", "L(0,1;1/3)"), {"--brane"}),
+    "cob-check": (("--lhs", "L(0,1;1/3)", "--rhs", "L(0,1;1/4)"),
+                  {"--lhs", "--rhs"}),
+}
+
+
+def test_help_lists_every_verb(capsys):
+    rc, out, _ = run(capsys, "--help")
+    assert rc == 0
+    assert re.search(r"\{([a-z0-9,-]+)\}", out)[1].split(",") == list(VERB_FLAGS)
+
+
+@pytest.mark.parametrize("verb", list(VERB_FLAGS))
+def test_each_verb_takes_exactly_the_flags_it_reads(capsys, verb):
+    args, flags = VERB_FLAGS[verb]
+    rc, out, _ = run(capsys, verb, "--help")
+    assert rc == 0
+    assert set(re.findall(r"--[a-z0-9-]+", out)) == flags | {"--help", "--json"}
+    rc, base, _ = run(capsys, verb, *args, "--json")
+    assert rc == 0 and "error" not in json.loads(base)
+    for flag, value in (("--cutoff", "8"), ("--tol", "1e-9")):
+        rc, out, err = run(capsys, verb, *args, flag, value, "--json")
+        if flag in flags:  # the default, spelled out
+            assert (rc, out) == (0, base)
+            continue
+        assert rc == 1 and err.startswith("usage: torushms")
+        assert json.loads(out) == {
+            "error": f"torushms: error: unrecognized arguments: {flag} {value}",
+            "kind": "usage",
+            "detail": {},
+        }
+
+
+#: the directory the package under test was imported from
+SRC = Path(torushms.cli.__file__).resolve().parents[1]
+
+
+def test_cutoff_above_the_bound_is_a_usage_error(capsys):
+    theta = VERB_FLAGS["theta"][0]
+    # end to end, so that a lost bound fails here instead of hanging
+    proc = subprocess.run(
+        [sys.executable, "-m", "torushms.cli", "theta", *theta,
+         "--cutoff", "1e400", "--json"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["kind"] == "usage"
+    rc, out, _ = run(capsys, "theta", *theta, "--cutoff", str(MAX_CUTOFF),
+                     "--json")
+    assert rc == 0
+    assert json.loads(out)["series"]["cutoff"] == {"num": MAX_CUTOFF, "den": 1}
+    over = ("1e400", str(10 ** 400), f"{10 * MAX_CUTOFF + 1}/10")
+    for verb in ("mu2", "assoc", "theta", "section"):
+        for value in over:
+            argv = (verb, *VERB_FLAGS[verb][0], "--cutoff", value)
+            start = time.perf_counter()
+            rc, out, err = run(capsys, *argv, "--json")
+            assert time.perf_counter() - start < 1
+            message = f"--cutoff must be at most {MAX_CUTOFF}, got {value!r}"
+            assert rc == 1 and err == ""
+            assert json.loads(out) == {
+                "error": message, "kind": "usage", "detail": {},
+            }
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out, err) == (1, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, calls", [(MU2, 3), (ASSOC, 7)],
+                         ids=["mu2", "assoc"])
+def test_each_product_builds_each_space_once(capsys, monkeypatch, argv, calls):
+    """One CF space per generator, and one per mu2 output: mu2 takes its
+    inputs' spaces as they are (assoc computes four products)."""
+    seen = []
+
+    def counting_cf(l0, l1):
+        seen.append((l0, l1))
+        return cf(l0, l1)
+
+    monkeypatch.setattr(torushms.floer, "cf", counting_cf)
+    monkeypatch.setattr(torushms.cli, "cf", counting_cf)
+    rc, _, _ = run(capsys, *argv, "--json")
+    assert rc == 0 and len(seen) == calls
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not valid JSON")
-
-
-ASSOC = ("assoc", "--l0", "L(1,2;0)", "--l1", "L(1,0;1/7)", "--l2",
-         "L(0,-1;1/5)", "--l3", "L(1,1;1/11)", "--cutoff", "5")
 
 
 @pytest.mark.parametrize(
@@ -472,15 +583,20 @@ GRAMMAR = [
     ("mirror", "--sheaf", "Sky(pt(x=1/3, phase=1/7), 2)[1]"),
     ("theta-sharp", "--brane", "3*L(1,-2;0) - L(0,-1;1/3){M=phase 1/7, rank 2}"),
 ]
-#: verb argv whose flag values are mutated, with the flags to mutate
+#: verb argv whose flag values are mutated, with the flags to mutate: the
+#: verb's own flags, and in the last entry two that cob-nf does not take
 FLAGS = [
     (("mu2", "--l0", "L(0,-1;1/4)", "--l1", "L(1,2;0)", "--l2", "L(1,0;0)"),
-     ("--cutoff", "--tol", "--phi1")),
+     ("--cutoff", "--phi1")),
+    (ASSOC[:-2], ("--cutoff", "--tol")),
     (("theta", "--kind", "1", "--point", "pt(x=1/5, phase=1/3)"),
-     ("--cutoff", "--tol")),
-    (("witness", "--x", "1/3"), ("--x", "--tol", "--cutoff")),
+     ("--cutoff",)),
+    (("section", "--q", "pt(x=1/3, phase=1/7)", "--at", "pt(x=1/5, phase=0)"),
+     ("--cutoff",)),
+    (("witness", "--x", "1/3"), ("--x", "--tol")),
     (("relations", "--r-max", "1", "--d-max", "1", "--n-max", "1",
       "--h-max", "1"), ("--tol",)),
+    (("cob-nf", "--brane", "L(0,1;1/3)"), ("--cutoff", "--tol")),
 ]
 
 _TOKEN = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\S")
@@ -495,8 +611,12 @@ _JUNK = st.sampled_from(
      "1/-3", "--json", "1e-9", "x"]
 )
 _RATIONAL = st.builds("{}/{}".format, _INT, _INT)
+#: past the --cutoff bound, so rejected before any work
+_HUGE = st.one_of(
+    st.just("1e400"), st.integers(MAX_CUTOFF + 1, 10 ** 400).map(str)
+)
 _VALUES = {
-    "--cutoff": st.one_of(_INT, _RATIONAL, _JUNK),
+    "--cutoff": st.one_of(_INT, _RATIONAL, _JUNK, _HUGE),
     "--x": st.one_of(_INT, _RATIONAL, _JUNK),
     "--phi1": st.one_of(_INT, _JUNK),
     "--tol": st.one_of(_JUNK, st.just("1e400"), st.floats().map(repr)),
@@ -538,11 +658,13 @@ def test_every_input_exits_0_1_or_2_with_one_json_object(argv):
     """Mutated inputs end in exit 0, 1 or 2 and, under --json, in exactly
     one JSON object on stdout (NaN and Infinity are not JSON), never in a
     traceback.  One token of a valid grammar argument is dropped,
-    repeated or replaced, or one flag value is replaced.
+    repeated or replaced, or one flag value is replaced or added; the
+    flag is one its verb reads, or one cob-nf does not take.
 
-    Integer tokens stay at three digits or fewer.  That bounds the work,
-    not the contract: K0 multiples cost O(|mult|) by design, and --cutoff
-    sets the length of the lattice walks and theta sums."""
+    Grammar integer tokens stay at three digits or fewer.  That bounds
+    the work, not the contract: K0 multiples cost O(|mult|) by design.
+    --cutoff values run up to 10**400, past MAX_CUTOFF, which the flag
+    rejects before any lattice walk or theta sum starts."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv + ["--json"])  # an escaping exception fails here

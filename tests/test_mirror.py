@@ -6,8 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import torushms.floer
+import torushms.mirror
 from torushms.errors import DegenerateConfiguration, UnanchoredSlope
 from torushms.cobord import eta, normal_form
+from torushms.floer import cf
 from torushms.mirror import (
     MirrorPair,
     mirror_of_sheaf,
@@ -177,6 +180,23 @@ def test_bridge_agrees_on_nonvanishing_sections(x):
     cutoff = F(6)
     sigma = SectionCoeffs(NovikovSeries.one(), NovikovSeries.zero())
     assert theta_floer_equiv(x, 1, sigma, cutoff) == (False, False)
+
+
+def test_bridge_builds_each_space_once(monkeypatch):
+    """CF of the horizontal pair, of the vertical-to-(1,2) pair and of
+    the mu2 output; mu2 takes its inputs' spaces as they are."""
+    seen = []
+
+    def counting_cf(l0, l1):
+        seen.append((l0, l1))
+        return cf(l0, l1)
+
+    monkeypatch.setattr(torushms.floer, "cf", counting_cf)
+    monkeypatch.setattr(torushms.mirror, "cf", counting_cf)
+    cutoff = F(6)
+    sigma = section_through(conjugate_zero(TatePoint(F(1, 3), 1)), cutoff)
+    assert theta_floer_equiv(F(1, 3), 1, sigma, cutoff) == (True, True)
+    assert len(seen) == len(set(seen)) == 3
 
 
 def test_bridge_rejects_degenerate_shifts():
