@@ -8,13 +8,14 @@ Exit codes: 0 success; 1 usage or input error; 2 domain error
 (non-transverse pair, degenerate configuration, ...).  Usage errors are
 a command line argparse rejects (a flag the verb does not take among
 them), a --cutoff that is not a positive rational at most MAX_CUTOFF
-and a --tol that is negative or not finite.  Input errors are
-syntax errors and literals their constructor rejects (L(2,4;0), a rank
-or thickness of 0, ...).  A rejected run prints one labelled line on
-stderr, or under --json one {"error", "kind", "detail"} object on
-stdout; it never ends in a traceback.  JSON (--json) is the stable
-machine interface -- byte-identical for identical inputs and
-configuration; the plain format is for humans and may change.
+spelled in at most MAX_CUTOFF_DIGITS digits, and a --tol that is
+negative or not finite.  Input errors are syntax errors and literals
+their constructor rejects (L(2,4;0), a rank or thickness of 0, ...).
+A rejected run prints one labelled line on stderr, or under --json one
+{"error", "kind", "detail"} object on stdout; it never ends in a
+traceback.  JSON (--json) is the stable machine interface --
+byte-identical for identical inputs and configuration; the plain format
+is for humans and may change.
 
 Input grammar (EBNF; whitespace free between tokens):
 
@@ -577,12 +578,32 @@ class _ArgParser(argparse.ArgumentParser):
 #: the cutoff; at 4096 `section` takes 1.4-1.9 s and `theta`, `mu2` and
 #: `assoc` 0.05-0.3 s each on a 2-core x86-64 host (CPython 3.11).
 MAX_CUTOFF = 4096
+#: The most digits a --cutoff value may spell out: the length of the
+#: text plus |N| for a decimal exponent eN.  A longer value is refused
+#: before any Fraction is built: "1e-5000" has a 5001-digit denominator,
+#: past what int-to-str conversion prints, and "1e3000000" would take
+#: seconds to build only to fail the MAX_CUTOFF check.
+MAX_CUTOFF_DIGITS = 1000
 
 
 def _cutoff(text: str) -> Fraction:
-    """The --cutoff type: a positive rational, at most MAX_CUTOFF.
-    argparse lets a _UsageError through as it is, so the message is the
-    one written here; an ArgumentTypeError would come back prefixed."""
+    """The --cutoff type: a positive rational, at most MAX_CUTOFF and at
+    most MAX_CUTOFF_DIGITS digits long.  argparse lets a _UsageError
+    through as it is, so the message is the one written here; an
+    ArgumentTypeError would come back prefixed."""
+    digits = len(text)
+    if digits <= MAX_CUTOFF_DIGITS:
+        _, e, exponent = text.lower().partition("e")
+        try:
+            digits += abs(int(exponent)) if e else 0
+        except ValueError:
+            pass  # not a number; Fraction rejects it below
+    if digits > MAX_CUTOFF_DIGITS:
+        shown = repr(text) if len(text) <= 40 else f"{len(text)} characters"
+        raise _UsageError(
+            f"--cutoff must have at most {MAX_CUTOFF_DIGITS} digits, an "
+            f"exponent eN counting as |N| of them, got {shown}"
+        )
     try:
         cutoff = Fraction(text)
     except (ValueError, ZeroDivisionError):

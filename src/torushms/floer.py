@@ -268,11 +268,16 @@ def _chain(phi2: FloerElement, phi1: FloerElement):
 
 
 def _transport_cache(brane: Brane):
+    """Transports of one brane's local system within one mu2 call: each
+    arc is transported once, and every transport shares the expansions
+    of the eigenvalues, so each power of eps is formed once per call."""
+    system = brane.local_system
+    expansions = system._expansions()
     cache: Dict[Fraction, Matrix] = {}
 
     def get(t: Fraction) -> Matrix:
         if t not in cache:
-            cache[t] = brane.local_system.transport(t)
+            cache[t] = system.transport(t, expansions)
         return cache[t]
 
     return get

@@ -14,11 +14,35 @@ strictly increasing exponents, every exponent below the cutoff, every
 coefficient stored as `0 + c` (so a float -0.0 reads 0.0) and no
 coefficient with |c| <= ZERO_TOL.  The public constructor reaches it
 from any input by merging equal exponents and sorting.  Results that
-are canonical by construction (negation, truncation, a product with a
-one-term factor, the inverse of a one-term series) go through the
-private `NovikovSeries._sorted` instead, which applies the per-term
-rules only; its caller guarantees Fraction exponents in strictly
+are canonical by construction (constants, negation, truncation, a
+product with a one-term factor, inverses) go through the private
+`NovikovSeries._sorted` or `_below` instead, which apply the per-term
+rules only; their callers guarantee Fraction exponents in strictly
 increasing order and a Fraction (or None) cutoff.
+
+Kernels.  `+` and a product of two multi-term series put every exponent
+on the operands' common denominator (`math.lcm`) and work on those
+integer keys: `+` merges the two sorted term lists with two pointers,
+and `*` runs its double loop into an integer-keyed dict, leaving the
+inner loop at the first key at or above the cutoff.  A product builds
+Fractions only for the terms it returns; a sum reuses its operands'
+exponent objects, and so does a product by a one-term factor at
+exponent 0.  Loops that add many series into one (the geometric series
+of `invert`, the binomial series of `fractional_power`, theta series)
+keep a `_RunningSum` instead of re-merging the partial sum each step.
+`fractional_power` takes the powers of eps from a `_UnitExpansion` that
+a caller can share across exponents t.
+
+Every coefficient is formed by the same float operations, in the same
+order, as before the kernels: as the public constructor forms it from
+the concatenated (for `+`) or pairwise (for `*`) terms.  That is
+`(0 + a) + b` for an exponent in both summands, `0 + a` or `0 + b` for
+one in a single summand, and `acc.get(k, 0) + ca * cb` with `self` outer
+and the other factor inner for a product; a running sum drops a
+partial sum with |c| <= ZERO_TOL at the step where repeated addition
+would.  So no kernel moves a bit, signed zeros and ZERO_TOL drops
+included; tests/test_kernels.py keeps the replaced code as oracles and
+compares `repr`s.
 
 Binary operations propagate the weakest truncation guarantee:
 
@@ -31,10 +55,11 @@ bookkeeping.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import NonUnit, ZeroSeries
 
@@ -53,6 +78,55 @@ def _min_cutoff(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fracti
     return min(a, b)
 
 
+_ZERO = Fraction(0)  # the exponent of constants, shared (Fractions are immutable)
+
+
+def _as_cutoff(cutoff: Optional[Rational]) -> Optional[Fraction]:
+    if cutoff is None or type(cutoff) is Fraction:
+        return cutoff
+    return Fraction(cutoff)
+
+
+def _common_den(a, b) -> int:
+    """The least common denominator of the exponents of two term lists."""
+    return math.lcm(*(e.denominator for e, _ in a), *(e.denominator for e, _ in b))
+
+
+def _keys(terms, den: int):
+    """Each exponent of `terms` times `den`, a multiple of every
+    exponent's denominator: the integer keys of the kernels."""
+    return [e.numerator * (den // e.denominator) for e, _ in terms]
+
+
+def _key_bound(cutoff: Fraction, den: int) -> int:
+    """The least integer key k with k / den >= cutoff."""
+    return -(-cutoff.numerator * den // cutoff.denominator)
+
+
+def _count_below(terms, cutoff: Optional[Fraction]) -> int:
+    """How many of the sorted `terms` have exponents below the cutoff:
+    one comparison when all of them do, a bisection otherwise."""
+    n = len(terms)
+    if cutoff is None or not n or terms[-1][0] < cutoff:
+        return n
+    return bisect.bisect_left(terms, cutoff, key=lambda t: t[0])
+
+
+def _shifted(terms, shift: Fraction, cutoff: Optional[Fraction]):
+    """The exponents e + shift of the sorted `terms` that lie below the
+    cutoff.  At shift 0 these are the exponent objects themselves;
+    otherwise they are computed on integer keys, and one Fraction is
+    built per exponent kept."""
+    if shift == 0:
+        return [e for e, _ in terms[:_count_below(terms, cutoff)]]
+    den = math.lcm(shift.denominator, *(e.denominator for e, _ in terms))
+    step = shift.numerator * (den // shift.denominator)
+    keys = [k + step for k in _keys(terms, den)]
+    if cutoff is not None:
+        del keys[bisect.bisect_left(keys, _key_bound(cutoff, den)):]
+    return [Fraction(k, den) for k in keys]
+
+
 class NovikovSeries:
     """Immutable truncated Novikov series in canonical form."""
 
@@ -68,9 +142,7 @@ class NovikovSeries:
             if type(e) is not Fraction:
                 e = Fraction(e)
             acc[e] = acc.get(e, 0) + c
-        cut = cutoff
-        if cut is not None and type(cut) is not Fraction:
-            cut = Fraction(cut)
+        cut = _as_cutoff(cutoff)
         clean = []
         for e in sorted(acc):
             if cut is not None and e >= cut:
@@ -87,48 +159,65 @@ class NovikovSeries:
 
     @classmethod
     def _sorted(
-        cls, terms: Iterable[Tuple[Fraction, Scalar]], cutoff: Optional[Fraction]
+        cls, terms: Sequence[Tuple[Fraction, Scalar]], cutoff: Optional[Fraction]
     ) -> "NovikovSeries":
         """The series of `terms`, which must have Fraction exponents in
         strictly increasing order, and a Fraction (or None) cutoff.
 
         Applies the public constructor's per-term rules and nothing
         else: terms at or above the cutoff are dropped, each coefficient
-        is stored as `0 + c`, and |c| <= ZERO_TOL is dropped.  `terms`
-        may be a generator; it is not read past the cutoff.
+        is stored as `0 + c`, and |c| <= ZERO_TOL is dropped.
         """
+        return cls._below(terms[:_count_below(terms, cutoff)], cutoff)
+
+    @classmethod
+    def _canonical(
+        cls, terms: Tuple[Tuple[Fraction, Scalar], ...], cutoff: Optional[Fraction]
+    ) -> "NovikovSeries":
+        """The series whose `terms` and `cutoff` are already canonical."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "cutoff", cutoff)
+        return out
+
+    @classmethod
+    def _below(
+        cls, terms: Iterable[Tuple[Fraction, Scalar]], cutoff: Optional[Fraction]
+    ) -> "NovikovSeries":
+        """`_sorted` for terms whose exponents all lie below the cutoff:
+        each coefficient is stored as `0 + c` and |c| <= ZERO_TOL is
+        dropped, with no comparison against the cutoff."""
         clean = []
         for e, c in terms:
-            if cutoff is not None and e >= cutoff:
-                break
             c = 0 + c
             if abs(c) <= ZERO_TOL:
                 continue
             clean.append((e, c))
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", tuple(clean))
-        object.__setattr__(out, "cutoff", cutoff)
-        return out
+        return cls._canonical(tuple(clean), cutoff)
 
     # -- constructors ------------------------------------------------
 
+    # (one term needs no merge or sort: these skip the public constructor)
+
     @classmethod
     def zero(cls, cutoff: Optional[Rational] = None) -> "NovikovSeries":
-        return cls((), cutoff)
+        return cls._canonical((), _as_cutoff(cutoff))
 
     @classmethod
     def one(cls) -> "NovikovSeries":
-        return cls(((Fraction(0), 1.0 + 0.0j),))
+        return cls._sorted(((_ZERO, 1.0 + 0.0j),), None)
 
     @classmethod
     def constant(cls, c: Scalar, cutoff: Optional[Rational] = None) -> "NovikovSeries":
-        return cls(((Fraction(0), c),), cutoff)
+        return cls._sorted(((_ZERO, c),), _as_cutoff(cutoff))
 
     @classmethod
     def q_power(
         cls, e: Rational, coeff: Scalar = 1, cutoff: Optional[Rational] = None
     ) -> "NovikovSeries":
-        return cls(((Fraction(e), coeff),), cutoff)
+        if type(e) is not Fraction:
+            e = Fraction(e)
+        return cls._sorted(((e, coeff),), _as_cutoff(cutoff))
 
     # -- basic queries ----------------------------------------------
 
@@ -181,14 +270,50 @@ class NovikovSeries:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return NovikovSeries(
-            self.terms + o.terms, _min_cutoff(self.cutoff, o.cutoff)
-        )
+        cut = _min_cutoff(self.cutoff, o.cutoff)
+        a, b = self.terms, o.terms
+        # a summand without terms adds nothing but its cutoff
+        if not b and cut is self.cutoff:
+            return NovikovSeries._below(a, cut)
+        if not a and cut is o.cutoff:
+            return NovikovSeries._below(b, cut)
+        den = _common_den(a, b)
+        ka, kb = _keys(a, den), _keys(b, den)
+        if cut is not None:
+            stop = _key_bound(cut, den)
+        else:
+            stop = max(ka[-1] if ka else 0, kb[-1] if kb else 0) + 1
+        ka.append(stop)
+        kb.append(stop)
+        clean = []
+        i = j = 0
+        # two-pointer merge; each list ends in a `stop` sentinel
+        while True:
+            x, y = ka[i], kb[j]
+            if x >= stop and y >= stop:
+                break
+            if x < y:
+                e, c = a[i]
+                c = 0 + c
+                i += 1
+            elif y < x:
+                e, c = b[j]
+                c = 0 + c
+                j += 1
+            else:
+                e, c = a[i]
+                c = (0 + c) + b[j][1]
+                i += 1
+                j += 1
+            if abs(c) <= ZERO_TOL:
+                continue
+            clean.append((e, c))
+        return NovikovSeries._canonical(tuple(clean), cut)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NovikovSeries._sorted(((e, -c) for e, c in self.terms), self.cutoff)
+        return NovikovSeries._below(((e, -c) for e, c in self.terms), self.cutoff)
 
     def __sub__(self, other):
         o = self._coerced(other)
@@ -219,22 +344,36 @@ class NovikovSeries:
         # the product is already sorted and has no exponents to merge
         if len(o.terms) == 1:
             eb, cb = o.terms[0]
-            return NovikovSeries._sorted(
-                ((ea + eb, ca * cb) for ea, ca in self.terms), cut
+            exps = _shifted(self.terms, eb, cut)
+            return NovikovSeries._below(
+                ((e, ca * cb) for e, (_, ca) in zip(exps, self.terms)), cut
             )
         if len(self.terms) == 1:
             ea, ca = self.terms[0]
-            return NovikovSeries._sorted(
-                ((ea + eb, ca * cb) for eb, cb in o.terms), cut
+            exps = _shifted(o.terms, ea, cut)
+            return NovikovSeries._below(
+                ((e, ca * cb) for e, (_, cb) in zip(exps, o.terms)), cut
             )
+        if not self.terms or not o.terms:
+            return NovikovSeries._canonical((), cut)
+        den = _common_den(self.terms, o.terms)
+        left = _keys(self.terms, den)
+        right = list(zip(_keys(o.terms, den), [c for _, c in o.terms]))
+        if cut is not None:
+            stop = _key_bound(cut, den)
+        else:
+            stop = left[-1] + right[-1][0] + 1
         acc = {}
-        for ea, ca in self.terms:
-            for eb, cb in o.terms:
-                e = ea + eb
-                if cut is not None and e >= cut:
-                    continue
-                acc[e] = acc.get(e, 0) + ca * cb
-        return NovikovSeries(acc.items(), cut)
+        for ka, (_, ca) in zip(left, self.terms):
+            bound = stop - ka
+            for kb, cb in right:
+                if kb >= bound:
+                    break  # o's keys increase: no later term is below the cutoff
+                k = ka + kb
+                acc[k] = acc.get(k, 0) + ca * cb
+        return NovikovSeries._below(
+            ((Fraction(k, den), acc[k]) for k in sorted(acc)), cut
+        )
 
     __rmul__ = __mul__
 
@@ -321,6 +460,52 @@ def series_json(a: NovikovSeries) -> dict:
     }
 
 
+class _RunningSum:
+    """`out = out + x` repeated, kept in place: the same terms and cutoff
+    as the chain of additions without re-merging `out` at every step.
+
+    Each coefficient is formed as in `__add__` (`0 + x` for a new
+    exponent, `a + x` onto a stored `a`, which `0 + a` leaves unchanged);
+    a key whose partial sum has |c| <= ZERO_TOL is dropped at once, as
+    each addition would drop it, and the weakest cutoff wins.  Keys at or
+    above that cutoff stay in the map until `series`, which drops them.
+    Exponents are integer keys over a denominator that grows when a term
+    needs it.
+    """
+
+    __slots__ = ("den", "coeffs", "cutoff")
+
+    def __init__(self, start: NovikovSeries):
+        self.den = den = math.lcm(*(e.denominator for e, _ in start.terms))
+        self.coeffs = {k: c for k, (_, c) in zip(_keys(start.terms, den), start.terms)}
+        self.cutoff = start.cutoff
+
+    def add(self, x: NovikovSeries) -> None:
+        den, coeffs = self.den, self.coeffs
+        for e, c in x.terms:
+            d = e.denominator
+            if den % d:
+                factor = d // math.gcd(den, d)
+                den = self.den = den * factor
+                coeffs = self.coeffs = {k * factor: v for k, v in coeffs.items()}
+            k = e.numerator * (den // d)
+            total = coeffs.get(k, 0) + c
+            if abs(total) <= ZERO_TOL:
+                coeffs.pop(k, None)
+            else:
+                coeffs[k] = total
+        self.cutoff = _min_cutoff(self.cutoff, x.cutoff)
+
+    def series(self) -> NovikovSeries:
+        den, coeffs, cut = self.den, self.coeffs, self.cutoff
+        keys = sorted(coeffs)
+        if cut is not None:
+            del keys[bisect.bisect_left(keys, _key_bound(cut, den)):]
+        return NovikovSeries._canonical(
+            tuple((Fraction(k, den), coeffs[k]) for k in keys), cut
+        )
+
+
 # ---------------------------------------------------------------------------
 # function forms of the field operations
 # ---------------------------------------------------------------------------
@@ -353,10 +538,17 @@ def invert(a: NovikovSeries) -> NovikovSeries:
         return NovikovSeries._sorted(
             ((-v, (1.0 + 0.0j) / c0),), a.cutoff - 2 * v
         )
-    # normalized unit 1 + eps, exponents shifted down by v
-    eps = NovikovSeries(
-        tuple((e - v, c / c0) for e, c in a.terms[1:]),
-        None if a.cutoff is None else a.cutoff - v,
+
+    def normalized(terms):
+        # exponents shifted down by v (kept as they are for a unit), each
+        # coefficient divided by c0; the order stays sorted
+        if v == 0:
+            return ((e, c / c0) for e, c in terms)
+        return ((e - v, c / c0) for e, c in terms)
+
+    # normalized unit 1 + eps
+    eps = NovikovSeries._below(
+        normalized(a.terms[1:]), None if a.cutoff is None else a.cutoff - v
     )
     if a.cutoff is None:
         if not eps.is_zero():
@@ -366,7 +558,7 @@ def invert(a: NovikovSeries) -> NovikovSeries:
             )
         return NovikovSeries.q_power(-v, 1.0 / c0)
     window = a.cutoff - v  # reliable window of the normalized unit
-    geo = NovikovSeries.one()
+    geo = _RunningSum(NovikovSeries.one())
     term = NovikovSeries.one()
     step = (-eps).truncated(window)
     if not step.is_zero():
@@ -375,9 +567,8 @@ def invert(a: NovikovSeries) -> NovikovSeries:
             term = (term * step).truncated(window)
             if term.is_zero():
                 break
-            geo = geo + term
-    inv_terms = tuple((e - v, c / c0) for e, c in geo.terms)
-    return NovikovSeries(inv_terms, a.cutoff - 2 * v)
+            geo.add(term)
+    return NovikovSeries._below(normalized(geo.series().terms), a.cutoff - 2 * v)
 
 
 def _binom(t: Fraction, k: int) -> Fraction:
@@ -387,20 +578,81 @@ def _binom(t: Fraction, k: int) -> Fraction:
     return out
 
 
-def fractional_power(u: NovikovSeries, t: Rational) -> NovikovSeries:
+_TOL_RATIO = ZERO_TOL.as_integer_ratio()  # ZERO_TOL, exactly
+
+
+def _fraction_multiple(num: int, den: int, x: NovikovSeries) -> NovikovSeries:
+    """b * x for the rational b = num/den in lowest terms, den > 0.
+
+    The operator would make b a Fraction and, per term, fall back to
+    Fraction's reflected product: float(c) * float(b) for a float c,
+    complex(c) * complex(b) for a complex c.  float(b) is num / den and
+    complex(b) is complex(float(b)) (numbers.Rational and numbers.Real
+    define them so), and here they are formed once for all terms.  So
+    every coefficient keeps its bits.
+    """
+    tol_num, tol_den = _TOL_RATIO
+    if abs(num) * tol_den <= tol_num * den:  # constant(b) is the zero series
+        return Fraction(num, den) * x
+    fb = num / den
+    cb = complex(fb)
+    return NovikovSeries._below(
+        (
+            (
+                e,
+                c * cb if type(c) is complex
+                else c * fb if type(c) is float
+                else c * Fraction(num, den),
+            )
+            for e, c in x.terms
+        ),
+        x.cutoff,
+    )
+
+
+class _UnitExpansion:
+    """A valuation-zero unit u written as c0 * (1 + eps), with the powers
+    P_k = (P_(k-1) * eps).truncated(u.cutoff), P_0 = 1, built on demand.
+
+    The powers do not depend on the exponent t of `fractional_power`, so
+    a caller taking many powers of one unit builds one expansion and
+    passes it to every call; each P_k is then formed once.
+    """
+
+    __slots__ = ("c0", "eps", "window", "_powers")
+
+    def __init__(self, u: NovikovSeries):
+        self.c0 = u.leading_coefficient()
+        self.eps = NovikovSeries._below(u.terms[1:], u.cutoff) * (1.0 / self.c0)
+        self.window = u.cutoff
+        self._powers = [NovikovSeries.one()]
+
+    def power(self, k: int) -> NovikovSeries:
+        powers = self._powers
+        while len(powers) <= k:
+            powers.append((powers[-1] * self.eps).truncated(self.window))
+        return powers[k]
+
+
+def fractional_power(
+    u: NovikovSeries, t: Rational, _expansion: Optional[_UnitExpansion] = None
+) -> NovikovSeries:
     """u^t for a valuation-zero unit u and rational t.
 
     Writes u = c0 (1 + eps) and returns c0^t * sum_k binom(t,k) eps^k,
     with c0^t taken on the principal logarithm branch.  Satisfies the
     exponent law u^s * u^t = u^(s+t) up to cutoff/tolerance.
+
+    `_expansion`, when given, is `_UnitExpansion(u)`, shared by the
+    caller across exponents t.
     """
     if u.is_zero():
         raise ZeroSeries("fractional power of the zero series")
     if u.val() != 0:
         raise NonUnit(f"fractional_power needs val = 0, got val = {u.val()}")
     t = Fraction(t)
-    c0 = u.leading_coefficient()
-    eps = NovikovSeries(tuple(u.terms[1:]), u.cutoff) * (1.0 / c0)
+    ex = _UnitExpansion(u) if _expansion is None else _expansion
+    c0, eps = ex.c0, ex.eps
     scale = cmath.exp(t * cmath.log(c0)) if t != 0 else 1.0 + 0.0j
     if eps.is_zero():
         return NovikovSeries.constant(scale, u.cutoff)
@@ -412,18 +664,21 @@ def fractional_power(u: NovikovSeries, t: Rational) -> NovikovSeries:
             "fractional power of an exact non-constant series needs a "
             "finite cutoff; truncate first"
         )
-    window = u.cutoff
-    out = NovikovSeries.one()
-    power = NovikovSeries.one()
-    k = 0
-    k_max = math.ceil(float(window) / float(eps.val()))
-    while k < k_max + 1:
-        k += 1
-        b = _binom(t, k)
-        if b == 0:
+    out = _RunningSum(NovikovSeries.one())
+    # binom(t, k) = num/den in lowest terms, updated from binom(t, k - 1):
+    # the same rational as _binom(t, k)
+    p, q = t.numerator, t.denominator
+    num = den = 1
+    k_max = math.ceil(float(u.cutoff) / float(eps.val()))
+    for k in range(1, k_max + 2):
+        num *= p - (k - 1) * q
+        den *= q * k
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        if num == 0:
             break
-        power = (power * eps).truncated(window)
+        power = ex.power(k)
         if power.is_zero():
             break
-        out = out + b * power
-    return scale * out
+        out.add(_fraction_multiple(num, den, power))
+    return scale * out.series()

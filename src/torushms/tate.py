@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import NonUnit
-from .novikov import NovikovSeries, Rational, invert
+from .novikov import NovikovSeries, Rational, _RunningSum, invert
 
 __all__ = [
     "TatePoint",
@@ -117,6 +117,9 @@ def point_pow(p: TatePoint, n: int) -> TatePoint:
 
 
 def _unit_powers(unit: NovikovSeries):
+    """k -> unit^k for integer k, each power formed once from its
+    neighbour (the inverse at most once).  Built once per point, the
+    table serves both theta kinds."""
     cache = {0: NovikovSeries.one()}
     inv = None
 
@@ -136,20 +139,22 @@ def _unit_powers(unit: NovikovSeries):
 
 
 def theta_eval_raw(
-    kind: int, x: Rational, unit, cutoff: Rational
+    kind: int, x: Rational, unit, cutoff: Rational, _powers=None
 ) -> NovikovSeries:
     """Theta series at the (possibly unnormalized) presentation
     w = -q^x * unit, truncated at `cutoff`.
 
     Accepting x outside [0,1) is what makes the quasi-periodicity law
     directly checkable; for group-law work use theta_eval on TatePoint.
+    `_powers`, when given, is `_unit_powers(unit)`, shared by a caller
+    that evaluates both kinds at one point.
     """
     x = Fraction(x)
     unit = _as_unit(unit)
     cutoff = Fraction(cutoff)
     if kind not in (0, 1):
         raise ValueError("theta kind must be 0 or 1")
-    mpow = _unit_powers(unit)
+    mpow = _unit_powers(unit) if _powers is None else _powers
 
     if kind == 0:
         expo = lambda n: Fraction(n * n) + 2 * n * x
@@ -162,20 +167,22 @@ def theta_eval_raw(
     # where it is monotone in both directions
     vertex = -x if kind == 0 else -x - Fraction(1, 2)
     up = math.ceil(vertex)
-    out = NovikovSeries.zero(cutoff)
+    out = _RunningSum(NovikovSeries.zero(cutoff))
     for start, step in ((up, 1), (up - 1, -1)):
         n = start
         while True:
             e = expo(n)
             if e >= cutoff:
                 break
-            out = out + NovikovSeries.q_power(e) * coef(n)
+            out.add(NovikovSeries.q_power(e) * coef(n))
             n += step
-    return out.truncated(cutoff)
+    return out.series().truncated(cutoff)
 
 
-def theta_eval(kind: int, p: TatePoint, cutoff: Rational) -> NovikovSeries:
-    return theta_eval_raw(kind, p.x, p.unit, cutoff)
+def theta_eval(
+    kind: int, p: TatePoint, cutoff: Rational, _powers=None
+) -> NovikovSeries:
+    return theta_eval_raw(kind, p.x, p.unit, cutoff, _powers)
 
 
 @dataclass(frozen=True)
@@ -193,17 +200,19 @@ class SectionCoeffs:
 def section_through(q_pt: TatePoint, cutoff: Rational) -> SectionCoeffs:
     """The (projective) section vanishing at q_pt and at its conjugate:
     s = theta1(w_Q) * theta0 - theta0(w_Q) * theta1."""
+    powers = _unit_powers(q_pt.unit)
     return SectionCoeffs(
-        sigma0=theta_eval(1, q_pt, cutoff),
-        sigma1=-theta_eval(0, q_pt, cutoff),
+        sigma0=theta_eval(1, q_pt, cutoff, powers),
+        sigma1=-theta_eval(0, q_pt, cutoff, powers),
     )
 
 
 def eval_section(
     section: SectionCoeffs, p: TatePoint, cutoff: Rational
 ) -> NovikovSeries:
-    return section.sigma0 * theta_eval(0, p, cutoff) + section.sigma1 * theta_eval(
-        1, p, cutoff
+    powers = _unit_powers(p.unit)
+    return section.sigma0 * theta_eval(0, p, cutoff, powers) + (
+        section.sigma1 * theta_eval(1, p, cutoff, powers)
     )
 
 

@@ -24,10 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import MarkerCollision, NonTransverse, NonUnit
-from .novikov import NovikovSeries, Rational, _binom, fractional_power, invert
+from .novikov import (
+    NovikovSeries,
+    Rational,
+    _binom,
+    _UnitExpansion,
+    fractional_power,
+    invert,
+)
 
 Slope = Tuple[int, int]
 Vec = Tuple[Fraction, Fraction]
@@ -248,18 +255,23 @@ class LocalSystem:
             and (self.blocks[0][0] - 1).max_abs_coeff() <= tol
         )
 
-    def transport(self, t: Rational) -> Matrix:
+    def transport(self, t: Rational, _expansions=None) -> Matrix:
         """Parallel transport over an oriented arc fraction t.
 
         Each Jordan block J = lam*(I + N/lam) contributes
         lam^t * sum_k binom(t,k) (N/lam)^k  (a finite sum since N is
         nilpotent); fractional eigenvalue powers use the principal
         branch, so transport(s) * transport(t) = transport(s+t).
+
+        `_expansions`, when given, is `self._expansions()`, shared by a
+        caller that transports over many arcs.
         """
         t = Fraction(t)
+        if _expansions is None:
+            _expansions = self._expansions()
         blocks_out = []
-        for eig, size in self.blocks:
-            lam_t = fractional_power(eig, t)
+        for (eig, size), ex in zip(self.blocks, _expansions):
+            lam_t = fractional_power(eig, t, ex)
             inv_eig = invert(eig) if size > 1 else None
             block = [[NovikovSeries.zero() for _ in range(size)]
                      for _ in range(size)]
@@ -283,6 +295,10 @@ class LocalSystem:
             c_inv = _const_matrix(_complex_inverse(self.frame))
             mat = mat_mul(c, mat_mul(mat, c_inv))
         return mat
+
+    def _expansions(self) -> List[_UnitExpansion]:
+        """One `_UnitExpansion` per block eigenvalue."""
+        return [_UnitExpansion(eig) for eig, _ in self.blocks]
 
     def monodromy(self) -> Matrix:
         return self.transport(1)

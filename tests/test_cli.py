@@ -20,6 +20,7 @@ import torushms.cli
 import torushms.floer
 from torushms.cli import (
     MAX_CUTOFF,
+    MAX_CUTOFF_DIGITS,
     BraneAst,
     BunAst,
     DivAst,
@@ -512,6 +513,45 @@ def test_cutoff_above_the_bound_is_a_usage_error(capsys):
             assert (rc, out, err) == (1, "", f"usage error: {message}\n")
 
 
+def test_cutoff_with_too_many_digits_is_a_usage_error(capsys):
+    """A value whose exact rational would need more than MAX_CUTOFF_DIGITS
+    digits is refused before it is built: printed exactly, a tiny cutoff
+    would pass the int-to-str limit, and a huge exponent takes seconds to
+    build."""
+    mu2 = VERB_FLAGS["mu2"][0]
+    proc = subprocess.run(
+        [sys.executable, "-m", "torushms.cli", "mu2", *mu2,
+         "--cutoff", "1e-5000", "--json"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["kind"] == "usage"
+    long = "1/1" + "0" * 5000
+    shown = {"1e-5000": "'1e-5000'", long: "5003 characters",
+             "1e3000000": "'1e3000000'"}
+    for verb in ("mu2", "assoc", "theta", "section"):
+        for value, named in shown.items():
+            argv = (verb, *VERB_FLAGS[verb][0], "--cutoff", value)
+            start = time.perf_counter()
+            rc, out, err = run(capsys, *argv, "--json")
+            assert time.perf_counter() - start < 0.1
+            message = (
+                f"--cutoff must have at most {MAX_CUTOFF_DIGITS} digits, an "
+                f"exponent eN counting as |N| of them, got {named}"
+            )
+            assert rc == 1 and err == ""
+            assert json.loads(out) == {
+                "error": message, "kind": "usage", "detail": {},
+            }
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out, err) == (1, "", f"usage error: {message}\n")
+    # a tiny cutoff inside the budget still runs, and prints exactly
+    rc, out, _ = run(capsys, "mu2", *mu2, "--cutoff", "1e-900", "--json")
+    assert rc == 0
+    assert json.loads(out)["cutoff"] == "1/1" + "0" * 900
+
+
 @pytest.mark.parametrize("argv, calls", [(MU2, 3), (ASSOC, 7)],
                          ids=["mu2", "assoc"])
 def test_each_product_builds_each_space_once(capsys, monkeypatch, argv, calls):
@@ -615,8 +655,15 @@ _RATIONAL = st.builds("{}/{}".format, _INT, _INT)
 _HUGE = st.one_of(
     st.just("1e400"), st.integers(MAX_CUTOFF + 1, 10 ** 400).map(str)
 )
+#: tiny or long cutoffs, around the digit budget: 1e-N and 1/10**N
+_DIGITS = st.integers(MAX_CUTOFF_DIGITS - 10, 6000)
+_TINY_OR_LONG = st.one_of(
+    _DIGITS.map("1e-{}".format),
+    _DIGITS.map("1e{}".format),
+    _DIGITS.map(lambda n: "1/1" + "0" * n),
+)
 _VALUES = {
-    "--cutoff": st.one_of(_INT, _RATIONAL, _JUNK, _HUGE),
+    "--cutoff": st.one_of(_INT, _RATIONAL, _JUNK, _HUGE, _TINY_OR_LONG),
     "--x": st.one_of(_INT, _RATIONAL, _JUNK),
     "--phi1": st.one_of(_INT, _JUNK),
     "--tol": st.one_of(_JUNK, st.just("1e400"), st.floats().map(repr)),
@@ -664,7 +711,8 @@ def test_every_input_exits_0_1_or_2_with_one_json_object(argv):
     Grammar integer tokens stay at three digits or fewer.  That bounds
     the work, not the contract: K0 multiples cost O(|mult|) by design.
     --cutoff values run up to 10**400, past MAX_CUTOFF, which the flag
-    rejects before any lattice walk or theta sum starts."""
+    rejects before any lattice walk or theta sum starts, and to tiny or
+    long values around MAX_CUTOFF_DIGITS."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv + ["--json"])  # an escaping exception fails here

@@ -1,0 +1,384 @@
+"""The integer-key Novikov kernels against the code they replaced.
+
+Each oracle below is the earlier implementation, kept as the reference:
+the dict-of-Fractions product, the public-constructor sum, the `_binom`
+loop with an unshared `fractional_power`, the geometric-series `invert`
+summed by repeated addition, and a `theta_eval` that builds its own power
+table per theta kind.  The kernels must give the same `repr` (so the same
+exponents, coefficient types, bits and signed zeros) on every draw.  The
+work-count tests pin what the kernels share: one inverse per point in
+`eval_section`, and each power of eps formed once per mu2 call.
+"""
+
+import cmath
+import math
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+import torushms.novikov as novikov
+import torushms.tate as tate
+from torushms.floer import FloerElement, cf, mu2
+from torushms.novikov import (
+    ZERO_TOL,
+    NovikovSeries,
+    _binom,
+    _fraction_multiple,
+    _RunningSum,
+    fractional_power,
+    invert,
+)
+from torushms.tate import (
+    SectionCoeffs,
+    TatePoint,
+    eval_section,
+    section_through,
+    theta_eval,
+)
+from torushms.torus import Brane, LocalSystem
+
+# ---------------------------------------------------------------------------
+# oracles: the code the kernels replaced
+# ---------------------------------------------------------------------------
+
+
+def _min_cut(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _const(c):
+    return NovikovSeries(((0, c),))
+
+
+def mul_oracle(a, b):
+    """Every pair into one Fraction-keyed dict, then the public
+    constructor."""
+    cut_a = cut_b = None
+    if a.cutoff is not None:
+        shift = b.terms[0][0] if b.terms else b.cutoff
+        cut_a = None if shift is None else a.cutoff + shift
+    if b.cutoff is not None:
+        shift = a.terms[0][0] if a.terms else a.cutoff
+        cut_b = None if shift is None else b.cutoff + shift
+    cut = _min_cut(cut_a, cut_b)
+    acc = {}
+    for ea, ca in a.terms:
+        for eb, cb in b.terms:
+            e = ea + eb
+            if cut is not None and e >= cut:
+                continue
+            acc[e] = acc.get(e, 0) + ca * cb
+    return NovikovSeries(acc.items(), cut)
+
+
+def add_oracle(a, b):
+    return NovikovSeries(a.terms + b.terms, _min_cut(a.cutoff, b.cutoff))
+
+
+def neg_oracle(a):
+    return NovikovSeries(tuple((e, -c) for e, c in a.terms), a.cutoff)
+
+
+def truncated_oracle(a, cutoff):
+    return NovikovSeries(a.terms, _min_cut(a.cutoff, F(cutoff)))
+
+
+def invert_oracle(a):
+    v = a.val()
+    c0 = a.leading_coefficient()
+    eps = NovikovSeries(
+        tuple((e - v, c / c0) for e, c in a.terms[1:]), a.cutoff - v
+    )
+    window = a.cutoff - v
+    geo = NovikovSeries(((0, 1.0 + 0.0j),))
+    term = geo
+    step = truncated_oracle(neg_oracle(eps), window)
+    if not step.is_zero():
+        k_max = math.ceil(float(window) / float(step.val()))
+        for _ in range(k_max + 1):
+            term = truncated_oracle(mul_oracle(term, step), window)
+            if term.is_zero():
+                break
+            geo = add_oracle(geo, term)
+    inv_terms = tuple((e - v, c / c0) for e, c in geo.terms)
+    return NovikovSeries(inv_terms, a.cutoff - 2 * v)
+
+
+def fractional_power_oracle(u, t):
+    """Finite-cutoff units only: every P_k rebuilt, binom(t, k) by the
+    `_binom` loop, and `out = out + b * P_k`."""
+    t = F(t)
+    c0 = u.leading_coefficient()
+    eps = mul_oracle(NovikovSeries(tuple(u.terms[1:]), u.cutoff), _const(1.0 / c0))
+    scale = cmath.exp(t * cmath.log(c0)) if t != 0 else 1.0 + 0.0j
+    if eps.is_zero():
+        return NovikovSeries(((0, scale),), u.cutoff)
+    window = u.cutoff
+    out = power = NovikovSeries(((0, 1.0 + 0.0j),))
+    k = 0
+    k_max = math.ceil(float(window) / float(eps.val()))
+    while k < k_max + 1:
+        k += 1
+        b = _binom(t, k)
+        if b == 0:
+            break
+        power = truncated_oracle(mul_oracle(power, eps), window)
+        if power.is_zero():
+            break
+        out = add_oracle(out, mul_oracle(power, _const(b)))
+    return mul_oracle(out, _const(scale))
+
+
+def theta_oracle(kind, x, unit, cutoff):
+    """One power table per call, summed by repeated addition."""
+    x, cutoff = F(x), F(cutoff)
+    cache = {0: NovikovSeries(((0, 1.0 + 0.0j),))}
+    inv = []
+
+    def mpow(k):
+        if k not in cache:
+            if k > 0:
+                cache[k] = mul_oracle(mpow(k - 1), unit)
+            else:
+                if not inv:
+                    inv.append(invert_oracle(unit))
+                cache[k] = mul_oracle(mpow(k + 1), inv[0])
+        return cache[k]
+
+    if kind == 0:
+        expo = lambda n: F(n * n) + 2 * n * x
+        coef = lambda n: mpow(2 * n)
+    else:
+        expo = lambda n: F(2 * n + 1, 2) ** 2 + (2 * n + 1) * x
+        coef = lambda n: neg_oracle(mpow(2 * n + 1))
+    vertex = -x if kind == 0 else -x - F(1, 2)
+    up = math.ceil(vertex)
+    out = NovikovSeries((), cutoff)
+    for start, step in ((up, 1), (up - 1, -1)):
+        n = start
+        while True:
+            e = expo(n)
+            if e >= cutoff:
+                break
+            out = add_oracle(out, mul_oracle(NovikovSeries(((e, 1),)), coef(n)))
+            n += step
+    return truncated_oracle(out, cutoff)
+
+
+# ---------------------------------------------------------------------------
+# draws
+# ---------------------------------------------------------------------------
+
+_edge_coeffs = [
+    0, 1, -1, 3, F(-2, 3), F(1, 7), -0.0, 0.0, 0.5, -1.0, 2.5,
+    complex(-0.0, -0.0), complex(-0.0, 1.0), complex(1.0, -0.0), 1j, -1j,
+    complex(-1.0, 0.0), ZERO_TOL, -ZERO_TOL, complex(0.0, ZERO_TOL),
+    complex(-ZERO_TOL, -0.0), 2 * ZERO_TOL, -2 * ZERO_TOL,
+    math.nextafter(ZERO_TOL, 1.0), math.nextafter(ZERO_TOL, 0.0),
+]
+
+_coeff = st.one_of(
+    st.sampled_from(_edge_coeffs),
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+
+#: denominators 7 and 12 meet only at their lcm, 84
+_den = st.sampled_from([1, 2, 3, 7, 12])
+_expo = st.builds(F, st.integers(min_value=-14, max_value=40), _den)
+_cutoff = st.one_of(st.none(), _expo)
+
+_series = st.builds(
+    NovikovSeries, st.lists(st.tuples(_expo, _coeff), max_size=8), _cutoff
+)
+
+
+@st.composite
+def _units(draw, max_cutoff):
+    """Valuation-zero units with a finite cutoff: c0 + higher terms."""
+    c0 = draw(
+        st.one_of(
+            st.sampled_from([1, -1.0, 0.5, 2.5, 1j, complex(-0.0, 1.0), F(3, 2)]),
+            st.complex_numbers(min_magnitude=0.1, max_magnitude=10),
+        )
+    )
+    rest = draw(
+        st.lists(
+            st.tuples(st.builds(F, st.integers(1, 3 * max_cutoff), _den), _coeff),
+            max_size=3,
+        )
+    )
+    cutoff = draw(st.builds(F, st.integers(1, 12 * max_cutoff), st.just(12)))
+    return NovikovSeries([(0, c0)] + rest, cutoff)
+
+
+# ---------------------------------------------------------------------------
+# kernels against their oracles
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series, _series)
+def test_product_matches_the_dict_of_fractions_product(a, b):
+    assert repr(a * b) == repr(mul_oracle(a, b))
+    assert repr(b * a) == repr(mul_oracle(b, a))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_series, _series, _coeff)
+def test_sum_matches_the_constructor_sum(a, b, c):
+    assert repr(a + b) == repr(add_oracle(a, b))
+    assert repr(b + a) == repr(add_oracle(b, a))
+    assert repr(a + c) == repr(add_oracle(a, NovikovSeries(((0, c),))))
+    assert repr(a - b) == repr(add_oracle(a, neg_oracle(b)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series, st.lists(_series, min_size=1, max_size=5))
+def test_running_sum_matches_repeated_addition(start, addends):
+    """The last two addends cancel the first one and bring it back, so
+    partial sums reach zero (and are dropped) on the way."""
+    first = addends[0]
+    addends += [neg_oracle(first), first]
+    acc, want = _RunningSum(start), start
+    for x in addends:
+        acc.add(x)
+        want = add_oracle(want, x)
+        assert repr(acc.series()) == repr(want)
+
+
+#: rationals at and next to ZERO_TOL, where constant(b) turns zero
+_TOL_EDGE = [
+    F(0), F(ZERO_TOL), -F(ZERO_TOL), F(math.nextafter(ZERO_TOL, 1.0)),
+    F(math.nextafter(ZERO_TOL, 0.0)), F(1, 10 ** 12), F(1, 10 ** 12 - 1),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _series,
+    st.one_of(
+        st.sampled_from(_TOL_EDGE),
+        st.builds(F, st.integers(-10 ** 14, 10 ** 14), st.integers(1, 10 ** 14)),
+    ),
+)
+def test_fraction_multiple_matches_the_operator(x, b):
+    """Every coefficient type, and b at and next to ZERO_TOL."""
+    assert repr(_fraction_multiple(b.numerator, b.denominator, x)) == repr(
+        mul_oracle(x, _const(b))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_units(max_cutoff=3), st.lists(_expo, min_size=1, max_size=4))
+def test_shared_fractional_power_matches_the_unshared_oracle(u, ts):
+    """One expansion serves every exponent t, as in a mu2 call."""
+    ex = novikov._UnitExpansion(u)
+    for t in ts:
+        want = repr(fractional_power_oracle(u, t))
+        assert repr(fractional_power(u, t, ex)) == want
+        assert repr(fractional_power(u, t)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_units(max_cutoff=3), st.builds(F, st.integers(-6, 6), st.just(12)))
+def test_invert_matches_the_geometric_series_oracle(u, shift):
+    a = mul_oracle(u, NovikovSeries.q_power(shift))
+    assert repr(invert(a)) == repr(invert_oracle(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _units(max_cutoff=2),
+    st.builds(F, st.integers(1, 11), st.sampled_from([5, 7, 12])),
+    st.builds(F, st.integers(1, 36), st.just(12)),
+)
+def test_theta_with_one_table_matches_the_per_kind_oracle(unit, x, cutoff):
+    p = TatePoint(x, unit)
+    theta = [theta_oracle(k, p.x, p.unit, cutoff) for k in (0, 1)]
+    powers = tate._unit_powers(p.unit)
+    for kind in (1, 0):  # the order section_through asks for them
+        got = theta_eval(kind, p, cutoff, powers)
+        assert repr(got) == repr(theta[kind])
+        assert repr(theta_eval(kind, p, cutoff)) == repr(theta[kind])
+    sec = section_through(p, cutoff)
+    assert repr(sec) == repr(SectionCoeffs(theta[1], neg_oracle(theta[0])))
+    value = eval_section(sec, p, cutoff)
+    want = add_oracle(
+        mul_oracle(sec.sigma0, theta[0]), mul_oracle(sec.sigma1, theta[1])
+    )
+    assert repr(value) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# work shared within one call
+# ---------------------------------------------------------------------------
+
+#: the pinned series unit of the theta bridge: exp(2 pi i/7) + q^(1/3)/2
+#: - i q^(1/2)/4, truncated at 12
+_UNIT = NovikovSeries(
+    ((0, cmath.exp(2j * cmath.pi / 7)), (F(1, 3), 0.5 + 0j), (F(1, 2), -0.25j)),
+    12,
+)
+
+
+def test_eval_section_inverts_the_unit_once(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return invert(a)
+
+    monkeypatch.setattr(tate, "invert", counted)
+    p = TatePoint(F(1, 3), _UNIT)
+    flat = SectionCoeffs(NovikovSeries.one(), NovikovSeries.one())
+    eval_section(flat, p, 8)
+    assert calls == [p.unit]
+    calls.clear()
+    section_through(p, 8)
+    assert calls == [p.unit]
+
+
+def test_mu2_builds_each_eps_power_once(monkeypatch):
+    """The vertical brane of the theta bridge carries the series unit; the
+    walk transports it over many arcs, and all of them share one set of
+    powers P_k = P_(k-1) * eps of the unit's expansion."""
+    eps = NovikovSeries(_UNIT.terms[1:], _UNIT.cutoff) * (1.0 / _UNIT.terms[0][1])
+    k_max = math.ceil(_UNIT.cutoff / eps.val())
+    eps_products = []
+    real_mul = NovikovSeries.__mul__
+
+    def mul(self, other):
+        if isinstance(other, NovikovSeries) and other == eps:
+            eps_products.append(repr(self))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(NovikovSeries, "__mul__", mul)
+    y0, y1 = Brane((1, 2)), Brane((1, 0))
+    y2 = Brane(
+        (0, -1), shift=F(1, 3), local_system=LocalSystem.from_eigenvalue(_UNIT, 1)
+    )
+    arcs = []
+    real_transport = LocalSystem.transport
+
+    def transport(self, t, *args):
+        if self is y2.local_system:
+            arcs.append(t)
+        return real_transport(self, t, *args)
+
+    monkeypatch.setattr(LocalSystem, "transport", transport)
+    sec = section_through(tate.conjugate_zero(TatePoint(F(1, 3), _UNIT)), 12)
+    eps_products.clear()
+    c1 = FloerElement(
+        cf(y0, y1),
+        {(F(0), F(0)): ((sec.sigma0,),), (F(1, 2), F(0)): ((sec.sigma1,),)},
+    )
+    space = cf(y2, y0)
+    (pt,) = space.coords()
+    c3 = FloerElement(space, {pt: ((NovikovSeries.constant(1),),)})
+    mu2(c1, c3, 12)
+    assert len(set(arcs)) > 10  # many distinct arcs of the series-unit brane
+    assert 0 < len(eps_products) <= k_max + 1
+    assert len(set(eps_products)) == len(eps_products)  # each P_k once
