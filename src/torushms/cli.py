@@ -9,15 +9,18 @@ Exit codes: 0 success; 1 usage or input error; 2 domain error
 a command line argparse rejects (a flag the verb does not take among
 them), a --cutoff that is not a positive rational at most MAX_CUTOFF
 spelled in at most MAX_CUTOFF_DIGITS digits, and a --tol that is
-negative or not finite.  Input errors are syntax errors and literals
-their constructor rejects (L(2,4;0), a rank or thickness of 0, ...).
+negative or not finite.  Input errors are syntax errors, an --x
+spelled in more than MAX_CUTOFF_DIGITS digits, and literals their
+constructor rejects (L(2,4;0), a rank or thickness of 0, ...).
 A rejected run prints one labelled line on stderr, or under --json one
 {"error", "kind", "detail"} object on stdout; it never ends in a
 traceback.  JSON (--json) is the stable machine interface --
 byte-identical for identical inputs and configuration; the plain format
 is for humans and may change.
 
-Input grammar (EBNF; whitespace free between tokens):
+Input grammar (EBNF).  Whitespace is free before, between and after
+tokens.  An INT has at most MAX_INT_DIGITS = 100 digits; a longer one is
+a syntax error at that token.
 
     expr     := term (("+" | "-") term)*
     term     := [INT "*"] item
@@ -81,7 +84,13 @@ __all__ = ["main", "parse_expr", "print_ast", "parse_ast"]
 # tokens
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(.))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\S))")
+
+#: The most digits an integer token may have.  mu2 exponent denominators
+#: reach about six times the digits of the brane shifts, and past 4300
+#: digits CPython refuses to convert an int to or from text: shifts of
+#: 700 digits still print, shifts of 800 do not.
+MAX_INT_DIGITS = 100
 
 
 @dataclass(frozen=True)
@@ -94,19 +103,12 @@ class _Tok:
 def _tokenize(text: str) -> List[_Tok]:
     toks: List[_Tok] = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            break
-        start = m.start(1) if m.group(1) else (
-            m.start(2) if m.group(2) else m.start(3)
-        )
-        if m.group(1):
-            toks.append(_Tok("int", m.group(1), start + 1))
-        elif m.group(2):
-            toks.append(_Tok("name", m.group(2), start + 1))
-        else:
-            toks.append(_Tok(m.group(3), m.group(3), start + 1))
+    # the match fails only where nothing but whitespace is left
+    while (m := _TOKEN_RE.match(text, pos)) is not None:
+        group = m.lastindex
+        word = m.group(group)
+        kind = ("int", "name", word)[group - 1]
+        toks.append(_Tok(kind, word, m.start(group) + 1))
         pos = m.end()
     toks.append(_Tok("end", "", len(text) + 1))
     return toks
@@ -189,25 +191,38 @@ class _Parser:
 
     def fail(self, expected: str):
         tok = self.toks[self.i]
-        got = repr(tok.text) if tok.kind != "end" else "end of input"
+        if tok.kind == "end":
+            got = "end of input"
+        elif len(tok.text) > 40:
+            got = f"{len(tok.text)} characters"
+        else:
+            got = repr(tok.text)
         raise ParseError(
             f"expected {expected} at column {tok.col}, got {got}",
             position=tok.col,
             expected=[expected],
         )
 
+    def digits(self, what: str) -> int:
+        """An integer token of at most MAX_INT_DIGITS digits."""
+        tok = self.take("int", what)
+        if len(tok.text) > MAX_INT_DIGITS:
+            self.i -= 1
+            self.fail(f"{what} of at most {MAX_INT_DIGITS} digits")
+        return int(tok.text)
+
     def int_(self, what: str = "integer") -> int:
         sign = 1
         if self.peek().kind == "-":
             self.i += 1
             sign = -1
-        return sign * int(self.take("int", what).text)
+        return sign * self.digits(what)
 
     def rat(self, what: str = "rational") -> Fraction:
         num = self.int_(what)
         if self.peek().kind == "/":
             self.i += 1
-            den = int(self.take("int", "denominator").text)
+            den = self.digits("denominator")
             if den == 0:
                 self.i -= 1
                 self.fail("nonzero denominator")
@@ -262,7 +277,7 @@ class _Parser:
             phase = self.rat()
             self.take(",", "','")
             self.name("rank")
-            rank = int(self.take("int", "rank").text)
+            rank = self.digits("rank")
             self.take("}", "'}'")
         return BraneAst(m, n, x, k, phase, rank)
 
@@ -295,7 +310,7 @@ class _Parser:
         self.take("(", "'('")
         pt = self.point()
         self.take(",", "','")
-        h = int(self.take("int", "thickness").text)
+        h = self.digits("thickness")
         self.take(")", "')'")
         return SkyAst(pt, h, self.shift())
 
@@ -325,7 +340,7 @@ class _Parser:
     def term(self) -> Tuple[int, ItemAst]:
         mult = 1
         if self.peek().kind == "int" and self.toks[self.i + 1].kind == "*":
-            mult = int(self.take("int", "multiplier").text)
+            mult = self.digits("multiplier")
             self.take("*", "'*'")
         return mult, self.item()
 
@@ -578,12 +593,30 @@ class _ArgParser(argparse.ArgumentParser):
 #: the cutoff; at 4096 `section` takes 1.4-1.9 s and `theta`, `mu2` and
 #: `assoc` 0.05-0.3 s each on a 2-core x86-64 host (CPython 3.11).
 MAX_CUTOFF = 4096
-#: The most digits a --cutoff value may spell out: the length of the
-#: text plus |N| for a decimal exponent eN.  A longer value is refused
+#: The most digits a --cutoff or --x value may spell out: the length of
+#: the text plus |N| for a decimal exponent eN.  A longer value is refused
 #: before any Fraction is built: "1e-5000" has a 5001-digit denominator,
 #: past what int-to-str conversion prints, and "1e3000000" would take
 #: seconds to build only to fail the MAX_CUTOFF check.
 MAX_CUTOFF_DIGITS = 1000
+
+
+def _check_digits(flag: str, text: str, error) -> None:
+    """Raise `error` when the rational literal `text` of `flag` spells
+    more than MAX_CUTOFF_DIGITS digits, before any Fraction is built."""
+    digits = len(text)
+    if digits <= MAX_CUTOFF_DIGITS:
+        _, e, exponent = text.lower().partition("e")
+        try:
+            digits += abs(int(exponent)) if e else 0
+        except ValueError:
+            pass  # not a number; Fraction rejects it
+    if digits > MAX_CUTOFF_DIGITS:
+        shown = repr(text) if len(text) <= 40 else f"{len(text)} characters"
+        raise error(
+            f"{flag} must have at most {MAX_CUTOFF_DIGITS} digits, an "
+            f"exponent eN counting as |N| of them, got {shown}"
+        )
 
 
 def _cutoff(text: str) -> Fraction:
@@ -591,19 +624,7 @@ def _cutoff(text: str) -> Fraction:
     most MAX_CUTOFF_DIGITS digits long.  argparse lets a _UsageError
     through as it is, so the message is the one written here; an
     ArgumentTypeError would come back prefixed."""
-    digits = len(text)
-    if digits <= MAX_CUTOFF_DIGITS:
-        _, e, exponent = text.lower().partition("e")
-        try:
-            digits += abs(int(exponent)) if e else 0
-        except ValueError:
-            pass  # not a number; Fraction rejects it below
-    if digits > MAX_CUTOFF_DIGITS:
-        shown = repr(text) if len(text) <= 40 else f"{len(text)} characters"
-        raise _UsageError(
-            f"--cutoff must have at most {MAX_CUTOFF_DIGITS} digits, an "
-            f"exponent eN counting as |N| of them, got {shown}"
-        )
+    _check_digits("--cutoff", text, _UsageError)
     try:
         cutoff = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -789,6 +810,7 @@ def _cmd_theta_sharp(args):
 
 
 def _cmd_witness(args):
+    _check_digits("--x", args.x, ParseError)
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):

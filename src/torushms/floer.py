@@ -38,14 +38,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DegenerateConfiguration,
     MarkerCollision,
     NonTransverse,
 )
-from .novikov import ZERO_TOL, NovikovSeries, Rational, _min_cutoff
+from .novikov import NovikovSeries, Rational, _RunningSum
 from .torus import (
     Brane,
     IntersectionPoint,
@@ -269,49 +269,18 @@ def _chain(phi2: FloerElement, phi1: FloerElement):
 
 def _transport_cache(brane: Brane):
     """Transports of one brane's local system within one mu2 call: each
-    arc is transported once, and every transport shares the expansions
-    of the eigenvalues, so each power of eps is formed once per call."""
+    arc is transported once, and every transport shares the eps power
+    tables of the eigenvalues, so each power of eps is formed once per call."""
     system = brane.local_system
-    expansions = system._expansions()
+    tables = system._eps_tables()
     cache: Dict[Fraction, Matrix] = {}
 
     def get(t: Fraction) -> Matrix:
         if t not in cache:
-            cache[t] = system.transport(t, expansions)
+            cache[t] = system.transport(t, tables)
         return cache[t]
 
     return get
-
-
-class _EntrySum:
-    """One matrix entry of a mu2 output as exponent -> coefficient.
-
-    Adding a contribution gives the same terms and cutoff as repeated
-    NovikovSeries addition: contributions arrive in triangle order, a
-    key is dropped as soon as its partial sum has |c| <= ZERO_TOL, and
-    the weakest cutoff wins.  Terms at or above that cutoff are left in
-    the map; `series` drops them, as each addition would have.
-    """
-
-    __slots__ = ("terms", "cutoff")
-
-    def __init__(self):
-        self.terms: Dict[Fraction, complex] = {}
-        self.cutoff: Optional[Fraction] = None
-
-    def add(self, x: NovikovSeries) -> None:
-        terms = self.terms
-        for e, c in x.terms:
-            total = terms.get(e, 0) + c
-            if abs(total) <= ZERO_TOL:
-                terms.pop(e, None)
-            else:
-                terms[e] = total
-        self.cutoff = _min_cutoff(self.cutoff, x.cutoff)
-
-    def series(self, cutoff: Fraction) -> NovikovSeries:
-        cut = _min_cutoff(self.cutoff, cutoff)
-        return NovikovSeries(self.terms.items(), cut)
 
 
 def mu2(
@@ -340,7 +309,8 @@ def mu2(
     out_coords = set(out_space.coords())
     phi2_at = dict(phi2.components)
     rows, cols = out_space.hom_shape
-    acc: Dict[Vec, List[List[_EntrySum]]] = {}
+    acc: Dict[Vec, List[List[_RunningSum]]] = {}
+    start = NovikovSeries.zero(cutoff)
     base2v = det2(b2.base_point, v2)
     area_coeff = Fraction(abs(d01), 2 * abs(d02 * d12))
     for y1c, a1 in phi1.components:
@@ -406,7 +376,7 @@ def mu2(
             sums = acc.get(y0g)
             if sums is None:
                 sums = acc[y0g] = [
-                    [_EntrySum() for _ in range(cols)] for _ in range(rows)
+                    [_RunningSum(start) for _ in range(cols)] for _ in range(rows)
                 ]
             for sum_row, m_row in zip(sums, m):
                 for entry, x in zip(sum_row, m_row):
@@ -421,7 +391,7 @@ def mu2(
         while process(k):
             k += 1
     final = {
-        c: tuple(tuple(x.series(cutoff) for x in row) for row in sums)
+        c: tuple(tuple(x.series() for x in row) for row in sums)
         for c, sums in acc.items()
     }
     return FloerElement(out_space, final)

@@ -27,11 +27,14 @@ and `*` runs its double loop into an integer-keyed dict, leaving the
 inner loop at the first key at or above the cutoff.  A product builds
 Fractions only for the terms it returns; a sum reuses its operands'
 exponent objects, and so does a product by a one-term factor at
-exponent 0.  Loops that add many series into one (the geometric series
-of `invert`, the binomial series of `fractional_power`, theta series)
-keep a `_RunningSum` instead of re-merging the partial sum each step.
-`fractional_power` takes the powers of eps from a `_UnitExpansion` that
-a caller can share across exponents t.
+exponent 0.  One running sum, `_RunningSum`, serves every loop that adds
+many series into one (the geometric series of `invert`, the binomial
+series of `fractional_power`, theta series, each matrix entry of `mu2`)
+instead of re-merging the partial sum each step.  One power table,
+`_Powers`, serves every loop over the powers of one series (eps in
+`invert` and `fractional_power`, a point's unit and its inverse in theta
+series) and forms each power once; a caller taking many fractional
+powers of one unit shares its table of eps powers across exponents t.
 
 Every coefficient is formed by the same float operations, in the same
 order, as before the kernels: as the public constructor forms it from
@@ -506,6 +509,26 @@ class _RunningSum:
         )
 
 
+class _Powers:
+    """The powers P_0 = one(), P_k = P_(k-1) * base of one series, each
+    truncated at `window` when one is given.  P_k is formed once, when it
+    is first asked for, so the caller that holds the table shares them."""
+
+    __slots__ = ("base", "window", "_table")
+
+    def __init__(self, base: NovikovSeries, window: Optional[Fraction] = None):
+        self.base = base
+        self.window = window
+        self._table = [NovikovSeries.one()]
+
+    def __getitem__(self, k: int) -> NovikovSeries:
+        table = self._table
+        while len(table) <= k:
+            p = table[-1] * self.base
+            table.append(p if self.window is None else p.truncated(self.window))
+        return table[k]
+
+
 # ---------------------------------------------------------------------------
 # function forms of the field operations
 # ---------------------------------------------------------------------------
@@ -559,12 +582,12 @@ def invert(a: NovikovSeries) -> NovikovSeries:
         return NovikovSeries.q_power(-v, 1.0 / c0)
     window = a.cutoff - v  # reliable window of the normalized unit
     geo = _RunningSum(NovikovSeries.one())
-    term = NovikovSeries.one()
     step = (-eps).truncated(window)
     if not step.is_zero():
+        powers = _Powers(step, window)
         k_max = math.ceil(float(window) / float(step.val()))
-        for _ in range(k_max + 1):
-            term = (term * step).truncated(window)
+        for k in range(1, k_max + 2):
+            term = powers[k]
             if term.is_zero():
                 break
             geo.add(term)
@@ -610,32 +633,17 @@ def _fraction_multiple(num: int, den: int, x: NovikovSeries) -> NovikovSeries:
     )
 
 
-class _UnitExpansion:
-    """A valuation-zero unit u written as c0 * (1 + eps), with the powers
-    P_k = (P_(k-1) * eps).truncated(u.cutoff), P_0 = 1, built on demand.
-
-    The powers do not depend on the exponent t of `fractional_power`, so
-    a caller taking many powers of one unit builds one expansion and
-    passes it to every call; each P_k is then formed once.
-    """
-
-    __slots__ = ("c0", "eps", "window", "_powers")
-
-    def __init__(self, u: NovikovSeries):
-        self.c0 = u.leading_coefficient()
-        self.eps = NovikovSeries._below(u.terms[1:], u.cutoff) * (1.0 / self.c0)
-        self.window = u.cutoff
-        self._powers = [NovikovSeries.one()]
-
-    def power(self, k: int) -> NovikovSeries:
-        powers = self._powers
-        while len(powers) <= k:
-            powers.append((powers[-1] * self.eps).truncated(self.window))
-        return powers[k]
+def _eps_powers(u: NovikovSeries) -> _Powers:
+    """The powers of eps for a valuation-zero unit u = c0 * (1 + eps),
+    truncated at u.cutoff.  They do not depend on the exponent t of
+    `fractional_power`, so a caller taking many powers of one unit
+    builds this table once and passes it to every call."""
+    eps = NovikovSeries._below(u.terms[1:], u.cutoff)
+    return _Powers(eps * (1.0 / u.leading_coefficient()), u.cutoff)
 
 
 def fractional_power(
-    u: NovikovSeries, t: Rational, _expansion: Optional[_UnitExpansion] = None
+    u: NovikovSeries, t: Rational, _eps_table: Optional[_Powers] = None
 ) -> NovikovSeries:
     """u^t for a valuation-zero unit u and rational t.
 
@@ -643,23 +651,22 @@ def fractional_power(
     with c0^t taken on the principal logarithm branch.  Satisfies the
     exponent law u^s * u^t = u^(s+t) up to cutoff/tolerance.
 
-    `_expansion`, when given, is `_UnitExpansion(u)`, shared by the
-    caller across exponents t.
+    `_eps_table`, when given, is `_eps_powers(u)`, shared by the caller
+    across exponents t.
     """
     if u.is_zero():
         raise ZeroSeries("fractional power of the zero series")
     if u.val() != 0:
         raise NonUnit(f"fractional_power needs val = 0, got val = {u.val()}")
     t = Fraction(t)
-    ex = _UnitExpansion(u) if _expansion is None else _expansion
-    c0, eps = ex.c0, ex.eps
+    powers = _eps_powers(u) if _eps_table is None else _eps_table
+    c0, eps = u.leading_coefficient(), powers.base
     scale = cmath.exp(t * cmath.log(c0)) if t != 0 else 1.0 + 0.0j
     if eps.is_zero():
         return NovikovSeries.constant(scale, u.cutoff)
     if u.cutoff is None:
         if t.denominator == 1 and t >= 0:
-            base = NovikovSeries(u.terms) * (1.0 / c0)
-            return scale * base ** int(t)
+            return scale * (u * (1.0 / c0)) ** int(t)
         raise ValueError(
             "fractional power of an exact non-constant series needs a "
             "finite cutoff; truncate first"
@@ -677,7 +684,7 @@ def fractional_power(
         num, den = num // g, den // g
         if num == 0:
             break
-        power = ex.power(k)
+        power = powers[k]
         if power.is_zero():
             break
         out.add(_fraction_multiple(num, den, power))

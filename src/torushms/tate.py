@@ -28,10 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import NonUnit
-from .novikov import NovikovSeries, Rational, _RunningSum, invert
+from .novikov import NovikovSeries, Rational, _Powers, _RunningSum, invert
 
 __all__ = [
     "TatePoint",
@@ -117,23 +117,19 @@ def point_pow(p: TatePoint, n: int) -> TatePoint:
 
 
 def _unit_powers(unit: NovikovSeries):
-    """k -> unit^k for integer k, each power formed once from its
-    neighbour (the inverse at most once).  Built once per point, the
-    table serves both theta kinds."""
-    cache = {0: NovikovSeries.one()}
-    inv = None
+    """k -> unit^k for integer k, each power formed once: from a table of
+    the unit's powers, or of its inverse for k < 0, inverted once when a
+    negative power is first asked for.  Built once per point, the table
+    serves both theta kinds."""
+    up, down = _Powers(unit), None
 
     def power(k: int) -> NovikovSeries:
-        nonlocal inv
-        if k in cache:
-            return cache[k]
-        if k > 0:
-            cache[k] = power(k - 1) * unit
-        else:
-            if inv is None:
-                inv = invert(unit)
-            cache[k] = power(k + 1) * inv
-        return cache[k]
+        nonlocal down
+        if k >= 0:
+            return up[k]
+        if down is None:
+            down = _Powers(invert(unit))
+        return down[-k]
 
     return power
 
@@ -176,7 +172,7 @@ def theta_eval_raw(
                 break
             out.add(NovikovSeries.q_power(e) * coef(n))
             n += step
-    return out.series().truncated(cutoff)
+    return out.series()
 
 
 def theta_eval(

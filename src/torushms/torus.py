@@ -31,7 +31,8 @@ from .novikov import (
     NovikovSeries,
     Rational,
     _binom,
-    _UnitExpansion,
+    _eps_powers,
+    _Powers,
     fractional_power,
     invert,
 )
@@ -255,7 +256,7 @@ class LocalSystem:
             and (self.blocks[0][0] - 1).max_abs_coeff() <= tol
         )
 
-    def transport(self, t: Rational, _expansions=None) -> Matrix:
+    def transport(self, t: Rational, _eps_tables=None) -> Matrix:
         """Parallel transport over an oriented arc fraction t.
 
         Each Jordan block J = lam*(I + N/lam) contributes
@@ -263,15 +264,15 @@ class LocalSystem:
         nilpotent); fractional eigenvalue powers use the principal
         branch, so transport(s) * transport(t) = transport(s+t).
 
-        `_expansions`, when given, is `self._expansions()`, shared by a
+        `_eps_tables`, when given, is `self._eps_tables()`, shared by a
         caller that transports over many arcs.
         """
         t = Fraction(t)
-        if _expansions is None:
-            _expansions = self._expansions()
+        if _eps_tables is None:
+            _eps_tables = self._eps_tables()
         blocks_out = []
-        for (eig, size), ex in zip(self.blocks, _expansions):
-            lam_t = fractional_power(eig, t, ex)
+        for (eig, size), table in zip(self.blocks, _eps_tables):
+            lam_t = fractional_power(eig, t, table)
             inv_eig = invert(eig) if size > 1 else None
             block = [[NovikovSeries.zero() for _ in range(size)]
                      for _ in range(size)]
@@ -296,9 +297,9 @@ class LocalSystem:
             mat = mat_mul(c, mat_mul(mat, c_inv))
         return mat
 
-    def _expansions(self) -> List[_UnitExpansion]:
-        """One `_UnitExpansion` per block eigenvalue."""
-        return [_UnitExpansion(eig) for eig, _ in self.blocks]
+    def _eps_tables(self) -> List[_Powers]:
+        """The table of eps powers of each block eigenvalue."""
+        return [_eps_powers(eig) for eig, _ in self.blocks]
 
     def monodromy(self) -> Matrix:
         return self.transport(1)

@@ -21,6 +21,7 @@ import torushms.floer
 from torushms.cli import (
     MAX_CUTOFF,
     MAX_CUTOFF_DIGITS,
+    MAX_INT_DIGITS,
     BraneAst,
     BunAst,
     DivAst,
@@ -90,10 +91,15 @@ def test_print_parse_round_trip_random():
         back = parse_ast(text)
         assert back == ast, text
         assert print_ast(back) == text
+        pad = [rng.choice(["", " ", "\t", " \t "]) for _ in range(2)]
+        assert parse_ast(pad[0] + text + pad[1]) == ast, pad
 
 
 def test_parse_canonical_examples():
-    assert parse_ast("L(1,2;0)") == SumAst(((1, BraneAst(1, 2, F(0))),))
+    brane = SumAst(((1, BraneAst(1, 2, F(0))),))
+    for text in ("L(1,2;0)", "L(1,2;0) ", "\tL(1,2;0)\t",
+                 " L ( 1 , 2 ; 0 ) \n"):
+        assert parse_ast(text) == brane, text
     assert parse_ast("O(P0)") == SumAst(((1, OP0Ast(1)),))
     assert parse_ast("O(-2P0)[1]") == SumAst(((1, OP0Ast(-2, 1)),))
     got = parse_ast("L(0,-1;1/3)[1]{M=phase 1/7, rank 2}")
@@ -107,6 +113,18 @@ def test_parse_canonical_examples():
     assert item.minus == (PointAst(F(0), F(0)),)
     mixed = parse_ast("2*Sky(pt(x=1/2, phase=0), 2) - Bun(2,1,pt(x=0, phase=0))")
     assert [m for m, _ in mixed.terms] == [2, -1]
+
+
+def test_integer_tokens_have_at_most_max_int_digits():
+    long = "7" * MAX_INT_DIGITS
+    assert parse_ast(f"L(1,0;1/{long})").terms[0][1].x == F(1, int(long))
+    with pytest.raises(ParseError) as exc:
+        parse_ast(f"L(1,0;1/{long}7)")
+    assert exc.value.position == 9
+    assert str(exc.value) == (
+        f"expected denominator of at most {MAX_INT_DIGITS} digits at "
+        f"column 9, got {MAX_INT_DIGITS + 1} characters"
+    )
 
 
 def test_parse_error_reports_column():
@@ -263,6 +281,9 @@ def test_witness_verb(capsys):
     rc, out, _ = run(capsys, "witness", "--x", "0", "--json")
     assert rc == 0
     assert json.loads(out)["nonzero"] is False
+    # inside the digit budget of --x (MAX_CUTOFF_DIGITS)
+    rc, out, _ = run(capsys, "witness", "--x", "1e-990", "--json")
+    assert rc == 0 and json.loads(out)["nonzero"] is True
 
 
 def test_cob_verbs(capsys):
@@ -552,6 +573,35 @@ def test_cutoff_with_too_many_digits_is_a_usage_error(capsys):
     assert json.loads(out)["cutoff"] == "1/1" + "0" * 900
 
 
+_NINES = "9" * 4400
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cob-nf", "--brane", f"L(1,0;1/{_NINES})"),
+         f"expected denominator of at most {MAX_INT_DIGITS} digits at "
+         "column 9, got 4400 characters"),
+        (("k0", "--sheaf", f"{_NINES}*Sky(pt(x=1/3, phase=1/7), 1)"),
+         f"expected multiplier of at most {MAX_INT_DIGITS} digits at "
+         "column 1, got 4400 characters"),
+        (("witness", "--x", "1e-5000"),
+         f"--x must have at most {MAX_CUTOFF_DIGITS} digits, an exponent eN "
+         "counting as |N| of them, got '1e-5000'"),
+    ],
+    ids=["grammar-denominator", "grammar-multiplier", "witness-x"],
+)
+def test_oversized_integer_literals_are_parse_errors(capsys, argv, message):
+    """Past CPython's 4300-digit int/str conversion limit these inputs
+    would end in a traceback; they are refused before any int is built."""
+    rc, out, err = run(capsys, *argv, "--json")
+    assert rc == 1 and err == ""
+    payload = json.loads(out)
+    assert (payload["kind"], payload["error"]) == ("parse", message)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (1, "", f"parse error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, calls", [(MU2, 3), (ASSOC, 7)],
                          ids=["mu2", "assoc"])
 def test_each_product_builds_each_space_once(capsys, monkeypatch, argv, calls):
@@ -664,7 +714,7 @@ _TINY_OR_LONG = st.one_of(
 )
 _VALUES = {
     "--cutoff": st.one_of(_INT, _RATIONAL, _JUNK, _HUGE, _TINY_OR_LONG),
-    "--x": st.one_of(_INT, _RATIONAL, _JUNK),
+    "--x": st.one_of(_INT, _RATIONAL, _JUNK, _TINY_OR_LONG),
     "--phi1": st.one_of(_INT, _JUNK),
     "--tol": st.one_of(_JUNK, st.just("1e400"), st.floats().map(repr)),
 }
@@ -676,13 +726,15 @@ def _mutated_grammar(draw):
     slot = draw(st.sampled_from(range(2, len(argv), 2)))
     toks = _TOKEN.findall(argv[slot])
     i = draw(st.integers(0, len(toks) - 1))
-    op = draw(st.sampled_from(["drop", "repeat", "replace"]))
+    op = draw(st.sampled_from(["drop", "repeat", "replace", "long"]))
     if op == "drop":
         del toks[i]
     elif op == "repeat":
         toks.insert(i, toks[i])
-    else:
+    elif op == "replace":
         toks[i] = draw(st.sampled_from(_VOCAB))
+    else:
+        toks[i] = "9" * draw(st.integers(MAX_INT_DIGITS + 1, 6000))
     argv[slot] = " ".join(toks)
     return argv
 
@@ -705,14 +757,17 @@ def test_every_input_exits_0_1_or_2_with_one_json_object(argv):
     """Mutated inputs end in exit 0, 1 or 2 and, under --json, in exactly
     one JSON object on stdout (NaN and Infinity are not JSON), never in a
     traceback.  One token of a valid grammar argument is dropped,
-    repeated or replaced, or one flag value is replaced or added; the
-    flag is one its verb reads, or one cob-nf does not take.
+    repeated or replaced (by a vocabulary token or by an integer of more
+    than MAX_INT_DIGITS digits), or one flag value is replaced or added;
+    the flag is one its verb reads, or one cob-nf does not take.
 
-    Grammar integer tokens stay at three digits or fewer.  That bounds
-    the work, not the contract: K0 multiples cost O(|mult|) by design.
-    --cutoff values run up to 10**400, past MAX_CUTOFF, which the flag
-    rejects before any lattice walk or theta sum starts, and to tiny or
-    long values around MAX_CUTOFF_DIGITS."""
+    Accepted grammar integer tokens stay at three digits or fewer.  That
+    bounds the work, not the contract: K0 multiples cost O(|mult|) by
+    design.  Longer tokens run to 6000 digits, past the int/str
+    conversion limit, which the parser refuses at that token.  --cutoff
+    values run up to 10**400, past MAX_CUTOFF, which the flag rejects
+    before any lattice walk or theta sum starts, and, like --x values,
+    to tiny or long values around MAX_CUTOFF_DIGITS."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv + ["--json"])  # an escaping exception fails here

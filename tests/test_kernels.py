@@ -14,7 +14,7 @@ import cmath
 import math
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import torushms.novikov as novikov
 import torushms.tate as tate
@@ -235,13 +235,42 @@ def test_sum_matches_the_constructor_sum(a, b, c):
     assert repr(a - b) == repr(add_oracle(a, neg_oracle(b)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(_series, st.lists(_series, min_size=1, max_size=5))
+# exponents that collide, coefficients that cancel exactly (1, -1) or to
+# a partial sum at or below ZERO_TOL (0.1 + 0.2 - 0.3, 2.1e-12 - 1.1e-12)
+# that a later small term would carry
+_SMALL = [2e-12, 2.1e-12, -1.1e-12, -1.5e-12]
+_colliding = st.builds(
+    NovikovSeries,
+    st.lists(
+        st.tuples(
+            st.sampled_from([F(0), F(1, 2), F(2), F(5, 2)]),
+            st.sampled_from([1.0, -1.0, 0.1, 0.2, -0.3, 0.5 - 0.25j, 3j]
+                            + _SMALL),
+        ),
+        max_size=4,
+    ),
+    st.sampled_from([None, F(2), F(3)]),
+)
+#: the start of each mu2 output entry: the zero series at the cutoff
+_zero_at = st.sampled_from([F(1), F(5, 2), F(4)]).map(NovikovSeries.zero)
+
+
+def _at_zero(*coeffs):
+    return [NovikovSeries.constant(c) for c in coeffs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(_series, _zero_at),
+    st.lists(st.one_of(_series, _colliding), min_size=1, max_size=6),
+)
+@example(NovikovSeries.zero(1), _at_zero(2e-12, -1.5e-12, 2e-12))  # below the tol
+@example(NovikovSeries.zero(1), _at_zero(2.1e-12, -1.1e-12, 2e-12))  # at the tol
 def test_running_sum_matches_repeated_addition(start, addends):
     """The last two addends cancel the first one and bring it back, so
     partial sums reach zero (and are dropped) on the way."""
     first = addends[0]
-    addends += [neg_oracle(first), first]
+    addends = addends + [neg_oracle(first), first]
     acc, want = _RunningSum(start), start
     for x in addends:
         acc.add(x)
@@ -274,11 +303,11 @@ def test_fraction_multiple_matches_the_operator(x, b):
 @settings(max_examples=150, deadline=None)
 @given(_units(max_cutoff=3), st.lists(_expo, min_size=1, max_size=4))
 def test_shared_fractional_power_matches_the_unshared_oracle(u, ts):
-    """One expansion serves every exponent t, as in a mu2 call."""
-    ex = novikov._UnitExpansion(u)
+    """One table of eps powers serves every exponent t, as in a mu2 call."""
+    table = novikov._eps_powers(u)
     for t in ts:
         want = repr(fractional_power_oracle(u, t))
-        assert repr(fractional_power(u, t, ex)) == want
+        assert repr(fractional_power(u, t, table)) == want
         assert repr(fractional_power(u, t)) == want
 
 
