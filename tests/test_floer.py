@@ -16,7 +16,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torushms.errors import (
     DegenerateConfiguration,
@@ -36,7 +36,7 @@ from torushms.floer import (
     vanishes_truncated,
     zero_element,
 )
-from torushms.novikov import NovikovSeries
+from torushms.novikov import NovikovSeries, _RunningSum
 from torushms.tate import TatePoint, conjugate_zero, section_through
 from torushms.torus import Brane, LocalSystem
 
@@ -173,6 +173,47 @@ def test_triangle_listing_consistent():
         assert 0 < area < cutoff
         assert tri["sign"] in (-1, 1)
         assert tuple(tri["output"]) in out_coords
+
+
+# exponents that collide, coefficients that cancel exactly (1, -1) or to
+# a partial sum at or below ZERO_TOL (0.1 + 0.2 - 0.3, 2.1e-12 - 1.1e-12)
+# that a later small term would carry, and cutoffs
+_SMALL = [2e-12, 2.1e-12, -1.1e-12, -1.5e-12]
+_parts = st.builds(
+    NovikovSeries,
+    st.lists(
+        st.tuples(
+            st.sampled_from([F(0), F(1, 2), F(2), F(5, 2)]),
+            st.sampled_from([1.0, -1.0, 0.1, 0.2, -0.3, 0.5 - 0.25j, 3j]
+                            + _SMALL),
+        ),
+        max_size=4,
+    ),
+    st.sampled_from([None, F(2), F(3)]),
+)
+
+
+def _at_zero(*coeffs):
+    return [NovikovSeries.constant(c) for c in coeffs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_parts, min_size=1, max_size=6),
+       st.sampled_from([F(1), F(5, 2), F(4)]))
+@example(_at_zero(2e-12, -1.5e-12, 2e-12), F(1))  # dropped below the tol
+@example(_at_zero(2.1e-12, -1.1e-12, 2e-12), F(1))  # dropped at the tol
+def test_entry_sum_matches_repeated_series_addition(parts, cutoff):
+    """Each mu2 output entry, a running sum started from the zero series
+    at the cutoff, against the NovikovSeries sums it replaces."""
+    total = parts[0]
+    for x in parts[1:]:
+        total = total + x
+    acc = _RunningSum(NovikovSeries.zero(cutoff))
+    for x in parts:
+        acc.add(x)
+    got, want = acc.series(), total.truncated(cutoff)
+    assert got == want
+    assert repr(got) == repr(want)  # signed zeros too
 
 
 # ---------------------------------------------------------------------------
