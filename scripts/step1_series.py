@@ -82,7 +82,7 @@ def main():
         print("  " + series_text(matrix[0][0]))
 
     if args.vanishing:
-        ok = vanishes_truncated(out, cutoff, slack=1)
+        ok = vanishes_truncated(out, cutoff)
         print(f"vanishes below cutoff - 1: {'yes' if ok else 'NO'}")
         return 0 if ok else 1
 

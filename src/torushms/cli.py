@@ -8,10 +8,12 @@ Exit codes: 0 success; 1 usage or input error; 2 domain error
 (non-transverse pair, degenerate configuration, ...).  Usage errors are
 a command line argparse rejects (a flag the verb does not take among
 them), a --cutoff that is not a positive rational at most MAX_CUTOFF
-spelled in at most MAX_CUTOFF_DIGITS digits, and a --tol that is
-negative or not finite.  Input errors are syntax errors, an --x
-spelled in more than MAX_CUTOFF_DIGITS digits, and literals their
-constructor rejects (L(2,4;0), a rank or thickness of 0, ...).
+spelled in at most MAX_CUTOFF_DIGITS digits, a --tol that is negative
+or not finite, and a relations bound above MAX_RELATION_BOUND = 10.
+Input errors are syntax errors, an expression over the group-law budget
+(below), an --x spelled in more than MAX_CUTOFF_DIGITS digits, and
+literals their constructor rejects (L(2,4;0), a rank or thickness of
+0, ...).
 A rejected run prints one labelled line on stderr, or under --json one
 {"error", "kind", "detail"} object on stdout; it never ends in a
 traceback.  JSON (--json) is the stable machine interface --
@@ -20,7 +22,10 @@ is for humans and may change.
 
 Input grammar (EBNF).  Whitespace is free before, between and after
 tokens.  An INT has at most MAX_INT_DIGITS = 100 digits; a longer one is
-a syntax error at that token.
+a syntax error at that token.  An expression whose objects take more
+than MAX_GROUP_STEPS = 100,000 steps of the Tate group law to build, or
+to evaluate in k0, theta-sharp or mirror, is an input error, found on
+the syntax tree before any object is built.
 
     expr     := term (("+" | "-") term)*
     term     := [INT "*"] item
@@ -451,13 +456,61 @@ def _realize(ast: ItemAst):
     raise TypeError(f"not an item: {ast!r}")
 
 
-def parse_expr(text: str):
+#: The most group-law steps an expression may ask for.  Realizing
+#: O(nP0) adds P0 |n| times, and k0, theta-sharp and mirror count their
+#: own steps (_k0_steps, _sharp_steps, _mirror_steps).  Each step is one
+#: point_mul or one K-class addition; 10^5 of them take about 1-2 s on
+#: a 2-core x86-64 host (CPython 3.11).
+MAX_GROUP_STEPS = 100_000
+
+
+def _k0_steps(mult: int, item: ItemAst) -> int:
+    """k0 forms h multiples of a skyscraper's point and adds each term's
+    class |mult| times."""
+    return abs(mult) + (item.h if isinstance(item, SkyAst) else 0)
+
+
+def _sharp_steps(mult: int, item: ItemAst) -> int:
+    """theta-sharp forms rank-many multiples of a vertical brane's point
+    and |k| multiples of P0 for slope (1, k), and adds each term's class
+    |mult| times."""
+    steps = abs(mult)
+    if isinstance(item, BraneAst):
+        steps += item.rank + (abs(item.n) if item.m == 1 else 0)
+    return steps
+
+
+def _mirror_steps(mult: int, item: ItemAst) -> int:
+    """mirror compares a line bundle of degree d with d P0."""
+    if isinstance(item, OP0Ast):
+        return abs(item.n)
+    if isinstance(item, BunAst) and item.r == 1:
+        return abs(item.d)
+    return 0
+
+
+def parse_expr(text: str, steps=None):
     """Parse and realize: a single Brane / sheaf / TatePoint for a
     one-term expression with multiplier 1, else a list of
     (object, multiplier) pairs.  A literal its constructor rejects
     (slope (2,4), rank 0, thickness 0, ...) raises ParseError with the
-    constructor's message."""
+    constructor's message.
+
+    Before any object is built, the group-law steps of the expression
+    are counted on its syntax tree: |n| for each O(nP0), plus
+    `steps(mult, item)` for each term when the caller's work adds some.
+    More than MAX_GROUP_STEPS raises ParseError."""
     ast = parse_ast(text)
+    total = sum(
+        abs(item.n) if isinstance(item, OP0Ast) else 0 for _, item in ast.terms
+    )
+    if steps is not None:
+        total += sum(steps(mult, item) for mult, item in ast.terms)
+    if total > MAX_GROUP_STEPS:
+        raise ParseError(
+            f"expression needs {total} group-law steps, more than "
+            f"MAX_GROUP_STEPS = {MAX_GROUP_STEPS}"
+        )
     try:
         terms = [(_realize(item), mult) for mult, item in ast.terms]
     except ValueError as exc:
@@ -467,12 +520,12 @@ def parse_expr(text: str):
     return terms
 
 
-def _expect_one(text: str, cls, what: str, sums: bool = False):
-    """parse_expr(text) checked against `cls`: one object, "expected
-    {what}" otherwise; with sums=True a formal sum of them, returned as
-    (object, multiplier) pairs, "expected only {what} in this
+def _expect_one(text: str, cls, what: str, sums: bool = False, steps=None):
+    """parse_expr(text, steps) checked against `cls`: one object,
+    "expected {what}" otherwise; with sums=True a formal sum of them,
+    returned as (object, multiplier) pairs, "expected only {what} in this
     expression" otherwise."""
-    obj = parse_expr(text)
+    obj = parse_expr(text, steps)
     if not sums:
         if not isinstance(obj, cls):
             raise ParseError(f"expected {what}, got {text!r}")
@@ -758,9 +811,17 @@ def _cmd_section(args):
 
 
 def _cmd_k0(args):
-    terms = _expect_one(args.sheaf, (Bundle, Skyscraper), "sheaves", sums=True)
+    terms = _expect_one(
+        args.sheaf, (Bundle, Skyscraper), "sheaves", sums=True, steps=_k0_steps
+    )
     cls = k0_class(SheafSum(terms))
     return ({"class": _k0_json(cls)}, [f"K0 class: {_k0_text(cls)}"])
+
+
+#: Largest bound `relations` accepts for each of --r-max, --d-max,
+#: --n-max and --h-max.  The suite grows with the bounds: all four at 10
+#: take 1.3-1.8 s on a 2-core x86-64 host (CPython 3.11).
+MAX_RELATION_BOUND = 10
 
 
 def _cmd_relations(args):
@@ -768,6 +829,12 @@ def _cmd_relations(args):
         bounds = RelationBounds(args.r_max, args.d_max, args.n_max, args.h_max)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    for name, value in vars(bounds).items():
+        if value > MAX_RELATION_BOUND:
+            raise _UsageError(
+                f"--{name.replace('_', '-')} must be at most "
+                f"{MAX_RELATION_BOUND}, got {value}"
+            )
     points = [
         TatePoint.zero(),
         TatePoint.two_torsion(),
@@ -790,7 +857,9 @@ def _cmd_relations(args):
 
 
 def _cmd_mirror(args):
-    sheaf = _expect_one(args.sheaf, (Bundle, Skyscraper), "a single sheaf")
+    sheaf = _expect_one(
+        args.sheaf, (Bundle, Skyscraper), "a single sheaf", steps=_mirror_steps
+    )
     pair = mirror_of_sheaf(sheaf)
     payload = {
         "brane": _brane_json(pair.brane),
@@ -805,7 +874,8 @@ def _cmd_mirror(args):
 
 
 def _cmd_theta_sharp(args):
-    cls = theta_sharp(_expect_one(args.brane, Brane, "branes", sums=True))
+    branes = _expect_one(args.brane, Brane, "branes", sums=True, steps=_sharp_steps)
+    cls = theta_sharp(branes)
     return ({"class": _k0_json(cls)}, [f"theta-sharp: {_k0_text(cls)}"])
 
 

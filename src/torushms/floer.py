@@ -45,7 +45,7 @@ from .errors import (
     MarkerCollision,
     NonTransverse,
 )
-from .novikov import NovikovSeries, Rational, _RunningSum
+from .novikov import WINDOW_SLACK, NovikovSeries, Rational, _RunningSum
 from .torus import (
     Brane,
     IntersectionPoint,
@@ -516,10 +516,9 @@ def assoc_defect(
     b: FloerElement,
     c: FloerElement,
     cutoff: Rational,
-    slack: Rational = 1,
 ) -> float:
     """max |coefficient| of mu2(mu2(c,b),a) - mu2(c,mu2(b,a)) on
-    exponents < cutoff - slack, for a composable chain
+    exponents < cutoff - WINDOW_SLACK, for a composable chain
     a in CF(L0,L1), b in CF(L1,L2), c in CF(L2,L3).
 
     This is the unsigned difference of the two bracketings, so it is
@@ -529,14 +528,12 @@ def assoc_defect(
     cutoff = Fraction(cutoff)
     lhs = mu2(mu2(c, b, cutoff), a, cutoff)
     rhs = mu2(c, mu2(b, a, cutoff), cutoff)
-    return (lhs - rhs).max_abs_coeff(below=cutoff - Fraction(slack))
+    return (lhs - rhs).max_abs_coeff(below=cutoff - WINDOW_SLACK)
 
 
-def vanishes_truncated(
-    elem: FloerElement, cutoff: Rational, slack: Rational = 1
-) -> bool:
+def vanishes_truncated(elem: FloerElement, cutoff: Rational) -> bool:
     """True when every coefficient of `elem` sits at valuation >=
-    (effective cutoff - slack): zero within the reliable window."""
+    (effective cutoff - WINDOW_SLACK): zero within the reliable window."""
     window = Fraction(cutoff)
     for _, m in elem.components:
         for row in m:
@@ -544,7 +541,7 @@ def vanishes_truncated(
                 if x.is_zero():
                     continue
                 eff = window if x.cutoff is None else min(window, x.cutoff)
-                if x.val() < eff - Fraction(slack):
+                if x.val() < eff - WINDOW_SLACK:
                     return False
     return True
 

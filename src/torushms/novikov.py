@@ -20,32 +20,33 @@ product with a one-term factor, inverses) go through the private
 rules only; their callers guarantee Fraction exponents in strictly
 increasing order and a Fraction (or None) cutoff.
 
-Kernels.  `+` and a product of two multi-term series put every exponent
-on the operands' common denominator (`math.lcm`) and work on those
-integer keys: `+` merges the two sorted term lists with two pointers,
-and `*` runs its double loop into an integer-keyed dict, leaving the
-inner loop at the first key at or above the cutoff.  A product builds
-Fractions only for the terms it returns; a sum reuses its operands'
+Kernels.  Sums and products work on integer keys: each exponent times
+the operands' common denominator (`math.lcm`).  One adder, `_RunningSum`,
+forms every sum: `a + b` is a running sum started at `a` with `b` added,
+and every loop that adds many series into one (the geometric series of
+`invert`, the binomial series of `fractional_power`, theta series, each
+matrix entry of `mu2`) keeps one running sum instead of re-merging the
+partial sum each step.  A product of two multi-term series runs its
+double loop into an integer-keyed dict, leaving the inner loop at the
+first key at or above the cutoff.  A product builds Fractions only for
+the terms it returns; a sum builds none and reuses its operands'
 exponent objects, and so does a product by a one-term factor at
-exponent 0.  One running sum, `_RunningSum`, serves every loop that adds
-many series into one (the geometric series of `invert`, the binomial
-series of `fractional_power`, theta series, each matrix entry of `mu2`)
-instead of re-merging the partial sum each step.  One power table,
-`_Powers`, serves every loop over the powers of one series (eps in
-`invert` and `fractional_power`, a point's unit and its inverse in theta
-series) and forms each power once; a caller taking many fractional
-powers of one unit shares its table of eps powers across exponents t.
+exponent 0.  One power table, `_Powers`, serves every loop over the
+powers of one series (eps in `invert` and `fractional_power`, a point's
+unit and its inverse in theta series) and forms each power once; a
+caller taking many fractional powers of one unit shares its table of
+eps powers across exponents t.
 
 Every coefficient is formed by the same float operations, in the same
 order, as before the kernels: as the public constructor forms it from
 the concatenated (for `+`) or pairwise (for `*`) terms.  That is
-`(0 + a) + b` for an exponent in both summands, `0 + a` or `0 + b` for
-one in a single summand, and `acc.get(k, 0) + ca * cb` with `self` outer
-and the other factor inner for a product; a running sum drops a
-partial sum with |c| <= ZERO_TOL at the step where repeated addition
-would.  So no kernel moves a bit, signed zeros and ZERO_TOL drops
-included; tests/test_kernels.py keeps the replaced code as oracles and
-compares `repr`s.
+`(0 + a) + b`, which is `a + b` for a canonical `a`, for an exponent in
+both summands, `0 + a` or `0 + b` for one in a single summand, and
+`acc.get(k, 0) + ca * cb` with `self` outer and the other factor inner
+for a product; a running sum drops a partial sum with |c| <= ZERO_TOL at
+the step where repeated addition would.  So no kernel moves a bit,
+signed zeros and ZERO_TOL drops included; tests/test_kernels.py keeps
+the replaced code as oracles and compares `repr`s.
 
 Binary operations propagate the weakest truncation guarantee:
 
@@ -68,6 +69,8 @@ from .errors import NonUnit, ZeroSeries
 
 #: coefficients with |c| <= ZERO_TOL are treated as zero
 ZERO_TOL = 1e-12
+#: vanishing verdicts read a truncated series only below cutoff - WINDOW_SLACK
+WINDOW_SLACK = 1
 
 Rational = Union[int, Fraction]
 Scalar = Union[int, float, complex, Fraction]
@@ -273,45 +276,9 @@ class NovikovSeries:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        cut = _min_cutoff(self.cutoff, o.cutoff)
-        a, b = self.terms, o.terms
-        # a summand without terms adds nothing but its cutoff
-        if not b and cut is self.cutoff:
-            return NovikovSeries._below(a, cut)
-        if not a and cut is o.cutoff:
-            return NovikovSeries._below(b, cut)
-        den = _common_den(a, b)
-        ka, kb = _keys(a, den), _keys(b, den)
-        if cut is not None:
-            stop = _key_bound(cut, den)
-        else:
-            stop = max(ka[-1] if ka else 0, kb[-1] if kb else 0) + 1
-        ka.append(stop)
-        kb.append(stop)
-        clean = []
-        i = j = 0
-        # two-pointer merge; each list ends in a `stop` sentinel
-        while True:
-            x, y = ka[i], kb[j]
-            if x >= stop and y >= stop:
-                break
-            if x < y:
-                e, c = a[i]
-                c = 0 + c
-                i += 1
-            elif y < x:
-                e, c = b[j]
-                c = 0 + c
-                j += 1
-            else:
-                e, c = a[i]
-                c = (0 + c) + b[j][1]
-                i += 1
-                j += 1
-            if abs(c) <= ZERO_TOL:
-                continue
-            clean.append((e, c))
-        return NovikovSeries._canonical(tuple(clean), cut)
+        total = _RunningSum(self)
+        total.add(o)
+        return total.series()
 
     __radd__ = __add__
 
@@ -464,48 +431,58 @@ def series_json(a: NovikovSeries) -> dict:
 
 
 class _RunningSum:
-    """`out = out + x` repeated, kept in place: the same terms and cutoff
-    as the chain of additions without re-merging `out` at every step.
+    """The one adder of series: `start + x1 + x2 + ...` kept in place,
+    without re-merging the partial sum at every step.  `a + b` is
+    `_RunningSum(a)`, one `add(b)`, then `series()`.
 
-    Each coefficient is formed as in `__add__` (`0 + x` for a new
-    exponent, `a + x` onto a stored `a`, which `0 + a` leaves unchanged);
-    a key whose partial sum has |c| <= ZERO_TOL is dropped at once, as
-    each addition would drop it, and the weakest cutoff wins.  Keys at or
-    above that cutoff stay in the map until `series`, which drops them.
-    Exponents are integer keys over a denominator that grows when a term
-    needs it.
+    A new exponent gets `0 + c`, an exponent already held gets `a + c`;
+    the start's coefficients are held as they are, which `0 + a` leaves
+    unchanged for a canonical `a`.  A key whose partial sum has
+    |c| <= ZERO_TOL is dropped at once, as each addition would drop it,
+    and the weakest cutoff wins.  Keys at or above that cutoff stay in
+    the map until `series`, which drops them.  Exponents are integer
+    keys over a denominator that grows when a term needs it; `exps`
+    keeps the first exponent object seen for each key, so `series`
+    builds no Fraction and returns its operands' exponents.
     """
 
-    __slots__ = ("den", "coeffs", "cutoff")
+    __slots__ = ("den", "coeffs", "exps", "cutoff")
 
     def __init__(self, start: NovikovSeries):
-        self.den = den = math.lcm(*(e.denominator for e, _ in start.terms))
-        self.coeffs = {k: c for k, (_, c) in zip(_keys(start.terms, den), start.terms)}
+        self.den = den = math.lcm(*[e.denominator for e, _ in start.terms])
+        self.coeffs = coeffs = {}
+        self.exps = exps = {}
+        for e, c in start.terms:
+            k = e.numerator * (den // e.denominator)
+            coeffs[k] = c
+            exps[k] = e
         self.cutoff = start.cutoff
 
     def add(self, x: NovikovSeries) -> None:
-        den, coeffs = self.den, self.coeffs
+        den, coeffs, exps = self.den, self.coeffs, self.exps
         for e, c in x.terms:
             d = e.denominator
             if den % d:
                 factor = d // math.gcd(den, d)
                 den = self.den = den * factor
                 coeffs = self.coeffs = {k * factor: v for k, v in coeffs.items()}
+                exps = self.exps = {k * factor: v for k, v in exps.items()}
             k = e.numerator * (den // d)
             total = coeffs.get(k, 0) + c
             if abs(total) <= ZERO_TOL:
                 coeffs.pop(k, None)
             else:
                 coeffs[k] = total
+                exps.setdefault(k, e)
         self.cutoff = _min_cutoff(self.cutoff, x.cutoff)
 
     def series(self) -> NovikovSeries:
-        den, coeffs, cut = self.den, self.coeffs, self.cutoff
+        den, coeffs, exps, cut = self.den, self.coeffs, self.exps, self.cutoff
         keys = sorted(coeffs)
         if cut is not None:
             del keys[bisect.bisect_left(keys, _key_bound(cut, den)):]
         return NovikovSeries._canonical(
-            tuple((Fraction(k, den), coeffs[k]) for k in keys), cut
+            tuple([(exps[k], coeffs[k]) for k in keys]), cut
         )
 
 

@@ -31,7 +31,14 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import NonUnit
-from .novikov import NovikovSeries, Rational, _Powers, _RunningSum, invert
+from .novikov import (
+    WINDOW_SLACK,
+    NovikovSeries,
+    Rational,
+    _Powers,
+    _RunningSum,
+    invert,
+)
 
 __all__ = [
     "TatePoint",
@@ -216,10 +223,9 @@ def section_vanishes_at(
     section: SectionCoeffs,
     p: TatePoint,
     cutoff: Rational,
-    slack: Rational = 1,
 ) -> bool:
     """Truncated-vanishing criterion: the evaluated series has no term
-    below (effective cutoff - slack)."""
+    below (effective cutoff - WINDOW_SLACK)."""
     value = eval_section(section, p, cutoff)
     window = value.cutoff if value.cutoff is not None else Fraction(cutoff)
-    return value.is_zero() or value.val() >= window - Fraction(slack)
+    return value.is_zero() or value.val() >= window - WINDOW_SLACK

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import MarkerCollision, NonTransverse, NonUnit
 from .novikov import (
+    ZERO_TOL,
     NovikovSeries,
     Rational,
     _binom,
@@ -155,16 +156,16 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
+    cols = tuple(zip(*b))
     out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = NovikovSeries.zero()
-            for k in range(inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        out_row = []
+        for col in cols:
+            acc = row[0] * col[0]  # zero() + p is p, bit for bit
+            for x, y in zip(row[1:], col[1:]):
+                acc = acc + x * y
+            out_row.append(acc)
+        out.append(tuple(out_row))
     return tuple(out)
 
 
@@ -249,11 +250,11 @@ class LocalSystem:
     def rank(self) -> int:
         return sum(size for _, size in self.blocks)
 
-    def is_trivial_rank_one(self, tol: float = 1e-12) -> bool:
+    def is_trivial_rank_one(self) -> bool:
         return (
             self.rank == 1
             and self.frame is None
-            and (self.blocks[0][0] - 1).max_abs_coeff() <= tol
+            and (self.blocks[0][0] - 1).max_abs_coeff() <= ZERO_TOL
         )
 
     def transport(self, t: Rational, _eps_tables=None) -> Matrix:
@@ -262,7 +263,9 @@ class LocalSystem:
         Each Jordan block J = lam*(I + N/lam) contributes
         lam^t * sum_k binom(t,k) (N/lam)^k  (a finite sum since N is
         nilpotent); fractional eigenvalue powers use the principal
-        branch, so transport(s) * transport(t) = transport(s+t).
+        branch, so transport(s) * transport(t) = transport(s+t).  Each
+        block is written straight into the output matrix, and its
+        diagonal (k = 0) is lam^t itself.
 
         `_eps_tables`, when given, is `self._eps_tables()`, shared by a
         caller that transports over many arcs.
@@ -270,26 +273,18 @@ class LocalSystem:
         t = Fraction(t)
         if _eps_tables is None:
             _eps_tables = self._eps_tables()
-        blocks_out = []
+        n = self.rank
+        zero = NovikovSeries.zero()
+        out = [[zero] * n for _ in range(n)]
+        offset = 0
         for (eig, size), table in zip(self.blocks, _eps_tables):
             lam_t = fractional_power(eig, t, table)
             inv_eig = invert(eig) if size > 1 else None
-            block = [[NovikovSeries.zero() for _ in range(size)]
-                     for _ in range(size)]
             for k in range(size):
-                coeff = lam_t * _binom(t, k) * (inv_eig ** k if k else 1)
-                for i in range(size - k):
-                    block[i][i + k] = coeff
-            blocks_out.append(block)
-        n = self.rank
-        out = [[NovikovSeries.zero() for _ in range(n)] for _ in range(n)]
-        offset = 0
-        for block in blocks_out:
-            s = len(block)
-            for i in range(s):
-                for j in range(s):
-                    out[offset + i][offset + j] = block[i][j]
-            offset += s
+                coeff = lam_t if k == 0 else lam_t * _binom(t, k) * inv_eig ** k
+                for i in range(offset, offset + size - k):
+                    out[i][i + k] = coeff
+            offset += size
         mat = tuple(tuple(row) for row in out)
         if self.frame is not None:
             c = _const_matrix(self.frame)

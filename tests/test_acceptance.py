@@ -103,9 +103,9 @@ def test_criterion_2_vanishing_equivalence():
         system = LocalSystem.from_eigenvalue(C(m))
         sigma = section_through(conjugate_zero(TatePoint(x, m)), cutoff)
         out = _step1_product(x, system, sigma.sigma0, sigma.sigma1, cutoff)
-        assert vanishes_truncated(out, cutoff, slack=1)
+        assert vanishes_truncated(out, cutoff)
         out = _step1_product(x, system, flat.sigma0, flat.sigma1, cutoff)
-        assert not vanishes_truncated(out, cutoff, slack=1)
+        assert not vanishes_truncated(out, cutoff)
     # verdict pairs agree on a random grid
     rng = random.Random(60302)
     seen = 0

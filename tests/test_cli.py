@@ -21,7 +21,9 @@ import torushms.floer
 from torushms.cli import (
     MAX_CUTOFF,
     MAX_CUTOFF_DIGITS,
+    MAX_GROUP_STEPS,
     MAX_INT_DIGITS,
+    MAX_RELATION_BOUND,
     BraneAst,
     BunAst,
     DivAst,
@@ -381,6 +383,23 @@ def test_negative_relation_bounds_are_usage_errors(capsys):
     assert json.loads(out)["kind"] == "usage"
 
 
+@pytest.mark.parametrize("flag", ["--r-max", "--d-max", "--n-max", "--h-max"])
+def test_relation_bounds_above_max_are_usage_errors(capsys, monkeypatch, flag):
+    too_big = str(MAX_RELATION_BOUND + 1)
+    rc, out, _ = run(capsys, "relations", flag, too_big, "--json")
+    assert rc == 1
+    assert json.loads(out) == {
+        "error": f"{flag} must be at most {MAX_RELATION_BOUND}, got {too_big}",
+        "kind": "usage",
+        "detail": {},
+    }
+    monkeypatch.setattr(torushms.cli, "MAX_RELATION_BOUND", 1)
+    ones = ("--r-max", "1", "--d-max", "1", "--n-max", "1", "--h-max", "1")
+    assert run(capsys, "relations", *ones)[0] == 0
+    rc, _, err = run(capsys, "relations", *ones, flag, "2")
+    assert rc == 1 and f"{flag} must be at most 1, got 2" in err
+
+
 def test_removed_precision_flag_is_rejected(capsys):
     rc, out, err = run(
         capsys, "mu2", "--l0", "L(0,-1;1/4)",
@@ -602,6 +621,73 @@ def test_oversized_integer_literals_are_parse_errors(capsys, argv, message):
     assert (rc, out, err) == (1, "", f"parse error: {message}\n")
 
 
+_PT = "pt(x=1/3, phase=1/7)"
+
+
+def _over_budget(steps, budget=MAX_GROUP_STEPS):
+    return {
+        "error": f"expression needs {steps} group-law steps, more than "
+        f"MAX_GROUP_STEPS = {budget}",
+        "kind": "parse",
+        "detail": {"position": None, "expected": []},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, steps",
+    [
+        (("k0", "--sheaf", f"100000*Sky({_PT}, 1)"), 100001),
+        (("k0", "--sheaf", f"Sky({_PT}, 100000)"), 100001),
+        (("k0", "--sheaf", f"123456789*Sky({_PT}, 1)"), 123456790),
+        (("theta-sharp", "--brane", "L(1,100000;0)"), 100002),
+        (("theta-sharp", "--brane", "L(0,-1;0){M=phase 1/7, rank 123456789}"),
+         123456790),
+        (("mirror", "--sheaf", "O(100000P0)"), 200000),
+        (("mirror", "--sheaf", "Bun(1,-123456789,pt(x=0, phase=0))"), 123456789),
+        (("cob-nf", "--brane", "O(100001P0)"), 100001),
+    ],
+    ids=["k0-mult", "k0-thickness", "k0-9-digits", "sharp-slope",
+         "sharp-rank", "mirror-op0", "mirror-bun", "cob-nf-op0"],
+)
+def test_expressions_over_the_group_law_budget_are_parse_errors(
+    capsys, monkeypatch, argv, steps
+):
+    """Counted on the syntax tree: no object is built, so a 9-digit
+    multiple is refused as fast as a 6-digit one."""
+    monkeypatch.setattr(
+        torushms.cli, "_realize", lambda ast: pytest.fail("object built")
+    )
+    rc, out, err = run(capsys, *argv, "--json")
+    assert rc == 1 and err == ""
+    assert json.loads(out) == _over_budget(steps)
+
+
+@pytest.mark.parametrize(
+    "verb, flag, text, steps",
+    [
+        ("k0", "--sheaf", f"O(3P0) - 2*Sky({_PT}, 4)", 3 + 1 + (2 + 4)),
+        ("theta-sharp", "--brane",
+         "3*L(1,-2;0) - L(0,-1;1/3){M=phase 1/7, rank 2}", (3 + 1 + 2) + (1 + 2)),
+        ("mirror", "--sheaf", "O(-4P0)", 4 + 4),
+        ("mirror", "--sheaf", "Bun(1,-5,pt(x=0, phase=0))", 5),
+        ("mirror", "--sheaf", f"Bun(2,-5,{_PT})", 0),
+        ("cob-check", "--lhs", "1000000*L(1,2;1/3)", 0),
+    ],
+)
+def test_group_law_steps_are_counted_per_verb(
+    capsys, monkeypatch, verb, flag, text, steps
+):
+    """At the budget the command runs; one step below it, it is refused.
+    cob-check multiplies exact classes, so its multipliers cost nothing."""
+    argv = (verb, flag, text) + (("--rhs", text) if verb == "cob-check" else ())
+    monkeypatch.setattr(torushms.cli, "MAX_GROUP_STEPS", steps)
+    assert run(capsys, *argv, "--json")[0] == 0
+    if steps:
+        monkeypatch.setattr(torushms.cli, "MAX_GROUP_STEPS", steps - 1)
+        rc, out, _ = run(capsys, *argv, "--json")
+        assert rc == 1 and json.loads(out) == _over_budget(steps, steps - 1)
+
+
 @pytest.mark.parametrize("argv, calls", [(MU2, 3), (ASSOC, 7)],
                          ids=["mu2", "assoc"])
 def test_each_product_builds_each_space_once(capsys, monkeypatch, argv, calls):
@@ -734,7 +820,10 @@ def _mutated_grammar(draw):
     elif op == "replace":
         toks[i] = draw(st.sampled_from(_VOCAB))
     else:
-        toks[i] = "9" * draw(st.integers(MAX_INT_DIGITS + 1, 6000))
+        digits = st.integers(MAX_INT_DIGITS + 1, 6000)
+        if argv[0] != "cf":  # the Floer verbs have no work budget yet
+            digits = st.one_of(st.integers(4, MAX_INT_DIGITS), digits)
+        toks[i] = "9" * draw(digits)
     argv[slot] = " ".join(toks)
     return argv
 
@@ -757,14 +846,17 @@ def test_every_input_exits_0_1_or_2_with_one_json_object(argv):
     """Mutated inputs end in exit 0, 1 or 2 and, under --json, in exactly
     one JSON object on stdout (NaN and Infinity are not JSON), never in a
     traceback.  One token of a valid grammar argument is dropped,
-    repeated or replaced (by a vocabulary token or by an integer of more
-    than MAX_INT_DIGITS digits), or one flag value is replaced or added;
-    the flag is one its verb reads, or one cob-nf does not take.
+    repeated or replaced (by a vocabulary token or by an integer of 4 to
+    6000 digits), or one flag value is replaced or added; the flag is one
+    its verb reads, or one cob-nf does not take.
 
-    Accepted grammar integer tokens stay at three digits or fewer.  That
-    bounds the work, not the contract: K0 multiples cost O(|mult|) by
-    design.  Longer tokens run to 6000 digits, past the int/str
-    conversion limit, which the parser refuses at that token.  --cutoff
+    Integer tokens of up to MAX_INT_DIGITS digits are accepted; the
+    group-law budget refuses the k0, theta-sharp, mirror and O(nP0)
+    expressions they would make slow before any object is built.  The
+    cf entry draws only longer tokens: the Floer verbs have no work
+    budget yet, and a slope of 10^9 makes cf exhaust memory.  Longer
+    tokens run to 6000 digits, past the int/str conversion limit, which
+    the parser refuses at that token.  --cutoff
     values run up to 10**400, past MAX_CUTOFF, which the flag rejects
     before any lattice walk or theta sum starts, and, like --x values,
     to tiny or long values around MAX_CUTOFF_DIGITS."""

@@ -3,18 +3,22 @@
 Each oracle below is the earlier implementation, kept as the reference:
 the dict-of-Fractions product, the public-constructor sum, the `_binom`
 loop with an unshared `fractional_power`, the geometric-series `invert`
-summed by repeated addition, and a `theta_eval` that builds its own power
-table per theta kind.  The kernels must give the same `repr` (so the same
-exponents, coefficient types, bits and signed zeros) on every draw.  The
-work-count tests pin what the kernels share: one inverse per point in
-`eval_section`, and each power of eps formed once per mu2 call.
+summed by repeated addition, a `theta_eval` that builds its own power
+table per theta kind, a `mat_mul` that starts every entry from `zero()`,
+and a `transport` that builds each Jordan block in a scratch list and
+forms its diagonal as lam^t * binom(t, 0) * 1.  The kernels must give the
+same `repr` (so the same exponents, coefficient types, bits and signed
+zeros) on every draw, and a sum must return its operands' exponent
+objects.  The work-count tests pin what the kernels share: one inverse
+per point in `eval_section`, and each power of eps formed once per mu2
+call.
 """
 
 import cmath
 import math
 from fractions import Fraction as F
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import torushms.novikov as novikov
 import torushms.tate as tate
@@ -35,7 +39,13 @@ from torushms.tate import (
     section_through,
     theta_eval,
 )
-from torushms.torus import Brane, LocalSystem
+from torushms.torus import (
+    Brane,
+    LocalSystem,
+    _complex_inverse,
+    _const_matrix,
+    mat_mul,
+)
 
 # ---------------------------------------------------------------------------
 # oracles: the code the kernels replaced
@@ -163,6 +173,52 @@ def theta_oracle(kind, x, unit, cutoff):
             out = add_oracle(out, mul_oracle(NovikovSeries(((e, 1),)), coef(n)))
             n += step
     return truncated_oracle(out, cutoff)
+
+
+def mat_mul_oracle(a, b):
+    """Every entry summed from `zero()`."""
+    rows, inner, cols = len(a), len(b), len(b[0])
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = NovikovSeries.zero()
+            for k in range(inner):
+                acc = add_oracle(acc, a[i][k] * b[k][j])
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def transport_oracle(system, t):
+    """Each Jordan block built in a scratch list, its diagonal formed as
+    lam^t * binom(t, 0) * 1, then copied into the output matrix."""
+    t = F(t)
+    blocks_out = []
+    for eig, size in system.blocks:
+        lam_t = fractional_power(eig, t)
+        inv_eig = invert(eig) if size > 1 else None
+        block = [[NovikovSeries.zero() for _ in range(size)] for _ in range(size)]
+        for k in range(size):
+            coeff = lam_t * _binom(t, k) * (inv_eig ** k if k else 1)
+            for i in range(size - k):
+                block[i][i + k] = coeff
+        blocks_out.append(block)
+    n = system.rank
+    out = [[NovikovSeries.zero() for _ in range(n)] for _ in range(n)]
+    offset = 0
+    for block in blocks_out:
+        s = len(block)
+        for i in range(s):
+            for j in range(s):
+                out[offset + i][offset + j] = block[i][j]
+        offset += s
+    mat = tuple(tuple(row) for row in out)
+    if system.frame is not None:
+        c = _const_matrix(system.frame)
+        c_inv = _const_matrix(_complex_inverse(system.frame))
+        mat = mat_mul_oracle(c, mat_mul_oracle(mat, c_inv))
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +395,86 @@ def test_theta_with_one_table_matches_the_per_kind_oracle(unit, x, cutoff):
         mul_oracle(sec.sigma0, theta[0]), mul_oracle(sec.sigma1, theta[1])
     )
     assert repr(value) == repr(want)
+
+
+@st.composite
+def _matrix_pairs(draw):
+    rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
+    a = tuple(tuple(draw(_series) for _ in range(inner)) for _ in range(rows))
+    b = tuple(tuple(draw(_series) for _ in range(cols)) for _ in range(inner))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_pairs())
+def test_mat_mul_matches_the_zero_start_oracle(pair):
+    a, b = pair
+    assert repr(mat_mul(a, b)) == repr(mat_mul_oracle(a, b))
+
+
+_eigen = st.one_of(
+    st.sampled_from(
+        [1, -1.0, 2.5, 1j, complex(-0.0, 1.0), F(3, 2), cmath.exp(2j * cmath.pi / 7)]
+    ),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=10),
+    _units(max_cutoff=2),
+)
+_frame_entry = st.sampled_from([0, 1, -1, 2, 0.5j, complex(1, 1), complex(-0.0, 1.0)])
+
+
+@st.composite
+def _systems(draw):
+    """Ranks 1-3 split into Jordan blocks of constant or series
+    eigenvalues, in the Jordan gauge or with a constant frame."""
+    rank = draw(st.integers(1, 3))
+    sizes = []
+    while sum(sizes) < rank:
+        sizes.append(draw(st.integers(1, rank - sum(sizes))))
+    blocks = tuple((draw(_eigen), size) for size in sizes)
+    frame = None
+    if draw(st.booleans()):
+        row = st.lists(_frame_entry, min_size=rank, max_size=rank)
+        frame = draw(st.lists(row, min_size=rank, max_size=rank))
+        try:
+            _complex_inverse(frame)
+        except ValueError:
+            assume(False)  # singular
+    return LocalSystem(blocks, frame)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _systems(),
+    st.lists(
+        st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 12])),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_transport_matches_the_scratch_block_oracle(system, ts):
+    tables = system._eps_tables()
+    for t in ts:
+        want = repr(transport_oracle(system, t))
+        assert repr(system.transport(t, tables)) == want
+        assert repr(system.transport(t)) == want
+
+
+def _exponents_of_operands(result, *operands):
+    """Every exponent of `result` is an exponent object of an operand."""
+    return all(
+        any(e is f for x in operands for f, _ in x.terms) for e, _ in result.terms
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series, st.lists(st.one_of(_series, _colliding), min_size=1, max_size=4))
+def test_sums_return_their_operands_exponent_objects(start, addends):
+    acc = _RunningSum(start)
+    for x in addends:
+        assert _exponents_of_operands(start + x, start, x)
+        assert _exponents_of_operands(x - start, x, start)
+        acc.add(x)
+    assert _exponents_of_operands(acc.series(), start, *addends)
 
 
 # ---------------------------------------------------------------------------
