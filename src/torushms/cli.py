@@ -25,7 +25,9 @@ tokens.  An INT has at most MAX_INT_DIGITS = 100 digits; a longer one is
 a syntax error at that token.  An expression whose objects take more
 than MAX_GROUP_STEPS = 100,000 steps of the Tate group law to build, or
 to evaluate in k0, theta-sharp or mirror, is an input error, found on
-the syntax tree before any object is built.
+the syntax tree before any object is built.  So is an expression that is
+not the single object a flag takes (a sum, a multiple, a sheaf given as
+a brane, ...).
 
     expr     := term (("+" | "-") term)*
     term     := [INT "*"] item
@@ -456,6 +458,17 @@ def _realize(ast: ItemAst):
     raise TypeError(f"not an item: {ast!r}")
 
 
+#: The class _realize builds from each kind of item.
+_REALIZES = {
+    PointAst: TatePoint,
+    BraneAst: Brane,
+    OP0Ast: Bundle,
+    DivAst: Bundle,
+    SkyAst: Skyscraper,
+    BunAst: Bundle,
+}
+
+
 #: The most group-law steps an expression may ask for.  Realizing
 #: O(nP0) adds P0 |n| times, and k0, theta-sharp and mirror count their
 #: own steps (_k0_steps, _sharp_steps, _mirror_steps).  Each step is one
@@ -489,7 +502,7 @@ def _mirror_steps(mult: int, item: ItemAst) -> int:
     return 0
 
 
-def parse_expr(text: str, steps=None):
+def parse_expr(text: str, steps=None, single=None):
     """Parse and realize: a single Brane / sheaf / TatePoint for a
     one-term expression with multiplier 1, else a list of
     (object, multiplier) pairs.  A literal its constructor rejects
@@ -499,7 +512,9 @@ def parse_expr(text: str, steps=None):
     Before any object is built, the group-law steps of the expression
     are counted on its syntax tree: |n| for each O(nP0), plus
     `steps(mult, item)` for each term when the caller's work adds some.
-    More than MAX_GROUP_STEPS raises ParseError."""
+    More than MAX_GROUP_STEPS raises ParseError.  Then, when `single` is
+    a pair (cls, what), the tree must be one term with multiplier 1 whose
+    item realizes to `cls`; ParseError "expected {what}" otherwise."""
     ast = parse_ast(text)
     total = sum(
         abs(item.n) if isinstance(item, OP0Ast) else 0 for _, item in ast.terms
@@ -511,6 +526,11 @@ def parse_expr(text: str, steps=None):
             f"expression needs {total} group-law steps, more than "
             f"MAX_GROUP_STEPS = {MAX_GROUP_STEPS}"
         )
+    if single is not None:
+        cls, what = single
+        (mult, item), *rest = ast.terms
+        if rest or mult != 1 or not issubclass(_REALIZES[type(item)], cls):
+            raise ParseError(f"expected {what}, got {text!r}")
     try:
         terms = [(_realize(item), mult) for mult, item in ast.terms]
     except ValueError as exc:
@@ -522,14 +542,12 @@ def parse_expr(text: str, steps=None):
 
 def _expect_one(text: str, cls, what: str, sums: bool = False, steps=None):
     """parse_expr(text, steps) checked against `cls`: one object,
-    "expected {what}" otherwise; with sums=True a formal sum of them,
-    returned as (object, multiplier) pairs, "expected only {what} in this
-    expression" otherwise."""
-    obj = parse_expr(text, steps)
+    "expected {what}" otherwise, checked before it is built; with
+    sums=True a formal sum of them, returned as (object, multiplier)
+    pairs, "expected only {what} in this expression" otherwise."""
     if not sums:
-        if not isinstance(obj, cls):
-            raise ParseError(f"expected {what}, got {text!r}")
-        return obj
+        return parse_expr(text, steps, (cls, what))
+    obj = parse_expr(text, steps)
     pairs = obj if isinstance(obj, list) else [(obj, 1)]
     for item, _ in pairs:
         if not isinstance(item, cls):

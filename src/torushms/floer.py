@@ -8,7 +8,9 @@ mu2(phi2, phi1) are enumerated by fixing the lift of y1 in [0,1)^2 and
 walking the Z-family of lifts of L2: the signed offset u of a lift is
 affine in the family index k, the triangle area is quadratic in u, so
 the walk stops as soon as the area passes the cutoff (both directions).
-Each triangle contributes
+`_walk` yields these triangles and has two consumers: `mu2` sums the
+ones whose y2 corner phi2 weights, and `mu2_triangles` also lists every
+triangle with its boundary data (`_boundary`).  Each triangle contributes
 
     sign * q^area * T2 . phi2(y2) . T1 . phi1(y1) . T0
 
@@ -35,10 +37,11 @@ precision.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateConfiguration,
@@ -267,50 +270,18 @@ def _chain(phi2: FloerElement, phi1: FloerElement):
     return b0, b1, b2, d01, d02, d12
 
 
-def _transport_cache(brane: Brane):
-    """Transports of one brane's local system within one mu2 call: each
-    arc is transported once, and every transport shares the eps power
-    tables of the eigenvalues, so each power of eps is formed once per call."""
-    system = brane.local_system
-    tables = system._eps_tables()
-    cache: Dict[Fraction, Matrix] = {}
-
-    def get(t: Fraction) -> Matrix:
-        if t not in cache:
-            cache[t] = system.transport(t, tables)
-        return cache[t]
-
-    return get
-
-
-def mu2(
-    phi2: FloerElement,
-    phi1: FloerElement,
-    cutoff: Rational,
-    _collect: Optional[List[dict]] = None,
-) -> FloerElement:
-    """The triangle product CF(L1,L2) x CF(L0,L1) -> CF(L0,L2),
-    truncated at `cutoff`."""
+def _walk(phi2: FloerElement, phi1: FloerElement, cutoff: Fraction):
+    """Yield each triangle of mu2(phi2, phi1) with area below `cutoff` as
+    (k, y1c, a1, s, t, area, p0, p2), where phi1 is a1 at y1c and the
+    lift k of L2 meets L0 at p0 = y1c + s*v0 and L1 at p2 = y1c + t*v1.
+    Per generator k runs down from floor(-r), then up from floor(-r) + 1."""
     b0, b1, b2, d01, d02, d12 = _chain(phi2, phi1)
-    cutoff = Fraction(cutoff)
-    out_space = cf(b0, b2)
     if (d01 * d02 * d12) > 0:
         # the corner cycle of every candidate triangle is negatively
         # oriented for this ordered product; nothing contributes
-        return FloerElement(out_space, {})
+        return
     assert index_of(b0, b2) == index_of(b0, b1) + index_of(b1, b2)
-    i_y1 = index_of(b0, b1)
     v0, v1, v2 = b0.slope, b1.slope, b2.slope
-    t0_of, t1_of, t2_of = (
-        _transport_cache(b0),
-        _transport_cache(b1),
-        _transport_cache(b2),
-    )
-    out_coords = set(out_space.coords())
-    phi2_at = dict(phi2.components)
-    rows, cols = out_space.hom_shape
-    acc: Dict[Vec, List[List[_RunningSum]]] = {}
-    start = NovikovSeries.zero(cutoff)
     base2v = det2(b2.base_point, v2)
     area_coeff = Fraction(abs(d01), 2 * abs(d02 * d12))
     for y1c, a1 in phi1.components:
@@ -319,77 +290,73 @@ def mu2(
             raise DegenerateConfiguration(
                 f"the three supports share a point over generator {y1c}"
             )
-
-        def process(k: int) -> bool:
-            u = k + r
-            area = area_coeff * u * u
-            if area >= cutoff:
-                return False
-            s = Fraction(u, 1) / d02
-            t = Fraction(u, 1) / d12
-            p0 = (y1c[0] + s * v0[0], y1c[1] + s * v0[1])
-            p2 = (y1c[0] + t * v1[0], y1c[1] + t * v1[1])
-            if __debug__:
-                signed = det2(
-                    (y1c[0] - p0[0], y1c[1] - p0[1]),
-                    (p2[0] - p0[0], p2[1] - p0[1]),
-                )
-                assert signed > 0, "triangle orientation selection broke"
-            y0g = (p0[0] % 1, p0[1] % 1)
-            y2g = (p2[0] % 1, p2[1] % 1)
-            assert y0g in out_coords
-            a2 = phi2_at.get(y2g)
-            if a2 is None and _collect is None:
-                return True
-            d_arc = _ratio_along((p0[0] - p2[0], p0[1] - p2[1]), v2)
-            crossings = (
-                _count_markers(b0, y1c, p0)
-                + _count_markers(b1, y1c, p2)
-                + _count_markers(b2, p2, p0)
-            )
-            sign = (-1) ** i_y1 * (-1) ** (crossings + 1)
-            if _collect is not None:
-                _collect.append(
-                    {
-                        "n": k,
-                        "corners": [
-                            [str(p0[0]), str(p0[1])],
-                            [str(y1c[0]), str(y1c[1])],
-                            [str(p2[0]), str(p2[1])],
-                        ],
-                        "area": {"num": area.numerator, "den": area.denominator},
-                        "sign": sign,
-                        "arcs": [
-                            {"num": e.numerator, "den": e.denominator}
-                            for e in (s, -t, -d_arc)
-                        ],
-                        "crossings": crossings,
-                        "output": [str(y0g[0]), str(y0g[1])],
-                    }
-                )
-            if a2 is None:
-                return True
-            weight = NovikovSeries.q_power(area, sign)
-            m = mat_mul(t2_of(-d_arc), mat_mul(a2, mat_mul(t1_of(-t),
-                mat_mul(a1, t0_of(s)))))
-            m = mat_scale(weight, m)
-            sums = acc.get(y0g)
-            if sums is None:
-                sums = acc[y0g] = [
-                    [_RunningSum(start) for _ in range(cols)] for _ in range(rows)
-                ]
-            for sum_row, m_row in zip(sums, m):
-                for entry, x in zip(sum_row, m_row):
-                    entry.add(x)
-            return True
-
         kc = math.floor(-r)
-        k = kc
-        while process(k):
-            k -= 1
-        k = kc + 1
-        while process(k):
-            k += 1
+        for ks in (itertools.count(kc, -1), itertools.count(kc + 1)):
+            for k in ks:
+                u = k + r
+                area = area_coeff * u * u
+                if area >= cutoff:
+                    break
+                s = Fraction(u, 1) / d02
+                t = Fraction(u, 1) / d12
+                p0 = (y1c[0] + s * v0[0], y1c[1] + s * v0[1])
+                p2 = (y1c[0] + t * v1[0], y1c[1] + t * v1[1])
+                if __debug__:
+                    signed = det2(
+                        (y1c[0] - p0[0], y1c[1] - p0[1]),
+                        (p2[0] - p0[0], p2[1] - p0[1]),
+                    )
+                    assert signed > 0, "triangle orientation selection broke"
+                yield k, y1c, a1, s, t, area, p0, p2
+
+
+def _boundary(
+    b0: Brane, b1: Brane, b2: Brane, i_y1: int, y1c: Vec, p0: Vec, p2: Vec
+) -> Tuple[Fraction, int, int]:
+    """(d_arc, crossings, sign) of one triangle: the arc from p2 to p0
+    along L2, the Pin markers on its boundary, and its sign."""
+    d_arc = _ratio_along((p0[0] - p2[0], p0[1] - p2[1]), b2.slope)
+    crossings = (
+        _count_markers(b0, y1c, p0)
+        + _count_markers(b1, y1c, p2)
+        + _count_markers(b2, p2, p0)
+    )
+    return d_arc, crossings, (-1) ** i_y1 * (-1) ** (crossings + 1)
+
+
+def _sum(
+    phi2: FloerElement, phi1: FloerElement, cutoff: Fraction, triangles
+) -> FloerElement:
+    """mu2(phi2, phi1) over `triangles` from `_walk`, skipping those whose
+    y2 corner phi2 does not weight.  Each local system's transports share
+    its eps power tables, so each power of eps is formed once per call."""
+    b0, b1, b2, _, _, _ = _chain(phi2, phi1)
+    out_space = cf(b0, b2)
+    i_y1 = index_of(b0, b1)
+    (l0, e0), (l1, e1), (l2, e2) = [
+        (b.local_system, b.local_system._eps_tables()) for b in (b0, b1, b2)
+    ]
+    phi2_at = dict(phi2.components)
+    rows, cols = out_space.hom_shape
+    acc: Dict[Vec, List[List[_RunningSum]]] = {}
+    start = NovikovSeries.zero(cutoff)
+    for _, y1c, a1, s, t, area, p0, p2 in triangles:
+        a2 = phi2_at.get((p2[0] % 1, p2[1] % 1))
+        if a2 is None:
+            continue
+        d_arc, _, sign = _boundary(b0, b1, b2, i_y1, y1c, p0, p2)
+        m = mat_mul(l2.transport(-d_arc, e2), mat_mul(a2, mat_mul(
+            l1.transport(-t, e1), mat_mul(a1, l0.transport(s, e0)))))
+        m = mat_scale(NovikovSeries.q_power(area, sign), m)
+        y0g = (p0[0] % 1, p0[1] % 1)
+        sums = acc.get(y0g)
+        if sums is None:
+            sums = acc[y0g] = [
+                [_RunningSum(start) for _ in range(cols)] for _ in range(rows)
+            ]
+        for sum_row, m_row in zip(sums, m):
+            for entry, x in zip(sum_row, m_row):
+                entry.add(x)
     final = {
         c: tuple(tuple(x.series() for x in row) for row in sums)
         for c, sums in acc.items()
@@ -397,13 +364,48 @@ def mu2(
     return FloerElement(out_space, final)
 
 
+def mu2(phi2: FloerElement, phi1: FloerElement, cutoff: Rational) -> FloerElement:
+    """The triangle product CF(L1,L2) x CF(L0,L1) -> CF(L0,L2),
+    truncated at `cutoff`."""
+    cutoff = Fraction(cutoff)
+    return _sum(phi2, phi1, cutoff, _walk(phi2, phi1, cutoff))
+
+
 def mu2_triangles(
     phi2: FloerElement, phi1: FloerElement, cutoff: Rational
 ) -> Tuple[FloerElement, List[dict]]:
-    """mu2 together with the JSON-ready list of contributing triangles."""
+    """mu2 together with the JSON-ready list of every triangle of its
+    walk, weighted by phi2 or not."""
+    b0, b1, b2, _, _, _ = _chain(phi2, phi1)
+    cutoff = Fraction(cutoff)
+    i_y1 = index_of(b0, b1)
     tris: List[dict] = []
-    out = mu2(phi2, phi1, cutoff, _collect=tris)
-    return out, tris
+
+    def listed():
+        for tri in _walk(phi2, phi1, cutoff):
+            k, y1c, _, s, t, area, p0, p2 = tri
+            d_arc, crossings, sign = _boundary(b0, b1, b2, i_y1, y1c, p0, p2)
+            tris.append(
+                {
+                    "n": k,
+                    "corners": [
+                        [str(p0[0]), str(p0[1])],
+                        [str(y1c[0]), str(y1c[1])],
+                        [str(p2[0]), str(p2[1])],
+                    ],
+                    "area": {"num": area.numerator, "den": area.denominator},
+                    "sign": sign,
+                    "arcs": [
+                        {"num": e.numerator, "den": e.denominator}
+                        for e in (s, -t, -d_arc)
+                    ],
+                    "crossings": crossings,
+                    "output": [str(p0[0] % 1), str(p0[1] % 1)],
+                }
+            )
+            yield tri
+
+    return _sum(phi2, phi1, cutoff, listed()), tris
 
 
 def mu2_bruteforce(
@@ -546,40 +548,30 @@ def vanishes_truncated(elem: FloerElement, cutoff: Rational) -> bool:
     return True
 
 
-ElementOrSummands = Union[FloerElement, Sequence[FloerElement]]
-
-
-def _as_summands(e: ElementOrSummands) -> Tuple[FloerElement, ...]:
-    if isinstance(e, FloerElement):
-        return (e,)
-    return tuple(e)
-
-
 def cone_criterion_mu2_checks(
     c1: FloerElement,
-    c2: ElementOrSummands,
-    c3: ElementOrSummands,
+    c2: Sequence[FloerElement],
+    c3: Sequence[FloerElement],
     cutoff: Rational,
 ) -> Tuple[bool, bool]:
     """The two mu^2 vanishing conditions of the exact-triangle test for
-    Y0 -> Y1 -> Y2 -> Y0[1], with c1 in CF(Y0,Y1), c2 in CF(Y1,Y2),
-    c3 in CF(Y2,Y0).
+    Y0 -> Y1 -> Y2 -> Y0[1], with c1 in CF(Y0,Y1) and, for each summand
+    Y2_i of Y2, c2[i] in CF(Y1,Y2_i) and c3[i] in CF(Y2_i,Y0).
 
-    When Y2 is a direct sum, pass c2 and c3 as aligned sequences of
-    per-summand elements; the first product is then the sum over
-    summands of mu2(c3_i, c2_i) and the second requires every
-    mu2(c1, c3_i) to vanish.  Verdicts use truncated vanishing at
+    c2 and c3 are aligned sequences of per-summand elements, one each
+    when Y2 is indecomposable.  The first product is the sum over
+    summands of mu2(c3[i], c2[i]) and the second requires every
+    mu2(c1, c3[i]) to vanish.  Verdicts use truncated vanishing at
     valuation >= cutoff - 1.
     """
-    c2s, c3s = _as_summands(c2), _as_summands(c3)
-    if len(c2s) != len(c3s):
+    if len(c2) != len(c3):
         raise ValueError("c2 and c3 need one element per summand of Y2")
     total = None
-    for c2i, c3i in zip(c2s, c3s):
+    for c2i, c3i in zip(c2, c3):
         prod = mu2(c3i, c2i, cutoff)
         total = prod if total is None else total + prod
     first = vanishes_truncated(total, cutoff)
     second = all(
-        vanishes_truncated(mu2(c1, c3i, cutoff), cutoff) for c3i in c3s
+        vanishes_truncated(mu2(c1, c3i, cutoff), cutoff) for c3i in c3
     )
     return first, second

@@ -110,11 +110,10 @@ class SheafSum:
             else:
                 sheaf, mult = entry
             acc[sheaf] = acc.get(sheaf, 0) + int(mult)
-        clean = tuple(
-            (s, m) for s, m in sorted(acc.items(), key=lambda kv: repr(kv[0]))
-            if m != 0
-        )
-        object.__setattr__(self, "terms", clean)
+        clean = [(s, m) for s, m in acc.items() if m != 0]
+        if len(clean) > 1:  # repr renders every point's unit series
+            clean.sort(key=lambda kv: repr(kv[0]))
+        object.__setattr__(self, "terms", tuple(clean))
 
     def __add__(self, other):
         other = as_sum(other)

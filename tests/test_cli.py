@@ -663,6 +663,37 @@ def test_expressions_over_the_group_law_budget_are_parse_errors(
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cob-nf", "--brane", "O(100000P0)"),
+         "expected a single brane, got 'O(100000P0)'"),
+        (("cf", "--l0", "O(99999P0)", "--l1", "L(1,0;0)"),
+         "expected a single brane, got 'O(99999P0)'"),
+        (("theta", "--kind", "0", "--point", "O(100000P0)"),
+         "expected a point literal, got 'O(100000P0)'"),
+    ],
+    ids=["cob-nf", "cf", "theta"],
+)
+def test_a_single_object_of_the_wrong_kind_is_refused_before_it_is_built(
+    capsys, monkeypatch, argv, message
+):
+    """Within the group-law budget, yet a degree-10^5 bundle is not built
+    only to be refused as the wrong kind of object."""
+    monkeypatch.setattr(
+        torushms.cli, "_realize", lambda ast: pytest.fail("object built")
+    )
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv, "--json")
+    assert time.perf_counter() - start < 0.1
+    assert rc == 1 and err == ""
+    assert json.loads(out) == {
+        "error": message,
+        "kind": "parse",
+        "detail": {"position": None, "expected": []},
+    }
+
+
+@pytest.mark.parametrize(
     "verb, flag, text, steps",
     [
         ("k0", "--sheaf", f"O(3P0) - 2*Sky({_PT}, 4)", 3 + 1 + (2 + 4)),

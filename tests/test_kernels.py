@@ -5,24 +5,37 @@ the dict-of-Fractions product, the public-constructor sum, the `_binom`
 loop with an unshared `fractional_power`, the geometric-series `invert`
 summed by repeated addition, a `theta_eval` that builds its own power
 table per theta kind, a `mat_mul` that starts every entry from `zero()`,
-and a `transport` that builds each Jordan block in a scratch list and
-forms its diagonal as lam^t * binom(t, 0) * 1.  The kernels must give the
-same `repr` (so the same exponents, coefficient types, bits and signed
-zeros) on every draw, and a sum must return its operands' exponent
-objects.  The work-count tests pin what the kernels share: one inverse
-per point in `eval_section`, and each power of eps formed once per mu2
-call.
+a `transport` that builds each Jordan block in a scratch list and
+forms its diagonal as lam^t * binom(t, 0) * 1, and a `mu2` that walks,
+bounds and sums each triangle in one loop, with a per-call transport
+dict and the triangle listing threaded through `_collect`.  The kernels
+must give the same `repr` (so the same exponents, coefficient types,
+bits and signed zeros) on every draw, `mu2_triangles` the same list and
+a failing draw the same error, and a sum must return its operands'
+exponent objects.  The work-count tests pin what the kernels share: one
+inverse per point in `eval_section`, and each power of eps formed once
+per mu2 call.
 """
 
 import cmath
 import math
 from fractions import Fraction as F
+from typing import Dict, List, Optional
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 import torushms.novikov as novikov
 import torushms.tate as tate
-from torushms.floer import FloerElement, cf, mu2
+from torushms.errors import DegenerateConfiguration, MarkerCollision, NonTransverse
+from torushms.floer import (
+    FloerElement,
+    _chain,
+    _count_markers,
+    _ratio_along,
+    cf,
+    mu2,
+    mu2_triangles,
+)
 from torushms.novikov import (
     ZERO_TOL,
     NovikovSeries,
@@ -40,11 +53,15 @@ from torushms.tate import (
     theta_eval,
 )
 from torushms.torus import (
+    DEFAULT_MARKER,
     Brane,
     LocalSystem,
     _complex_inverse,
     _const_matrix,
+    det2,
+    index_of,
     mat_mul,
+    mat_scale,
 )
 
 # ---------------------------------------------------------------------------
@@ -219,6 +236,135 @@ def transport_oracle(system, t):
         c_inv = _const_matrix(_complex_inverse(system.frame))
         mat = mat_mul_oracle(c, mat_mul_oracle(mat, c_inv))
     return mat
+
+
+def _transport_cache(brane):
+    """Transports of one brane's local system within one mu2 call: each
+    arc is transported once, and every transport shares the eps power
+    tables of the eigenvalues, so each power of eps is formed once per call."""
+    system = brane.local_system
+    tables = system._eps_tables()
+    cache = {}
+
+    def get(t):
+        if t not in cache:
+            cache[t] = system.transport(t, tables)
+        return cache[t]
+
+    return get
+
+
+def mu2_oracle(phi2, phi1, cutoff, _collect: Optional[List[dict]] = None):
+    """The walk, its boundary and the sum in one loop, with a per-call
+    transport dict and the triangle listing threaded through `_collect`."""
+    b0, b1, b2, d01, d02, d12 = _chain(phi2, phi1)
+    cutoff = F(cutoff)
+    out_space = cf(b0, b2)
+    if (d01 * d02 * d12) > 0:
+        return FloerElement(out_space, {})
+    assert index_of(b0, b2) == index_of(b0, b1) + index_of(b1, b2)
+    i_y1 = index_of(b0, b1)
+    v0, v1, v2 = b0.slope, b1.slope, b2.slope
+    t0_of, t1_of, t2_of = (
+        _transport_cache(b0),
+        _transport_cache(b1),
+        _transport_cache(b2),
+    )
+    out_coords = set(out_space.coords())
+    phi2_at = dict(phi2.components)
+    rows, cols = out_space.hom_shape
+    acc: Dict = {}
+    start = NovikovSeries.zero(cutoff)
+    base2v = det2(b2.base_point, v2)
+    area_coeff = F(abs(d01), 2 * abs(d02 * d12))
+    for y1c, a1 in phi1.components:
+        r = base2v - det2(y1c, v2)
+        if r.denominator == 1:
+            raise DegenerateConfiguration(
+                f"the three supports share a point over generator {y1c}"
+            )
+
+        def process(k: int) -> bool:
+            u = k + r
+            area = area_coeff * u * u
+            if area >= cutoff:
+                return False
+            s = F(u, 1) / d02
+            t = F(u, 1) / d12
+            p0 = (y1c[0] + s * v0[0], y1c[1] + s * v0[1])
+            p2 = (y1c[0] + t * v1[0], y1c[1] + t * v1[1])
+            if __debug__:
+                signed = det2(
+                    (y1c[0] - p0[0], y1c[1] - p0[1]),
+                    (p2[0] - p0[0], p2[1] - p0[1]),
+                )
+                assert signed > 0, "triangle orientation selection broke"
+            y0g = (p0[0] % 1, p0[1] % 1)
+            y2g = (p2[0] % 1, p2[1] % 1)
+            assert y0g in out_coords
+            a2 = phi2_at.get(y2g)
+            if a2 is None and _collect is None:
+                return True
+            d_arc = _ratio_along((p0[0] - p2[0], p0[1] - p2[1]), v2)
+            crossings = (
+                _count_markers(b0, y1c, p0)
+                + _count_markers(b1, y1c, p2)
+                + _count_markers(b2, p2, p0)
+            )
+            sign = (-1) ** i_y1 * (-1) ** (crossings + 1)
+            if _collect is not None:
+                _collect.append(
+                    {
+                        "n": k,
+                        "corners": [
+                            [str(p0[0]), str(p0[1])],
+                            [str(y1c[0]), str(y1c[1])],
+                            [str(p2[0]), str(p2[1])],
+                        ],
+                        "area": {"num": area.numerator, "den": area.denominator},
+                        "sign": sign,
+                        "arcs": [
+                            {"num": e.numerator, "den": e.denominator}
+                            for e in (s, -t, -d_arc)
+                        ],
+                        "crossings": crossings,
+                        "output": [str(y0g[0]), str(y0g[1])],
+                    }
+                )
+            if a2 is None:
+                return True
+            weight = NovikovSeries.q_power(area, sign)
+            m = mat_mul(t2_of(-d_arc), mat_mul(a2, mat_mul(t1_of(-t),
+                mat_mul(a1, t0_of(s)))))
+            m = mat_scale(weight, m)
+            sums = acc.get(y0g)
+            if sums is None:
+                sums = acc[y0g] = [
+                    [_RunningSum(start) for _ in range(cols)] for _ in range(rows)
+                ]
+            for sum_row, m_row in zip(sums, m):
+                for entry, x in zip(sum_row, m_row):
+                    entry.add(x)
+            return True
+
+        kc = math.floor(-r)
+        k = kc
+        while process(k):
+            k -= 1
+        k = kc + 1
+        while process(k):
+            k += 1
+    final = {
+        c: tuple(tuple(x.series() for x in row) for row in sums)
+        for c, sums in acc.items()
+    }
+    return FloerElement(out_space, final)
+
+
+def mu2_triangles_oracle(phi2, phi1, cutoff):
+    tris: List[dict] = []
+    out = mu2_oracle(phi2, phi1, cutoff, _collect=tris)
+    return out, tris
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +603,76 @@ def test_transport_matches_the_scratch_block_oracle(system, ts):
         want = repr(transport_oracle(system, t))
         assert repr(system.transport(t, tables)) == want
         assert repr(system.transport(t)) == want
+
+
+_slope = st.sampled_from(
+    [(m, n) for m in range(-3, 4) for n in range(-3, 4) if math.gcd(m, n) == 1]
+)
+_shift = st.builds(F, st.integers(0, 11), st.sampled_from([1, 2, 3, 5, 7, 12]))
+_marker = st.one_of(
+    st.just(DEFAULT_MARKER),
+    st.builds(F, st.integers(0, 11), st.sampled_from([2, 3, 5, 7, 12, 64])),
+)
+_local_system = st.one_of(
+    st.just(LocalSystem.trivial()),
+    st.builds(
+        LocalSystem.from_eigenvalue,
+        st.one_of(
+            st.sampled_from([-1.0, 1j, cmath.exp(2j * cmath.pi / 7), F(3, 2)]),
+            st.builds(
+                lambda c0, e, c1, cut: NovikovSeries(((0, c0), (e, c1)), cut),
+                st.sampled_from([1, -1.0, 1j, cmath.exp(2j * cmath.pi / 5)]),
+                st.sampled_from([F(1, 3), F(1, 2), F(1)]),
+                st.sampled_from([0.5, -0.25j, F(1, 3)]),
+                st.sampled_from([F(4), F(12), None]),
+            ),
+        ),
+        st.sampled_from([1, 2]),
+    ),
+)
+_branes = st.builds(
+    Brane, _slope, _shift, st.integers(-1, 1), _marker, _local_system
+)
+_entry = st.builds(NovikovSeries.constant, st.sampled_from([1, -1, 0.5j, F(2, 3)]))
+
+
+@st.composite
+def _floer_element(draw, l0, l1):
+    """All generators of CF(l0, l1), or one of them."""
+    space = cf(l0, l1)
+    coords = space.coords()
+    if not draw(st.booleans()):
+        coords = (draw(st.sampled_from(coords)),)
+    rows, cols = space.hom_shape
+    entries = st.lists(
+        st.lists(_entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+    return FloerElement(space, {c: draw(entries) for c in coords})
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), _branes, _branes, _branes, st.builds(F, st.integers(2, 32), st.just(2)))
+def test_mu2_walk_matches_the_one_loop_oracle(data, b0, b1, b2, cutoff):
+    try:
+        phi1 = data.draw(_floer_element(b0, b1))
+        phi2 = data.draw(_floer_element(b1, b2))
+    except (NonTransverse, MarkerCollision):
+        assume(False)
+    got = _outcome(mu2, phi2, phi1, cutoff)
+    assert repr(got) == repr(_outcome(mu2_oracle, phi2, phi1, cutoff))
+    got = _outcome(mu2_triangles, phi2, phi1, cutoff)
+    want = _outcome(mu2_triangles_oracle, phi2, phi1, cutoff)
+    if isinstance(want[0], FloerElement):
+        assert repr(got[0]) == repr(want[0]) and got[1] == want[1]
+    else:
+        assert got == want
 
 
 def _exponents_of_operands(result, *operands):

@@ -64,6 +64,21 @@ def test_sum_canonicalization():
     assert (-s).terms == ((b, -3),)
 
 
+def test_one_sheaf_sum_never_renders_its_sheaf(monkeypatch):
+    b, c = Bundle(1, 2, POINTS[2]), Skyscraper(POINTS[3], 2)
+
+    def no_repr(self):
+        raise AssertionError("a one-sheaf sum rendered its sheaf")
+
+    monkeypatch.setattr(Bundle, "__repr__", no_repr)
+    monkeypatch.setattr(Skyscraper, "__repr__", no_repr)
+    assert SheafSum(b).terms == ((b, 1),)
+    assert SheafSum([(b, 1), (b, 2)]).terms == ((b, 3),)
+    assert SheafSum([(b, 2), (c, 1), (c, -1)]).terms == ((b, 2),)
+    assert (3 * as_sum(b) - as_sum(b)).terms == ((b, 2),)
+    assert SheafSum([(b, 1), (b, -1)]).is_empty()
+
+
 def test_invalid_sheaves_rejected():
     with pytest.raises(ValueError):
         Bundle(0, 1, TatePoint.zero())
