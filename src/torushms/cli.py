@@ -10,24 +10,32 @@ a command line argparse rejects (a flag the verb does not take among
 them), a --cutoff that is not a positive rational at most MAX_CUTOFF
 spelled in at most MAX_CUTOFF_DIGITS digits, a --tol that is negative
 or not finite, and a relations bound above MAX_RELATION_BOUND = 10.
-Input errors are syntax errors, an expression over the group-law budget
-(below), an --x spelled in more than MAX_CUTOFF_DIGITS digits, and
-literals their constructor rejects (L(2,4;0), a rank or thickness of
-0, ...).
+Input errors are syntax errors, a command over the work budget (below),
+an --x spelled in more than MAX_CUTOFF_DIGITS digits, an expression that
+is not the single object a flag takes (a sum, a multiple, a sheaf given
+as a brane, ...), and literals their constructor rejects (L(2,4;0), a
+rank or thickness of 0, ...).
 A rejected run prints one labelled line on stderr, or under --json one
 {"error", "kind", "detail"} object on stdout; it never ends in a
 traceback.  JSON (--json) is the stable machine interface --
 byte-identical for identical inputs and configuration; the plain format
 is for humans and may change.
 
+Work budget.  A command may ask for at most MAX_GROUP_STEPS = 100,000
+steps of the Tate group law, estimated on the syntax trees of its
+expressions and on its flags before any object is built.  Building
+costs |n| for each O(nP0).  k0 adds |mult| per term and h per Sky;
+theta-sharp |mult| + rank per brane, and |k| for slope (1, k); mirror
+|d| for a rank-1 bundle of degree d.  cf costs 5 per intersection point.
+mu2 costs 5 per point of each CF space it builds, and per triangle of
+its walk 4 (20 with --triangles), and per triangle phi2 weights 16 plus
+half the scalar products of its matrices (_mu2_steps); assoc the same
+for its four products.  So cf of L(1,999999999;0) and L(1,0;0), or mu2
+and assoc with a rank-10000 system, exit 1 at once.
+
 Input grammar (EBNF).  Whitespace is free before, between and after
 tokens.  An INT has at most MAX_INT_DIGITS = 100 digits; a longer one is
-a syntax error at that token.  An expression whose objects take more
-than MAX_GROUP_STEPS = 100,000 steps of the Tate group law to build, or
-to evaluate in k0, theta-sharp or mirror, is an input error, found on
-the syntax tree before any object is built.  So is an expression that is
-not the single object a flag takes (a sum, a multiple, a sheaf given as
-a brane, ...).
+a syntax error at that token.
 
     expr     := term (("+" | "-") term)*
     term     := [INT "*"] item
@@ -65,23 +73,13 @@ from .floer import FloerElement, assoc_defect, cf, mu2, mu2_triangles
 from .mirror import mirror_of_sheaf, theta_sharp, zeta_injectivity_witness
 from .novikov import NovikovSeries, series_json, series_text
 from .sheafk import (
-    Bundle,
-    K0Class,
-    SheafSum,
-    Skyscraper,
-    k0_class,
-    line_bundle,
-    o_of_n_p0,
+    Bundle, K0Class, SheafSum, Skyscraper, k0_class, line_bundle, o_of_n_p0,
     relation_suite,
 )
 from .tate import (
-    TatePoint,
-    eval_section,
-    section_through,
-    section_vanishes_at,
-    theta_eval,
+    TatePoint, eval_section, section_through, theta_eval, value_vanishes,
 )
-from .torus import Brane, LocalSystem
+from .torus import Brane, LocalSystem, det2, is_primitive
 from .cobord import CobordClass, class_of_sum, normal_form
 
 __all__ = ["main", "parse_expr", "print_ast", "parse_ast"]
@@ -91,7 +89,7 @@ __all__ = ["main", "parse_expr", "print_ast", "parse_ast"]
 # tokens
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\S))")
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|(\S)")
 
 #: The most digits an integer token may have.  mu2 exponent denominators
 #: reach about six times the digits of the brane shifts, and past 4300
@@ -108,17 +106,13 @@ class _Tok:
 
 
 def _tokenize(text: str) -> List[_Tok]:
-    toks: List[_Tok] = []
-    pos = 0
-    # the match fails only where nothing but whitespace is left
-    while (m := _TOKEN_RE.match(text, pos)) is not None:
-        group = m.lastindex
-        word = m.group(group)
-        kind = ("int", "name", word)[group - 1]
-        toks.append(_Tok(kind, word, m.start(group) + 1))
-        pos = m.end()
-    toks.append(_Tok("end", "", len(text) + 1))
-    return toks
+    # finditer skips what no group matches: only whitespace, since \S
+    # matches every other character
+    toks = [
+        _Tok(("int", "name", m[0])[m.lastindex - 1], m[0], m.start() + 1)
+        for m in _TOKEN_RE.finditer(text)
+    ]
+    return toks + [_Tok("end", "", len(text) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +328,11 @@ class _Parser:
 
     def item(self) -> ItemAst:
         tok = self.peek()
-        if tok.kind != "name":
+        kinds = {"L": self.brane, "pt": self.point, "O": self.sheaf_o,
+                 "Sky": self.sky, "Bun": self.bun}
+        if tok.kind != "name" or tok.text not in kinds:
             self.fail("'L', 'pt', 'O', 'Sky' or 'Bun'")
-        return {
-            "L": self.brane,
-            "pt": self.point,
-            "O": self.sheaf_o,
-            "Sky": self.sky,
-            "Bun": self.bun,
-        }.get(tok.text, lambda: self.fail("'L', 'pt', 'O', 'Sky' or 'Bun'"))()
+        return kinds[tok.text]()
 
     def term(self) -> Tuple[int, ItemAst]:
         mult = 1
@@ -378,10 +368,7 @@ def parse_ast(text: str) -> SumAst:
 
 
 def _frac(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(
-        x.numerator
-    )
+    return str(Fraction(x))  # "n/d", or "n" when d == 1
 
 
 def _shift_str(k: int) -> str:
@@ -393,12 +380,9 @@ def print_ast(ast) -> str:
     if isinstance(ast, SumAst):
         out = []
         for i, (mult, item) in enumerate(ast.terms):
-            mag, neg = abs(mult), mult < 0
-            piece = (f"{mag}*" if mag != 1 else "") + print_ast(item)
-            if i == 0:
-                out.append(("-" if neg else "") + piece)
-            else:
-                out.append(("- " if neg else "+ ") + piece)
+            sign = ("-" if i == 0 else "- ") if mult < 0 else ("" if i == 0 else "+ ")
+            mag = f"{abs(mult)}*" if abs(mult) != 1 else ""
+            out.append(sign + mag + print_ast(item))
         return " ".join(out)
     if isinstance(ast, PointAst):
         return f"pt(x={_frac(ast.x)}, phase={_frac(ast.phase)})"
@@ -410,18 +394,13 @@ def print_ast(ast) -> str:
     if isinstance(ast, OP0Ast):
         return f"O({ast.n}P0){_shift_str(ast.k)}"
     if isinstance(ast, DivAst):
-        parts = [print_ast(ast.plus[0])]
-        for p in ast.plus[1:]:
-            parts.append("+ " + print_ast(p))
-        for p in ast.minus:
-            parts.append("- " + print_ast(p))
+        parts = [print_ast(ast.plus[0])] + [f"+ {print_ast(p)}" for p in ast.plus[1:]]
+        parts += [f"- {print_ast(p)}" for p in ast.minus]
         return f"O(D: {' '.join(parts)}){_shift_str(ast.k)}"
     if isinstance(ast, SkyAst):
         return f"Sky({print_ast(ast.pt)}, {ast.h}){_shift_str(ast.k)}"
     if isinstance(ast, BunAst):
-        return (
-            f"Bun({ast.r},{ast.d},{print_ast(ast.pt)}){_shift_str(ast.k)}"
-        )
+        return f"Bun({ast.r},{ast.d},{print_ast(ast.pt)}){_shift_str(ast.k)}"
     raise TypeError(f"not a syntax tree: {ast!r}")
 
 
@@ -469,63 +448,17 @@ _REALIZES = {
 }
 
 
-#: The most group-law steps an expression may ask for.  Realizing
-#: O(nP0) adds P0 |n| times, and k0, theta-sharp and mirror count their
-#: own steps (_k0_steps, _sharp_steps, _mirror_steps).  Each step is one
-#: point_mul or one K-class addition; 10^5 of them take about 1-2 s on
-#: a 2-core x86-64 host (CPython 3.11).
-MAX_GROUP_STEPS = 100_000
-
-
-def _k0_steps(mult: int, item: ItemAst) -> int:
-    """k0 forms h multiples of a skyscraper's point and adds each term's
-    class |mult| times."""
-    return abs(mult) + (item.h if isinstance(item, SkyAst) else 0)
-
-
-def _sharp_steps(mult: int, item: ItemAst) -> int:
-    """theta-sharp forms rank-many multiples of a vertical brane's point
-    and |k| multiples of P0 for slope (1, k), and adds each term's class
-    |mult| times."""
-    steps = abs(mult)
-    if isinstance(item, BraneAst):
-        steps += item.rank + (abs(item.n) if item.m == 1 else 0)
-    return steps
-
-
-def _mirror_steps(mult: int, item: ItemAst) -> int:
-    """mirror compares a line bundle of degree d with d P0."""
-    if isinstance(item, OP0Ast):
-        return abs(item.n)
-    if isinstance(item, BunAst) and item.r == 1:
-        return abs(item.d)
-    return 0
-
-
-def parse_expr(text: str, steps=None, single=None):
+def parse_expr(text: str, single=None):
     """Parse and realize: a single Brane / sheaf / TatePoint for a
     one-term expression with multiplier 1, else a list of
     (object, multiplier) pairs.  A literal its constructor rejects
     (slope (2,4), rank 0, thickness 0, ...) raises ParseError with the
-    constructor's message.
-
-    Before any object is built, the group-law steps of the expression
-    are counted on its syntax tree: |n| for each O(nP0), plus
-    `steps(mult, item)` for each term when the caller's work adds some.
-    More than MAX_GROUP_STEPS raises ParseError.  Then, when `single` is
-    a pair (cls, what), the tree must be one term with multiplier 1 whose
-    item realizes to `cls`; ParseError "expected {what}" otherwise."""
+    constructor's message.  When `single` is a pair (cls, what), the
+    tree must be one term with multiplier 1 whose item realizes to
+    `cls`, checked before any object is built; ParseError "expected
+    {what}" otherwise.  The work is not bounded here: main checks each
+    command's estimate against MAX_GROUP_STEPS first."""
     ast = parse_ast(text)
-    total = sum(
-        abs(item.n) if isinstance(item, OP0Ast) else 0 for _, item in ast.terms
-    )
-    if steps is not None:
-        total += sum(steps(mult, item) for mult, item in ast.terms)
-    if total > MAX_GROUP_STEPS:
-        raise ParseError(
-            f"expression needs {total} group-law steps, more than "
-            f"MAX_GROUP_STEPS = {MAX_GROUP_STEPS}"
-        )
     if single is not None:
         cls, what = single
         (mult, item), *rest = ast.terms
@@ -535,26 +468,129 @@ def parse_expr(text: str, steps=None, single=None):
         terms = [(_realize(item), mult) for mult, item in ast.terms]
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    if len(terms) == 1 and terms[0][1] == 1:
-        return terms[0][0]
-    return terms
+    return terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else terms
 
 
-def _expect_one(text: str, cls, what: str, sums: bool = False, steps=None):
-    """parse_expr(text, steps) checked against `cls`: one object,
-    "expected {what}" otherwise, checked before it is built; with
-    sums=True a formal sum of them, returned as (object, multiplier)
-    pairs, "expected only {what} in this expression" otherwise."""
+def _expect_one(text: str, cls, what: str, sums: bool = False):
+    """parse_expr(text) checked against `cls`: one object, "expected
+    {what}" otherwise, checked before it is built; with sums=True a
+    formal sum of them, returned as (object, multiplier) pairs,
+    "expected only {what} in this expression" otherwise."""
     if not sums:
-        return parse_expr(text, steps, (cls, what))
-    obj = parse_expr(text, steps)
+        return parse_expr(text, (cls, what))
+    obj = parse_expr(text)
     pairs = obj if isinstance(obj, list) else [(obj, 1)]
     for item, _ in pairs:
         if not isinstance(item, cls):
-            raise ParseError(
-                f"expected only {what} in this expression, got {item!r}"
-            )
+            raise ParseError(f"expected only {what} in this expression, got {item!r}")
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# work estimates, one per verb
+# ---------------------------------------------------------------------------
+
+#: The most work a command may ask for, in steps of the Tate group law:
+#: one point_mul or K-class addition, 7-11 us on a 2-core x86-64 host
+#: (CPython 3.11), so 10^5 steps take 0.7-1.2 s.  main adds |n| for each
+#: O(nP0) it would build to the estimate of the verb's _VERBS entry, and
+#: compares the sum with this bound once, before any object is built.
+MAX_GROUP_STEPS = 100_000
+
+
+def _no_work(args, *trees) -> int:
+    """Verbs whose flags bound their work (--cutoff, the relation bounds,
+    --x), and the cobordism verbs, which multiply exact classes."""
+    return 0
+
+
+def _k0_steps(args, sheaf: SumAst) -> int:
+    """k0 forms h multiples of a skyscraper's point and adds each term's
+    class |mult| times."""
+    return sum(abs(m) + (x.h if isinstance(x, SkyAst) else 0) for m, x in sheaf.terms)
+
+
+def _sharp_steps(args, branes: SumAst) -> int:
+    """theta-sharp forms rank-many multiples of a vertical brane's point
+    and |k| multiples of P0 for slope (1, k), and adds each term's class
+    |mult| times."""
+    steps = 0
+    for mult, item in branes.terms:
+        steps += abs(mult)
+        if isinstance(item, BraneAst):
+            steps += item.rank + (abs(item.n) if item.m == 1 else 0)
+    return steps
+
+
+def _mirror_steps(args, sheaf: SumAst) -> int:
+    """mirror compares a line bundle of degree d with d P0."""
+    return sum(
+        abs(x.n) if isinstance(x, OP0Ast)
+        else abs(x.d) if isinstance(x, BunAst) and x.r == 1 else 0
+        for _, x in sheaf.terms
+    )
+
+
+#: Floer weights in group-law steps, from in-process runs through main
+#: timed against the group-law verbs at the bound (0.65-1.15 s as this
+#: host drifts): cf takes 5 steps a point; the mu2 walk 4 a triangle, 16
+#: more to list it (--triangles); a triangle phi2 weights 16 at rank 1,
+#: plus 1/2 per scalar product of its matrices (3-7 us each).  At the
+#: bound cf, mu2 and assoc run 0.8-1.9 times as long as those verbs.
+_POINT, _WALKED, _LISTED, _WEIGHTED = 5, 4, 16, 16
+
+
+def _mu2_steps(b0, b1, b2, cutoff, comps1, comps2, listed=False):
+    """(steps, output components) of mu2(phi2, phi1), phi1 with comps1
+    components and phi2 with comps2, or None when b0 and b2 are parallel
+    (NonTransverse).  It builds CF(b0, b2).  Per component of phi1 the
+    walk meets at most isqrt(4X) + 1 triangles, X = 2 cutoff |d02 d12| /
+    |d01| (12 and 91 on the standard triple at cutoffs 8 and 512, where
+    it makes 12 and 90), none when they are misoriented.  Their y2 corner
+    runs through the |d12| points of CF(b1, b2), so phi2 weights at most
+    comps2 (walked // |d12| + 1), each with four matrix products."""
+    v0, v1, v2 = (b0.m, b0.n), (b1.m, b1.n), (b2.m, b2.n)
+    d01, d02, d12 = det2(v0, v1), det2(v0, v2), det2(v1, v2)
+    if d02 == 0:
+        return None
+    walked = 0 if d01 * d02 * d12 > 0 else 1 + math.isqrt(
+        8 * cutoff.numerator * abs(d02 * d12) // (cutoff.denominator * abs(d01))
+    )
+    weighted = min(walked, comps2 * (walked // abs(d12) + 1))
+    r0, r1, r2 = b0.rank, b1.rank, b2.rank
+    products = r0 * (r0 * r1 + r1 * r1 + r1 * r2 + r2 * r2)
+    steps = _POINT * abs(d02) + comps1 * (
+        walked * (_WALKED + _LISTED * listed) + weighted * (_WEIGHTED + products // 2)
+    )
+    return steps, min(abs(d02), comps1 * weighted)
+
+
+def _floer_steps(args, *trees) -> int:
+    """cf, mu2 and assoc: the CF space of each neighbouring pair of
+    branes, then each product in the order the library forms it.  A flag
+    the kind check or the Brane constructor refuses costs nothing, and
+    the first parallel pair ends the work."""
+    b = [t.terms[0][1] for t in trees if len(t.terms) == 1 and t.terms[0][0] == 1]
+    if len(b) < len(trees) or not all(
+        isinstance(x, BraneAst) and x.rank > 0 and is_primitive((x.m, x.n)) for x in b
+    ):
+        return 0
+    steps = 0
+    for x, y in zip(b, b[1:]):
+        d = det2((x.m, x.n), (y.m, y.n))
+        if d == 0:
+            return steps
+        steps += _POINT * abs(d)
+    products = []
+    if len(b) == 3:
+        products = [_mu2_steps(*b, args.cutoff, 1, 1, args.triangles)]
+    elif len(b) == 4:  # mu2(mu2(c, b), a), then mu2(c, mu2(b, a))
+        cb = _mu2_steps(b[1], b[2], b[3], args.cutoff, 1, 1)
+        lhs = cb and _mu2_steps(b[0], b[1], b[3], args.cutoff, 1, cb[1])
+        ba = lhs and _mu2_steps(b[0], b[1], b[2], args.cutoff, 1, 1)
+        rhs = ba and _mu2_steps(b[0], b[2], b[3], args.cutoff, ba[1], 1)
+        products = [cb, lhs, ba, rhs]
+    return steps + sum(p[0] for p in products if p)
 
 
 # ---------------------------------------------------------------------------
@@ -595,29 +631,18 @@ def _cob_json(c: CobordClass) -> dict:
 
 
 def _brane_json(b: Brane) -> dict:
-    blocks = [
-        {"size": size, "eigenvalue": _unit(eig, True)}
-        for eig, size in b.local_system.blocks
-    ]
-    return {
-        "slope": list(b.slope),
-        "shift": _frac(b.shift),
-        "grading": b.grading_offset,
-        "rank": b.rank,
-        "blocks": blocks,
-    }
+    blocks = [{"size": size, "eigenvalue": _unit(eig, True)}
+              for eig, size in b.local_system.blocks]
+    return {"slope": list(b.slope), "shift": _frac(b.shift),
+            "grading": b.grading_offset, "rank": b.rank, "blocks": blocks}
 
 
 def _element_json(e: FloerElement) -> dict:
-    comps = []
-    for coords, matrix in e.components:
-        comps.append(
-            {
-                "coords": [_frac(coords[0]), _frac(coords[1])],
-                "matrix": [[series_json(x) for x in row] for row in matrix],
-            }
-        )
-    return {"components": comps}
+    return {"components": [
+        {"coords": [_frac(c[0]), _frac(c[1])],
+         "matrix": [[series_json(x) for x in row] for row in matrix]}
+        for c, matrix in e.components
+    ]}
 
 
 def _element_text(e: FloerElement) -> List[str]:
@@ -626,9 +651,7 @@ def _element_text(e: FloerElement) -> List[str]:
         lines.append(f"at y=({_frac(coords[0])}, {_frac(coords[1])}):")
         for row in matrix:
             lines.append("  [" + ", ".join(series_text(x) for x in row) + "]")
-    if not lines:
-        lines.append("0")
-    return lines
+    return lines or ["0"]
 
 
 # ---------------------------------------------------------------------------
@@ -701,9 +724,7 @@ def _cutoff(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         cutoff = Fraction(0)
     if cutoff <= 0:
-        raise _UsageError(
-            f"--cutoff must be a positive rational p/q, got {text!r}"
-        )
+        raise _UsageError(f"--cutoff must be a positive rational p/q, got {text!r}")
     if cutoff > MAX_CUTOFF:
         raise _UsageError(f"--cutoff must be at most {MAX_CUTOFF}, got {text!r}")
     return cutoff
@@ -716,9 +737,7 @@ def _tol(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not (math.isfinite(value) and value >= 0):
         raise _UsageError(f"--tol must be a finite number >= 0, got {value:g}")
     return value
@@ -728,19 +747,14 @@ def _generator(l0: Brane, l1: Brane, idx: int) -> FloerElement:
     space = cf(l0, l1)
     coords = space.coords()
     if not 0 <= idx < len(coords):
-        raise ParseError(
-            f"generator index {idx} out of range 0..{len(coords) - 1}"
-        )
+        raise ParseError(f"generator index {idx} out of range 0..{len(coords) - 1}")
     rows, cols = space.hom_shape
     if (rows, cols) == (1, 1):
         matrix = ((NovikovSeries.constant(1),),)
-    else:
+    else:  # the matrix unit e00
+        one, zero = NovikovSeries.one(), NovikovSeries.zero()
         matrix = tuple(
-            tuple(
-                NovikovSeries.one() if (r == 0 and c == 0)
-                else NovikovSeries.zero()
-                for c in range(cols)
-            )
+            tuple(one if r == c == 0 else zero for c in range(cols))
             for r in range(rows)
         )
     return FloerElement(space, {coords[idx]: matrix})
@@ -752,14 +766,10 @@ def _branes(args, *flags) -> List[Brane]:
 
 def _cmd_cf(args):
     l0, l1 = _branes(args, "l0", "l1")
-    space = cf(l0, l1)
     gens = [
-        {
-            "coords": [_frac(p.coords[0]), _frac(p.coords[1])],
-            "index": p.index,
-            "dim": l0.rank * l1.rank,
-        }
-        for p in space.points
+        {"coords": [_frac(p.coords[0]), _frac(p.coords[1])], "index": p.index,
+         "dim": l0.rank * l1.rank}
+        for p in cf(l0, l1).points
     ]
     plain = [f"generators: {len(gens)}"] + [
         f"  y=({g['coords'][0]}, {g['coords'][1]})  degree {g['index']}"
@@ -778,8 +788,7 @@ def _cmd_mu2(args):
     else:
         result = mu2(phi2, phi1, args.cutoff)
     payload = {"cutoff": _frac(args.cutoff), "result": _element_json(result)}
-    plain = [f"mu2 product (cutoff {_frac(args.cutoff)}):"]
-    plain += _element_text(result)
+    plain = [f"mu2 product (cutoff {_frac(args.cutoff)}):"] + _element_text(result)
     if args.triangles:
         payload["triangles"] = tris
         plain.append(f"triangles: {len(tris)}")
@@ -787,10 +796,10 @@ def _cmd_mu2(args):
 
 
 def _cmd_assoc(args):
-    branes = _branes(args, "l0", "l1", "l2", "l3")
-    a = _generator(branes[0], branes[1], args.a)
-    b = _generator(branes[1], branes[2], args.b)
-    c = _generator(branes[2], branes[3], args.c)
+    l0, l1, l2, l3 = _branes(args, "l0", "l1", "l2", "l3")
+    a = _generator(l0, l1, args.a)
+    b = _generator(l1, l2, args.b)
+    c = _generator(l2, l3, args.c)
     defect = assoc_defect(a, b, c, args.cutoff)
     ok = defect <= args.tol
     return (
@@ -813,13 +822,9 @@ def _cmd_section(args):
     at = _expect_one(args.at, TatePoint, "a point literal")
     section = section_through(q, args.cutoff)
     value = eval_section(section, at, args.cutoff)
-    vanishes = section_vanishes_at(section, at, args.cutoff)
-    payload = {
-        "sigma0": series_json(section.sigma0),
-        "sigma1": series_json(section.sigma1),
-        "value": series_json(value),
-        "vanishes": vanishes,
-    }
+    vanishes = value_vanishes(value, args.cutoff)
+    payload = {"sigma0": series_json(section.sigma0), "value": series_json(value),
+               "sigma1": series_json(section.sigma1), "vanishes": vanishes}
     plain = [
         f"s = sigma0*theta0 + sigma1*theta1 through {_point_text(q)}",
         f"value at {_point_text(at)}: {series_text(value)}",
@@ -829,9 +834,7 @@ def _cmd_section(args):
 
 
 def _cmd_k0(args):
-    terms = _expect_one(
-        args.sheaf, (Bundle, Skyscraper), "sheaves", sums=True, steps=_k0_steps
-    )
+    terms = _expect_one(args.sheaf, (Bundle, Skyscraper), "sheaves", sums=True)
     cls = k0_class(SheafSum(terms))
     return ({"class": _k0_json(cls)}, [f"K0 class: {_k0_text(cls)}"])
 
@@ -853,20 +856,14 @@ def _cmd_relations(args):
                 f"--{name.replace('_', '-')} must be at most "
                 f"{MAX_RELATION_BOUND}, got {value}"
             )
-    points = [
-        TatePoint.zero(),
-        TatePoint.two_torsion(),
-        TatePoint(Fraction(1, 3), _phase(Fraction(1, 7))),
-        TatePoint(Fraction(2, 5), _phase(Fraction(2, 5))),
-        TatePoint(Fraction(1, 7), _phase(Fraction(1, 2))),
+    points = [TatePoint.zero(), TatePoint.two_torsion()] + [
+        TatePoint(Fraction(x), _phase(Fraction(phase)))
+        for x, phase in (("1/3", "1/7"), ("2/5", "2/5"), ("1/7", "1/2"))
     ]
     suite = relation_suite(bounds, points)
     failures = [t for t in suite if not t.holds(args.tol)]
-    payload = {
-        "count": len(suite),
-        "all_hold": not failures,
-        "failures": [t.label for t in failures],
-    }
+    payload = {"count": len(suite), "all_hold": not failures,
+               "failures": [t.label for t in failures]}
     plain = [
         f"relations checked: {len(suite)}",
         f"all hold (tol {args.tol:g}): {'yes' if not failures else 'no'}",
@@ -875,15 +872,10 @@ def _cmd_relations(args):
 
 
 def _cmd_mirror(args):
-    sheaf = _expect_one(
-        args.sheaf, (Bundle, Skyscraper), "a single sheaf", steps=_mirror_steps
-    )
+    sheaf = _expect_one(args.sheaf, (Bundle, Skyscraper), "a single sheaf")
     pair = mirror_of_sheaf(sheaf)
-    payload = {
-        "brane": _brane_json(pair.brane),
-        "anchored": pair.anchored,
-        "note": pair.note,
-    }
+    payload = {"brane": _brane_json(pair.brane), "anchored": pair.anchored,
+               "note": pair.note}
     plain = [f"mirror brane: {pair.brane}  (system rank {pair.brane.rank})"]
     plain.append(f"anchored: {'yes' if pair.anchored else 'no'}")
     if pair.note:
@@ -892,7 +884,7 @@ def _cmd_mirror(args):
 
 
 def _cmd_theta_sharp(args):
-    branes = _expect_one(args.brane, Brane, "branes", sums=True, steps=_sharp_steps)
+    branes = _expect_one(args.brane, Brane, "branes", sums=True)
     cls = theta_sharp(branes)
     return ({"class": _k0_json(cls)}, [f"theta-sharp: {_k0_text(cls)}"])
 
@@ -902,16 +894,12 @@ def _cmd_witness(args):
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(
-            f"expected a rational p/q for --x, got {args.x!r}"
-        ) from None
+        raise ParseError(f"expected a rational p/q for --x, got {args.x!r}") from None
     cls = zeta_injectivity_witness(x)
     nonzero = not cls.is_zero(args.tol)
     payload = {"class": _k0_json(cls), "nonzero": nonzero}
-    plain = [
-        f"witness({args.x}): {_k0_text(cls)}",
-        f"nonzero: {'yes' if nonzero else 'no'}",
-    ]
+    plain = [f"witness({args.x}): {_k0_text(cls)}",
+             f"nonzero: {'yes' if nonzero else 'no'}"]
     return payload, plain
 
 
@@ -943,33 +931,36 @@ _CUTOFF = _opt(
 _TOL = _opt("--tol", type=_tol, default=1e-9, help="tolerance")
 
 
-#: every verb: (name, handler, help, the flags it reads besides --json).
-#: A bare flag name is a required string; an `_opt` pair goes to
-#: add_argument as it is.  --help lists the verbs in this order.
+#: every verb: (name, handler, work estimate, help, the flags it reads
+#: besides --json).  A bare flag name is a required expression, whose
+#: syntax tree the estimate reads; an `_opt` pair goes to add_argument as
+#: it is.  --help lists the verbs in this order.
 _VERBS = (
-    ("cf", _cmd_cf, "intersection generators", "--l0", "--l1"),
-    ("mu2", _cmd_mu2, "triangle product", "--l0", "--l1", "--l2", _CUTOFF,
+    ("cf", _cmd_cf, _floer_steps, "intersection generators", "--l0", "--l1"),
+    ("mu2", _cmd_mu2, _floer_steps, "triangle product", "--l0", "--l1",
+     "--l2", _CUTOFF,
      _opt("--phi1", type=int, default=0, help="generator in CF(l0,l1)"),
      _opt("--phi2", type=int, default=0, help="generator in CF(l1,l2)"),
      _opt("--triangles", action="store_true", help="dump triangles")),
-    ("assoc", _cmd_assoc, "associativity defect", "--l0", "--l1", "--l2",
-     "--l3", _CUTOFF, _TOL, _opt("--a", type=int, default=0),
+    ("assoc", _cmd_assoc, _floer_steps, "associativity defect", "--l0",
+     "--l1", "--l2", "--l3", _CUTOFF, _TOL, _opt("--a", type=int, default=0),
      _opt("--b", type=int, default=0), _opt("--c", type=int, default=0)),
-    ("theta", _cmd_theta, "theta series at a point", _CUTOFF,
+    ("theta", _cmd_theta, _no_work, "theta series at a point", _CUTOFF,
      _opt("--kind", type=int, choices=(0, 1), required=True), "--point"),
-    ("section", _cmd_section, "evaluate a section", _CUTOFF,
-     _opt("--q", required=True, help="point the section vanishes at"),
-     _opt("--at", required=True, help="evaluation point")),
-    ("k0", _cmd_k0, "K-theory class of a sum", "--sheaf"),
-    ("relations", _cmd_relations, "check the K0 relation suite", _TOL,
+    ("section", _cmd_section, _no_work,
+     "evaluate at --at the section vanishing at --q", _CUTOFF, "--q", "--at"),
+    ("k0", _cmd_k0, _k0_steps, "K-theory class of a sum", "--sheaf"),
+    ("relations", _cmd_relations, _no_work, "check the K0 relation suite", _TOL,
      _opt("--r-max", type=int, default=4), _opt("--d-max", type=int, default=4),
      _opt("--n-max", type=int, default=3), _opt("--h-max", type=int, default=3)),
-    ("mirror", _cmd_mirror, "mirror brane of a sheaf", "--sheaf"),
-    ("theta-sharp", _cmd_theta_sharp, "K-class of anchored branes", "--brane"),
-    ("witness", _cmd_witness, "K-class separating flux x from 0", _TOL,
+    ("mirror", _cmd_mirror, _mirror_steps, "mirror brane of a sheaf", "--sheaf"),
+    ("theta-sharp", _cmd_theta_sharp, _sharp_steps, "K-class of anchored branes",
+     "--brane"),
+    ("witness", _cmd_witness, _no_work, "K-class separating flux x from 0", _TOL,
      _opt("--x", required=True, help="rational p/q")),
-    ("cob-nf", _cmd_cob_nf, "cobordism normal form of a brane", "--brane"),
-    ("cob-check", _cmd_cob_check, "compare two formal brane sums",
+    ("cob-nf", _cmd_cob_nf, _no_work, "cobordism normal form of a brane",
+     "--brane"),
+    ("cob-check", _cmd_cob_check, _no_work, "compare two formal brane sums",
      "--lhs", "--rhs"),
 )
 
@@ -981,9 +972,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "cobordism classes for straight branes on the flat torus.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name, run, help, *flags in _VERBS:
+    for name, run, cost, help, *flags in _VERBS:
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        exprs = [flag[2:] for flag in flags if isinstance(flag, str)]
+        p.set_defaults(run=run, cost=cost, exprs=exprs)
         for flag in flags:
             if isinstance(flag, str):
                 flag = _opt(flag, required=True)
@@ -1020,16 +1012,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         as_json = args.json
+        trees = [parse_ast(getattr(args, dest)) for dest in args.exprs]
+        steps = args.cost(args, *trees) + sum(  # building each O(nP0)
+            abs(x.n) for t in trees for _, x in t.terms if isinstance(x, OP0Ast)
+        )
+        if steps > MAX_GROUP_STEPS:
+            raise ParseError(
+                f"expression needs {steps} group-law steps, more than "
+                f"MAX_GROUP_STEPS = {MAX_GROUP_STEPS}"
+            )
         payload, plain = args.run(args)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     except (_UsageError, ParseError, TorushmsError) as exc:
         return _report(exc, as_json)
-    if as_json:
-        print(_emit_json(payload))
-    else:
-        for line in plain:
-            print(line)
+    print(_emit_json(payload) if as_json else "\n".join(plain))
     return 0
 
 

@@ -51,6 +51,7 @@ __all__ = [
     "section_through",
     "eval_section",
     "section_vanishes_at",
+    "value_vanishes",
 ]
 
 
@@ -219,13 +220,17 @@ def eval_section(
     )
 
 
+def value_vanishes(value: NovikovSeries, cutoff: Rational) -> bool:
+    """Truncated-vanishing criterion for an evaluated section: the series
+    has no term below (effective cutoff - WINDOW_SLACK)."""
+    window = value.cutoff if value.cutoff is not None else Fraction(cutoff)
+    return value.is_zero() or value.val() >= window - WINDOW_SLACK
+
+
 def section_vanishes_at(
     section: SectionCoeffs,
     p: TatePoint,
     cutoff: Rational,
 ) -> bool:
-    """Truncated-vanishing criterion: the evaluated series has no term
-    below (effective cutoff - WINDOW_SLACK)."""
-    value = eval_section(section, p, cutoff)
-    window = value.cutoff if value.cutoff is not None else Fraction(cutoff)
-    return value.is_zero() or value.val() >= window - WINDOW_SLACK
+    """value_vanishes of the section evaluated at p."""
+    return value_vanishes(eval_section(section, p, cutoff), cutoff)

@@ -4,6 +4,7 @@ byte-deterministic JSON, and the exit contract under mutated input."""
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -14,7 +15,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import torushms.cli
 import torushms.floer
@@ -719,6 +720,38 @@ def test_group_law_steps_are_counted_per_verb(
         assert rc == 1 and json.loads(out) == _over_budget(steps, steps - 1)
 
 
+_SLOPE = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda v: v != (0, 0) and math.gcd(*v) == 1
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_SLOPE, min_size=3, max_size=3),
+    st.lists(st.sampled_from(["0", "1/2", "1/3", "2/5", "1/7"]), min_size=3,
+             max_size=3),
+    st.integers(1, 64),
+)
+def test_the_mu2_estimate_counts_every_triangle_the_walk_lists(
+    slopes, shifts, cutoff
+):
+    """--triangles adds 16 steps per triangle the estimate expects, so
+    the difference it makes bounds the length of the listing."""
+    branes = [f"L({m},{n};{x})" for (m, n), x in zip(slopes, shifts)]
+    argv = ["mu2", "--l0", branes[0], "--l1", branes[1], "--l2", branes[2],
+            "--cutoff", str(cutoff), "--triangles", "--json"]
+    trees = [parse_ast(text) for text in branes]
+    plain, listed = (
+        torushms.cli._floer_steps(torushms.cli._build_parser().parse_args(a), *trees)
+        for a in (argv[:-2], argv)
+    )
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    assume(rc == 0)
+    assert len(json.loads(out.getvalue())["triangles"]) * 16 <= listed - plain
+
+
 @pytest.mark.parametrize("argv, calls", [(MU2, 3), (ASSOC, 7)],
                          ids=["mu2", "assoc"])
 def test_each_product_builds_each_space_once(capsys, monkeypatch, argv, calls):
@@ -734,6 +767,119 @@ def test_each_product_builds_each_space_once(capsys, monkeypatch, argv, calls):
     monkeypatch.setattr(torushms.cli, "cf", counting_cf)
     rc, _, _ = run(capsys, *argv, "--json")
     assert rc == 0 and len(seen) == calls
+
+
+#: the standard triple: |det| 1 for (l0, l1), 2 for (l1, l2), 1 for (l0, l2)
+STD = ("--l0", "L(0,-1;1/4)", "--l1", "L(1,2;0)", "--l2", "L(1,0;0)")
+_RANK = "{M=phase 1/7, rank %d}"
+
+
+def _std_steps(r0=1, listed=False):
+    """mu2 on STD at cutoff 8 with rank r0 on l0: the spaces of phi1,
+    phi2 and the output, 5 steps a point; 1 + isqrt(8 * 8 * 2) = 12
+    triangles walked, 4 steps each (20 listed); phi2 weights 12 // 2 + 1
+    = 7 of them, 16 steps each plus half of r0 (r0 + 1 + 1 + 1) products."""
+    return (5 * (1 + 2 + 1) + 12 * (20 if listed else 4)
+            + 7 * (16 + r0 * (r0 + 3) // 2))
+
+
+def _assoc_steps(r0=1):
+    """ASSOC with rank r0 on l0: the spaces of a, b, c (|det| 2, 1, 1);
+    then mu2(c, b) walks 7 triangles and weights 7, mu2(., a) is
+    misoriented, mu2(b, a) walks and weights 5, and mu2(c, .) is
+    misoriented; each product builds one 1-point space."""
+    return (5 * (2 + 1 + 1) + 4 * 5 + 7 * 4 + 7 * 18 + 5 * 4
+            + 5 * (16 + r0 * (r0 + 3) // 2))
+
+
+@pytest.mark.parametrize(
+    "argv, steps",
+    [
+        (("cf", "--l0", "L(1,999999999;0)", "--l1", "L(1,0;0)"), 5 * 999999999),
+        (("mu2", "--l0", "L(0,-1;1/4)" + _RANK % 10000) + STD[2:],
+         _std_steps(r0=10000)),
+        (("assoc", "--l0", "L(1,2;0)" + _RANK % 10000) + ASSOC[3:],
+         _assoc_steps(r0=10000)),
+    ],
+    ids=["cf", "mu2", "assoc"],
+)
+def test_floer_work_over_the_budget_is_refused_before_any_work(
+    capsys, monkeypatch, argv, steps
+):
+    """A slope of 10^9 makes cf list 10^9 points, and a rank-10^4 system
+    makes each mu2 triangle multiply 10^4 x 10^4 matrices: the estimate
+    reads only slopes, ranks and --cutoff, so no space is built."""
+    def fail(*args):
+        pytest.fail("Floer work started")
+
+    for module in (torushms.cli, torushms.floer):
+        monkeypatch.setattr(module, "cf", fail)
+    for module in (torushms.floer, torushms.torus):
+        monkeypatch.setattr(module, "intersections", fail)
+    monkeypatch.setattr(torushms.cli, "_realize", fail)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv, "--json")
+    assert time.perf_counter() - start < 0.1
+    assert rc == 1 and err == ""
+    assert json.loads(out) == _over_budget(steps)
+
+
+@pytest.mark.parametrize(
+    "argv, steps",
+    [
+        (("cf", "--l0", "L(1,7;0)", "--l1", "L(1,0;0)"), 5 * 7),
+        (("cf", "--l0", "L(1,7;0)", "--l1", "L(1,0;0){M=phase 1/3, rank 9}"),
+         5 * 7),
+        (("mu2",) + STD, _std_steps()),
+        (("mu2",) + STD + ("--triangles",), _std_steps(listed=True)),
+        (("mu2", "--l0", "L(0,-1;1/4)" + _RANK % 8) + STD[2:], _std_steps(r0=8)),
+        # a parallel pair ends the work: mu2 builds CF(l0, l1) only
+        (("mu2",) + STD[:4] + ("--l2", "L(1,2;1/2)"), 5 * 1),
+        (ASSOC, _assoc_steps()),
+        # every product oriented; spaces of a, b, c: |det| 3, 1, 1.
+        # mu2(c, b): 12 walked and weighted, 2 output points; mu2(., a): 7
+        # walked, its phi2 on 2 of the |det| 2 points weights min(7, 2 * 4);
+        # mu2(b, a): 7 and 7, 2 output points; mu2(c, .): 6 and 6 for each
+        (("assoc", "--l0", "L(3,2;1/7)", "--l1", "L(3,1;1/5)", "--l2",
+          "L(1,0;1/11)", "--l3", "L(1,1;1/13)"),
+         5 * (3 + 1 + 1) + (5 * 2 + 12 * 4 + 12 * 18) + (5 + 7 * 4 + 7 * 18)
+         + (5 * 2 + 7 * 4 + 7 * 18) + (5 + 2 * (6 * 4 + 6 * 18))),
+    ],
+    ids=["cf", "cf-rank", "mu2", "mu2-triangles", "mu2-rank", "mu2-parallel",
+         "assoc", "assoc-oriented"],
+)
+def test_floer_work_is_counted_per_verb(capsys, monkeypatch, argv, steps):
+    """At the budget the command runs; one step below it, it is refused."""
+    monkeypatch.setattr(torushms.cli, "MAX_GROUP_STEPS", steps)
+    rc, _, _ = run(capsys, *argv, "--json")
+    assert rc == (2 if "L(1,2;1/2)" in argv else 0)
+    monkeypatch.setattr(torushms.cli, "MAX_GROUP_STEPS", steps - 1)
+    rc, out, _ = run(capsys, *argv, "--json")
+    assert rc == 1 and json.loads(out) == _over_budget(steps, steps - 1)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cf", "--l0", "L(2,999999998;0)", "--l1", "L(1,0;0)"),
+         "slope (2, 999999998) must be primitive nonzero"),
+        (("cf", "--l0", "2*L(1,999999999;0)", "--l1", "L(1,0;0)"),
+         "expected a single brane, got '2*L(1,999999999;0)'"),
+        (("mu2", "--l0", "L(1,999999999;0)", "--l1", "L(1,0;0){M=phase 0, rank 0}",
+          "--l2", "L(0,1;0)"),
+         "Jordan block size must be >= 1"),
+    ],
+    ids=["not-primitive", "multiple", "rank-0"],
+)
+def test_a_brane_refused_before_any_work_costs_nothing(capsys, argv, message):
+    """The constructor or the kind check refuses these before cf runs, so
+    their slopes of 10^9 are not counted against the budget."""
+    rc, out, _ = run(capsys, *argv, "--json")
+    assert rc == 1
+    assert json.loads(out) == {
+        "error": message, "kind": "parse",
+        "detail": {"position": None, "expected": []},
+    }
 
 
 def _no_constant(name):
@@ -789,6 +935,9 @@ GRAMMAR = [
      " + Bun(2,1,pt(x=0, phase=0)) - O(D: pt(x=1/3, phase=0) - pt(x=0, phase=0))"),
     ("mirror", "--sheaf", "Sky(pt(x=1/3, phase=1/7), 2)[1]"),
     ("theta-sharp", "--brane", "3*L(1,-2;0) - L(0,-1;1/3){M=phase 1/7, rank 2}"),
+    ("mu2", "--l0", "L(0,-1;1/4)", "--l1", "L(1,2;0){M=phase 1/7, rank 2}",
+     "--l2", "L(1,0;0)"),
+    ASSOC[:-2],
 ]
 #: verb argv whose flag values are mutated, with the flags to mutate: the
 #: verb's own flags, and in the last entry two that cob-nf does not take
@@ -851,9 +1000,9 @@ def _mutated_grammar(draw):
     elif op == "replace":
         toks[i] = draw(st.sampled_from(_VOCAB))
     else:
-        digits = st.integers(MAX_INT_DIGITS + 1, 6000)
-        if argv[0] != "cf":  # the Floer verbs have no work budget yet
-            digits = st.one_of(st.integers(4, MAX_INT_DIGITS), digits)
+        digits = st.one_of(
+            st.integers(4, MAX_INT_DIGITS), st.integers(MAX_INT_DIGITS + 1, 6000)
+        )
         toks[i] = "9" * draw(digits)
     argv[slot] = " ".join(toks)
     return argv
@@ -881,13 +1030,10 @@ def test_every_input_exits_0_1_or_2_with_one_json_object(argv):
     6000 digits), or one flag value is replaced or added; the flag is one
     its verb reads, or one cob-nf does not take.
 
-    Integer tokens of up to MAX_INT_DIGITS digits are accepted; the
-    group-law budget refuses the k0, theta-sharp, mirror and O(nP0)
-    expressions they would make slow before any object is built.  The
-    cf entry draws only longer tokens: the Floer verbs have no work
-    budget yet, and a slope of 10^9 makes cf exhaust memory.  Longer
-    tokens run to 6000 digits, past the int/str conversion limit, which
-    the parser refuses at that token.  --cutoff
+    Integer tokens of up to MAX_INT_DIGITS digits are accepted; the work
+    budget refuses the commands they would make slow before any object
+    is built.  Longer tokens run to 6000 digits, past the int/str
+    conversion limit, which the parser refuses at that token.  --cutoff
     values run up to 10**400, past MAX_CUTOFF, which the flag rejects
     before any lattice walk or theta sum starts, and, like --x values,
     to tiny or long values around MAX_CUTOFF_DIGITS."""
