@@ -12,8 +12,7 @@ import time
 from collections import Counter
 from fractions import Fraction as F
 
-from torushms.config import RelationBounds
-from torushms.sheafk import relation_suite
+from torushms.sheafk import RelationBounds, relation_suite
 from torushms.tate import TatePoint
 
 

@@ -4,7 +4,6 @@ straight branes, theta functions on the Tate curve, K-theory of its
 coherent sheaves, the Lagrangian cobordism group, and the dictionary
 identifying the two sides."""
 
-from .config import RelationBounds
 from .errors import (
     BadBase,
     BadGcd,
@@ -56,6 +55,7 @@ from .floer import (
 from .sheafk import (
     Bundle,
     K0Class,
+    RelationBounds,
     RelationTriple,
     SheafSum,
     Skyscraper,
@@ -89,5 +89,7 @@ from .mirror import (
     theta_sharp,
     zeta_injectivity_witness,
 )
+
+from . import config  # noqa: F401  (the torushms.config.RelationBounds alias)
 
 __version__ = "0.1.0"

@@ -63,18 +63,17 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .config import RelationBounds
+from ._record import record
 from .errors import ParseError, TorushmsError
 from .floer import FloerElement, assoc_defect, cf, mu2, mu2_triangles
 from .mirror import mirror_of_sheaf, theta_sharp, zeta_injectivity_witness
 from .novikov import NovikovSeries, series_json, series_text
 from .sheafk import (
-    Bundle, K0Class, SheafSum, Skyscraper, k0_class, line_bundle, o_of_n_p0,
-    relation_suite,
+    Bundle, K0Class, RelationBounds, SheafSum, Skyscraper, k0_class,
+    line_bundle, o_of_n_p0, relation_suite,
 )
 from .tate import (
     TatePoint, eval_section, section_through, theta_eval, value_vanishes,
@@ -98,7 +97,7 @@ _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|(\S)")
 MAX_INT_DIGITS = 100
 
 
-@dataclass(frozen=True)
+@record
 class _Tok:
     kind: str  # "int" | "name" | the punctuation character | "end"
     text: str
@@ -120,13 +119,13 @@ def _tokenize(text: str) -> List[_Tok]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PointAst:
     x: Fraction
     phase: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class BraneAst:
     m: int
     n: int
@@ -136,27 +135,27 @@ class BraneAst:
     rank: int = 1
 
 
-@dataclass(frozen=True)
+@record
 class OP0Ast:
     n: int
     k: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class DivAst:
     plus: Tuple[PointAst, ...]
     minus: Tuple[PointAst, ...]
     k: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class SkyAst:
     pt: PointAst
     h: int
     k: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class BunAst:
     r: int
     d: int
@@ -167,7 +166,7 @@ class BunAst:
 ItemAst = Union[PointAst, BraneAst, OP0Ast, DivAst, SkyAst, BunAst]
 
 
-@dataclass(frozen=True)
+@record
 class SumAst:
     terms: Tuple[Tuple[int, ItemAst], ...]
 

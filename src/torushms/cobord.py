@@ -24,11 +24,11 @@ algebraic formulas exactly -- any mismatch is a bug, not a tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
+from ._record import record
 from .errors import NonElementary, NullClass
 from .torus import Brane, bezout, det2, is_primitive
 
@@ -54,7 +54,7 @@ Vec = Tuple[int, int]
 Point = Tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
+@record
 class CurveClass:
     """An oriented straight curve up to translation along itself:
     primitive slope plus flux in [0, 1)."""
@@ -73,7 +73,7 @@ class CurveClass:
         return f"curve(v={self.v}, flux={self.flux})"
 
 
-@dataclass(frozen=True)
+@record
 class CobordClass:
     """Element of (R/Z) + Z^2: (zeta-part, homology class)."""
 

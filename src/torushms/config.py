@@ -1,22 +1,7 @@
-"""Sweep bounds for the K-theory relation suite."""
+"""`torushms.config.RelationBounds`, an alias of `sheafk.RelationBounds`,
+kept for callers that still name this module; the class lives in
+`sheafk`."""
 
-from __future__ import annotations
+from .sheafk import RelationBounds
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class RelationBounds:
-    """Sweep bounds for the K-theory relation suite (each >= 0)."""
-
-    r_max: int = 4
-    d_max: int = 4
-    n_max: int = 3
-    h_max: int = 3
-
-    def __post_init__(self):
-        for name in ("r_max", "d_max", "n_max", "h_max"):
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"{name} must be >= 0, got {getattr(self, name)}"
-                )
+__all__ = ["RelationBounds"]

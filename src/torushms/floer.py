@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._record import record
 from .errors import (
     DegenerateConfiguration,
     MarkerCollision,
@@ -79,7 +79,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class CFSpace:
     """The cochain space CF(L0, L1) = sum over y of Hom(E0|_y, E1|_y)."""
 
@@ -106,7 +106,7 @@ def _mat_is_zero(m: Matrix) -> bool:
     return all(x.is_zero() for row in m for x in row)
 
 
-@dataclass(frozen=True)
+@record
 class FloerElement:
     """An element of CF(L0,L1): matrix-valued coefficients on the
     intersection points (shape rk(E1) x rk(E0) each)."""

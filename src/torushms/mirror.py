@@ -22,11 +22,11 @@ point -- the two sides of the bridge must return the same verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
+from ._record import record
 from .errors import DegenerateConfiguration, UnanchoredSlope
 from .floer import cf, FloerElement, mu2, vanishes_truncated
 from .novikov import NovikovSeries, Rational
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class MirrorPair:
     """A sheaf with its mirror brane.  `anchored` is False when only
     the slope and local-system rank are meaningful."""

@@ -22,11 +22,11 @@ The relation generators come in four families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, List, Sequence, Tuple, Union
 
+from ._record import record
 from .errors import BadBase, BadGcd
 from .novikov import NovikovSeries
 from .tate import TatePoint, conjugate_zero, point_mul, point_pow
@@ -46,11 +46,12 @@ __all__ = [
     "ses_atiyah_coprime",
     "ses_jordan_tower",
     "RelationTriple",
+    "RelationBounds",
     "relation_suite",
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Bundle:
     """Indecomposable vector bundle, defined by its classification data."""
 
@@ -59,9 +60,19 @@ class Bundle:
     det_pt: TatePoint
     shift: int = 0
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(
+        self, rank: int, degree: int, det_pt: TatePoint, shift: int = 0
+    ):
+        # written out, as K0Class's is: the K-theory sweeps build thousands
+        if rank < 1:
             raise ValueError("bundle rank must be >= 1")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "det_pt", det_pt)
+        object.__setattr__(self, "shift", shift)
+
+    def __hash__(self):  # written out: each formal sum hashes its sheaves
+        return hash((self.rank, self.degree, self.det_pt, self.shift))
 
     def shifted(self, k: int = 1) -> "Bundle":
         return Bundle(self.rank, self.degree, self.det_pt, self.shift + k)
@@ -71,7 +82,7 @@ class Bundle:
         return s + (f"[{self.shift}]" if self.shift else "")
 
 
-@dataclass(frozen=True)
+@record
 class Skyscraper:
     """Skyscraper of thickness h supported at a point."""
 
@@ -82,6 +93,9 @@ class Skyscraper:
     def __post_init__(self):
         if self.h < 1:
             raise ValueError("skyscraper thickness must be >= 1")
+
+    def __hash__(self):  # written out, as Bundle's is
+        return hash((self.pt, self.h, self.shift))
 
     def shifted(self, k: int = 1) -> "Skyscraper":
         return Skyscraper(self.pt, self.h, self.shift + k)
@@ -94,7 +108,7 @@ class Skyscraper:
 IndecSheaf = Union[Bundle, Skyscraper]
 
 
-@dataclass(frozen=True)
+@record
 class SheafSum:
     """Canonicalized formal integer combination of indecomposables."""
 
@@ -147,7 +161,7 @@ def as_sum(x) -> SheafSum:
     return SheafSum(x)
 
 
-@dataclass(frozen=True)
+@record
 class K0Class:
     """(rank, degree, determinant point); the point part is the
     Pic^0-coordinate under O(P - O) <-> P."""
@@ -155,6 +169,13 @@ class K0Class:
     rk: int
     deg: int
     pt: TatePoint
+
+    def __init__(self, rk: int, deg: int, pt: TatePoint):
+        # written out: one K-theory task builds about 16,000 classes, and
+        # the generic record __init__ costs about 0.4 us more per call
+        object.__setattr__(self, "rk", rk)
+        object.__setattr__(self, "deg", deg)
+        object.__setattr__(self, "pt", pt)
 
     @classmethod
     def zero(cls) -> "K0Class":
@@ -220,7 +241,7 @@ def o_of_n_p0(n: int) -> Bundle:
     return Bundle(1, n, point_pow(TatePoint.two_torsion(), n))
 
 
-@dataclass(frozen=True)
+@record
 class RelationTriple:
     """A K0 relation [total] - [sub] - [quot] = 0 from a short exact
     sequence (or an isomorphism pair, with empty quotient)."""
@@ -300,7 +321,26 @@ def ses_jordan_tower(base: IndecSheaf, h: int) -> RelationTriple:
     )
 
 
-def relation_suite(bounds, points: Sequence[TatePoint]) -> List[RelationTriple]:
+@record
+class RelationBounds:
+    """Sweep bounds for the K-theory relation suite (each >= 0)."""
+
+    r_max: int = 4
+    d_max: int = 4
+    n_max: int = 3
+    h_max: int = 3
+
+    def __post_init__(self):
+        for name in ("r_max", "d_max", "n_max", "h_max"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
+
+
+def relation_suite(
+    bounds: RelationBounds, points: Sequence[TatePoint]
+) -> List[RelationTriple]:
     """All four relation families over the parameter grid: isomorphism
     pairs, divisor sequences for |d| <= d_max, coprime-bundle sequences
     for r <= r_max, |d| <= d_max, n <= n_max, and Jordan towers up to

@@ -26,10 +26,10 @@ s1*theta1, and section_through(Q) produces a section vanishing at Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._record import record
 from .errors import NonUnit
 from .novikov import (
     WINDOW_SLACK,
@@ -64,7 +64,7 @@ def _as_unit(unit: Union[NovikovSeries, int, float, complex]) -> NovikovSeries:
     return unit
 
 
-@dataclass(frozen=True)
+@record
 class TatePoint:
     """The point [ -q^x * unit ], with x normalized into [0,1)."""
 
@@ -78,6 +78,9 @@ class TatePoint:
             x = x % 1
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "unit", _as_unit(unit))
+
+    def __hash__(self):  # written out: hashed inside every sheaf's hash
+        return hash((self.x, self.unit))
 
     @classmethod
     def zero(cls) -> "TatePoint":
@@ -189,7 +192,7 @@ def theta_eval(
     return theta_eval_raw(kind, p.x, p.unit, cutoff, _powers)
 
 
-@dataclass(frozen=True)
+@record
 class SectionCoeffs:
     """A section s = sigma0 * theta0 + sigma1 * theta1 of O(2 P0)."""
 

@@ -22,10 +22,10 @@ grading difference reduces to sign tests on integer cross products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from ._record import record
 from .errors import MarkerCollision, NonTransverse, NonUnit
 from .novikov import (
     ZERO_TOL,
@@ -203,7 +203,7 @@ def _const_matrix(c: Sequence[Sequence[complex]]) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LocalSystem:
     """Jordan-type flat bundle: blocks of (eigenvalue, size), with all
     eigenvalues valuation-zero units.
@@ -323,7 +323,7 @@ def ls_ses_triple(m_eigen, h: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Brane:
     """A straight brane L_{(m,n),x}[k] with Pin marker and local system."""
 
@@ -331,7 +331,7 @@ class Brane:
     shift: Fraction = Fraction(0)
     grading_offset: int = 0
     marker: Fraction = DEFAULT_MARKER
-    local_system: LocalSystem = field(default_factory=LocalSystem.trivial)
+    local_system: LocalSystem = LocalSystem.trivial()  # immutable, so shared
 
     def __post_init__(self):
         if not is_primitive(self.slope):
@@ -379,12 +379,13 @@ class Brane:
         return s
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class IntersectionPoint:
     """One transverse intersection y of an ordered brane pair, with its
     degree and the arc parameters (fractions of the primitive period
     from each base point, mod 1) at which the branes pass through y."""
 
+    __slots__ = ("coords", "index", "s", "t", "pair")
     coords: Vec
     index: int
     s: Fraction

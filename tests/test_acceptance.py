@@ -14,7 +14,7 @@ import time
 from fractions import Fraction as F
 
 from torushms.cobord import CurveClass, pl_surgery_flux, relation_check, zeta
-from torushms.config import RelationBounds
+from torushms import RelationBounds
 from torushms.errors import DegenerateConfiguration, MarkerCollision
 from torushms.floer import (
     FloerElement,

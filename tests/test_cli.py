@@ -209,7 +209,7 @@ def test_mu2_verb_json_deterministic(capsys):
     assert len(payload["triangles"]) > 0
 
 
-def test_assoc_verb(capsys):
+def test_assoc_verb(capsys, monkeypatch):
     rc, out, _ = run(
         capsys, "assoc", "--l0", "L(1,2;0)", "--l1", "L(1,0;1/7)",
         "--l2", "L(0,-1;1/5)", "--l3", "L(1,1;1/11)", "--cutoff", "5",
@@ -219,6 +219,36 @@ def test_assoc_verb(capsys):
     payload = json.loads(out)
     assert payload["pass"] is True
     assert payload["defect"] <= 1e-9
+    # The chain above orients every triangle of both outer products
+    # negatively, so its defect compares two zero elements.  In this one
+    # the four products walk 11, 6, 7 and 11 triangles, and deg(a) = 0.
+    products = []
+
+    def recording_mu2(*args):
+        products.append(mu2(*args))
+        return products[-1]
+
+    mu2 = torushms.floer.mu2
+    monkeypatch.setattr(torushms.floer, "mu2", recording_mu2)
+    rc, out, _ = run(
+        capsys, "assoc", "--l0", "L(3,2;1/7)", "--l1", "L(3,1;1/5)",
+        "--l2", "L(1,0;1/11)", "--l3", "L(1,1;1/13)", "--cutoff", "8",
+        "--json",
+    )
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert payload["defect"] <= 1e-9
+    # assoc_defect forms mu2(c, b), then mu2(that, a), then mu2(b, a),
+    # then mu2(c, that): the two bracketings are the 2nd and the 4th
+    assert len(products) == 4
+    for bracketing in (products[1], products[3]):
+        largest = max(
+            (x.max_abs_coeff() for _, matrix in bracketing.components
+             for row in matrix for x in row),
+            default=0.0,
+        )
+        assert largest == pytest.approx(1.0)
 
 
 def test_section_verb(capsys):
@@ -521,6 +551,22 @@ def test_each_verb_takes_exactly_the_flags_it_reads(capsys, verb):
 
 #: the directory the package under test was imported from
 SRC = Path(torushms.cli.__file__).resolve().parents[1]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Each CLI answer is a fresh interpreter that pays for every import;
+    the records of the library are built without `dataclasses`, which
+    would pull in `inspect`.  Checked by module name, not by time, and
+    without `site`, which may load either module on its own."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, torushms.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cutoff_above_the_bound_is_a_usage_error(capsys):

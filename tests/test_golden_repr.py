@@ -25,10 +25,11 @@ import json
 from fractions import Fraction as F
 from pathlib import Path
 
-from torushms.config import RelationBounds
 from torushms.mirror import theta_sharp
 from torushms.novikov import NovikovSeries
-from torushms.sheafk import Bundle, SheafSum, Skyscraper, k0_class, relation_suite
+from torushms.sheafk import (
+    Bundle, RelationBounds, SheafSum, Skyscraper, k0_class, relation_suite,
+)
 from torushms.tate import TatePoint
 from torushms.torus import Brane, LocalSystem
 

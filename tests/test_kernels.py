@@ -15,19 +15,39 @@ a failing draw the same error, and a sum must return its operands'
 exponent objects.  The work-count tests pin what the kernels share: one
 inverse per point in `eval_section`, and each power of eps formed once
 per mu2 call.
+
+The records (`torushms._record`) have an oracle too: for each class, the
+`@dataclass(frozen=True)` class it was, rebuilt by
+`dataclasses.make_dataclass`.  Record and twin must agree on `repr`,
+equality, `hash`, defaults, `__post_init__` errors and refused
+assignment.
 """
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction as F
 from typing import Dict, List, Optional
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import torushms._record as _record
+import torushms.cli as cli
+import torushms.cobord as cobord
+import torushms.floer as floer
+import torushms.mirror as mirror
 import torushms.novikov as novikov
+import torushms.sheafk as sheafk
 import torushms.tate as tate
+import torushms.torus as torus
+from torushms.cli import (
+    BraneAst, BunAst, DivAst, OP0Ast, PointAst, SkyAst, SumAst, _Tok,
+)
+from torushms.cobord import CobordClass, CurveClass
 from torushms.errors import DegenerateConfiguration, MarkerCollision, NonTransverse
 from torushms.floer import (
+    CFSpace,
     FloerElement,
     _chain,
     _count_markers,
@@ -45,6 +65,10 @@ from torushms.novikov import (
     fractional_power,
     invert,
 )
+from torushms.mirror import MirrorPair
+from torushms.sheafk import (
+    Bundle, K0Class, RelationBounds, RelationTriple, SheafSum, Skyscraper,
+)
 from torushms.tate import (
     SectionCoeffs,
     TatePoint,
@@ -55,6 +79,7 @@ from torushms.tate import (
 from torushms.torus import (
     DEFAULT_MARKER,
     Brane,
+    IntersectionPoint,
     LocalSystem,
     _complex_inverse,
     _const_matrix,
@@ -365,6 +390,55 @@ def mu2_triangles_oracle(phi2, phi1, cutoff):
     tris: List[dict] = []
     out = mu2_oracle(phi2, phi1, cutoff, _collect=tris)
     return out, tris
+
+
+#: records whose class wrote its own __init__ under dataclasses as well;
+#: every other twin gets the __init__ dataclasses generates
+_OWN_INIT = (TatePoint, SheafSum, FloerElement)
+
+
+def _bundle_post_init(self):
+    """Bundle's check, a `__post_init__` before Bundle wrote its __init__."""
+    if self.rank < 1:
+        raise ValueError("bundle rank must be >= 1")
+
+
+def _record_defaults(cls):
+    """The fields of `cls` that have a default, with the default."""
+    slots = cls.__dict__.get("__slots__", ())
+    return {
+        name: cls.__dict__[name] for name in cls.__annotations__
+        if name in cls.__dict__ and name not in slots
+    }
+
+
+def record_oracle(cls):
+    """The `@dataclass(frozen=True)` class the record `cls` was: the same
+    qualname, fields, defaults and `__post_init__`.  It subclasses `cls`
+    for the properties and methods the constructor checks call;
+    dataclasses writes its __init__, __repr__, __eq__, __hash__ and
+    __setattr__.  (IntersectionPoint was `slots=True`, whose frozen
+    __setattr__ raised TypeError for a name that is not a field; the twin
+    has no slots of its own, so it raises AttributeError as the record
+    does.)"""
+    defaults = {
+        name: dataclasses.field(default=value)
+        for name, value in _record_defaults(cls).items()
+    }
+    namespace = {"__init__": cls.__init__} if cls in _OWN_INIT else {}
+    if cls is Bundle:
+        namespace["__post_init__"] = _bundle_post_init
+    if cls is Brane:  # a fresh trivial system per brane, not a shared one
+        defaults["local_system"] = dataclasses.field(
+            default_factory=LocalSystem.trivial
+        )
+    fields = [
+        (name, object, defaults[name]) if name in defaults else (name, object)
+        for name in cls.__annotations__
+    ]
+    return dataclasses.make_dataclass(
+        cls.__qualname__, fields, bases=(cls,), namespace=namespace, frozen=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -763,3 +837,160 @@ def test_mu2_builds_each_eps_power_once(monkeypatch):
     assert len(set(arcs)) > 10  # many distinct arcs of the series-unit brane
     assert 0 < len(eps_products) <= k_max + 1
     assert len(set(eps_products)) == len(eps_products)  # each P_k once
+
+
+# ---------------------------------------------------------------------------
+# records against their dataclass twins
+# ---------------------------------------------------------------------------
+
+_frac = st.builds(F, st.integers(-7, 7), st.sampled_from([1, 2, 3, 5, 12]))
+_small = st.integers(-2, 3)
+_point = st.builds(TatePoint, _frac, st.sampled_from([1, -1.0, 1j, F(3, 2)]))
+_sheaf = st.one_of(
+    st.builds(Bundle, st.integers(1, 2), _small, _point, _small),
+    st.builds(Skyscraper, _point, st.integers(1, 2), _small),
+)
+_sheaf_sum = st.builds(
+    SheafSum, st.lists(st.tuples(_sheaf, st.integers(-2, 2)), max_size=3)
+)
+_vector = st.tuples(_small, _small)  # some are not primitive
+_space = st.sampled_from(
+    [cf(Brane((1, 2)), Brane((1, 0))), cf(Brane((0, 1), F(1, 3)), Brane((2, 1)))]
+)
+_point_ast = st.builds(PointAst, _frac, _frac)
+_item_ast = st.one_of(
+    _point_ast,
+    st.builds(OP0Ast, _small, _small),
+    st.builds(SkyAst, _point_ast, _small, _small),
+)
+
+
+@st.composite
+def _components(draw, space):
+    """One generator of `space`, or a point that is not one of them."""
+    coords = space.coords()
+    at = draw(st.sampled_from(coords + ((F(1, 7), F(1, 7)),)))
+    return {at: ((draw(_entry),),)}
+
+
+#: the field values of each record, drawn together; some draws break a
+#: constructor check, so that the errors are compared too
+_RECORD_FIELDS = {
+    TatePoint: st.tuples(
+        st.one_of(_frac, st.integers(-3, 3)),
+        st.sampled_from([1, -1.0, 1j, 0, NovikovSeries(((1, 1),), None)]),
+    ),
+    SectionCoeffs: st.tuples(
+        st.one_of(_series, st.just(NovikovSeries.zero())),
+        st.one_of(_series, st.just(NovikovSeries.zero())),
+    ),
+    LocalSystem: st.tuples(
+        st.lists(
+            st.tuples(st.sampled_from([1, -1.0, 1j, 0]), st.integers(0, 2)),
+            max_size=2,
+        ).map(tuple),
+        st.sampled_from([None, ((2,),), ((1, 0), (0, 1j)), ((1, 1), (1, 1))]),
+    ),
+    Brane: st.tuples(
+        st.tuples(_small, _small), _frac, _small, _frac, _local_system
+    ),
+    IntersectionPoint: st.tuples(
+        st.tuples(_frac, _frac), _small, _frac, _frac, st.tuples(_branes, _branes)
+    ),
+    CFSpace: st.tuples(
+        _branes, _branes, st.lists(
+            st.builds(IntersectionPoint, st.tuples(_frac, _frac), _small,
+                      _frac, _frac, st.tuples(_branes, _branes)),
+            max_size=2,
+        ).map(tuple),
+    ),
+    FloerElement: _space.flatmap(lambda sp: st.tuples(st.just(sp), _components(sp))),
+    Bundle: st.tuples(st.integers(-1, 3), _small, _point, _small),
+    Skyscraper: st.tuples(_point, st.integers(-1, 3), _small),
+    SheafSum: st.tuples(st.lists(st.tuples(_sheaf, st.integers(-2, 2)), max_size=3)),
+    K0Class: st.tuples(_small, _small, _point),
+    RelationTriple: st.tuples(_sheaf_sum, _sheaf_sum, _sheaf_sum, st.text(max_size=4)),
+    RelationBounds: st.tuples(*[st.integers(-1, 5)] * 4),
+    CurveClass: st.tuples(_vector, _frac),
+    CobordClass: st.tuples(_frac, _vector),
+    MirrorPair: st.tuples(_sheaf, _branes, st.booleans(), st.text(max_size=4)),
+    _Tok: st.tuples(st.sampled_from(["int", "name", "(", "end"]),
+                    st.text(max_size=3), st.integers(1, 9)),
+    PointAst: st.tuples(_frac, _frac),
+    BraneAst: st.tuples(_small, _small, _frac, _small, _frac, st.integers(1, 3)),
+    OP0Ast: st.tuples(_small, _small),
+    DivAst: st.tuples(
+        st.lists(_point_ast, max_size=2).map(tuple),
+        st.lists(_point_ast, max_size=2).map(tuple), _small,
+    ),
+    SkyAst: st.tuples(_point_ast, _small, _small),
+    BunAst: st.tuples(_small, _small, _point_ast, _small),
+    SumAst: st.tuples(st.lists(st.tuples(_small, _item_ast), max_size=2).map(tuple)),
+}
+_TWINS = {cls: record_oracle(cls) for cls in _RECORD_FIELDS}
+
+
+@st.composite
+def _record_call(draw, cls):
+    """(args, kwargs) for `cls`: the first fields by position, the rest
+    by keyword, or left out when the class has a default for them."""
+    values = draw(_RECORD_FIELDS[cls])
+    names = tuple(cls.__annotations__)
+    defaults = _record_defaults(cls)
+    k = draw(st.integers(0, len(names)))
+    kwargs = {
+        name: value for name, value in zip(names[k:], values[k:])
+        if name not in defaults or draw(st.booleans())
+    }
+    return values[:k], kwargs
+
+
+def _built(cls, call):
+    args, kwargs = call
+    try:
+        return cls(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _refusal(action, *args):
+    try:
+        action(*args)
+    except AttributeError as exc:
+        return str(exc)
+    return None
+
+
+def test_every_record_has_a_twin():
+    modules = (cli, cobord, floer, mirror, sheafk, tate, torus)
+    records = {
+        obj for module in modules for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+        and obj.__setattr__ is _record._refuse_set
+    }
+    assert records == set(_RECORD_FIELDS) and len(records) == 24
+    assert not any(map(dataclasses.is_dataclass, records))
+
+
+@pytest.mark.parametrize("cls", list(_RECORD_FIELDS), ids=lambda c: c.__qualname__)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_records_match_their_dataclass_twins(cls, data):
+    call, other_call = data.draw(_record_call(cls)), data.draw(_record_call(cls))
+    twin = _TWINS[cls]
+    got, want = _built(cls, call), _built(twin, call)
+    if isinstance(want, tuple):  # a constructor check refused the values
+        assert got == want
+        return
+    other, other_want = _built(cls, other_call), _built(twin, other_call)
+    assert repr(got) == repr(want)
+    assert hash(got) == hash(want)
+    assert got == _built(cls, call) and got != want
+    if not isinstance(other_want, tuple):
+        assert (got == other) == (want == other_want)
+    for name in (*cls.__annotations__, "unknown"):
+        refused = _refusal(setattr, want, name, 0)
+        assert refused is not None
+        assert _refusal(setattr, got, name, 0) == refused
+        assert _refusal(delattr, got, name) == _refusal(delattr, want, name)
+    assert repr(got) == repr(want)

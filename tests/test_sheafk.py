@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torushms.config import RelationBounds
+from torushms import RelationBounds
 from torushms.errors import BadBase, BadGcd
 from torushms.sheafk import (
     Bundle,
