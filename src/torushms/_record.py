@@ -12,7 +12,9 @@ with the same behaviour:
     (``NotImplemented`` for any other class), and ``__hash__`` the hash
     of the field tuple, so equal records hash alike and set and dict
     order is what the dataclass gave;
-  * ``__setattr__`` and ``__delattr__`` raising `FrozenRecordError`.
+  * ``__setattr__`` and ``__delattr__`` raising `FrozenRecordError`;
+  * ``__getstate__`` and ``__setstate__`` for `pickle` and `copy`: the
+    field tuple, set back without ``__init__`` or ``__setattr__``.
 
 The methods are closures over the field names; nothing is compiled.
 `dataclasses` compiles six methods per class and imports `inspect`,
@@ -84,11 +86,14 @@ def record(cls):
             )
         return out
 
+    def __setstate__(self, state):
+        for name, value in zip(names, state):
+            _set(self, name, value)
+
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
             args = bind(args, kwargs)
-        for name, value in zip(names, args):
-            _set(self, name, value)
+        __setstate__(self, args)
         if post_init is not None:
             post_init(self)
 
@@ -103,10 +108,14 @@ def record(cls):
     def __hash__(self):
         return hash(values(self))
 
+    def __getstate__(self):
+        return values(self)
+
     methods = {
         "__init__": __init__, "__repr__": __repr__, "__eq__": __eq__,
         "__hash__": __hash__, "__setattr__": _refuse_set,
-        "__delattr__": _refuse_del,
+        "__delattr__": _refuse_del, "__getstate__": __getstate__,
+        "__setstate__": __setstate__,
     }
     for name, method in methods.items():
         if name not in cls.__dict__:

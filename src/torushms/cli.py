@@ -70,14 +70,12 @@ from ._record import record
 from .errors import ParseError, TorushmsError
 from .floer import FloerElement, assoc_defect, cf, mu2, mu2_triangles
 from .mirror import mirror_of_sheaf, theta_sharp, zeta_injectivity_witness
-from .novikov import NovikovSeries, series_json, series_text
+from .novikov import NovikovSeries, series_json, series_text, vanishes
 from .sheafk import (
     Bundle, K0Class, RelationBounds, SheafSum, Skyscraper, k0_class,
     line_bundle, o_of_n_p0, relation_suite,
 )
-from .tate import (
-    TatePoint, eval_section, section_through, theta_eval, value_vanishes,
-)
+from .tate import TatePoint, eval_section, section_through, theta_eval
 from .torus import Brane, LocalSystem, det2, is_primitive
 from .cobord import CobordClass, class_of_sum, normal_form
 
@@ -821,13 +819,13 @@ def _cmd_section(args):
     at = _expect_one(args.at, TatePoint, "a point literal")
     section = section_through(q, args.cutoff)
     value = eval_section(section, at, args.cutoff)
-    vanishes = value_vanishes(value, args.cutoff)
+    zero = vanishes(value, args.cutoff)
     payload = {"sigma0": series_json(section.sigma0), "value": series_json(value),
-               "sigma1": series_json(section.sigma1), "vanishes": vanishes}
+               "sigma1": series_json(section.sigma1), "vanishes": zero}
     plain = [
         f"s = sigma0*theta0 + sigma1*theta1 through {_point_text(q)}",
         f"value at {_point_text(at)}: {series_text(value)}",
-        f"vanishes: {'yes' if vanishes else 'no'}",
+        f"vanishes: {'yes' if zero else 'no'}",
     ]
     return payload, plain
 

@@ -48,7 +48,9 @@ from .errors import (
     MarkerCollision,
     NonTransverse,
 )
-from .novikov import WINDOW_SLACK, NovikovSeries, Rational, _RunningSum
+from .novikov import (
+    NovikovSeries, Rational, _RunningSum, vanishes, verdict_window,
+)
 from .torus import (
     Brane,
     IntersectionPoint,
@@ -59,6 +61,7 @@ from .torus import (
     index_of,
     intersections,
     mat_add,
+    mat_max_abs,
     mat_mul,
     mat_scale,
 )
@@ -159,11 +162,7 @@ class FloerElement:
         return index_of(self.space.l0, self.space.l1)
 
     def max_abs_coeff(self, below: Optional[Rational] = None) -> float:
-        return max(
-            (x.max_abs_coeff(below) for _, m in self.components for row in m
-             for x in row),
-            default=0.0,
-        )
+        return max((mat_max_abs(m, below) for _, m in self.components), default=0.0)
 
     # -- linear structure -----------------------------------------------
 
@@ -520,7 +519,7 @@ def assoc_defect(
     cutoff: Rational,
 ) -> float:
     """max |coefficient| of mu2(mu2(c,b),a) - mu2(c,mu2(b,a)) on
-    exponents < cutoff - WINDOW_SLACK, for a composable chain
+    exponents below `novikov.verdict_window(cutoff)`, for a composable chain
     a in CF(L0,L1), b in CF(L1,L2), c in CF(L2,L3).
 
     This is the unsigned difference of the two bracketings, so it is
@@ -530,22 +529,15 @@ def assoc_defect(
     cutoff = Fraction(cutoff)
     lhs = mu2(mu2(c, b, cutoff), a, cutoff)
     rhs = mu2(c, mu2(b, a, cutoff), cutoff)
-    return (lhs - rhs).max_abs_coeff(below=cutoff - WINDOW_SLACK)
+    return (lhs - rhs).max_abs_coeff(below=verdict_window(cutoff))
 
 
 def vanishes_truncated(elem: FloerElement, cutoff: Rational) -> bool:
-    """True when every coefficient of `elem` sits at valuation >=
-    (effective cutoff - WINDOW_SLACK): zero within the reliable window."""
-    window = Fraction(cutoff)
-    for _, m in elem.components:
-        for row in m:
-            for x in row:
-                if x.is_zero():
-                    continue
-                eff = window if x.cutoff is None else min(window, x.cutoff)
-                if x.val() < eff - WINDOW_SLACK:
-                    return False
-    return True
+    """True when every entry of `elem` vanishes at `cutoff`
+    (`novikov.vanishes`): zero within the reliable window."""
+    return all(
+        vanishes(x, cutoff) for _, m in elem.components for row in m for x in row
+    )
 
 
 def cone_criterion_mu2_checks(
@@ -561,8 +553,8 @@ def cone_criterion_mu2_checks(
     c2 and c3 are aligned sequences of per-summand elements, one each
     when Y2 is indecomposable.  The first product is the sum over
     summands of mu2(c3[i], c2[i]) and the second requires every
-    mu2(c1, c3[i]) to vanish.  Verdicts use truncated vanishing at
-    valuation >= cutoff - 1.
+    mu2(c1, c3[i]) to vanish.  Each verdict is `vanishes_truncated`,
+    the one rule of `novikov.vanishes`.
     """
     if len(c2) != len(c3):
         raise ValueError("c2 and c3 need one element per summand of Y2")

@@ -30,7 +30,9 @@ from ._record import record
 from .errors import DegenerateConfiguration, UnanchoredSlope
 from .floer import cf, FloerElement, mu2, vanishes_truncated
 from .novikov import NovikovSeries, Rational
-from .sheafk import Bundle, IndecSheaf, K0Class, Skyscraper
+from .sheafk import (
+    Bundle, IndecSheaf, K0Class, Skyscraper, sum_with_multiplicities,
+)
 from .tate import (
     SectionCoeffs,
     TatePoint,
@@ -39,7 +41,7 @@ from .tate import (
     point_pow,
     section_vanishes_at,
 )
-from .torus import Brane, LocalSystem, sum_with_multiplicities
+from .torus import Brane, LocalSystem
 
 __all__ = [
     "MirrorPair",
@@ -61,12 +63,6 @@ class MirrorPair:
     note: str = ""
 
 
-def _is_anchored_line(s: Bundle) -> bool:
-    return s.rank == 1 and s.det_pt.approx_eq(
-        point_pow(TatePoint.two_torsion(), s.degree)
-    )
-
-
 def mirror_of_sheaf(s: IndecSheaf) -> MirrorPair:
     """Dictionary rows:
     O(n P0)            -> slope (1, -n), trivial system;
@@ -84,7 +80,9 @@ def mirror_of_sheaf(s: IndecSheaf) -> MirrorPair:
         return MirrorPair(s, brane)
     h = gcd(s.rank, abs(s.degree)) if s.degree else s.rank
     slope = (s.rank // h, -s.degree // h)
-    if s.rank == 1 and _is_anchored_line(s):
+    if s.rank == 1 and s.det_pt.approx_eq(
+        point_pow(TatePoint.two_torsion(), s.degree)
+    ):
         brane = Brane((1, -s.degree), grading_offset=s.shift)
         return MirrorPair(s, brane)
     brane = Brane(
@@ -145,13 +143,13 @@ def theta_floer_equiv(
     """Both verdicts of the vanishing bridge.
 
     Left: in the configuration (slope (1,2) brane, slope (1,0) brane,
-    vertical brane at x with monodromy M), does mu2(c1, c3) vanish
-    below cutoff - 1, where c1 weights the two horizontal-chain
-    generators by (sigma0, sigma1) and c3 is the unique generator of
-    the vertical-to-(1,2) space?
+    vertical brane at x with monodromy M), does every entry of
+    mu2(c1, c3) vanish by `novikov.vanishes`, where c1 weights the two
+    horizontal-chain generators by (sigma0, sigma1) and c3 is the
+    unique generator of the vertical-to-(1,2) space?
 
     Right: does the section (sigma0, sigma1) vanish at the conjugate
-    point [-q^-x M^-1]?
+    point [-q^-x M^-1], by the same verdict on its value?
 
     The bridge asserts the answers agree."""
     x = Fraction(x) % 1

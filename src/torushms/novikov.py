@@ -55,6 +55,16 @@ Binary operations propagate the weakest truncation guarantee:
 
 so reliability windows flow through long compositions without manual
 bookkeeping.
+
+Truncation policy.  No other module reads ZERO_TOL or WINDOW_SLACK.
+ZERO_TOL drops |c| <= ZERO_TOL when a series is formed.  A verdict at a
+requested cutoff reads a series below `verdict_window`: min(cutoff,
+series cutoff) - WINDOW_SLACK, the requested cutoff for an exact series.
+`vanishes(x, cutoff)`, the one vanishing verdict, holds when x is zero or
+its lowest exponent is at or above that window.  `floer` reads it per
+matrix entry (`vanishes_truncated`) and takes `assoc_defect`'s window from
+`verdict_window`; `tate.section_vanishes_at` and the CLI `section` verb
+read it on a section's value.
 """
 
 from __future__ import annotations
@@ -69,7 +79,7 @@ from .errors import NonUnit, ZeroSeries
 
 #: coefficients with |c| <= ZERO_TOL are treated as zero
 ZERO_TOL = 1e-12
-#: vanishing verdicts read a truncated series only below cutoff - WINDOW_SLACK
+#: a verdict reads a series only below (its effective cutoff - WINDOW_SLACK)
 WINDOW_SLACK = 1
 
 Rational = Union[int, Fraction]
@@ -162,6 +172,9 @@ class NovikovSeries:
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("NovikovSeries is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild without __setattr__
+        return NovikovSeries._canonical, (self.terms, self.cutoff)
 
     @classmethod
     def _sorted(
@@ -393,13 +406,9 @@ class NovikovSeries:
         return series_text(self)
 
 
-def _fmt_real(x: float) -> str:
-    return repr(float(x))
-
-
 def _fmt_coeff(c) -> str:
     z = complex(c)
-    re, im = _fmt_real(z.real), _fmt_real(abs(z.imag))
+    re, im = repr(z.real), repr(abs(z.imag))
     sign = "-" if z.imag < 0 else "+"
     return f"({re}{sign}{im}i)"
 
@@ -518,6 +527,20 @@ def val(a: NovikovSeries) -> Fraction:
 def norm(a: NovikovSeries) -> float:
     """e^(-val(a)); the non-archimedean absolute value."""
     return math.exp(-float(a.val()))
+
+
+def verdict_window(cutoff: Rational, series: Optional[NovikovSeries] = None):
+    """The bound below which a verdict at `cutoff` reads `series`:
+    min(cutoff, series cutoff) - WINDOW_SLACK (see the module docstring)."""
+    cut = _as_cutoff(cutoff)
+    if series is not None:
+        cut = _min_cutoff(cut, series.cutoff)
+    return cut - WINDOW_SLACK
+
+
+def vanishes(x: NovikovSeries, cutoff: Rational) -> bool:
+    """x has no term below its verdict window at `cutoff`."""
+    return not x.terms or x.terms[0][0] >= verdict_window(cutoff, x)
 
 
 def invert(a: NovikovSeries) -> NovikovSeries:

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 from ._record import record
 from .errors import BadBase, BadGcd
 from .novikov import NovikovSeries
 from .tate import TatePoint, conjugate_zero, point_mul, point_pow
-from .torus import sum_with_multiplicities
 
 __all__ = [
     "Bundle",
@@ -117,14 +116,14 @@ class SheafSum:
     def __init__(self, terms: Iterable = ()):
         if isinstance(terms, (Bundle, Skyscraper)):
             terms = [(terms, 1)]
-        acc = {}
+        acc = {}  # sheaf -> [multiplicity]: setdefault hashes each sheaf once
         for entry in terms:
             if isinstance(entry, (Bundle, Skyscraper)):
                 sheaf, mult = entry, 1
             else:
                 sheaf, mult = entry
-            acc[sheaf] = acc.get(sheaf, 0) + int(mult)
-        clean = [(s, m) for s, m in acc.items() if m != 0]
+            acc.setdefault(sheaf, [0])[0] += int(mult)
+        clean = [(s, m) for s, (m,) in acc.items() if m != 0]
         if len(clean) > 1:  # repr renders every point's unit series
             clean.sort(key=lambda kv: repr(kv[0]))
         object.__setattr__(self, "terms", tuple(clean))
@@ -154,11 +153,7 @@ class SheafSum:
 
 
 def as_sum(x) -> SheafSum:
-    if isinstance(x, SheafSum):
-        return x
-    if isinstance(x, (Bundle, Skyscraper)):
-        return SheafSum([(x, 1)])
-    return SheafSum(x)
+    return x if isinstance(x, SheafSum) else SheafSum(x)
 
 
 @record
@@ -207,6 +202,25 @@ class K0Class:
 
     def __str__(self):
         return f"({self.rk}, {self.deg}, {self.pt})"
+
+
+def sum_with_multiplicities(terms: Iterable, class_of: Callable, zero):
+    """The class of a formal sum: for each term `obj` or `(obj, mult)`,
+    in order, class_of(obj) is added to `zero` |mult| times (negated for
+    mult < 0).
+
+    The addition is repeated on purpose: a closed-form multiple rounds
+    the floating-point part of a class (the point unit of a K-class)
+    differently.
+    """
+    total = zero
+    for term in terms:
+        obj, mult = term if isinstance(term, tuple) else (term, 1)
+        cls = class_of(obj)
+        step = cls if mult > 0 else -cls
+        for _ in range(abs(int(mult))):
+            total = total + step
+    return total
 
 
 def _class_of(sheaf: IndecSheaf) -> K0Class:

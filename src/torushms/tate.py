@@ -31,14 +31,7 @@ from typing import Union
 
 from ._record import record
 from .errors import NonUnit
-from .novikov import (
-    WINDOW_SLACK,
-    NovikovSeries,
-    Rational,
-    _Powers,
-    _RunningSum,
-    invert,
-)
+from .novikov import NovikovSeries, Rational, _Powers, _RunningSum, invert, vanishes
 
 __all__ = [
     "TatePoint",
@@ -51,7 +44,6 @@ __all__ = [
     "section_through",
     "eval_section",
     "section_vanishes_at",
-    "value_vanishes",
 ]
 
 
@@ -223,17 +215,10 @@ def eval_section(
     )
 
 
-def value_vanishes(value: NovikovSeries, cutoff: Rational) -> bool:
-    """Truncated-vanishing criterion for an evaluated section: the series
-    has no term below (effective cutoff - WINDOW_SLACK)."""
-    window = value.cutoff if value.cutoff is not None else Fraction(cutoff)
-    return value.is_zero() or value.val() >= window - WINDOW_SLACK
-
-
 def section_vanishes_at(
     section: SectionCoeffs,
     p: TatePoint,
     cutoff: Rational,
 ) -> bool:
-    """value_vanishes of the section evaluated at p."""
-    return value_vanishes(eval_section(section, p, cutoff), cutoff)
+    """`novikov.vanishes` of the section evaluated at p."""
+    return vanishes(eval_section(section, p, cutoff), cutoff)

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ._record import record
 from .errors import MarkerCollision, NonTransverse, NonUnit
 from .novikov import (
-    ZERO_TOL,
     NovikovSeries,
     Rational,
     _binom,
@@ -70,30 +69,10 @@ def bezout(m: int, n: int) -> Tuple[int, int]:
     return old_a, old_b
 
 
-def sum_with_multiplicities(terms: Iterable, class_of: Callable, zero):
-    """The class of a formal sum: for each term `obj` or `(obj, mult)`,
-    in order, class_of(obj) is added to `zero` |mult| times (negated for
-    mult < 0).
-
-    The addition is repeated on purpose: a closed-form multiple rounds
-    the floating-point part of a class (the point unit of a K-class)
-    differently.
-    """
-    total = zero
-    for term in terms:
-        obj, mult = term if isinstance(term, tuple) else (term, 1)
-        cls = class_of(obj)
-        step = cls if mult > 0 else -cls
-        for _ in range(abs(int(mult))):
-            total = total + step
-    return total
-
-
 def canonical_direction(v: Slope) -> Slope:
     """The positive direction of the unoriented line through v:
     second coordinate positive, or first positive when horizontal."""
-    m, n = v
-    return v if (n > 0 or (n == 0 and m > 0)) else (-m, -n)
+    return v if upper_half(v) else (-v[0], -v[1])
 
 
 def upper_half(v: Slope) -> int:
@@ -254,7 +233,7 @@ class LocalSystem:
         return (
             self.rank == 1
             and self.frame is None
-            and (self.blocks[0][0] - 1).max_abs_coeff() <= ZERO_TOL
+            and (self.blocks[0][0] - 1).is_zero()
         )
 
     def transport(self, t: Rational, _eps_tables=None) -> Matrix:

@@ -16,6 +16,12 @@ exponent objects.  The work-count tests pin what the kernels share: one
 inverse per point in `eval_section`, and each power of eps formed once
 per mu2 call.
 
+The two vanishing rules that `novikov.vanishes` replaced are kept as
+oracles too: the per-entry loop of `floer.vanishes_truncated`, which the
+verdict must always match, and `tate.value_vanishes`, which it must match
+whenever the series is exact or known no further than the requested
+cutoff, the only case `section_through` sections produce.
+
 The records (`torushms._record`) have an oracle too: for each class, the
 `@dataclass(frozen=True)` class it was, rebuilt by
 `dataclasses.make_dataclass`.  Record and twin must agree on `repr`,
@@ -23,9 +29,13 @@ equality, `hash`, defaults, `__post_init__` errors and refused
 assignment.
 """
 
+import ast
 import cmath
+import copy
 import dataclasses
 import math
+import pickle
+from pathlib import Path
 from fractions import Fraction as F
 from typing import Dict, List, Optional
 
@@ -57,6 +67,7 @@ from torushms.floer import (
     mu2_triangles,
 )
 from torushms.novikov import (
+    WINDOW_SLACK,
     ZERO_TOL,
     NovikovSeries,
     _binom,
@@ -64,6 +75,7 @@ from torushms.novikov import (
     _RunningSum,
     fractional_power,
     invert,
+    vanishes,
 )
 from torushms.mirror import MirrorPair
 from torushms.sheafk import (
@@ -74,6 +86,7 @@ from torushms.tate import (
     TatePoint,
     eval_section,
     section_through,
+    section_vanishes_at,
     theta_eval,
 )
 from torushms.torus import (
@@ -390,6 +403,28 @@ def mu2_triangles_oracle(phi2, phi1, cutoff):
     tris: List[dict] = []
     out = mu2_oracle(phi2, phi1, cutoff, _collect=tris)
     return out, tris
+
+
+def vanishes_truncated_oracle(elem, cutoff):
+    """The loop of `floer.vanishes_truncated` before `novikov.vanishes`:
+    each entry's window is min(cutoff, its cutoff) - WINDOW_SLACK."""
+    window = F(cutoff)
+    for _, m in elem.components:
+        for row in m:
+            for x in row:
+                if x.is_zero():
+                    continue
+                eff = window if x.cutoff is None else min(window, x.cutoff)
+                if x.val() < eff - WINDOW_SLACK:
+                    return False
+    return True
+
+
+def value_vanishes_oracle(value, cutoff):
+    """`tate.value_vanishes`: the window is the series' own cutoff when it
+    has one, even above the requested cutoff."""
+    window = value.cutoff if value.cutoff is not None else F(cutoff)
+    return value.is_zero() or value.val() >= window - WINDOW_SLACK
 
 
 #: records whose class wrote its own __init__ under dataclasses as well;
@@ -840,6 +875,94 @@ def test_mu2_builds_each_eps_power_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# one vanishing verdict
+# ---------------------------------------------------------------------------
+
+_requested = st.builds(F, st.integers(2, 48), st.sampled_from([1, 2, 4]))
+
+
+@st.composite
+def _near_window(draw, cutoff):
+    """A series whose cutoff is None, below, at or above `cutoff`, with
+    terms around the verdict window."""
+    step = draw(st.builds(F, st.integers(1, 8), st.sampled_from([1, 2, 4])))
+    own = draw(st.sampled_from([None, cutoff - step, cutoff, cutoff + step]))
+    expo = st.builds(
+        F, st.integers(-8, 12).map(lambda k: 4 * (cutoff - 2) + k), st.just(4)
+    )
+    terms = draw(st.lists(st.tuples(expo, _coeff), max_size=3))
+    return NovikovSeries(terms, own)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _requested)
+def test_one_verdict_matches_both_old_rules(data, cutoff):
+    entries = data.draw(st.lists(_near_window(cutoff), min_size=2, max_size=2))
+    space = cf(Brane((1, 2)), Brane((1, 0)))
+    elem = FloerElement(
+        space, {c: ((x,),) for c, x in zip(space.coords(), entries)}
+    )
+    assert floer.vanishes_truncated(elem, cutoff) == vanishes_truncated_oracle(
+        elem, cutoff
+    )
+    for x in entries:
+        assert vanishes(x, cutoff) == vanishes_truncated_oracle(
+            FloerElement(space, {space.coords()[0]: ((x,),)}), cutoff
+        )
+        if x.cutoff is None or x.cutoff <= cutoff:
+            assert vanishes(x, cutoff) == value_vanishes_oracle(x, cutoff)
+
+
+_theta_zero_points = st.sampled_from(
+    [(F(1, 2), F(1, 4)), (F(1, 2), F(-1, 4)), (F(1, 2), F(3, 4))]
+)
+_flat_points = st.one_of(
+    _theta_zero_points,
+    st.tuples(
+        st.builds(F, st.integers(0, 11), st.integers(1, 12)),
+        st.builds(F, st.integers(-8, 8), st.integers(1, 8)),
+    ),
+).map(lambda xp: TatePoint(xp[0], cli._phase(xp[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flat_points, _flat_points, st.integers(1, 16))
+def test_section_values_are_known_no_further_than_the_cutoff(q, p, cutoff):
+    """Why the one verdict moves no CLI or benchmark answer: on the value
+    of a `section_through` section it reads the window `value_vanishes`
+    read, since that value's cutoff never exceeds the requested one."""
+    value = eval_section(section_through(q, cutoff), p, cutoff)
+    assert value.cutoff is not None and value.cutoff <= cutoff
+
+
+def test_the_bridge_sides_agree_on_a_value_known_past_the_cutoff():
+    """q^(1/2) + 2q^(3/2) + O(q^(7/4)) at cutoff 5/4: the Floer rule read
+    below 1/4 and called it zero, `value_vanishes` read below 3/4 and did
+    not.  Both sides now read below 1/4."""
+    section = SectionCoeffs(NovikovSeries.q_power(F(1, 2)), NovikovSeries.zero())
+    value = eval_section(section, TatePoint(0), F(5, 4))
+    assert value.cutoff == F(7, 4) and value.val() == F(1, 2)
+    assert not value_vanishes_oracle(value, F(5, 4))
+    space = cf(Brane((1, 2)), Brane((1, 0)))
+    elem = FloerElement(space, {space.coords()[0]: ((value,),)})
+    assert floer.vanishes_truncated(elem, F(5, 4))
+    assert section_vanishes_at(section, TatePoint(0), F(5, 4))
+
+
+def test_only_novikov_reads_the_truncation_constants():
+    """Imported names, bare names and attributes, as the parser sees them."""
+    readers = set()
+    for path in Path(novikov.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.name if isinstance(node, ast.alias) else (
+                getattr(node, "id", None) or getattr(node, "attr", None)
+            )
+            if name in ("ZERO_TOL", "WINDOW_SLACK"):
+                readers.add(path.name)
+    assert readers == {"novikov.py"}
+
+
+# ---------------------------------------------------------------------------
 # records against their dataclass twins
 # ---------------------------------------------------------------------------
 
@@ -988,9 +1111,23 @@ def test_records_match_their_dataclass_twins(cls, data):
     assert got == _built(cls, call) and got != want
     if not isinstance(other_want, tuple):
         assert (got == other) == (want == other_want)
+    _assert_round_trips(got)
     for name in (*cls.__annotations__, "unknown"):
         refused = _refusal(setattr, want, name, 0)
         assert refused is not None
         assert _refusal(setattr, got, name, 0) == refused
         assert _refusal(delattr, got, name) == _refusal(delattr, want, name)
     assert repr(got) == repr(want)
+
+
+def _assert_round_trips(x):
+    """`pickle` and `copy.deepcopy` give an object equal to x, with its
+    hash and repr."""
+    for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert copied == x and hash(copied) == hash(x) and repr(copied) == repr(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series)
+def test_series_survive_pickle_and_deepcopy(x):
+    _assert_round_trips(x)
