@@ -13,8 +13,10 @@ or not finite, and a relations bound above MAX_RELATION_BOUND = 10.
 Input errors are syntax errors, a command over the work budget (below),
 an --x spelled in more than MAX_CUTOFF_DIGITS digits, an expression that
 is not the single object a flag takes (a sum, a multiple, a sheaf given
-as a brane, ...), and literals their constructor rejects (L(2,4;0), a
-rank or thickness of 0, ...).
+as a brane, ...), a sum with a term of the wrong kind (a brane among
+sheaves, ...), and literals their constructor rejects (L(2,4;0), a rank
+or thickness of 0, ...).  Kinds are checked on the syntax trees of all
+the expressions, before any term of any of them is built.
 A rejected run prints one labelled line on stderr, or under --json one
 {"error", "kind", "detail"} object on stdout; it never ends in a
 traceback.  JSON (--json) is the stable machine interface --
@@ -445,42 +447,39 @@ _REALIZES = {
 }
 
 
-def parse_expr(text: str, single=None):
-    """Parse and realize: a single Brane / sheaf / TatePoint for a
-    one-term expression with multiplier 1, else a list of
-    (object, multiplier) pairs.  A literal its constructor rejects
-    (slope (2,4), rank 0, thickness 0, ...) raises ParseError with the
-    constructor's message.  When `single` is a pair (cls, what), the
-    tree must be one term with multiplier 1 whose item realizes to
-    `cls`, checked before any object is built; ParseError "expected
-    {what}" otherwise.  The work is not bounded here: main checks each
-    command's estimate against MAX_GROUP_STEPS first."""
-    ast = parse_ast(text)
-    if single is not None:
-        cls, what = single
-        (mult, item), *rest = ast.terms
-        if rest or mult != 1 or not issubclass(_REALIZES[type(item)], cls):
-            raise ParseError(f"expected {what}, got {text!r}")
+def _realize_terms(ast: SumAst) -> list:
+    """The (object, multiplier) pairs of a syntax tree.  A literal its
+    constructor rejects (slope (2,4), rank 0, ...) raises ParseError."""
     try:
-        terms = [(_realize(item), mult) for mult, item in ast.terms]
+        return [(_realize(item), mult) for mult, item in ast.terms]
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    return terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else terms
 
 
-def _expect_one(text: str, cls, what: str, sums: bool = False):
-    """parse_expr(text) checked against `cls`: one object, "expected
-    {what}" otherwise, checked before it is built; with sums=True a
-    formal sum of them, returned as (object, multiplier) pairs,
-    "expected only {what} in this expression" otherwise."""
-    if not sums:
-        return parse_expr(text, (cls, what))
-    obj = parse_expr(text)
-    pairs = obj if isinstance(obj, list) else [(obj, 1)]
-    for item, _ in pairs:
-        if not isinstance(item, cls):
-            raise ParseError(f"expected only {what} in this expression, got {item!r}")
-    return pairs
+def parse_expr(text: str):
+    """Parse and realize: a single Brane / sheaf / TatePoint for a
+    one-term expression with multiplier 1, else a list of (object,
+    multiplier) pairs.  Neither kind nor work is checked here."""
+    pairs = _realize_terms(parse_ast(text))
+    return pairs[0][0] if len(pairs) == 1 and pairs[0][1] == 1 else pairs
+
+
+class _Expr:
+    """A required expression flag: the class of object it takes, the
+    noun its kind error names, and whether it takes a formal sum."""
+
+    def __init__(self, flag: str, cls, what: str, sums: bool = False):
+        self.flag, self.cls, self.what, self.sums = flag, cls, what, sums
+
+    def check(self, text: str, ast: SumAst) -> None:
+        """Refuse `text`, parsed to `ast`, on its tree unless it is one
+        object of this flag's class, or with `sums` a formal sum of them."""
+        bad = [x for _, x in ast.terms if not issubclass(_REALIZES[type(x)], self.cls)]
+        if not self.sums and (bad or ast.terms[1:] or ast.terms[0][0] != 1):
+            raise ParseError(f"expected {self.what}, got {text!r}")
+        if bad:
+            raise ParseError(f"expected only {self.what} in this expression, "
+                             f"got {print_ast(bad[0])!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -757,16 +756,11 @@ def _generator(l0: Brane, l1: Brane, idx: int) -> FloerElement:
     return FloerElement(space, {coords[idx]: matrix})
 
 
-def _branes(args, *flags) -> List[Brane]:
-    return [_expect_one(getattr(args, f), Brane, "a single brane") for f in flags]
-
-
 def _cmd_cf(args):
-    l0, l1 = _branes(args, "l0", "l1")
     gens = [
         {"coords": [_frac(p.coords[0]), _frac(p.coords[1])], "index": p.index,
-         "dim": l0.rank * l1.rank}
-        for p in cf(l0, l1).points
+         "dim": args.l0.rank * args.l1.rank}
+        for p in cf(args.l0, args.l1).points
     ]
     plain = [f"generators: {len(gens)}"] + [
         f"  y=({g['coords'][0]}, {g['coords'][1]})  degree {g['index']}"
@@ -777,9 +771,8 @@ def _cmd_cf(args):
 
 
 def _cmd_mu2(args):
-    l0, l1, l2 = _branes(args, "l0", "l1", "l2")
-    phi1 = _generator(l0, l1, args.phi1)
-    phi2 = _generator(l1, l2, args.phi2)
+    phi1 = _generator(args.l0, args.l1, args.phi1)
+    phi2 = _generator(args.l1, args.l2, args.phi2)
     if args.triangles:
         result, tris = mu2_triangles(phi2, phi1, args.cutoff)
     else:
@@ -793,10 +786,9 @@ def _cmd_mu2(args):
 
 
 def _cmd_assoc(args):
-    l0, l1, l2, l3 = _branes(args, "l0", "l1", "l2", "l3")
-    a = _generator(l0, l1, args.a)
-    b = _generator(l1, l2, args.b)
-    c = _generator(l2, l3, args.c)
+    a = _generator(args.l0, args.l1, args.a)
+    b = _generator(args.l1, args.l2, args.b)
+    c = _generator(args.l2, args.l3, args.c)
     defect = assoc_defect(a, b, c, args.cutoff)
     ok = defect <= args.tol
     return (
@@ -806,8 +798,7 @@ def _cmd_assoc(args):
 
 
 def _cmd_theta(args):
-    p = _expect_one(args.point, TatePoint, "a point literal")
-    series = theta_eval(args.kind, p, args.cutoff)
+    series = theta_eval(args.kind, args.point, args.cutoff)
     return (
         {"kind": args.kind, "series": series_json(series)},
         [f"theta{args.kind} = {series_text(series)}"],
@@ -815,24 +806,21 @@ def _cmd_theta(args):
 
 
 def _cmd_section(args):
-    q = _expect_one(args.q, TatePoint, "a point literal")
-    at = _expect_one(args.at, TatePoint, "a point literal")
-    section = section_through(q, args.cutoff)
-    value = eval_section(section, at, args.cutoff)
+    section = section_through(args.q, args.cutoff)
+    value = eval_section(section, args.at, args.cutoff)
     zero = vanishes(value, args.cutoff)
     payload = {"sigma0": series_json(section.sigma0), "value": series_json(value),
                "sigma1": series_json(section.sigma1), "vanishes": zero}
     plain = [
-        f"s = sigma0*theta0 + sigma1*theta1 through {_point_text(q)}",
-        f"value at {_point_text(at)}: {series_text(value)}",
+        f"s = sigma0*theta0 + sigma1*theta1 through {_point_text(args.q)}",
+        f"value at {_point_text(args.at)}: {series_text(value)}",
         f"vanishes: {'yes' if zero else 'no'}",
     ]
     return payload, plain
 
 
 def _cmd_k0(args):
-    terms = _expect_one(args.sheaf, (Bundle, Skyscraper), "sheaves", sums=True)
-    cls = k0_class(SheafSum(terms))
+    cls = k0_class(SheafSum(args.sheaf))
     return ({"class": _k0_json(cls)}, [f"K0 class: {_k0_text(cls)}"])
 
 
@@ -869,8 +857,7 @@ def _cmd_relations(args):
 
 
 def _cmd_mirror(args):
-    sheaf = _expect_one(args.sheaf, (Bundle, Skyscraper), "a single sheaf")
-    pair = mirror_of_sheaf(sheaf)
+    pair = mirror_of_sheaf(args.sheaf)
     payload = {"brane": _brane_json(pair.brane), "anchored": pair.anchored,
                "note": pair.note}
     plain = [f"mirror brane: {pair.brane}  (system rank {pair.brane.rank})"]
@@ -881,8 +868,7 @@ def _cmd_mirror(args):
 
 
 def _cmd_theta_sharp(args):
-    branes = _expect_one(args.brane, Brane, "branes", sums=True)
-    cls = theta_sharp(branes)
+    cls = theta_sharp(args.brane)
     return ({"class": _k0_json(cls)}, [f"theta-sharp: {_k0_text(cls)}"])
 
 
@@ -901,7 +887,7 @@ def _cmd_witness(args):
 
 
 def _cmd_cob_nf(args):
-    c = normal_form(_expect_one(args.brane, Brane, "a single brane"))
+    c = normal_form(args.brane)
     return (
         {"class": _cob_json(c)},
         [f"normal form: zeta={_frac(c.zeta_part)} hom={c.hom}"],
@@ -909,10 +895,7 @@ def _cmd_cob_nf(args):
 
 
 def _cmd_cob_check(args):
-    lhs, rhs = (
-        class_of_sum(_expect_one(text, Brane, "branes", sums=True))
-        for text in (args.lhs, args.rhs)
-    )
+    lhs, rhs = class_of_sum(args.lhs), class_of_sum(args.rhs)
     equal = lhs == rhs
     payload = {"equal": equal, "lhs": _cob_json(lhs), "rhs": _cob_json(rhs)}
     return payload, [f"classes equal: {'yes' if equal else 'no'}"]
@@ -926,39 +909,46 @@ _CUTOFF = _opt(
     "--cutoff", type=_cutoff, default="8", help="truncation exponent p/q"
 )
 _TOL = _opt("--tol", type=_tol, default=1e-9, help="tolerance")
+_BRANES = [_Expr(f"--l{i}", Brane, "a single brane") for i in range(4)]
 
 
 #: every verb: (name, handler, work estimate, help, the flags it reads
-#: besides --json).  A bare flag name is a required expression, whose
-#: syntax tree the estimate reads; an `_opt` pair goes to add_argument as
-#: it is.  --help lists the verbs in this order.
+#: besides --json).  An `_Expr` is a required expression flag that carries
+#: its kind; main parses it once, estimates the work, checks every kind,
+#: then puts the built objects on args.  An `_opt` pair goes to
+#: add_argument as it is.  --help lists the verbs in this order.
 _VERBS = (
-    ("cf", _cmd_cf, _floer_steps, "intersection generators", "--l0", "--l1"),
-    ("mu2", _cmd_mu2, _floer_steps, "triangle product", "--l0", "--l1",
-     "--l2", _CUTOFF,
+    ("cf", _cmd_cf, _floer_steps, "intersection generators", *_BRANES[:2]),
+    ("mu2", _cmd_mu2, _floer_steps, "triangle product", *_BRANES[:3], _CUTOFF,
      _opt("--phi1", type=int, default=0, help="generator in CF(l0,l1)"),
      _opt("--phi2", type=int, default=0, help="generator in CF(l1,l2)"),
      _opt("--triangles", action="store_true", help="dump triangles")),
-    ("assoc", _cmd_assoc, _floer_steps, "associativity defect", "--l0",
-     "--l1", "--l2", "--l3", _CUTOFF, _TOL, _opt("--a", type=int, default=0),
-     _opt("--b", type=int, default=0), _opt("--c", type=int, default=0)),
+    ("assoc", _cmd_assoc, _floer_steps, "associativity defect", *_BRANES, _CUTOFF,
+     _TOL, _opt("--a", type=int, default=0), _opt("--b", type=int, default=0),
+     _opt("--c", type=int, default=0)),
     ("theta", _cmd_theta, _no_work, "theta series at a point", _CUTOFF,
-     _opt("--kind", type=int, choices=(0, 1), required=True), "--point"),
+     _opt("--kind", type=int, choices=(0, 1), required=True),
+     _Expr("--point", TatePoint, "a point literal")),
     ("section", _cmd_section, _no_work,
-     "evaluate at --at the section vanishing at --q", _CUTOFF, "--q", "--at"),
-    ("k0", _cmd_k0, _k0_steps, "K-theory class of a sum", "--sheaf"),
+     "evaluate at --at the section vanishing at --q", _CUTOFF,
+     _Expr("--q", TatePoint, "a point literal"),
+     _Expr("--at", TatePoint, "a point literal")),
+    ("k0", _cmd_k0, _k0_steps, "K-theory class of a sum",
+     _Expr("--sheaf", (Bundle, Skyscraper), "sheaves", sums=True)),
     ("relations", _cmd_relations, _no_work, "check the K0 relation suite", _TOL,
      _opt("--r-max", type=int, default=4), _opt("--d-max", type=int, default=4),
      _opt("--n-max", type=int, default=3), _opt("--h-max", type=int, default=3)),
-    ("mirror", _cmd_mirror, _mirror_steps, "mirror brane of a sheaf", "--sheaf"),
+    ("mirror", _cmd_mirror, _mirror_steps, "mirror brane of a sheaf",
+     _Expr("--sheaf", (Bundle, Skyscraper), "a single sheaf")),
     ("theta-sharp", _cmd_theta_sharp, _sharp_steps, "K-class of anchored branes",
-     "--brane"),
+     _Expr("--brane", Brane, "branes", sums=True)),
     ("witness", _cmd_witness, _no_work, "K-class separating flux x from 0", _TOL,
      _opt("--x", required=True, help="rational p/q")),
     ("cob-nf", _cmd_cob_nf, _no_work, "cobordism normal form of a brane",
-     "--brane"),
+     _Expr("--brane", Brane, "a single brane")),
     ("cob-check", _cmd_cob_check, _no_work, "compare two formal brane sums",
-     "--lhs", "--rhs"),
+     _Expr("--lhs", Brane, "branes", sums=True),
+     _Expr("--rhs", Brane, "branes", sums=True)),
 )
 
 
@@ -971,11 +961,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for name, run, cost, help, *flags in _VERBS:
         p = sub.add_parser(name, help=help)
-        exprs = [flag[2:] for flag in flags if isinstance(flag, str)]
+        exprs = [flag for flag in flags if isinstance(flag, _Expr)]
         p.set_defaults(run=run, cost=cost, exprs=exprs)
         for flag in flags:
-            if isinstance(flag, str):
-                flag = _opt(flag, required=True)
+            if isinstance(flag, _Expr):
+                flag = _opt(flag.flag, required=True)
             p.add_argument(flag[0], **flag[1])
         p.add_argument("--json", action="store_true", help="machine output")
     return top
@@ -1009,7 +999,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         as_json = args.json
-        trees = [parse_ast(getattr(args, dest)) for dest in args.exprs]
+        texts = [getattr(args, e.flag[2:]) for e in args.exprs]
+        trees = [parse_ast(text) for text in texts]
         steps = args.cost(args, *trees) + sum(  # building each O(nP0)
             abs(x.n) for t in trees for _, x in t.terms if isinstance(x, OP0Ast)
         )
@@ -1018,6 +1009,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"expression needs {steps} group-law steps, more than "
                 f"MAX_GROUP_STEPS = {MAX_GROUP_STEPS}"
             )
+        for e, text, tree in zip(args.exprs, texts, trees):
+            e.check(text, tree)
+        for e, tree in zip(args.exprs, trees):  # one object, or the pairs of a sum
+            pairs = _realize_terms(tree)
+            setattr(args, e.flag[2:], pairs if e.sums else pairs[0][0])
         payload, plain = args.run(args)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1

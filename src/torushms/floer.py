@@ -550,18 +550,19 @@ def cone_criterion_mu2_checks(
     Y0 -> Y1 -> Y2 -> Y0[1], with c1 in CF(Y0,Y1) and, for each summand
     Y2_i of Y2, c2[i] in CF(Y1,Y2_i) and c3[i] in CF(Y2_i,Y0).
 
-    c2 and c3 are aligned sequences of per-summand elements, one each
-    when Y2 is indecomposable.  The first product is the sum over
+    c2 and c3 are aligned, non-empty sequences of per-summand elements,
+    one each when Y2 is indecomposable.  The first product is the sum over
     summands of mu2(c3[i], c2[i]) and the second requires every
     mu2(c1, c3[i]) to vanish.  Each verdict is `vanishes_truncated`,
     the one rule of `novikov.vanishes`.
     """
     if len(c2) != len(c3):
         raise ValueError("c2 and c3 need one element per summand of Y2")
-    total = None
-    for c2i, c3i in zip(c2, c3):
-        prod = mu2(c3i, c2i, cutoff)
-        total = prod if total is None else total + prod
+    if not c2:
+        raise ValueError("Y2 needs at least one summand")
+    total = mu2(c3[0], c2[0], cutoff)
+    for c2i, c3i in zip(c2[1:], c3[1:]):
+        total = total + mu2(c3i, c2i, cutoff)
     first = vanishes_truncated(total, cutoff)
     second = all(
         vanishes_truncated(mu2(c1, c3i, cutoff), cutoff) for c3i in c3

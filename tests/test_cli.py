@@ -718,14 +718,26 @@ def test_expressions_over_the_group_law_budget_are_parse_errors(
          "expected a single brane, got 'O(99999P0)'"),
         (("theta", "--kind", "0", "--point", "O(100000P0)"),
          "expected a point literal, got 'O(100000P0)'"),
+        (("k0", "--sheaf", "O(2P0) + L(1,0;0)"),
+         "expected only sheaves in this expression, got 'L(1,0;0)'"),
+        (("theta-sharp", "--brane", "L(1,0;0) + O(99990P0)"),
+         "expected only branes in this expression, got 'O(99990P0)'"),
+        (("cob-check", "--lhs", "L(1,0;0)", "--rhs", _PT),
+         f"expected only branes in this expression, got '{_PT}'"),
+        # the kind error comes before the thickness-0 constructor error
+        (("k0", "--sheaf", f"L(1,0;0) + Sky({_PT}, 0)"),
+         "expected only sheaves in this expression, got 'L(1,0;0)'"),
     ],
-    ids=["cob-nf", "cf", "theta"],
+    ids=["cob-nf", "cf", "theta", "k0-sum", "sharp-sum", "cob-check-sum",
+         "k0-sum-kind-first"],
 )
 def test_a_single_object_of_the_wrong_kind_is_refused_before_it_is_built(
     capsys, monkeypatch, argv, message
 ):
     """Within the group-law budget, yet a degree-10^5 bundle is not built
-    only to be refused as the wrong kind of object."""
+    only to be refused as the wrong kind of object.  A sum is checked
+    term by term on its tree, and every flag is checked before any flag
+    is built, so no term of a valid --lhs is built either."""
     monkeypatch.setattr(
         torushms.cli, "_realize", lambda ast: pytest.fail("object built")
     )
@@ -738,6 +750,28 @@ def test_a_single_object_of_the_wrong_kind_is_refused_before_it_is_built(
         "kind": "parse",
         "detail": {"position": None, "expected": []},
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [MU2, ("k0", "--sheaf", f"O(3P0) - 2*Sky({_PT}, 4)"),
+     ("section", "--q", _PT, "--at", _PT),
+     ("cob-check", "--lhs", "2*L(1,2;1/3)", "--rhs", "L(1,0;0) - L(0,1;0)")],
+    ids=["mu2", "k0", "section", "cob-check"],
+)
+def test_each_expression_is_parsed_once(capsys, monkeypatch, argv):
+    """main parses each expression flag once, for the work estimate, and
+    builds its objects from that tree: no handler parses again."""
+    calls = []
+    expr = torushms.cli._Parser.expr
+
+    def counting_expr(self):
+        calls.append(self.text)
+        return expr(self)
+
+    monkeypatch.setattr(torushms.cli._Parser, "expr", counting_expr)
+    assert run(capsys, *argv, "--json")[0] == 0
+    assert sorted(calls) == sorted(argv[2::2])
 
 
 @pytest.mark.parametrize(

@@ -554,6 +554,9 @@ def test_cone_criterion_detects_wrong_scale_and_section():
     assert first and not second
     with pytest.raises(ValueError):
         cone_criterion_mu2_checks(c1_good, c2s[:1], c3s, cutoff)
+    # no summands: no first product to test, rather than an AttributeError
+    with pytest.raises(ValueError, match="at least one summand"):
+        cone_criterion_mu2_checks(c1_good, [], [], cutoff)
 
 
 # ---------------------------------------------------------------------------
