@@ -487,8 +487,8 @@ class _Expr:
 # ---------------------------------------------------------------------------
 
 #: The most work a command may ask for, in steps of the Tate group law:
-#: one point_mul or K-class addition, 7-11 us on a 2-core x86-64 host
-#: (CPython 3.11), so 10^5 steps take 0.7-1.2 s.  main adds |n| for each
+#: one point_mul or K-class addition, 2-5 us on a 2-core x86-64 host
+#: (CPython 3.11), so 10^5 steps take 0.2-0.5 s.  main adds |n| for each
 #: O(nP0) it would build to the estimate of the verb's _VERBS entry, and
 #: compares the sum with this bound once, before any object is built.
 MAX_GROUP_STEPS = 100_000
@@ -528,11 +528,14 @@ def _mirror_steps(args, sheaf: SumAst) -> int:
 
 
 #: Floer weights in group-law steps, from in-process runs through main
-#: timed against the group-law verbs at the bound (0.65-1.15 s as this
-#: host drifts): cf takes 5 steps a point; the mu2 walk 4 a triangle, 16
+#: timed against the group-law verbs at the bound when those took
+#: 0.65-1.15 s: cf takes 5 steps a point; the mu2 walk 4 a triangle, 16
 #: more to list it (--triangles); a triangle phi2 weights 16 at rank 1,
-#: plus 1/2 per scalar product of its matrices (3-7 us each).  At the
-#: bound cf, mu2 and assoc run 0.8-1.9 times as long as those verbs.
+#: plus 1/2 per scalar product of its matrices (3-7 us each).  With the
+#: scalar group law those verbs take 0.2-0.5 s, and at the bound cf,
+#: mu2 and assoc run 1.3-4.2 times as long as they do; with a rank-r
+#: system on every brane only 0.1-0.3 times, because mat_mul does not
+#: form the exact-zero products that the rank term counts.
 _POINT, _WALKED, _LISTED, _WEIGHTED = 5, 4, 16, 16
 
 

@@ -57,12 +57,14 @@ so reliability windows flow through long compositions without manual
 bookkeeping.
 
 Truncation policy.  No other module reads ZERO_TOL or WINDOW_SLACK.
-ZERO_TOL drops |c| <= ZERO_TOL when a series is formed.  A verdict at a
-requested cutoff reads a series below `verdict_window`: min(cutoff,
-series cutoff) - WINDOW_SLACK, the requested cutoff for an exact series.
-`vanishes(x, cutoff)`, the one vanishing verdict, holds when x is zero or
-its lowest exponent is at or above that window.  `floer` reads it per
-matrix entry (`vanishes_truncated`) and takes `assoc_defect`'s window from
+ZERO_TOL drops |c| <= ZERO_TOL when a series is formed; the scalar
+group law of `tate` asks `NovikovSeries._exact_term` whether its one
+coefficient survives.  A verdict at a requested cutoff reads a series
+below `verdict_window`: min(cutoff, series cutoff) - WINDOW_SLACK, the
+requested cutoff for an exact series.  `vanishes(x, cutoff)`, the one
+vanishing verdict, holds when x is zero or its lowest exponent is at or
+above that window.  `floer` reads it per matrix entry
+(`vanishes_truncated`) and takes `assoc_defect`'s window from
 `verdict_window`; `tate.section_vanishes_at` and the CLI `section` verb
 read it on a section's value.
 """
@@ -213,6 +215,15 @@ class NovikovSeries:
                 continue
             clean.append((e, c))
         return cls._canonical(tuple(clean), cutoff)
+
+    @classmethod
+    def _exact_term(cls, e: Fraction, c: Scalar) -> Optional["NovikovSeries"]:
+        """`_below(((e, c),), None)` without the loop: the exact series
+        (0 + c) q^e, or None where |0 + c| <= ZERO_TOL makes that the
+        zero series.  The scalar group law of `tate` builds its units
+        here, so the drop rule stays in this module."""
+        c = 0 + c
+        return None if abs(c) <= ZERO_TOL else cls._canonical(((e, c),), None)
 
     # -- constructors ------------------------------------------------
 

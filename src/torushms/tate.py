@@ -21,6 +21,16 @@ coefficient -M^(2n+1) (kind 1).  They satisfy the quasi-periodicity law
 Global sections of the degree-2 line bundle O(2 P0) are spanned by
 theta0 and theta1; SectionCoeffs stores a section s = s0*theta0 +
 s1*theta1, and section_through(Q) produces a section vanishing at Q.
+
+The group law has a scalar path for constant units (one term, cutoff
+None), the units of every K-class sum, relation check and O(nP0).  There
+point_mul forms the one coefficient as the series product and negation
+form it, 0 + -(0 + c * c'), and conjugate_zero as `invert` forms it,
+0 + 1.0 / c; x is reduced into [0, 1) on integers, and the point is built
+without TatePoint.__init__.  Every other unit, and a coefficient the drop
+rule removes (`NovikovSeries._exact_term` applies it, in `novikov`),
+takes the series path, so a result keeps its bits and a vanishing unit
+raises the same NonUnit.
 """
 
 from __future__ import annotations
@@ -98,15 +108,55 @@ class TatePoint:
 _ZERO = TatePoint(0, -1)
 
 
+def _point(x: Fraction, unit: NovikovSeries) -> TatePoint:
+    """The point of a normalized x and a unit, without `TatePoint.__init__`."""
+    out = object.__new__(TatePoint)
+    object.__setattr__(out, "x", x)
+    object.__setattr__(out, "unit", unit)
+    return out
+
+
+def _scalar(unit: NovikovSeries) -> bool:
+    """The unit is one exact term: the constant units of the scalar path."""
+    return unit.cutoff is None and len(unit.terms) == 1
+
+
+def _x_sum(x: Fraction, y: Fraction) -> Fraction:
+    """x + y reduced into [0, 1), for x and y in [0, 1); one of them
+    itself when the other is 0."""
+    nx, dx = x.as_integer_ratio()
+    if not nx:
+        return y
+    ny, dy = y.as_integer_ratio()
+    if not ny:
+        return x
+    n, d = nx * dy + ny * dx, dx * dy  # below 2d
+    return Fraction(n - d if n >= d else n, d)
+
+
 def point_mul(p: TatePoint, r: TatePoint) -> TatePoint:
     """Group law: [ -q^x M ] * [ -q^x' M' ] = [ -q^(x+x') * (-M M') ]."""
-    return TatePoint(p.x + r.x, -(p.unit * r.unit))
+    a, b = p.unit, r.unit
+    if _scalar(a) and _scalar(b):
+        (e, ca), = a.terms
+        # what `-(a * b)` forms from the two terms: 0 + -(0 + ca * cb)
+        unit = NovikovSeries._exact_term(e, -(0 + ca * b.terms[0][1]))
+        if unit is not None:
+            return _point(_x_sum(p.x, r.x), unit)
+    return TatePoint(p.x + r.x, -(a * b))
 
 
 def conjugate_zero(p: TatePoint) -> TatePoint:
     """The group inverse [ -q^(-x) M^(-1) ]; the other zero of any
     section of O(2 P0) vanishing at p."""
-    return TatePoint(-p.x, invert(p.unit))
+    a = p.unit
+    if _scalar(a):
+        (e, c0), = a.terms
+        unit = NovikovSeries._exact_term(e, 1.0 / c0)  # as `invert` forms it
+        if unit is not None:
+            n, d = p.x.as_integer_ratio()
+            return _point(Fraction(d - n, d) if n else p.x, unit)
+    return TatePoint(-p.x, invert(a))
 
 
 def point_pow(p: TatePoint, n: int) -> TatePoint:

@@ -135,15 +135,26 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The matrix product, each entry summed in order of the inner index.
+
+    A product with an exact-zero factor (no terms, cutoff None) is the
+    exact zero, which adds no term and no window to a sum, so it is not
+    formed; an entry with no other product is `zero()`.  A zero that
+    carries a cutoff is still multiplied: its cutoff reaches the entry.
+    """
     cols = tuple(zip(*b))
     out = []
     for row in a:
         out_row = []
         for col in cols:
-            acc = row[0] * col[0]  # zero() + p is p, bit for bit
-            for x, y in zip(row[1:], col[1:]):
-                acc = acc + x * y
-            out_row.append(acc)
+            acc = None
+            for x, y in zip(row, col):
+                if (x.terms or x.cutoff is not None) and (
+                    y.terms or y.cutoff is not None
+                ):
+                    p = x * y
+                    acc = p if acc is None else acc + p  # zero() + p is p
+            out_row.append(NovikovSeries.zero() if acc is None else acc)
         out.append(tuple(out_row))
     return tuple(out)
 

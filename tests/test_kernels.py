@@ -6,7 +6,9 @@ loop with an unshared `fractional_power`, the geometric-series `invert`
 summed by repeated addition, a `theta_eval` that builds its own power
 table per theta kind, a `mat_mul` that starts every entry from `zero()`,
 a `transport` that builds each Jordan block in a scratch list and
-forms its diagonal as lam^t * binom(t, 0) * 1, and a `mu2` that walks,
+forms its diagonal as lam^t * binom(t, 0) * 1, the series group law
+of `point_mul` and `conjugate_zero` (through `TatePoint.__init__`, for
+constant units too), and a `mu2` that walks,
 bounds and sums each triangle in one loop, with a per-call transport
 dict and the triangle listing threaded through `_collect`.  The kernels
 must give the same `repr` (so the same exponents, coefficient types,
@@ -35,6 +37,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 from pathlib import Path
 from fractions import Fraction as F
 from typing import Dict, List, Optional
@@ -84,7 +87,10 @@ from torushms.sheafk import (
 from torushms.tate import (
     SectionCoeffs,
     TatePoint,
+    conjugate_zero,
     eval_section,
+    point_mul,
+    point_pow,
     section_through,
     section_vanishes_at,
     theta_eval,
@@ -243,6 +249,16 @@ def mat_mul_oracle(a, b):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+def point_mul_oracle(p, r):
+    """The series product and negation, then `TatePoint.__init__`."""
+    return TatePoint(p.x + r.x, -(p.unit * r.unit))
+
+
+def conjugate_zero_oracle(p):
+    """`invert` of the unit, then `TatePoint.__init__`."""
+    return TatePoint(-p.x, invert(p.unit))
 
 
 def transport_oracle(system, t):
@@ -652,11 +668,21 @@ def test_theta_with_one_table_matches_the_per_kind_oracle(unit, x, cutoff):
     assert repr(value) == repr(want)
 
 
+#: exact zeros (mat_mul skips their products), zeros with a cutoff
+#: (multiplied) and any other series
+_entry_or_zero = st.one_of(
+    st.just(NovikovSeries.zero()),
+    _expo.map(NovikovSeries.zero),
+    _series,
+)
+
+
 @st.composite
 def _matrix_pairs(draw):
     rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
-    a = tuple(tuple(draw(_series) for _ in range(inner)) for _ in range(rows))
-    b = tuple(tuple(draw(_series) for _ in range(cols)) for _ in range(inner))
+    entry = lambda: draw(_entry_or_zero)  # noqa: E731
+    a = tuple(tuple(entry() for _ in range(inner)) for _ in range(rows))
+    b = tuple(tuple(entry() for _ in range(cols)) for _ in range(inner))
     return a, b
 
 
@@ -665,6 +691,137 @@ def _matrix_pairs(draw):
 def test_mat_mul_matches_the_zero_start_oracle(pair):
     a, b = pair
     assert repr(mat_mul(a, b)) == repr(mat_mul_oracle(a, b))
+
+
+# ---------------------------------------------------------------------------
+# the scalar group law against the series group law
+# ---------------------------------------------------------------------------
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+#: |c| where c * c' or 1 / c lands at or next to ZERO_TOL, and ordinary sizes
+_TOL_SIZES = [
+    math.nextafter(ZERO_TOL, 1.0), 2 * ZERO_TOL, 1e-6,
+    math.nextafter(1e-6, 0.0), math.nextafter(1e-6, 1.0),
+    1 / ZERO_TOL, math.nextafter(1 / ZERO_TOL, 0.0),
+    math.nextafter(1 / ZERO_TOL, math.inf), 0.5, 1.0, 3.0,
+]
+_size = st.one_of(
+    st.sampled_from(_TOL_SIZES),
+    st.floats(min_value=2 * ZERO_TOL, max_value=1e13),
+)
+
+
+def _shaped(draw, size):
+    """A coefficient of magnitude `size` (a float, a complex with a
+    signed-zero part, or a complex off the axes), or one of the ints
+    +-1 and two Fractions."""
+    size *= draw(st.sampled_from([1.0, -1.0]))
+    shape = draw(st.sampled_from(["int", "fraction", "float", "re", "im", "turn"]))
+    if shape == "int":
+        return draw(st.sampled_from([1, -1]))
+    if shape == "fraction":
+        return draw(st.sampled_from([F(3, 2), F(-1, 7)]))
+    if shape == "re":
+        return complex(size, draw(_signed_zero))
+    if shape == "im":
+        return complex(draw(_signed_zero), size)
+    if shape == "turn":
+        return size * cmath.exp(2j * cmath.pi * draw(st.integers(1, 12)) / 13)
+    return size
+
+
+@st.composite
+def _scalar_units(draw, partner=None):
+    """One-term exact units; given a partner coefficient c, units whose
+    product with c lands at or next to ZERO_TOL."""
+    if partner is not None and draw(st.booleans()):
+        size = ZERO_TOL / abs(partner)
+        size = draw(st.sampled_from(
+            [size, math.nextafter(size, 0.0), math.nextafter(size, math.inf)]
+        ))
+        assume(size > ZERO_TOL)
+    else:
+        size = draw(_size)
+    return NovikovSeries.constant(_shaped(draw, size))
+
+
+#: the series path: truncated units (constant or not) and multi-term
+#: exact units, whose inverse is refused
+_series_units = st.one_of(
+    _units(max_cutoff=2),
+    st.builds(
+        NovikovSeries.constant,
+        st.sampled_from([1, -1.0, 2j]),
+        st.builds(F, st.integers(1, 24), st.just(12)),
+    ),
+    st.builds(
+        lambda c, e, d: NovikovSeries([(0, c), (e, d)]),
+        st.sampled_from([1, 0.5j, -2.0]),
+        st.builds(F, st.integers(1, 6), st.sampled_from([1, 2, 3])),
+        st.sampled_from([0.25, -1j]),
+    ),
+)
+#: x with denominators 1-13, 0 and values outside [0, 1) among them
+_x = st.builds(F, st.integers(-13, 26), st.integers(1, 13))
+
+
+@st.composite
+def _point_pairs(draw):
+    p_unit = draw(st.one_of(_scalar_units(), _series_units))
+    partner = p_unit.terms[0][1] if len(p_unit.terms) == 1 else None
+    r_unit = draw(st.one_of(_scalar_units(partner), _series_units))
+    return TatePoint(draw(_x), p_unit), TatePoint(draw(_x), r_unit)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as err:  # the error is part of the behaviour compared
+        return type(err), str(err)
+
+
+def _assert_same_point(got, want):
+    if isinstance(want, tuple):
+        assert got == want  # the same exception type and message
+        return
+    assert repr(got) == repr(want)
+    assert hash(got) == hash(want)
+    assert got == want and want == got
+    assert type(got.x) is F
+
+
+@settings(max_examples=400, deadline=None)
+@given(_point_pairs())
+@example((TatePoint(0, 1e-6), TatePoint(F(1, 2), 1e-6)))  # 1e-6 * 1e-6 == ZERO_TOL
+@example((TatePoint(F(1, 3), 1e12), TatePoint(F(2, 3), -1)))  # 1.0 / 1e12 too
+@example((TatePoint(F(5, 7), complex(-0.0, 1.0)), TatePoint(F(2, 7), -1)))
+def test_scalar_group_law_matches_the_series_oracle(pair):
+    """One-term exact units take the scalar path, every other unit and
+    every coefficient the drop rule removes the series path."""
+    for a, b in (pair, pair[::-1]):
+        _assert_same_point(
+            _outcome(point_mul, a, b), _outcome(point_mul_oracle, a, b)
+        )
+    for q in pair:
+        _assert_same_point(
+            _outcome(conjugate_zero, q), _outcome(conjugate_zero_oracle, q)
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(TatePoint, _x, st.one_of(_scalar_units(), _units(max_cutoff=2))),
+    st.integers(-12, 12),
+)
+def test_point_pow_matches_repeated_oracle_products(p, n):
+    want = step = p if n >= 0 else _outcome(conjugate_zero_oracle, p)
+    if not isinstance(step, tuple):
+        want = TatePoint.zero()
+        for _ in range(abs(n)):
+            want = _outcome(point_mul_oracle, want, step)
+            if isinstance(want, tuple):
+                break
+    _assert_same_point(_outcome(point_pow, p, n), want)
 
 
 _eigen = st.one_of(
@@ -950,16 +1107,21 @@ def test_the_bridge_sides_agree_on_a_value_known_past_the_cutoff():
 
 
 def test_only_novikov_reads_the_truncation_constants():
-    """Imported names, bare names and attributes, as the parser sees them."""
-    readers = set()
+    """Imported names, bare names and attributes, as the parser sees them,
+    and the two names anywhere else in the source text: strings,
+    comments and docstrings."""
+    readers, namers = set(), set()
     for path in Path(novikov.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
             name = node.name if isinstance(node, ast.alias) else (
                 getattr(node, "id", None) or getattr(node, "attr", None)
             )
             if name in ("ZERO_TOL", "WINDOW_SLACK"):
                 readers.add(path.name)
-    assert readers == {"novikov.py"}
+        if re.search(r"\b(ZERO_TOL|WINDOW_SLACK)\b", text):
+            namers.add(path.name)
+    assert readers == namers == {"novikov.py"}
 
 
 # ---------------------------------------------------------------------------
