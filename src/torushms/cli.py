@@ -29,11 +29,12 @@ expressions and on its flags before any object is built.  Building
 costs |n| for each O(nP0).  k0 adds |mult| per term and h per Sky;
 theta-sharp |mult| + rank per brane, and |k| for slope (1, k); mirror
 |d| for a rank-1 bundle of degree d.  cf costs 5 per intersection point.
-mu2 costs 5 per point of each CF space it builds, and per triangle of
-its walk 4 (20 with --triangles), and per triangle phi2 weights 16 plus
-half the scalar products of its matrices (_mu2_steps); assoc the same
-for its four products.  So cf of L(1,999999999;0) and L(1,0;0), or mu2
-and assoc with a rank-10000 system, exit 1 at once.
+mu2 costs 5 per point of each CF space it builds, 4 per triangle of its
+walk (20 with --triangles; at most novikov.lattice_bound per generator),
+and 16 plus half the scalar products of its matrices per triangle phi2
+weights (_mu2_steps); assoc the same for its four products.  So cf of
+L(1,999999999;0) and L(1,0;0), or mu2 and assoc with a rank-10000
+system, exit 1 at once.
 
 Input grammar (EBNF).  Whitespace is free before, between and after
 tokens.  An INT has at most MAX_INT_DIGITS = 100 digits; a longer one is
@@ -70,9 +71,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from ._record import record
 from .errors import ParseError, TorushmsError
-from .floer import FloerElement, assoc_defect, cf, mu2, mu2_triangles
+from .floer import FloerElement, _triangle_window, assoc_defect, cf, mu2, mu2_triangles
 from .mirror import mirror_of_sheaf, theta_sharp, zeta_injectivity_witness
-from .novikov import NovikovSeries, series_json, series_text, vanishes
+from .novikov import NovikovSeries, lattice_bound, series_json, series_text, vanishes
 from .sheafk import (
     Bundle, K0Class, RelationBounds, SheafSum, Skyscraper, k0_class,
     line_bundle, o_of_n_p0, relation_suite,
@@ -471,15 +472,13 @@ class _Expr:
     def __init__(self, flag: str, cls, what: str, sums: bool = False):
         self.flag, self.cls, self.what, self.sums = flag, cls, what, sums
 
-    def check(self, text: str, ast: SumAst) -> None:
-        """Refuse `text`, parsed to `ast`, on its tree unless it is one
-        object of this flag's class, or with `sums` a formal sum of them."""
-        bad = [x for _, x in ast.terms if not issubclass(_REALIZES[type(x)], self.cls)]
-        if not self.sums and (bad or ast.terms[1:] or ast.terms[0][0] != 1):
-            raise ParseError(f"expected {self.what}, got {text!r}")
-        if bad:
-            raise ParseError(f"expected only {self.what} in this expression, "
-                             f"got {print_ast(bad[0])!r}")
+    def refused(self, ast: SumAst):
+        """None when `ast` is one object of the flag's class (with `sums`, a
+        sum of them); else the tree, or with `sums` the first stray term."""
+        if not self.sums and (ast.terms[1:] or ast.terms[0][0] != 1):
+            return ast
+        return next((x for _, x in ast.terms
+                     if not issubclass(_REALIZES[type(x)], self.cls)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -543,18 +542,16 @@ def _mu2_steps(b0, b1, b2, cutoff, comps1, comps2, listed=False):
     """(steps, output components) of mu2(phi2, phi1), phi1 with comps1
     components and phi2 with comps2, or None when b0 and b2 are parallel
     (NonTransverse).  It builds CF(b0, b2).  Per component of phi1 the
-    walk meets at most isqrt(4X) + 1 triangles, X = 2 cutoff |d02 d12| /
-    |d01| (12 and 91 on the standard triple at cutoffs 8 and 512, where
-    it makes 12 and 90), none when they are misoriented.  Their y2 corner
-    runs through the |d12| points of CF(b1, b2), so phi2 weights at most
-    comps2 (walked // |d12| + 1), each with four matrix products."""
+    walk's window holds at most `lattice_bound(X)` triangles (12 and 91 on
+    the standard triple at cutoffs 8 and 512; it makes 12 and 90).  Their
+    y2 corners run through the |d12| points of CF(b1, b2), so phi2 weights
+    at most comps2 (walked // |d12| + 1), each with four matrix products."""
     v0, v1, v2 = (b0.m, b0.n), (b1.m, b1.n), (b2.m, b2.n)
     d01, d02, d12 = det2(v0, v1), det2(v0, v2), det2(v1, v2)
     if d02 == 0:
         return None
-    walked = 0 if d01 * d02 * d12 > 0 else 1 + math.isqrt(
-        8 * cutoff.numerator * abs(d02 * d12) // (cutoff.denominator * abs(d01))
-    )
+    X = _triangle_window(d01, d02, d12, cutoff)  # None: no triangle counts
+    walked = 0 if X is None else lattice_bound(X)
     weighted = min(walked, comps2 * (walked // abs(d12) + 1))
     r0, r1, r2 = b0.rank, b1.rank, b2.rank
     products = r0 * (r0 * r1 + r1 * r1 + r1 * r2 + r2 * r2)
@@ -567,12 +564,11 @@ def _mu2_steps(b0, b1, b2, cutoff, comps1, comps2, listed=False):
 def _floer_steps(args, *trees) -> int:
     """cf, mu2 and assoc: the CF space of each neighbouring pair of
     branes, then each product in the order the library forms it.  A flag
-    the kind check or the Brane constructor refuses costs nothing, and
-    the first parallel pair ends the work."""
-    b = [t.terms[0][1] for t in trees if len(t.terms) == 1 and t.terms[0][0] == 1]
-    if len(b) < len(trees) or not all(
-        isinstance(x, BraneAst) and x.rank > 0 and is_primitive((x.m, x.n)) for x in b
-    ):
+    its `_Expr` or the Brane constructor refuses costs nothing, and the
+    first parallel pair ends the work."""
+    b = [t.terms[0][1] for t in trees]
+    if not all(e.refused(t) is None and x.rank > 0 and is_primitive((x.m, x.n))
+               for e, t, x in zip(args.exprs, trees, b)):
         return 0
     steps = 0
     for x, y in zip(b, b[1:]):
@@ -1013,7 +1009,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"MAX_GROUP_STEPS = {MAX_GROUP_STEPS}"
             )
         for e, text, tree in zip(args.exprs, texts, trees):
-            e.check(text, tree)
+            if (bad := e.refused(tree)) is not None:
+                raise ParseError(f"expected only {e.what} in this expression, got "
+                                 f"{print_ast(bad)!r}" if e.sums
+                                 else f"expected {e.what}, got {text!r}")
         for e, tree in zip(args.exprs, trees):  # one object, or the pairs of a sum
             pairs = _realize_terms(tree)
             setattr(args, e.flag[2:], pairs if e.sums else pairs[0][0])

@@ -5,9 +5,9 @@ universal cover.
 For three pairwise non-parallel branes L0, L1, L2 and generators
 y1 in L0 ∩ L1, y2 in L1 ∩ L2, the triangles contributing to
 mu2(phi2, phi1) are enumerated by fixing the lift of y1 in [0,1)^2 and
-walking the Z-family of lifts of L2: the signed offset u of a lift is
-affine in the family index k, the triangle area is quadratic in u, so
-the walk stops as soon as the area passes the cutoff (both directions).
+walking the Z-family of lifts of L2: the signed offset u = k + r of
+lift k is affine in k and the triangle area is A u^2, so the lifts with
+area below the cutoff are one `novikov.lattice_window` (one isqrt).
 `_walk` yields these triangles and has two consumers: `mu2` sums the
 ones whose y2 corner phi2 weights, and `mu2_triangles` also lists every
 triangle with its boundary data (`_boundary`).  Each triangle contributes
@@ -37,7 +37,6 @@ precision.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -49,7 +48,7 @@ from .errors import (
     NonTransverse,
 )
 from .novikov import (
-    NovikovSeries, Rational, _RunningSum, vanishes, verdict_window,
+    NovikovSeries, Rational, _RunningSum, lattice_window, vanishes, verdict_window,
 )
 from .torus import (
     Brane,
@@ -269,15 +268,22 @@ def _chain(phi2: FloerElement, phi1: FloerElement):
     return b0, b1, b2, d01, d02, d12
 
 
-def _walk(phi2: FloerElement, phi1: FloerElement, cutoff: Fraction):
+def _triangle_window(d01: int, d02: int, d12: int, cutoff: Fraction):
+    """X with a triangle's area |d01| u^2 / (2 |d02 d12|) below `cutoff`
+    exactly when u^2 < X, or None when d01 d02 d12 > 0: then every corner
+    cycle is negatively oriented for this ordered product, none counts."""
+    return None if d01 * d02 * d12 > 0 else 2 * abs(d02 * d12) * cutoff / abs(d01)
+
+
+def _walk(phi1: FloerElement, chain, cutoff: Fraction):
     """Yield each triangle of mu2(phi2, phi1) with area below `cutoff` as
     (k, y1c, a1, s, t, area, p0, p2), where phi1 is a1 at y1c and the
     lift k of L2 meets L0 at p0 = y1c + s*v0 and L1 at p2 = y1c + t*v1.
-    Per generator k runs down from floor(-r), then up from floor(-r) + 1."""
-    b0, b1, b2, d01, d02, d12 = _chain(phi2, phi1)
-    if (d01 * d02 * d12) > 0:
-        # the corner cycle of every candidate triangle is negatively
-        # oriented for this ordered product; nothing contributes
+    Per generator, u = k + r and k runs through `lattice_window(r, X)`:
+    down from floor(-r), then up.  `chain` is `_chain(phi2, phi1)`."""
+    b0, b1, b2, d01, d02, d12 = chain
+    X = _triangle_window(d01, d02, d12, cutoff)
+    if X is None:
         return
     assert index_of(b0, b2) == index_of(b0, b1) + index_of(b1, b2)
     v0, v1, v2 = b0.slope, b1.slope, b2.slope
@@ -289,13 +295,12 @@ def _walk(phi2: FloerElement, phi1: FloerElement, cutoff: Fraction):
             raise DegenerateConfiguration(
                 f"the three supports share a point over generator {y1c}"
             )
+        lo, hi = lattice_window(r, X)
         kc = math.floor(-r)
-        for ks in (itertools.count(kc, -1), itertools.count(kc + 1)):
+        for ks in (range(kc, lo - 1, -1), range(kc + 1, hi)):
             for k in ks:
                 u = k + r
                 area = area_coeff * u * u
-                if area >= cutoff:
-                    break
                 s = Fraction(u, 1) / d02
                 t = Fraction(u, 1) / d12
                 p0 = (y1c[0] + s * v0[0], y1c[1] + s * v0[1])
@@ -323,13 +328,11 @@ def _boundary(
     return d_arc, crossings, (-1) ** i_y1 * (-1) ** (crossings + 1)
 
 
-def _sum(
-    phi2: FloerElement, phi1: FloerElement, cutoff: Fraction, triangles
-) -> FloerElement:
-    """mu2(phi2, phi1) over `triangles` from `_walk`, skipping those whose
-    y2 corner phi2 does not weight.  Each local system's transports share
-    its eps power tables, so each power of eps is formed once per call."""
-    b0, b1, b2, _, _, _ = _chain(phi2, phi1)
+def _sum(phi2: FloerElement, chain, cutoff: Fraction, triangles) -> FloerElement:
+    """mu2(phi2, phi1) over `triangles` from `_walk` on `chain`, skipping
+    those whose y2 corner phi2 does not weight.  Each local system's
+    transports share its eps power tables: one power of eps per call."""
+    b0, b1, b2, _, _, _ = chain
     out_space = cf(b0, b2)
     i_y1 = index_of(b0, b1)
     (l0, e0), (l1, e1), (l2, e2) = [
@@ -367,7 +370,8 @@ def mu2(phi2: FloerElement, phi1: FloerElement, cutoff: Rational) -> FloerElemen
     """The triangle product CF(L1,L2) x CF(L0,L1) -> CF(L0,L2),
     truncated at `cutoff`."""
     cutoff = Fraction(cutoff)
-    return _sum(phi2, phi1, cutoff, _walk(phi2, phi1, cutoff))
+    chain = _chain(phi2, phi1)
+    return _sum(phi2, chain, cutoff, _walk(phi1, chain, cutoff))
 
 
 def mu2_triangles(
@@ -375,36 +379,28 @@ def mu2_triangles(
 ) -> Tuple[FloerElement, List[dict]]:
     """mu2 together with the JSON-ready list of every triangle of its
     walk, weighted by phi2 or not."""
-    b0, b1, b2, _, _, _ = _chain(phi2, phi1)
+    b0, b1, b2, _, _, _ = chain = _chain(phi2, phi1)
     cutoff = Fraction(cutoff)
     i_y1 = index_of(b0, b1)
     tris: List[dict] = []
 
     def listed():
-        for tri in _walk(phi2, phi1, cutoff):
+        for tri in _walk(phi1, chain, cutoff):
             k, y1c, _, s, t, area, p0, p2 = tri
             d_arc, crossings, sign = _boundary(b0, b1, b2, i_y1, y1c, p0, p2)
-            tris.append(
-                {
-                    "n": k,
-                    "corners": [
-                        [str(p0[0]), str(p0[1])],
-                        [str(y1c[0]), str(y1c[1])],
-                        [str(p2[0]), str(p2[1])],
-                    ],
-                    "area": {"num": area.numerator, "den": area.denominator},
-                    "sign": sign,
-                    "arcs": [
-                        {"num": e.numerator, "den": e.denominator}
-                        for e in (s, -t, -d_arc)
-                    ],
-                    "crossings": crossings,
-                    "output": [str(p0[0] % 1), str(p0[1] % 1)],
-                }
-            )
+            tris.append({
+                "n": k,
+                "corners": [[str(p[0]), str(p[1])] for p in (p0, y1c, p2)],
+                "area": {"num": area.numerator, "den": area.denominator},
+                "sign": sign,
+                "arcs": [{"num": e.numerator, "den": e.denominator}
+                         for e in (s, -t, -d_arc)],
+                "crossings": crossings,
+                "output": [str(p0[0] % 1), str(p0[1] % 1)],
+            })
             yield tri
 
-    return _sum(phi2, phi1, cutoff, listed()), tris
+    return _sum(phi2, chain, cutoff, listed()), tris
 
 
 def mu2_bruteforce(

@@ -66,7 +66,12 @@ vanishing verdict, holds when x is zero or its lowest exponent is at or
 above that window.  `floer` reads it per matrix entry
 (`vanishes_truncated`) and takes `assoc_defect`'s window from
 `verdict_window`; `tate.section_vanishes_at` and the CLI `section` verb
-read it on a section's value.
+read it on a section's value.  Where a lattice sum whose exponent is a
+convex quadratic in an integer index stops is decided here too:
+`lattice_window(c, X)` is the range of k with (k + c)^2 < X, found by one
+integer square root, and `lattice_bound(X)` is the most k any c admits.
+`floer._walk` takes each generator's triangles below the cutoff from it,
+`tate.theta_eval_raw` its theta terms, and the CLI mu2 budget the bound.
 """
 
 from __future__ import annotations
@@ -552,6 +557,28 @@ def verdict_window(cutoff: Rational, series: Optional[NovikovSeries] = None):
 def vanishes(x: NovikovSeries, cutoff: Rational) -> bool:
     """x has no term below its verdict window at `cutoff`."""
     return not x.terms or x.terms[0][0] >= verdict_window(cutoff, x)
+
+
+def lattice_window(c: Rational, X: Rational) -> Tuple[int, int]:
+    """(lo, hi) with range(lo, hi) the integers k with (k + c)^2 < X, and
+    lo <= ceil(-c) <= hi, so a walk may split it at ceil(-c).  With
+    c = p/q, k qualifies when m = kq + p has m^2 < X q^2, that is when
+    |m| <= isqrt(ceil(X q^2) - 1); no k does when X <= 0."""
+    c, X = Fraction(c), Fraction(X)
+    p, q = c.numerator, c.denominator
+    n = -(-X.numerator * q * q // X.denominator)  # ceil(X q^2)
+    if n <= 0:
+        return -(p // q), -(p // q)
+    m = math.isqrt(n - 1)
+    return -((m + p) // q), (m - p) // q + 1
+
+
+def lattice_bound(X: Rational) -> int:
+    """1 + isqrt(floor(4X)), 0 for X <= 0: no lattice_window(c, X) has
+    more integers, whatever c is.  An open interval of length 2 sqrt(X)
+    holds at most floor(2 sqrt(X)) + 1 of them."""
+    X = Fraction(X)
+    return 1 + math.isqrt(4 * X.numerator // X.denominator) if X > 0 else 0
 
 
 def invert(a: NovikovSeries) -> NovikovSeries:

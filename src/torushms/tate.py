@@ -41,7 +41,9 @@ from typing import Union
 
 from ._record import record
 from .errors import NonUnit
-from .novikov import NovikovSeries, Rational, _Powers, _RunningSum, invert, vanishes
+from .novikov import (
+    NovikovSeries, Rational, _Powers, _RunningSum, invert, lattice_window, vanishes,
+)
 
 __all__ = [
     "TatePoint",
@@ -212,19 +214,15 @@ def theta_eval_raw(
         expo = lambda n: Fraction(2 * n + 1, 2) ** 2 + (2 * n + 1) * x
         coef = lambda n: -mpow(2 * n + 1)
 
-    # exponent is a convex quadratic in n: walk outward from its vertex,
-    # where it is monotone in both directions
-    vertex = -x if kind == 0 else -x - Fraction(1, 2)
-    up = math.ceil(vertex)
+    # exponent (n + c)^2 - x^2, c = x or x + 1/2, is below the cutoff on
+    # lattice_window(c, cutoff + x^2): walk it up from the vertex, then down
+    c = x if kind == 0 else x + Fraction(1, 2)
+    lo, hi = lattice_window(c, cutoff + x * x)
+    up = math.ceil(-c)
     out = _RunningSum(NovikovSeries.zero(cutoff))
-    for start, step in ((up, 1), (up - 1, -1)):
-        n = start
-        while True:
-            e = expo(n)
-            if e >= cutoff:
-                break
-            out.add(NovikovSeries.q_power(e) * coef(n))
-            n += step
+    for ns in (range(up, hi), range(up - 1, lo - 1, -1)):
+        for n in ns:
+            out.add(NovikovSeries.q_power(expo(n)) * coef(n))
     return out.series()
 
 

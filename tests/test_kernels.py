@@ -8,10 +8,13 @@ table per theta kind, a `mat_mul` that starts every entry from `zero()`,
 a `transport` that builds each Jordan block in a scratch list and
 forms its diagonal as lam^t * binom(t, 0) * 1, the series group law
 of `point_mul` and `conjugate_zero` (through `TatePoint.__init__`, for
-constant units too), and a `mu2` that walks,
-bounds and sums each triangle in one loop, with a per-call transport
-dict and the triangle listing threaded through `_collect`.  The kernels
-must give the same `repr` (so the same exponents, coefficient types,
+constant units too), a `mu2` that walks, bounds and sums each triangle
+in one loop, with a per-call transport dict and the triangle listing
+threaded through `_collect`, and the stepping walks that
+`novikov.lattice_window` replaced: a scan outward from ceil(-c) that
+stops each way at the first k with (k + c)^2 >= X, and the
+`theta_eval_raw` loop that stopped at the first exponent at or above
+the cutoff.  The kernels must give the same `repr` (so the same exponents, coefficient types,
 bits and signed zeros) on every draw, `mu2_triangles` the same list and
 a failing draw the same error, and a sum must return its operands'
 exponent objects.  The work-count tests pin what the kernels share: one
@@ -78,6 +81,8 @@ from torushms.novikov import (
     _RunningSum,
     fractional_power,
     invert,
+    lattice_bound,
+    lattice_window,
     vanishes,
 )
 from torushms.mirror import MirrorPair
@@ -94,6 +99,7 @@ from torushms.tate import (
     section_through,
     section_vanishes_at,
     theta_eval,
+    theta_eval_raw,
 )
 from torushms.torus import (
     DEFAULT_MARKER,
@@ -234,6 +240,50 @@ def theta_oracle(kind, x, unit, cutoff):
             out = add_oracle(out, mul_oracle(NovikovSeries(((e, 1),)), coef(n)))
             n += step
     return truncated_oracle(out, cutoff)
+
+
+def theta_eval_raw_oracle(kind, x, unit, cutoff):
+    """`tate.theta_eval_raw` as it walked: outward from the vertex of the
+    exponent, up then down, each way stopping at the first exponent at or
+    above the cutoff."""
+    x = F(x)
+    unit = tate._as_unit(unit)
+    cutoff = F(cutoff)
+    if kind not in (0, 1):
+        raise ValueError("theta kind must be 0 or 1")
+    mpow = tate._unit_powers(unit)
+    if kind == 0:
+        expo = lambda n: F(n * n) + 2 * n * x
+        coef = lambda n: mpow(2 * n)
+    else:
+        expo = lambda n: F(2 * n + 1, 2) ** 2 + (2 * n + 1) * x
+        coef = lambda n: -mpow(2 * n + 1)
+    vertex = -x if kind == 0 else -x - F(1, 2)
+    up = math.ceil(vertex)
+    out = _RunningSum(NovikovSeries.zero(cutoff))
+    for start, step in ((up, 1), (up - 1, -1)):
+        n = start
+        while True:
+            e = expo(n)
+            if e >= cutoff:
+                break
+            out.add(NovikovSeries.q_power(e) * coef(n))
+            n += step
+    return out.series()
+
+
+def stepping_window_oracle(c, X):
+    """The k with (k + c)^2 < X, stepped outward from ceil(-c) and
+    stopped each way at the first k that fails: the rule of the walks
+    that `lattice_window` replaced."""
+    up = math.ceil(-c)
+    ks = []
+    for start, step in ((up, 1), (up - 1, -1)):
+        k = start
+        while (k + c) ** 2 < X:
+            ks.append(k)
+            k += step
+    return sorted(ks)
 
 
 def mat_mul_oracle(a, b):
@@ -1122,6 +1172,67 @@ def test_only_novikov_reads_the_truncation_constants():
         if re.search(r"\b(ZERO_TOL|WINDOW_SLACK)\b", text):
             namers.add(path.name)
     assert readers == namers == {"novikov.py"}
+
+
+# ---------------------------------------------------------------------------
+# one lattice window
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _windows(draw):
+    """(c, X): c of either sign with denominators 1-60; X <= 0, X with 4X
+    a perfect square, X exactly (k + c)^2 for a k near the vertex (where
+    the strict bound decides), or any positive rational."""
+    c = draw(st.builds(F, st.integers(-2000, 2000), st.integers(1, 60)))
+    X = draw(st.one_of(
+        st.builds(F, st.integers(-500, 0), st.integers(1, 60)),
+        st.builds(F, st.integers(0, 200).map(lambda m: m * m), st.just(4)),
+        st.integers(-40, 40).map(lambda j: (math.floor(-c) + j + c) ** 2),
+        st.builds(F, st.integers(1, 10**5), st.integers(1, 97)),
+    ))
+    return c, X
+
+
+@settings(max_examples=600, deadline=None)
+@given(_windows())
+@example((F(0), F(1)))  # 4X = 4: the bound, 3, exceeds the window, 1
+@example((F(1, 2), F(1, 4)))  # (k + 1/2)^2 = 1/4 at k = 0, -1: empty
+@example((F(-7, 3), F(-1)))
+def test_lattice_window_matches_a_stepping_scan(window):
+    c, X = window
+    lo, hi = lattice_window(c, X)
+    assert list(range(lo, hi)) == stepping_window_oracle(c, X)
+    assert lo <= math.ceil(-c) <= hi  # the walks split the range there
+    assert hi - lo <= lattice_bound(X)
+
+
+#: constant units, the pinned series unit of the theta bridge, drawn
+#: truncated units, and a non-unit (q^(1/2))
+_theta_units = st.one_of(
+    st.sampled_from([1, -1, 1j, complex(-0.0, 1.0), 0.5, 2.5,
+                     cmath.exp(2j * cmath.pi / 7), _UNIT, _UNIT,
+                     NovikovSeries.q_power(F(1, 2))]),
+    _units(max_cutoff=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0, 1, 0, 1, 2]),
+    st.builds(F, st.integers(-40, 40), st.integers(1, 13)),
+    _theta_units,
+    st.one_of(
+        st.builds(F, st.integers(-48, 256 * 4), st.just(4)),  # up to 256
+        st.builds(F, st.integers(-12, 12), st.just(12)),  # empty windows too
+    ),
+)
+@example(1, F(0), 1, F(1, 4))  # kind 1 at x = 0 starts at 1/4: no term
+@example(0, F(-7, 2), _UNIT, F(-49, 4))  # cutoff + x^2 = 0: no term
+@example(0, F(5), -1, F(256))
+def test_theta_window_matches_the_stepping_walk(kind, x, unit, cutoff):
+    got = _outcome(theta_eval_raw, kind, x, unit, cutoff)
+    want = _outcome(theta_eval_raw_oracle, kind, x, unit, cutoff)
+    assert repr(got) == repr(want)
 
 
 # ---------------------------------------------------------------------------
