@@ -71,11 +71,13 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from ._record import record
 from .errors import ParseError, TorushmsError
-from .floer import FloerElement, _triangle_window, assoc_defect, cf, mu2, mu2_triangles
+from .floer import (
+    FloerElement, _triangle_window, _unit_matrix, assoc_defect, cf, mu2, mu2_triangles,
+)
 from .mirror import mirror_of_sheaf, theta_sharp, zeta_injectivity_witness
-from .novikov import NovikovSeries, lattice_bound, series_json, series_text, vanishes
+from .novikov import NovikovSeries, lattice_bound, series_text, vanishes
 from .sheafk import (
-    Bundle, K0Class, RelationBounds, SheafSum, Skyscraper, k0_class,
+    Bundle, K0Class, RelationBounds, Skyscraper, k0_class,
     line_bundle, o_of_n_p0, relation_suite,
 )
 from .tate import TatePoint, eval_section, section_through, theta_eval
@@ -589,8 +591,20 @@ def _floer_steps(args, *trees) -> int:
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
+# serialization helpers: the only code that shapes JSON objects
 # ---------------------------------------------------------------------------
+
+
+def _ratio_json(x: Fraction) -> dict:
+    return {"num": x.numerator, "den": x.denominator}
+
+
+def _series_json(a: NovikovSeries) -> dict:
+    """A series: exact exponents, float coefficients."""
+    terms = [{**_ratio_json(e), "re": complex(c).real, "im": complex(c).imag}
+             for e, c in a.terms]
+    return {"terms": terms,
+            "cutoff": None if a.cutoff is None else _ratio_json(a.cutoff)}
 
 
 def _unit(s: NovikovSeries, as_json: bool):
@@ -602,7 +616,7 @@ def _unit(s: NovikovSeries, as_json: bool):
         if as_json:
             return {"re": z.real, "im": z.imag}
         return f"{z.real:.9g}{z.imag:+.9g}i"
-    return series_json(s) if as_json else series_text(s)
+    return _series_json(s) if as_json else series_text(s)
 
 
 def _point_json(p: TatePoint) -> dict:
@@ -635,9 +649,20 @@ def _brane_json(b: Brane) -> dict:
 def _element_json(e: FloerElement) -> dict:
     return {"components": [
         {"coords": [_frac(c[0]), _frac(c[1])],
-         "matrix": [[series_json(x) for x in row] for row in matrix]}
+         "matrix": [[_series_json(x) for x in row] for row in matrix]}
         for c, matrix in e.components
     ]}
+
+
+def _triangle_json(tri: tuple) -> dict:
+    """A triangle of `floer.mu2_triangles`; its "output" is the generator
+    of CF(L0, L2) at the p0 corner."""
+    n, corners, area, sign, arcs, crossings = tri
+    p0 = corners[0]
+    return {"n": n, "corners": [[str(x), str(y)] for x, y in corners],
+            "area": _ratio_json(area), "sign": sign,
+            "arcs": [_ratio_json(e) for e in arcs], "crossings": crossings,
+            "output": [str(p0[0] % 1), str(p0[1] % 1)]}
 
 
 def _element_text(e: FloerElement) -> List[str]:
@@ -739,20 +764,12 @@ def _tol(text: str) -> float:
 
 
 def _generator(l0: Brane, l1: Brane, idx: int) -> FloerElement:
+    """`floer.generator_element` at point `idx`, on one CF(l0, l1)."""
     space = cf(l0, l1)
     coords = space.coords()
     if not 0 <= idx < len(coords):
         raise ParseError(f"generator index {idx} out of range 0..{len(coords) - 1}")
-    rows, cols = space.hom_shape
-    if (rows, cols) == (1, 1):
-        matrix = ((NovikovSeries.constant(1),),)
-    else:  # the matrix unit e00
-        one, zero = NovikovSeries.one(), NovikovSeries.zero()
-        matrix = tuple(
-            tuple(one if r == c == 0 else zero for c in range(cols))
-            for r in range(rows)
-        )
-    return FloerElement(space, {coords[idx]: matrix})
+    return FloerElement(space, {coords[idx]: _unit_matrix(space)})
 
 
 def _cmd_cf(args):
@@ -779,7 +796,7 @@ def _cmd_mu2(args):
     payload = {"cutoff": _frac(args.cutoff), "result": _element_json(result)}
     plain = [f"mu2 product (cutoff {_frac(args.cutoff)}):"] + _element_text(result)
     if args.triangles:
-        payload["triangles"] = tris
+        payload["triangles"] = [_triangle_json(t) for t in tris]
         plain.append(f"triangles: {len(tris)}")
     return payload, plain
 
@@ -799,7 +816,7 @@ def _cmd_assoc(args):
 def _cmd_theta(args):
     series = theta_eval(args.kind, args.point, args.cutoff)
     return (
-        {"kind": args.kind, "series": series_json(series)},
+        {"kind": args.kind, "series": _series_json(series)},
         [f"theta{args.kind} = {series_text(series)}"],
     )
 
@@ -808,8 +825,8 @@ def _cmd_section(args):
     section = section_through(args.q, args.cutoff)
     value = eval_section(section, args.at, args.cutoff)
     zero = vanishes(value, args.cutoff)
-    payload = {"sigma0": series_json(section.sigma0), "value": series_json(value),
-               "sigma1": series_json(section.sigma1), "vanishes": zero}
+    payload = {"sigma0": _series_json(section.sigma0), "value": _series_json(value),
+               "sigma1": _series_json(section.sigma1), "vanishes": zero}
     plain = [
         f"s = sigma0*theta0 + sigma1*theta1 through {_point_text(args.q)}",
         f"value at {_point_text(args.at)}: {series_text(value)}",
@@ -819,7 +836,7 @@ def _cmd_section(args):
 
 
 def _cmd_k0(args):
-    cls = k0_class(SheafSum(args.sheaf))
+    cls = k0_class(args.sheaf)
     return ({"class": _k0_json(cls)}, [f"K0 class: {_k0_text(cls)}"])
 
 

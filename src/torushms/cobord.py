@@ -25,7 +25,6 @@ algebraic formulas exactly -- any mismatch is a bug, not a tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from ._record import record
@@ -212,13 +211,6 @@ def pl_polyline_flux(points: Sequence[Point], v: Vec) -> Fraction:
     return (base + twice_area / 2) % 1
 
 
-def _unimodular_complement(v: Vec) -> Vec:
-    """Some w with det(w, v) = 1 (extended Euclid on the slope)."""
-    m, n = v
-    # det((a, b), (m, n)) = a n - b m = 1
-    return bezout(n, -m)
-
-
 def pl_surgery_flux(c0: CurveClass, c1: CurveClass) -> Fraction:
     """Flux of the PL surgered curve built at the actual crossing: from
     the crossing X, run one period along v1, then one period along v0.
@@ -230,7 +222,7 @@ def pl_surgery_flux(c0: CurveClass, c1: CurveClass) -> Fraction:
         raise NonElementary("PL oracle needs an elementary crossing")
     reps: List[Point] = []
     for c in (c0, c1):
-        w = _unimodular_complement(c.v)
+        w = bezout(c.v[1], -c.v[0])  # det(w, v) = 1
         reps.append((c.flux * w[0], c.flux * w[1]))
     p0, p1 = reps
     # p0 + s v0 = p1 + u v1  =>  s = det(p1 - p0, v1) / det(v0, v1)

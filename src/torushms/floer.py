@@ -10,7 +10,8 @@ lift k is affine in k and the triangle area is A u^2, so the lifts with
 area below the cutoff are one `novikov.lattice_window` (one isqrt).
 `_walk` yields these triangles and has two consumers: `mu2` sums the
 ones whose y2 corner phi2 weights, and `mu2_triangles` also lists every
-triangle with its boundary data (`_boundary`).  Each triangle contributes
+triangle with its exact boundary data (`_boundary`) as a plain tuple,
+which `cli` renders.  Each triangle contributes
 
     sign * q^area * T2 . phi2(y2) . T1 . phi1(y1) . T0
 
@@ -198,18 +199,26 @@ def zero_element(l0: Brane, l1: Brane) -> FloerElement:
     return FloerElement(cf(l0, l1), {})
 
 
+def _unit_matrix(space: CFSpace, scale=1) -> Matrix:
+    """A generator's default component: `scale` times the matrix unit e00
+    (1 in the top-left entry, 0 elsewhere).  Unless both local systems
+    have rank 1 the corner is complex: `NovikovSeries.one()` at scale 1."""
+    rows, cols = space.hom_shape
+    corner = NovikovSeries.constant(scale if rows == cols == 1 else complex(scale))
+    zero = NovikovSeries.zero()
+    return tuple(
+        tuple(corner if r == c == 0 else zero for c in range(cols)) for r in range(rows)
+    )
+
+
 def generator_element(
     l0: Brane, l1: Brane, coords: Vec, matrix=None, scale=1
 ) -> FloerElement:
-    """The generator at `coords`, optionally with an explicit hom-space
-    matrix (mandatory unless both local systems have rank 1)."""
+    """The generator at `coords` with the hom-space `matrix`, by default
+    `_unit_matrix`: `scale`, or `scale` times e00 on higher ranks."""
     space = cf(l0, l1)
     if matrix is None:
-        if space.hom_shape != (1, 1):
-            raise ValueError(
-                "higher-rank local systems need an explicit component matrix"
-            )
-        matrix = ((NovikovSeries.constant(scale),),)
+        matrix = _unit_matrix(space, scale)
     return FloerElement(space, {tuple(map(Fraction, coords)): matrix})
 
 
@@ -376,28 +385,21 @@ def mu2(phi2: FloerElement, phi1: FloerElement, cutoff: Rational) -> FloerElemen
 
 def mu2_triangles(
     phi2: FloerElement, phi1: FloerElement, cutoff: Rational
-) -> Tuple[FloerElement, List[dict]]:
-    """mu2 together with the JSON-ready list of every triangle of its
-    walk, weighted by phi2 or not."""
+) -> Tuple[FloerElement, List[tuple]]:
+    """mu2 and every triangle of its walk, weighted by phi2 or not, as
+    (n, (p0, y1, p2), area, sign, (s, -t, -d_arc), crossings): the lift n
+    of L2, the corners on L0∩L2, L0∩L1 and L1∩L2, the exact area, the
+    sign, the transported arcs along L0, L1, L2, and the Pin markers met."""
     b0, b1, b2, _, _, _ = chain = _chain(phi2, phi1)
     cutoff = Fraction(cutoff)
     i_y1 = index_of(b0, b1)
-    tris: List[dict] = []
+    tris: List[tuple] = []
 
     def listed():
         for tri in _walk(phi1, chain, cutoff):
             k, y1c, _, s, t, area, p0, p2 = tri
             d_arc, crossings, sign = _boundary(b0, b1, b2, i_y1, y1c, p0, p2)
-            tris.append({
-                "n": k,
-                "corners": [[str(p[0]), str(p[1])] for p in (p0, y1c, p2)],
-                "area": {"num": area.numerator, "den": area.denominator},
-                "sign": sign,
-                "arcs": [{"num": e.numerator, "den": e.denominator}
-                         for e in (s, -t, -d_arc)],
-                "crossings": crossings,
-                "output": [str(p0[0] % 1), str(p0[1] % 1)],
-            })
+            tris.append((k, (p0, y1c, p2), area, sign, (s, -t, -d_arc), crossings))
             yield tri
 
     return _sum(phi2, chain, cutoff, listed()), tris

@@ -437,24 +437,6 @@ def series_text(a: NovikovSeries) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def series_json(a: NovikovSeries) -> dict:
-    """JSON-ready form: exact exponents, float coefficients."""
-    return {
-        "terms": [
-            {
-                "num": e.numerator,
-                "den": e.denominator,
-                "re": float(complex(c).real),
-                "im": float(complex(c).imag),
-            }
-            for e, c in a.terms
-        ],
-        "cutoff": None
-        if a.cutoff is None
-        else {"num": a.cutoff.numerator, "den": a.cutoff.denominator},
-    }
-
-
 class _RunningSum:
     """The one adder of series: `start + x1 + x2 + ...` kept in place,
     without re-merging the partial sum at every step.  `a + b` is

@@ -375,12 +375,11 @@ class IntersectionPoint:
     degree and the arc parameters (fractions of the primitive period
     from each base point, mod 1) at which the branes pass through y."""
 
-    __slots__ = ("coords", "index", "s", "t", "pair")
+    __slots__ = ("coords", "index", "s", "t")
     coords: Vec
     index: int
     s: Fraction
     t: Fraction
-    pair: Tuple[Brane, Brane]
 
 
 def index_of(l0: Brane, l1: Brane) -> int:
@@ -435,5 +434,5 @@ def intersections(l0: Brane, l1: Brane) -> Tuple[IntersectionPoint, ...]:
                     f"Pin marker of {brane} sits on intersection point {y}"
                 )
         s, t = found[y]
-        pts.append(IntersectionPoint(y, idx, s, t, (l0, l1)))
+        pts.append(IntersectionPoint(y, idx, s, t))
     return tuple(pts)

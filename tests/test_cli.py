@@ -176,6 +176,14 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def test_unreadable_cutoff_exponent_is_one_json_usage_error(capsys):
+    rc, out, _ = run(
+        capsys, "theta", "--kind", "1", "--point", "pt(x=2/5, phase=-3/11)",
+        "--cutoff", "1eX", "--json",
+    )
+    assert (rc, json.loads(out)["kind"]) == (1, "usage")
+
+
 def test_theta_verb(capsys):
     rc, out, _ = run(
         capsys, "theta", "--kind", "0", "--point", "pt(x=0, phase=0)",

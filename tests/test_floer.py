@@ -18,6 +18,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from torushms.cli import _triangle_json
 from torushms.errors import (
     DegenerateConfiguration,
     MarkerCollision,
@@ -168,7 +169,7 @@ def test_triangle_listing_consistent():
     out_coords = {
         tuple(map(str, c)) for c in cf(y2, Brane((1, 0))).coords()
     }
-    for tri in tris:
+    for tri in map(_triangle_json, tris):  # as `mu2 --triangles` lists it
         area = F(tri["area"]["num"], tri["area"]["den"])
         assert 0 < area < cutoff
         assert tri["sign"] in (-1, 1)
@@ -585,12 +586,13 @@ def test_element_validation_and_algebra():
         a + FloerElement(other, {})
 
 
-def test_generator_needs_matrix_for_higher_rank():
+def test_generator_of_higher_rank_is_the_scaled_e00_unit():
     system = LocalSystem.from_eigenvalue(C(1), 2)
     l0 = Brane((0, -1), F(1, 4), local_system=system)
     l1 = Brane((1, 2))
-    with pytest.raises(ValueError):
-        generator_element(l0, l1, cf(l0, l1).coords()[0])
+    pt = cf(l0, l1).coords()[0]
+    unit = ((NovikovSeries.constant(3j), NovikovSeries.zero()),)  # 1 x 2
+    assert generator_element(l0, l1, pt, scale=3j).components == ((pt, unit),)
 
 
 def test_space_shapes():

@@ -24,9 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from torushms.cli import main
+from torushms.cli import _series_json, main
 from torushms.floer import FloerElement, cf, mu2
-from torushms.novikov import NovikovSeries, series_json
+from torushms.novikov import NovikovSeries
 from torushms.torus import Brane, LocalSystem
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -198,7 +198,7 @@ def element_json(elem):
     return [
         {
             "coords": [str(c[0]), str(c[1])],
-            "matrix": [[series_json(x) for x in row] for row in m],
+            "matrix": [[_series_json(x) for x in row] for row in m],
         }
         for c, m in elem.components
     ]

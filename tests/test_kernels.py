@@ -10,13 +10,15 @@ forms its diagonal as lam^t * binom(t, 0) * 1, the series group law
 of `point_mul` and `conjugate_zero` (through `TatePoint.__init__`, for
 constant units too), a `mu2` that walks, bounds and sums each triangle
 in one loop, with a per-call transport dict and the triangle listing
-threaded through `_collect`, and the stepping walks that
-`novikov.lattice_window` replaced: a scan outward from ceil(-c) that
-stops each way at the first k with (k + c)^2 >= X, and the
-`theta_eval_raw` loop that stopped at the first exponent at or above
-the cutoff.  The kernels must give the same `repr` (so the same exponents, coefficient types,
-bits and signed zeros) on every draw, `mu2_triangles` the same list and
-a failing draw the same error, and a sum must return its operands'
+threaded through `_collect` as the JSON objects of `mu2 --triangles`,
+the `cli._generator` that built its own rank-1 entry or e00 matrix unit,
+and the stepping walks that `novikov.lattice_window` replaced: a scan
+outward from ceil(-c) that stops each way at the first k with
+(k + c)^2 >= X, and the `theta_eval_raw` loop that stopped at the first
+exponent at or above the cutoff.  The kernels must give the same `repr`
+(so the same exponents, coefficient types, bits and signed zeros) on
+every draw, `mu2_triangles` the same list once `cli` formats it, and a
+failing draw the same error, and a sum must return its operands'
 exponent objects.  The work-count tests pin what the kernels share: one
 inverse per point in `eval_section`, and each power of eps formed once
 per mu2 call.
@@ -61,7 +63,9 @@ from torushms.cli import (
     BraneAst, BunAst, DivAst, OP0Ast, PointAst, SkyAst, SumAst, _Tok,
 )
 from torushms.cobord import CobordClass, CurveClass
-from torushms.errors import DegenerateConfiguration, MarkerCollision, NonTransverse
+from torushms.errors import (
+    DegenerateConfiguration, MarkerCollision, NonTransverse, ParseError,
+)
 from torushms.floer import (
     CFSpace,
     FloerElement,
@@ -69,6 +73,7 @@ from torushms.floer import (
     _count_markers,
     _ratio_along,
     cf,
+    generator_element,
     mu2,
     mu2_triangles,
 )
@@ -823,13 +828,6 @@ def _point_pairs(draw):
     return TatePoint(draw(_x), p_unit), TatePoint(draw(_x), r_unit)
 
 
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except Exception as err:  # the error is part of the behaviour compared
-        return type(err), str(err)
-
-
 def _assert_same_point(got, want):
     if isinstance(want, tuple):
         assert got == want  # the same exception type and message
@@ -986,9 +984,53 @@ def test_mu2_walk_matches_the_one_loop_oracle(data, b0, b1, b2, cutoff):
     got = _outcome(mu2_triangles, phi2, phi1, cutoff)
     want = _outcome(mu2_triangles_oracle, phi2, phi1, cutoff)
     if isinstance(want[0], FloerElement):
-        assert repr(got[0]) == repr(want[0]) and got[1] == want[1]
+        assert repr(got[0]) == repr(want[0])
+        assert [cli._triangle_json(tri) for tri in got[1]] == want[1]
     else:
         assert got == want
+
+
+def generator_oracle(l0, l1, idx):
+    """`cli._generator` before `floer.generator_element` built every
+    generator: constant(1) on a 1 x 1 space, else the matrix unit e00."""
+    space = cf(l0, l1)
+    coords = space.coords()
+    if not 0 <= idx < len(coords):
+        raise ParseError(f"generator index {idx} out of range 0..{len(coords) - 1}")
+    rows, cols = space.hom_shape
+    if (rows, cols) == (1, 1):
+        matrix = ((NovikovSeries.constant(1),),)
+    else:  # the matrix unit e00
+        one, zero = NovikovSeries.one(), NovikovSeries.zero()
+        matrix = tuple(
+            tuple(one if r == c == 0 else zero for c in range(cols))
+            for r in range(rows)
+        )
+    return FloerElement(space, {coords[idx]: matrix})
+
+
+_ranked_branes = st.builds(
+    Brane, _slope, _shift, st.integers(-1, 1), _marker,
+    st.builds(
+        LocalSystem.from_eigenvalue,
+        st.sampled_from([1, -1.0, cmath.exp(2j * cmath.pi / 7)]),
+        st.integers(1, 3),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), _ranked_branes, _ranked_branes)
+def test_generator_element_matches_the_cli_generator_oracle(data, l0, l1):
+    try:
+        coords = cf(l0, l1).coords()
+    except (NonTransverse, MarkerCollision):
+        assume(False)
+    idx = data.draw(st.integers(-1, len(coords)))
+    want = repr(_outcome(generator_oracle, l0, l1, idx))
+    assert repr(_outcome(cli._generator, l0, l1, idx)) == want
+    if 0 <= idx < len(coords):
+        assert repr(generator_element(l0, l1, coords[idx])) == want
 
 
 def _exponents_of_operands(result, *operands):
@@ -1290,13 +1332,11 @@ _RECORD_FIELDS = {
     Brane: st.tuples(
         st.tuples(_small, _small), _frac, _small, _frac, _local_system
     ),
-    IntersectionPoint: st.tuples(
-        st.tuples(_frac, _frac), _small, _frac, _frac, st.tuples(_branes, _branes)
-    ),
+    IntersectionPoint: st.tuples(st.tuples(_frac, _frac), _small, _frac, _frac),
     CFSpace: st.tuples(
         _branes, _branes, st.lists(
             st.builds(IntersectionPoint, st.tuples(_frac, _frac), _small,
-                      _frac, _frac, st.tuples(_branes, _branes)),
+                      _frac, _frac),
             max_size=2,
         ).map(tuple),
     ),

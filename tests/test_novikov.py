@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torushms.cli import _series_json
 from torushms.errors import NonUnit, ZeroSeries
 from torushms.novikov import (
     ZERO_TOL,
@@ -14,7 +15,6 @@ from torushms.novikov import (
     fractional_power,
     invert,
     norm,
-    series_json,
     series_text,
     val,
 )
@@ -182,6 +182,16 @@ def test_fractional_power_needs_val_zero():
         fractional_power(NovikovSeries.q_power(1), F(1, 2))
 
 
+def test_fractional_power_of_zero_is_refused():
+    with pytest.raises(ZeroSeries):
+        fractional_power(NovikovSeries.zero(), F(1, 2))
+
+
+def test_fractional_power_of_an_exact_unit_at_an_integer_is_a_product():
+    u = S([(0, 1), (F(1, 2), 0.5j)])  # no cutoff, so no binomial series
+    assert fractional_power(u, 2) == u * u
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -195,7 +205,7 @@ def test_series_text_zero_and_order_marker():
 
 def test_series_json_roundtrip_data():
     a = S([(F(1, 3), 1 + 2j)], cutoff=F(7, 2))
-    d = series_json(a)
+    d = _series_json(a)
     assert d["terms"] == [{"num": 1, "den": 3, "re": 1.0, "im": 2.0}]
     assert d["cutoff"] == {"num": 7, "den": 2}
 

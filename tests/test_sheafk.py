@@ -210,6 +210,11 @@ def test_jordan_tower_relation():
         ses_jordan_tower(Skyscraper(POINTS[2], 1), 0)
 
 
+def test_jordan_tower_needs_a_sheaf_base():
+    with pytest.raises(BadBase, match="unsupported"):
+        ses_jordan_tower(POINTS[2], 1)
+
+
 def test_iso_pair_and_failing_triple():
     assert iso_pair(o_of_n_p0(1), Bundle(1, 1, TatePoint.two_torsion())).holds()
     bad = RelationTriple(

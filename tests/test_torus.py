@@ -188,7 +188,7 @@ def grid_intersections(l0: Brane, l1: Brane):
                     f"Pin marker of {brane} sits on intersection point {y}"
                 )
         s, t = found[y]
-        pts.append(IntersectionPoint(y, idx, s, t, (l0, l1)))
+        pts.append(IntersectionPoint(y, idx, s, t))
     return tuple(pts)
 
 
@@ -343,3 +343,13 @@ def test_ses_triple_ranks():
     e1, etop, eh = ls_ses_triple(phase(1, 7), 3)
     assert (e1.rank, etop.rank, eh.rank) == (1, 4, 3)
     assert e1.rank + eh.rank == etop.rank
+
+
+def test_ses_triple_needs_a_positive_height():
+    with pytest.raises(ValueError, match="height"):
+        ls_ses_triple(phase(1, 7), 0)
+
+
+def test_frame_must_be_square_of_the_rank():
+    with pytest.raises(ValueError, match="square"):
+        LocalSystem(((NovikovSeries.one(), 2),), ((1, 0),))
