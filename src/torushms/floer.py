@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._record import record
@@ -112,7 +113,8 @@ def _mat_is_zero(m: Matrix) -> bool:
 @record
 class FloerElement:
     """An element of CF(L0,L1): matrix-valued coefficients on the
-    intersection points (shape rk(E1) x rk(E0) each)."""
+    intersection points (shape rk(E1) x rk(E0) each), at most one per
+    point, sorted on the coordinates as given."""
 
     space: CFSpace
     components: Tuple[Tuple[Vec, Matrix], ...]
@@ -123,19 +125,22 @@ class FloerElement:
         # keys are the space's own coordinate objects, shared, not copies
         valid = {c: c for c in space.coords()}
         shape = space.hom_shape
-        clean = []
-        for coords, matrix in sorted(components):
+        clean, seen = [], set()
+        for coords, matrix in sorted(components, key=itemgetter(0)):
             coords = (Fraction(coords[0]) % 1, Fraction(coords[1]) % 1)
             if coords not in valid:
                 raise ValueError(
                     f"{coords} is not an intersection point of the pair"
                 )
+            if coords in seen:
+                raise ValueError(f"generator {coords} is given twice")
+            seen.add(coords)
             coords = valid[coords]
             matrix = tuple(tuple(row) for row in matrix)
-            if (len(matrix), len(matrix[0])) != shape:
+            got = (len(matrix), len(matrix[0]) if matrix else 0)
+            if got != shape:
                 raise ValueError(
-                    f"component at {coords} has shape "
-                    f"{(len(matrix), len(matrix[0]))}, expected {shape}"
+                    f"component at {coords} has shape {got}, expected {shape}"
                 )
             if not _mat_is_zero(matrix):
                 clean.append((coords, matrix))

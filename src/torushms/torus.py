@@ -11,9 +11,8 @@ rational base point, together with
     direction of the unoriented line (upward, or rightward when
     horizontal) — parallel transport picks up a sign each time a
     boundary arc passes the marker,
-  * a local system: a Jordan-type flat bundle given by blocks
-    (eigenvalue, size) with valuation-zero eigenvalues, optionally
-    conjugated by a constant frame matrix.
+  * a local system, stored in its Jordan normal form: blocks
+    (eigenvalue, size) with valuation-zero eigenvalues.
 
 Index computations never touch floating-point angles: every floor of a
 grading difference reduces to sign tests on integer cross products.
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ._record import record
 from .errors import MarkerCollision, NonTransverse, NonUnit
@@ -94,34 +93,11 @@ def alpha0_floor_diff(v0: Slope, v1: Slope) -> int:
     return -1 if c < 0 else -2
 
 
-def compare_alpha0(u: Slope, v: Slope) -> int:
-    """Exact three-way comparison of the standard gradings alpha0."""
-    hu, hv = upper_half(u), upper_half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = det2(u, v)
-    return 0 if c == 0 else (-1 if c > 0 else 1)
-
-
-def alpha0_float(v: Slope) -> float:
-    """Float rendering of alpha0 (display only; never used in logic).
-    The negative x-axis sits at -1, matching the exact predicates."""
-    a = math.atan2(v[1], v[0]) / math.pi
-    return -1.0 if a == 1.0 else a
-
-
 # ---------------------------------------------------------------------------
 # matrices over NovikovSeries (small, dense, immutable tuples)
 # ---------------------------------------------------------------------------
 
 Matrix = Tuple[Tuple[NovikovSeries, ...], ...]
-
-
-def mat_identity(n: int) -> Matrix:
-    one, zero = NovikovSeries.one(), NovikovSeries.zero()
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -163,31 +139,6 @@ def mat_max_abs(a: Matrix, below: Optional[Rational] = None) -> float:
     return max(x.max_abs_coeff(below) for row in a for x in row)
 
 
-def _complex_inverse(c: Sequence[Sequence[complex]]):
-    """Gaussian elimination for small constant matrices."""
-    n = len(c)
-    aug = [list(map(complex, row)) + [1.0 if i == j else 0.0 for j in range(n)]
-           for i, row in enumerate(c)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if abs(aug[pivot][col]) < 1e-12:
-            raise ValueError("frame matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _const_matrix(c: Sequence[Sequence[complex]]) -> Matrix:
-    return tuple(
-        tuple(NovikovSeries.constant(x) for x in row) for row in c
-    )
-
-
 # ---------------------------------------------------------------------------
 # local systems
 # ---------------------------------------------------------------------------
@@ -195,17 +146,12 @@ def _const_matrix(c: Sequence[Sequence[complex]]) -> Matrix:
 
 @record
 class LocalSystem:
-    """Jordan-type flat bundle: blocks of (eigenvalue, size), with all
-    eigenvalues valuation-zero units.
-
-    `frame`, when given, is a constant invertible matrix C expressing an
-    isomorphic system in a different trivialization: monodromy and all
-    transports become C * (...) * C^(-1).  The Jordan gauge (frame None)
-    is the normal form.
-    """
+    """Flat bundle in its Jordan normal form: blocks of (eigenvalue,
+    size), with all eigenvalues valuation-zero units.  Monodromy and
+    every transport are block diagonal in this gauge, each block upper
+    triangular."""
 
     blocks: Tuple[Tuple[NovikovSeries, int], ...]
-    frame: Optional[Tuple[Tuple[complex, ...], ...]] = None
 
     def __post_init__(self):
         if not self.blocks:
@@ -218,14 +164,12 @@ class LocalSystem:
                 raise NonUnit("local-system eigenvalues must have val = 0")
             if size < 1:
                 raise ValueError("Jordan block size must be >= 1")
+            if size % 1:
+                raise ValueError(
+                    f"Jordan block size must be an integer, got {size!r}"
+                )
             norm_blocks.append((eig, int(size)))
         object.__setattr__(self, "blocks", tuple(norm_blocks))
-        if self.frame is not None:
-            f = tuple(tuple(complex(x) for x in row) for row in self.frame)
-            if len(f) != self.rank or any(len(row) != self.rank for row in f):
-                raise ValueError("frame must be a square matrix of the rank")
-            _complex_inverse(f)  # raises if singular
-            object.__setattr__(self, "frame", f)
 
     @classmethod
     def trivial(cls, rank: int = 1) -> "LocalSystem":
@@ -241,11 +185,7 @@ class LocalSystem:
         return sum(size for _, size in self.blocks)
 
     def is_trivial_rank_one(self) -> bool:
-        return (
-            self.rank == 1
-            and self.frame is None
-            and (self.blocks[0][0] - 1).is_zero()
-        )
+        return self.rank == 1 and (self.blocks[0][0] - 1).is_zero()
 
     def transport(self, t: Rational, _eps_tables=None) -> Matrix:
         """Parallel transport over an oriented arc fraction t.
@@ -275,12 +215,7 @@ class LocalSystem:
                 for i in range(offset, offset + size - k):
                     out[i][i + k] = coeff
             offset += size
-        mat = tuple(tuple(row) for row in out)
-        if self.frame is not None:
-            c = _const_matrix(self.frame)
-            c_inv = _const_matrix(_complex_inverse(self.frame))
-            mat = mat_mul(c, mat_mul(mat, c_inv))
-        return mat
+        return tuple(tuple(row) for row in out)
 
     def _eps_tables(self) -> List[_Powers]:
         """The table of eps powers of each block eigenvalue."""
@@ -291,9 +226,7 @@ class LocalSystem:
 
     def inverse_eigen(self) -> "LocalSystem":
         """The system with every eigenvalue inverted (same block shapes)."""
-        return LocalSystem(
-            tuple((invert(e), s) for e, s in self.blocks), self.frame
-        )
+        return LocalSystem(tuple((invert(e), s) for e, s in self.blocks))
 
 
 def ls_ses_triple(m_eigen, h: int):

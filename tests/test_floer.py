@@ -378,56 +378,6 @@ def test_graded_associativity_for_odd_degree(branes):
 # ---------------------------------------------------------------------------
 
 
-def _right_multiply(elem, const_matrix):
-    """elem with every component matrix right-multiplied by a constant
-    matrix (entries given as plain complex numbers)."""
-    k = len(const_matrix)
-    out = {}
-    for coords, m in elem.components:
-        rows = []
-        for row in m:
-            assert len(row) == k
-            new_row = []
-            for j in range(k):
-                entry = NovikovSeries.zero()
-                for l in range(k):
-                    entry = entry + row[l] * const_matrix[l][j]
-                new_row.append(entry)
-            rows.append(tuple(new_row))
-        out[coords] = tuple(rows)
-    return out
-
-
-def test_gauge_frame_invariance():
-    """Changing the frame of a local system conjugates transports; with
-    inputs transformed accordingly, the product transforms covariantly."""
-    x, cutoff = F(1, 4), F(5)
-    eig = C(phase(F(1, 3)))
-    frame = ((1 + 0j, 1 + 0j), (0j, 1 + 0j))
-    frame_inv = ((1 + 0j, -1 + 0j), (0j, 1 + 0j))
-    plain = LocalSystem.from_eigenvalue(eig, 2)
-    framed = LocalSystem(((eig, 2),), frame)
-
-    y0, y1, y2p = step1_branes(x, plain)
-    y2f = step1_branes(x, framed)[2]
-    c1 = FloerElement(
-        cf(y0, y1),
-        {(F(0), F(0)): ((C(2),),), (F(1, 2), F(0)): ((C(-1j),),)},
-    )
-    (pt,) = cf(y2p, y0).coords()
-    a_plain = FloerElement(cf(y2p, y0), {pt: ((C(2), C(-1j)),)})
-    a_framed = FloerElement(
-        cf(y2f, y0), dict(_right_multiply(a_plain, frame_inv))
-    )
-
-    out_plain = mu2(c1, a_plain, cutoff)
-    out_framed = mu2(c1, a_framed, cutoff)
-    transformed = FloerElement(
-        out_framed.space, _right_multiply(out_plain, frame_inv)
-    )
-    assert_elements_close(out_framed, transformed, 1e-12)
-
-
 def test_translation_equivariance():
     """Translating every brane by (1/2, 1/2) relabels the generators and
     leaves every coefficient series unchanged."""
@@ -584,6 +534,22 @@ def test_element_validation_and_algebra():
     other = cf(Brane((1, 2)), Brane((1, 0), F(1, 3)))
     with pytest.raises(ValueError):
         a + FloerElement(other, {})
+
+
+@pytest.mark.parametrize(
+    "components, message",
+    [
+        ([((0, 0), ((C(1),),)), ((1, 0), ((C(2),),))],
+         r"generator \(Fraction\(0, 1\), Fraction\(0, 1\)\) is given twice"),
+        ([((0, 0), ((C(1),),)), ((0, 0), ((C(2),),))], "given twice"),
+        ({(0, 0): ()}, r"shape \(0, 0\), expected \(1, 1\)"),
+    ],
+    ids=["twice-mod-one", "twice-same-key", "empty-matrix"],
+)
+def test_element_refuses_malformed_components(components, message):
+    space = cf(Brane((1, 2)), Brane((1, 0)))
+    with pytest.raises(ValueError, match=message):
+        FloerElement(space, components)
 
 
 def test_generator_of_higher_rank_is_the_scaled_e00_unit():
