@@ -18,7 +18,13 @@ which `cli` renders.  Each triangle contributes
 where the T_i are local-system parallel transports along the boundary
 arcs (arc fractions s, -t, -d against each brane's oriented direction)
 and sign = (-1)^(i(y1)) * (-1)^(crossings+1), with `crossings` the
-number of Pin markers met by the triangle boundary.  Only triangles
+number of Pin markers met by the triangle boundary.  When all three
+local systems have rank 1, `_sum` forms this product without matrices,
+with the same factors in the same order; a transport whose eigenvalue is
+one exact term c0 is then the scalar exp(t log c0).  A local system of
+rank 2 or more sends the whole product through the matrix loop: matrix
+transports and four `mat_mul`s per triangle.  Both add each triangle's
+entries with `novikov._RunningSum.add_product`.  Only triangles
 whose corner cycle (y0, y1, y2) has positive signed area contribute to
 this ordered product; when the slope data forces the opposite
 orientation the product is identically zero (and degree additivity
@@ -50,7 +56,13 @@ from .errors import (
     NonTransverse,
 )
 from .novikov import (
-    NovikovSeries, Rational, _RunningSum, lattice_window, vanishes, verdict_window,
+    NovikovSeries,
+    Rational,
+    _kept,
+    _RunningSum,
+    lattice_window,
+    vanishes,
+    verdict_window,
 )
 from .torus import (
     Brane,
@@ -137,7 +149,13 @@ class FloerElement:
             seen.add(coords)
             coords = valid[coords]
             matrix = tuple(tuple(row) for row in matrix)
-            got = (len(matrix), len(matrix[0]) if matrix else 0)
+            widths = {len(row) for row in matrix}
+            if len(widths) > 1:
+                raise ValueError(
+                    f"component at {coords} has rows of lengths "
+                    f"{sorted(widths)}, expected {shape[1]} each"
+                )
+            got = (len(matrix), widths.pop() if widths else 0)
             if got != shape:
                 raise ValueError(
                     f"component at {coords} has shape {got}, expected {shape}"
@@ -342,20 +360,100 @@ def _boundary(
     return d_arc, crossings, (-1) ** i_y1 * (-1) ** (crossings + 1)
 
 
+def _term_series(term) -> NovikovSeries:
+    """The exact one-term series of a term (e, c) whose c is kept."""
+    return NovikovSeries._canonical((term,), None)
+
+
+def _add_rank1(entry: _RunningSum, ops, area: Fraction, sign: int) -> None:
+    """Add q_power(area, sign) * (f4 * (f3 * (f2 * (f1 * f0)))) to `entry`,
+    with the same products in the same order as the 1 x 1 matrix chain,
+    for ops = (f0, ..., f4): a series, an exact term (e, c) with c kept,
+    or None for the exact zero, which makes the whole product zero.
+
+    Exact terms before the first series x fold into one term `right`,
+    those after it go to `lefts`, and `add_product` applies both in its
+    one pass over x.  Only a second series (a series-unit transport and a
+    multi-term generator) forms a product series."""
+    x = right = None
+    lefts = []
+    for op in ops:
+        if op is None:
+            return
+        if type(op) is not tuple and op.cutoff is None and len(op.terms) <= 1:
+            if not op.terms:
+                return
+            op = op.terms[0]
+        if type(op) is not tuple:
+            if x is not None:
+                if right is not None:
+                    x = x * _term_series(right)
+                for term in lefts:
+                    x = _term_series(term) * x
+                right, lefts = None, []
+                op = op * x
+            x = op
+        elif x is not None:
+            lefts.append(op)
+        elif right is None:
+            right = op
+        else:
+            c = _kept(op[1] * right[1])
+            if c is None:
+                return
+            right = (right[0] + op[0] if op[0] else right[0], c)
+    if x is None:  # every factor is an exact term
+        x, right = _term_series(right), None
+    shift = area
+    for e, _ in lefts if right is None else [right, *lefts]:
+        if e:
+            shift = shift + e
+    entry.add_product(
+        shift.numerator,
+        shift.denominator,
+        x,
+        None if right is None else right[1],
+        [c for _, c in lefts] + [sign],
+    )
+
+
 def _sum(phi2: FloerElement, chain, cutoff: Fraction, triangles) -> FloerElement:
     """mu2(phi2, phi1) over `triangles` from `_walk` on `chain`, skipping
-    those whose y2 corner phi2 does not weight.  Each local system's
-    transports share its eps power tables: one power of eps per call."""
+    those whose y2 corner phi2 does not weight.
+
+    When all three local systems have rank 1, each triangle's product is
+    formed by `_add_rank1` from the 1 x 1 entries and the rank-1
+    transports (`LocalSystem._rank1_transport`), without matrices.  Any
+    higher rank takes the matrix loop: transports sharing each system's
+    eps power tables, four `mat_mul`s, and q_power(area, sign) applied by
+    `add_product` as each entry is added."""
     b0, b1, b2, _, _, _ = chain
     out_space = cf(b0, b2)
     i_y1 = index_of(b0, b1)
+    phi2_at = dict(phi2.components)
+    start = NovikovSeries.zero(cutoff)
+    if b0.rank == b1.rank == b2.rank == 1:
+        t0, t1, t2 = [b.local_system._rank1_transport() for b in (b0, b1, b2)]
+        entries: Dict[Vec, _RunningSum] = {}
+        for _, y1c, a1, s, t, area, p0, p2 in triangles:
+            a2 = phi2_at.get((p2[0] % 1, p2[1] % 1))
+            if a2 is None:
+                continue
+            d_arc, _, sign = _boundary(b0, b1, b2, i_y1, y1c, p0, p2)
+            y0g = (p0[0] % 1, p0[1] % 1)
+            entry = entries.get(y0g)
+            if entry is None:
+                entry = entries[y0g] = _RunningSum(start)
+            ops = (t0(s), a1[0][0], t1(-t), a2[0][0], t2(-d_arc))
+            _add_rank1(entry, ops, area, sign)
+        return FloerElement(
+            out_space, {c: ((x.series(),),) for c, x in entries.items()}
+        )
     (l0, e0), (l1, e1), (l2, e2) = [
         (b.local_system, b.local_system._eps_tables()) for b in (b0, b1, b2)
     ]
-    phi2_at = dict(phi2.components)
     rows, cols = out_space.hom_shape
     acc: Dict[Vec, List[List[_RunningSum]]] = {}
-    start = NovikovSeries.zero(cutoff)
     for _, y1c, a1, s, t, area, p0, p2 in triangles:
         a2 = phi2_at.get((p2[0] % 1, p2[1] % 1))
         if a2 is None:
@@ -363,16 +461,16 @@ def _sum(phi2: FloerElement, chain, cutoff: Fraction, triangles) -> FloerElement
         d_arc, _, sign = _boundary(b0, b1, b2, i_y1, y1c, p0, p2)
         m = mat_mul(l2.transport(-d_arc, e2), mat_mul(a2, mat_mul(
             l1.transport(-t, e1), mat_mul(a1, l0.transport(s, e0)))))
-        m = mat_scale(NovikovSeries.q_power(area, sign), m)
         y0g = (p0[0] % 1, p0[1] % 1)
         sums = acc.get(y0g)
         if sums is None:
             sums = acc[y0g] = [
                 [_RunningSum(start) for _ in range(cols)] for _ in range(rows)
             ]
+        lefts = (sign,)
         for sum_row, m_row in zip(sums, m):
             for entry, x in zip(sum_row, m_row):
-                entry.add(x)
+                entry.add_product(area.numerator, area.denominator, x, None, lefts)
     final = {
         c: tuple(tuple(x.series() for x in row) for row in sums)
         for c, sums in acc.items()

@@ -26,16 +26,24 @@ forms every sum: `a + b` is a running sum started at `a` with `b` added,
 and every loop that adds many series into one (the geometric series of
 `invert`, the binomial series of `fractional_power`, theta series, each
 matrix entry of `mu2`) keeps one running sum instead of re-merging the
-partial sum each step.  A product of two multi-term series runs its
-double loop into an integer-keyed dict, leaving the inner loop at the
-first key at or above the cutoff.  A product builds Fractions only for
-the terms it returns; a sum builds none and reuses its operands'
-exponent objects, and so does a product by a one-term factor at
-exponent 0.  One power table, `_Powers`, serves every loop over the
-powers of one series (eps in `invert` and `fractional_power`, a point's
-unit and its inverse in theta series) and forms each power once; a
-caller taking many fractional powers of one unit shares its table of
-eps powers across exponents t.
+partial sum each step.  Where an addend is a series x times exact
+one-term factors (q^e times M^k in a theta term; the area weight, and on
+rank 1 the scalar transports and generators, of a triangle),
+`_RunningSum.add_product` adds it in one pass over x's terms: each
+coefficient goes through the stages of the products it replaces, `0 +`
+and the drop rule included, and lands at the shifted integer key, with
+no intermediate series and no Fraction per term.  A product of two
+multi-term series runs its double loop into an integer-keyed dict,
+leaving the inner loop at the first key at or above the cutoff.  A
+product builds Fractions only for the terms it returns; a sum builds
+none and reuses its operands' exponent objects, and so does a product
+by a one-term factor at exponent 0.  One power table, `_Powers`, serves
+every loop over the powers of one series (eps in `invert` and
+`fractional_power`, a point's unit and its inverse in theta series) and
+forms each power once; a caller taking many fractional powers of one
+unit shares its table of eps powers across exponents t.  `invert` forms
+the inverse of a multi-term series once per series object while that
+object is among the last `_INVERSES_HELD` it inverted.
 
 Every coefficient is formed by the same float operations, in the same
 order, as before the kernels: as the public constructor forms it from
@@ -102,6 +110,15 @@ def _min_cutoff(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fracti
 
 
 _ZERO = Fraction(0)  # the exponent of constants, shared (Fractions are immutable)
+
+
+def _kept(c: Scalar) -> Optional[Scalar]:
+    """0 + c, the coefficient a one-term series stores for c, or None where
+    |0 + c| <= ZERO_TOL makes that series zero.  Callers that multiply
+    exact one-term factors as scalars (the rank-1 path of `floer`) apply
+    the drop rule here."""
+    c = 0 + c
+    return None if abs(c) <= ZERO_TOL else c
 
 
 def _as_cutoff(cutoff: Optional[Rational]) -> Optional[Fraction]:
@@ -227,8 +244,8 @@ class NovikovSeries:
         (0 + c) q^e, or None where |0 + c| <= ZERO_TOL makes that the
         zero series.  The scalar group law of `tate` builds its units
         here, so the drop rule stays in this module."""
-        c = 0 + c
-        return None if abs(c) <= ZERO_TOL else cls._canonical(((e, c),), None)
+        c = _kept(c)
+        return None if c is None else cls._canonical(((e, c),), None)
 
     # -- constructors ------------------------------------------------
 
@@ -450,7 +467,8 @@ class _RunningSum:
     the map until `series`, which drops them.  Exponents are integer
     keys over a denominator that grows when a term needs it; `exps`
     keeps the first exponent object seen for each key, so `series`
-    builds no Fraction and returns its operands' exponents.
+    builds no Fraction for a key an operand of `add` brought, and one
+    for each other key it returns.
     """
 
     __slots__ = ("den", "coeffs", "exps", "cutoff")
@@ -465,15 +483,21 @@ class _RunningSum:
             exps[k] = e
         self.cutoff = start.cutoff
 
+    def _grow(self, d: int) -> int:
+        """Rescale the keys to a denominator that d divides; return it."""
+        factor = d // math.gcd(self.den, d)
+        self.den *= factor
+        self.coeffs = {k * factor: v for k, v in self.coeffs.items()}
+        self.exps = {k * factor: v for k, v in self.exps.items()}
+        return self.den
+
     def add(self, x: NovikovSeries) -> None:
         den, coeffs, exps = self.den, self.coeffs, self.exps
         for e, c in x.terms:
             d = e.denominator
             if den % d:
-                factor = d // math.gcd(den, d)
-                den = self.den = den * factor
-                coeffs = self.coeffs = {k * factor: v for k, v in coeffs.items()}
-                exps = self.exps = {k * factor: v for k, v in exps.items()}
+                den = self._grow(d)
+                coeffs, exps = self.coeffs, self.exps
             k = e.numerator * (den // d)
             total = coeffs.get(k, 0) + c
             if abs(total) <= ZERO_TOL:
@@ -483,13 +507,67 @@ class _RunningSum:
                 exps.setdefault(k, e)
         self.cutoff = _min_cutoff(self.cutoff, x.cutoff)
 
+    def add_product(
+        self, num: int, den: int, x: NovikovSeries, right=None, lefts=()
+    ) -> None:
+        """`add` of q^(num/den) * l_m * (... (l_1 * (x * right))), where
+        `right` (unless None) and each l_i are the coefficients of exact
+        one-term factors whose exponents, with num/den, sum to the shift
+        num/den; den > 0.
+
+        One pass over x's terms, with no intermediate series.  Each term's
+        coefficient goes through the stages of the one-term products it
+        replaces: `0 + c * right`, then `0 + l * c` for each l in order,
+        dropped at the first stage where |c| <= ZERO_TOL.  A kept term
+        is added at key shift + term key, as `add` adds it.  No stage cuts
+        a term: the product's cutoff is x's shifted by num/den, and every
+        term of x lies below x's.  A factor that the drop rule makes zero
+        makes the whole product the exact zero, which adds nothing; the
+        caller does not call this then.
+        """
+        terms = x.terms
+        if terms:
+            tol = ZERO_TOL
+            base, coeffs = self.den, self.coeffs
+            if base % den:
+                base = self._grow(den)
+                coeffs = self.coeffs
+            shift = num * (base // den)
+            for e, c in terms:
+                if right is not None:
+                    c = 0 + c * right
+                    if abs(c) <= tol:
+                        continue
+                for s in lefts:
+                    c = 0 + s * c
+                    if abs(c) <= tol:
+                        break
+                else:
+                    d = e.denominator
+                    if base % d:
+                        base = self._grow(d)
+                        coeffs = self.coeffs
+                        shift = num * (base // den)
+                    k = shift + e.numerator * (base // d)
+                    total = coeffs.get(k, 0) + c
+                    if abs(total) <= tol:
+                        coeffs.pop(k, None)
+                    else:
+                        coeffs[k] = total
+        if x.cutoff is not None:
+            self.cutoff = _min_cutoff(self.cutoff, x.cutoff + Fraction(num, den))
+
     def series(self) -> NovikovSeries:
         den, coeffs, exps, cut = self.den, self.coeffs, self.exps, self.cutoff
         keys = sorted(coeffs)
         if cut is not None:
             del keys[bisect.bisect_left(keys, _key_bound(cut, den)):]
         return NovikovSeries._canonical(
-            tuple([(exps[k], coeffs[k]) for k in keys]), cut
+            tuple([
+                (exps[k] if k in exps else Fraction(k, den), coeffs[k])
+                for k in keys
+            ]),
+            cut,
         )
 
 
@@ -563,24 +641,47 @@ def lattice_bound(X: Rational) -> int:
     return 1 + math.isqrt(4 * X.numerator // X.denominator) if X > 0 else 0
 
 
+#: the inverses of the last _INVERSES_HELD multi-term series inverted:
+#: id(a) -> (a, invert(a)).  Holding a keeps its id from being reused, so
+#: an entry answers for that very object only.  Equal series are not
+#: merged: coefficients 1, 1.0 and 1+0j compare equal, but 1.0 / c0 is a
+#: float for the first two and complex for the third.
+_INVERSES = {}
+_INVERSES_HELD = 16
+
+
 def invert(a: NovikovSeries) -> NovikovSeries:
     """Multiplicative inverse, reliable where the inputs allow.
 
     Factors a = c0 * q^v * (1 + eps) with val(eps) > 0 and sums the
     geometric series in eps.  The result carries cutoff a.cutoff - 2v,
-    which makes val(a * invert(a) - 1) >= a.cutoff - v.
+    which makes val(a * invert(a) - 1) >= a.cutoff - v.  The inverse of
+    a multi-term series is formed once per series object and handed out
+    again while it is among the last few inverted (`_INVERSES`).
     """
     if a.is_zero():
         raise ZeroSeries("cannot invert the zero series")
-    v = a.val()
-    c0 = a.leading_coefficient()
     if len(a.terms) == 1:
-        # the general path below, with eps = 0 and geo = one()
+        # the path of `_series_inverse`, with eps = 0 and geo = one()
+        (v, c0), = a.terms
         if a.cutoff is None:
             return NovikovSeries._sorted(((-v, 1.0 / c0),), None)
         return NovikovSeries._sorted(
             ((-v, (1.0 + 0.0j) / c0),), a.cutoff - 2 * v
         )
+    held = _INVERSES.get(id(a))
+    if held is None:
+        held = (a, _series_inverse(a))
+        if len(_INVERSES) >= _INVERSES_HELD:
+            del _INVERSES[next(iter(_INVERSES))]  # the oldest entry
+        _INVERSES[id(a)] = held
+    return held[1]
+
+
+def _series_inverse(a: NovikovSeries) -> NovikovSeries:
+    """`invert` of a series with two or more terms, formed afresh."""
+    v = a.val()
+    c0 = a.leading_coefficient()
 
     def normalized(terms):
         # exponents shifted down by v (kept as they are for a unit), each

@@ -31,6 +31,14 @@ without TatePoint.__init__.  Every other unit, and a coefficient the drop
 rule removes (`NovikovSeries._exact_term` applies it, in `novikov`),
 takes the series path, so a result keeps its bits and a vanishing unit
 raises the same NonUnit.
+
+One inverse per unit: `conjugate_zero` and the negative powers of a
+theta table (`_unit_powers`) invert a series unit through
+`novikov.invert`, which forms the inverse of a multi-term series once per
+series object.  `conjugate_zero` hands out that same inverse object, so
+the theta tables at the conjugate point invert it once too: a series
+unit M costs one inversion of M and one of M^-1, however many times the
+vanishing bridge asks.
 """
 
 from __future__ import annotations
@@ -207,22 +215,25 @@ def theta_eval_raw(
         raise ValueError("theta kind must be 0 or 1")
     mpow = _unit_powers(unit) if _powers is None else _powers
 
-    if kind == 0:
-        expo = lambda n: Fraction(n * n) + 2 * n * x
-        coef = lambda n: mpow(2 * n)
-    else:
-        expo = lambda n: Fraction(2 * n + 1, 2) ** 2 + (2 * n + 1) * x
-        coef = lambda n: -mpow(2 * n + 1)
-
     # exponent (n + c)^2 - x^2, c = x or x + 1/2, is below the cutoff on
     # lattice_window(c, cutoff + x^2): walk it up from the vertex, then down
     c = x if kind == 0 else x + Fraction(1, 2)
     lo, hi = lattice_window(c, cutoff + x * x)
     up = math.ceil(-c)
+    # term n is q_power(e) * coef: e = n^2 + 2nx, coef = M^(2n) for kind 0,
+    # e = (m/2)^2 + mx, coef = -M^m with m = 2n + 1 for kind 1; e is kept
+    # as an integer numerator over p = x's denominator (kind 0) or 4p, and
+    # q_power(e)'s coefficient, 0 + 1, is the one left factor
+    num, p = x.numerator, x.denominator
     out = _RunningSum(NovikovSeries.zero(cutoff))
     for ns in (range(up, hi), range(up - 1, lo - 1, -1)):
         for n in ns:
-            out.add(NovikovSeries.q_power(expo(n)) * coef(n))
+            if kind == 0:
+                e, coef = (n * n * p + 2 * n * num, p), mpow(2 * n)
+            else:
+                m = 2 * n + 1
+                e, coef = (m * m * p + 4 * m * num, 4 * p), -mpow(m)
+            out.add_product(*e, coef, None, (1,))
     return out.series()
 
 

@@ -20,6 +20,7 @@ grading difference reduces to sign tests on integer cross products.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -29,8 +30,10 @@ from .errors import MarkerCollision, NonTransverse, NonUnit
 from .novikov import (
     NovikovSeries,
     Rational,
+    _ZERO,
     _binom,
     _eps_powers,
+    _kept,
     _Powers,
     fractional_power,
     invert,
@@ -216,6 +219,26 @@ class LocalSystem:
                     out[i][i + k] = coeff
             offset += size
         return tuple(tuple(row) for row in out)
+
+    def _rank1_transport(self):
+        """For a rank-1 system, t -> transport(t)[0][0] without the
+        matrix, for a Fraction t.  An eigenvalue that is one exact term c0
+        gives the exact term (0, c) with c = 0 + cmath.exp(t * log(c0)),
+        the expression `fractional_power` ends in, with log(c0) taken
+        once here, or None where the drop rule makes that term zero.  A
+        series eigenvalue gives its `fractional_power`, which shares one
+        table of eps powers across t."""
+        (eig, _), = self.blocks
+        if eig.cutoff is None and len(eig.terms) == 1:
+            log_c0 = cmath.log(eig.terms[0][1])
+
+            def scalar(t: Fraction):
+                c = _kept(cmath.exp(t * log_c0) if t != 0 else 1.0 + 0.0j)
+                return None if c is None else (_ZERO, c)
+
+            return scalar
+        table = _eps_powers(eig)
+        return lambda t: fractional_power(eig, t, table)
 
     def _eps_tables(self) -> List[_Powers]:
         """The table of eps powers of each block eigenvalue."""

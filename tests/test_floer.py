@@ -552,6 +552,13 @@ def test_element_refuses_malformed_components(components, message):
         FloerElement(space, components)
 
 
+def test_element_refuses_a_ragged_component():
+    rank2 = Brane((1, 0), local_system=LocalSystem.from_eigenvalue(1, 2))
+    space = cf(Brane((1, 2)), rank2)  # components are 2 x 1
+    with pytest.raises(ValueError, match=r"lengths \[1, 2\], expected 1 each"):
+        FloerElement(space, {(0, 0): ((C(1),), (C(2), C(3)))})
+
+
 def test_generator_of_higher_rank_is_the_scaled_e00_unit():
     system = LocalSystem.from_eigenvalue(C(1), 2)
     l0 = Brane((0, -1), F(1, 4), local_system=system)

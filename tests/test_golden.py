@@ -6,7 +6,8 @@ cutoffs of three library-level `mu2` products.
 The Floer files under tests/golden/ were recorded once, from the
 grid-scan intersection enumerator and the series-by-series triangle
 accumulation that preceded the closed-form enumerator and the per-entry
-accumulator.  The files of the other verbs were recorded from the
+accumulator; `mu2_phase3_c16.json` from the matrix-only triangle sum
+that preceded the rank-1 path and its scalar transports.  The files of the other verbs were recorded from the
 code that still carried the mpmath coefficient backend and three
 separate loops for sums with multiplicities; their inputs use grammar
 phases and large multiplicities, so a change in evaluation order or
@@ -71,6 +72,12 @@ CASES = {
     "mu2_rank2_c8": (0, ("mu2",) + RANK2 + ("--cutoff", "8")),
     "mu2_rank2_c8_triangles": (0, ("mu2",) + RANK2
                                + ("--cutoff", "8", "--triangles")),
+    # three constant phases: the scalar transports, each with its own log
+    "mu2_phase3_c16": (0, ("mu2",
+                           "--l0", "L(0,-1;1/4){M=phase 1/7, rank 1}",
+                           "--l1", "L(1,2;0){M=phase 2/5, rank 1}",
+                           "--l2", "L(1,0;1/3){M=phase -3/11, rank 1}",
+                           "--cutoff", "16")),
     "mu2_degenerate": (2, ("mu2", "--l0", "L(0,-1;0)", "--l1", "L(1,2;0)",
                            "--l2", "L(1,0;0)")),
     "assoc_small_c5": (0, ("assoc", "--l0", "L(1,2;0)", "--l1", "L(1,0;1/7)",

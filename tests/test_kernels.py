@@ -12,16 +12,20 @@ constant units too), a `mu2` that walks, bounds and sums each triangle
 in one loop, with a per-call transport dict and the triangle listing
 threaded through `_collect` as the JSON objects of `mu2 --triangles`,
 the `cli._generator` that built its own rank-1 entry or e00 matrix unit,
-and the stepping walks that `novikov.lattice_window` replaced: a scan
+the stepping walks that `novikov.lattice_window` replaced: a scan
 outward from ceil(-c) that stops each way at the first k with
 (k + c)^2 >= X, and the `theta_eval_raw` loop that stopped at the first
-exponent at or above the cutoff.  The kernels must give the same `repr`
+exponent at or above the cutoff, and the loops that
+`_RunningSum.add_product` replaced: the matrix-only `floer._sum` (every
+rank through `mat_mul` and `mat_scale`, each entry then added) and the
+`theta_eval_raw` loop that added each term q_power(e) * coef(n) as a
+series.  The kernels must give the same `repr`
 (so the same exponents, coefficient types, bits and signed zeros) on
 every draw, `mu2_triangles` the same list once `cli` formats it, and a
 failing draw the same error, and a sum must return its operands'
 exponent objects.  The work-count tests pin what the kernels share: one
-inverse per point in `eval_section`, and each power of eps formed once
-per mu2 call.
+inverse per point in `eval_section`, one multi-term inversion per series
+object, and each power of eps formed once per mu2 call.
 
 The two vanishing rules that `novikov.vanishes` replaced are kept as
 oracles too: the per-entry loop of `floer.vanishes_truncated`, which the
@@ -69,9 +73,11 @@ from torushms.errors import (
 from torushms.floer import (
     CFSpace,
     FloerElement,
+    _boundary,
     _chain,
     _count_markers,
     _ratio_along,
+    _walk,
     cf,
     generator_element,
     mu2,
@@ -467,6 +473,85 @@ def mu2_triangles_oracle(phi2, phi1, cutoff):
     tris: List[dict] = []
     out = mu2_oracle(phi2, phi1, cutoff, _collect=tris)
     return out, tris
+
+
+def sum_matrix_oracle(phi2, chain, cutoff, triangles):
+    """`floer._sum` before the rank-1 path and `add_product`: every rank
+    through transports, four `mat_mul`s and `mat_scale` by
+    q_power(area, sign), each entry then added with `_RunningSum.add`."""
+    b0, b1, b2, _, _, _ = chain
+    out_space = cf(b0, b2)
+    i_y1 = index_of(b0, b1)
+    (l0, e0), (l1, e1), (l2, e2) = [
+        (b.local_system, b.local_system._eps_tables()) for b in (b0, b1, b2)
+    ]
+    phi2_at = dict(phi2.components)
+    rows, cols = out_space.hom_shape
+    acc: Dict = {}
+    start = NovikovSeries.zero(cutoff)
+    for _, y1c, a1, s, t, area, p0, p2 in triangles:
+        a2 = phi2_at.get((p2[0] % 1, p2[1] % 1))
+        if a2 is None:
+            continue
+        d_arc, _, sign = _boundary(b0, b1, b2, i_y1, y1c, p0, p2)
+        m = mat_mul(l2.transport(-d_arc, e2), mat_mul(a2, mat_mul(
+            l1.transport(-t, e1), mat_mul(a1, l0.transport(s, e0)))))
+        m = mat_scale(NovikovSeries.q_power(area, sign), m)
+        y0g = (p0[0] % 1, p0[1] % 1)
+        sums = acc.get(y0g)
+        if sums is None:
+            sums = acc[y0g] = [
+                [_RunningSum(start) for _ in range(cols)] for _ in range(rows)
+            ]
+        for sum_row, m_row in zip(sums, m):
+            for entry, x in zip(sum_row, m_row):
+                entry.add(x)
+    final = {
+        c: tuple(tuple(x.series() for x in row) for row in sums)
+        for c, sums in acc.items()
+    }
+    return FloerElement(out_space, final)
+
+
+def mu2_matrix_oracle(phi2, phi1, cutoff):
+    """`mu2` with `sum_matrix_oracle` for `floer._sum`."""
+    cutoff = F(cutoff)
+    chain = _chain(phi2, phi1)
+    return sum_matrix_oracle(phi2, chain, cutoff, _walk(phi1, chain, cutoff))
+
+
+def theta_eval_raw_add_oracle(kind, x, unit, cutoff):
+    """`tate.theta_eval_raw` before `add_product`: each term formed as
+    q_power(e) * coef(n), then added with `_RunningSum.add`."""
+    x = F(x)
+    unit = tate._as_unit(unit)
+    cutoff = F(cutoff)
+    if kind not in (0, 1):
+        raise ValueError("theta kind must be 0 or 1")
+    mpow = tate._unit_powers(unit)
+    if kind == 0:
+        expo = lambda n: F(n * n) + 2 * n * x
+        coef = lambda n: mpow(2 * n)
+    else:
+        expo = lambda n: F(2 * n + 1, 2) ** 2 + (2 * n + 1) * x
+        coef = lambda n: -mpow(2 * n + 1)
+    c = x if kind == 0 else x + F(1, 2)
+    lo, hi = lattice_window(c, cutoff + x * x)
+    up = math.ceil(-c)
+    out = _RunningSum(NovikovSeries.zero(cutoff))
+    for ns in (range(up, hi), range(up - 1, lo - 1, -1)):
+        for n in ns:
+            out.add(NovikovSeries.q_power(expo(n)) * coef(n))
+    return out.series()
+
+
+def add_product_oracle(shift, x, right, lefts):
+    """The series `_RunningSum.add_product` adds: x * constant(right),
+    then each left factor on the left, the last one at exponent shift."""
+    p = x if right is None else x * NovikovSeries.constant(right)
+    for i, c in enumerate(lefts):
+        p = NovikovSeries.q_power(shift if i == len(lefts) - 1 else 0, c) * p
+    return p
 
 
 def vanishes_truncated_oracle(elem, cutoff):
@@ -1063,6 +1148,28 @@ def test_eval_section_inverts_the_unit_once(monkeypatch):
     assert calls == [p.unit]
 
 
+def test_a_series_unit_is_inverted_once_per_object(monkeypatch):
+    """conjugate_zero twice on one point forms one multi-term inverse;
+    units equal by `==` but with int, float and complex coefficients each
+    get the inverse of their own coefficients (the complex one's repr
+    differs), so the stored inverses are not keyed by value."""
+    formed = []
+    real = novikov._series_inverse
+
+    def counted(a):
+        formed.append(a)
+        return real(a)
+
+    monkeypatch.setattr(novikov, "_series_inverse", counted)
+    p = TatePoint(F(1, 3), NovikovSeries(_UNIT.terms, _UNIT.cutoff))
+    assert conjugate_zero(p).unit is conjugate_zero(p).unit
+    assert formed == [p.unit]
+    units = [NovikovSeries(((0, c), (F(1, 2), 2e-12)), None) for c in (4, 4.0, 4 + 0j)]
+    got = [repr(conjugate_zero(TatePoint(F(1, 3), u)).unit) for u in units]
+    assert units[0] == units[1] == units[2] and got[0] != got[2]
+    assert got == [repr(real(u)) for u in units]
+
+
 def test_mu2_builds_each_eps_power_once(monkeypatch):
     """The vertical brane of the theta bridge carries the series unit; the
     walk transports it over many arcs, and all of them share one set of
@@ -1083,14 +1190,14 @@ def test_mu2_builds_each_eps_power_once(monkeypatch):
         (0, -1), shift=F(1, 3), local_system=LocalSystem.from_eigenvalue(_UNIT, 1)
     )
     arcs = []
-    real_transport = LocalSystem.transport
+    real_power = torus.fractional_power
 
-    def transport(self, t, *args):
-        if self is y2.local_system:
+    def power(u, t, *args):  # the rank-1 transport of a series unit
+        if u is _UNIT:
             arcs.append(t)
-        return real_transport(self, t, *args)
+        return real_power(u, t, *args)
 
-    monkeypatch.setattr(LocalSystem, "transport", transport)
+    monkeypatch.setattr(torus, "fractional_power", power)
     sec = section_through(tate.conjugate_zero(TatePoint(F(1, 3), _UNIT)), 12)
     eps_products.clear()
     c1 = FloerElement(
@@ -1104,6 +1211,158 @@ def test_mu2_builds_each_eps_power_once(monkeypatch):
     assert len(set(arcs)) > 10  # many distinct arcs of the series-unit brane
     assert 0 < len(eps_products) <= k_max + 1
     assert len(set(eps_products)) == len(eps_products)  # each P_k once
+
+
+# ---------------------------------------------------------------------------
+# the fused q-shift-and-add kernel and the rank-1 path of mu2
+# ---------------------------------------------------------------------------
+
+#: coefficients of exact one-term factors, as a one-term series stores
+#: them (0 + c): products with 1e-6 and its neighbours land at ZERO_TOL,
+#: and 1e6 would lift a term dropped there back above it
+_kept = st.sampled_from(
+    [1, -1, 1j, -0.5, F(2, 3), 0.5 - 0.25j, 1e-6, math.nextafter(1e-6, 0.0),
+     math.nextafter(1e-6, 1.0), 2e-12, 1e6, cmath.exp(2j * cmath.pi / 7)]
+).map(lambda c: 0 + c)
+
+
+_ZERO_AT_4 = NovikovSeries.zero(4)
+_SIX, _BELOW_SIX = NovikovSeries.constant(1e-6), math.nextafter(1e-6, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_series, _zero_at),
+    st.lists(
+        st.tuples(
+            st.one_of(_series, _colliding, st.sampled_from(_at_zero(1e-6, 2e-12))),
+            _expo,
+            st.one_of(st.none(), _kept),
+            st.lists(_kept, min_size=1, max_size=3),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@example(_ZERO_AT_4, [(_SIX, F(1, 3), _BELOW_SIX, [1e6])])  # right drops it
+@example(_ZERO_AT_4, [(_SIX, F(1, 3), None, [_BELOW_SIX, 1e6])])  # a left does
+def test_add_product_matches_adding_the_product(start, items):
+    acc, want = _RunningSum(start), _RunningSum(start)
+    for x, shift, right, lefts in items:
+        acc.add_product(shift.numerator, shift.denominator, x, right, lefts)
+        want.add(add_product_oracle(shift, x, right, lefts))
+        assert repr(acc.series()) == repr(want.series())
+
+
+_phase = cmath.exp(2j * cmath.pi / 7)
+#: trivial, constant-phase and series-unit eigenvalues; a series unit
+#: without a cutoff raises in fractional_power, on both paths alike
+_rank1_system = st.builds(
+    LocalSystem.from_eigenvalue,
+    st.one_of(
+        st.sampled_from([1, 1.0 + 0.0j, -1.0, 1j, _phase, F(3, 2), 1e-6]),
+        st.builds(
+            lambda c0, e, c1, cut: NovikovSeries(((0, c0), (e, c1)), cut),
+            st.sampled_from([1, 1j, _phase]),
+            st.sampled_from([F(1, 3), F(1, 2)]),
+            st.sampled_from([0.5, -0.25j, 1e-6]),
+            st.sampled_from([F(4), F(12), F(12), None]),
+        ),
+    ),
+)
+_rank1_branes = st.builds(
+    Brane, _slope, _shift, st.integers(-1, 1), _marker, _rank1_system
+)
+_above_tol = math.nextafter(ZERO_TOL, 1.0)
+#: one-term and multi-term generator coefficients, with and without a
+#: cutoff, and one just above ZERO_TOL, which a phase can take below it
+_weight = st.one_of(
+    _entry,
+    st.builds(NovikovSeries.q_power, _expo, st.sampled_from([2, -1j, 0.25])),
+    st.builds(
+        NovikovSeries.constant,
+        st.sampled_from([1, 0.5j]),
+        st.sampled_from([F(3), F(9, 2)]),
+    ),
+    st.builds(
+        NovikovSeries.constant, st.sampled_from([_above_tol, _above_tol * _phase])
+    ),
+    st.builds(
+        NovikovSeries,
+        st.lists(
+            st.tuples(st.builds(F, st.integers(-2, 12), st.sampled_from([1, 2, 3])),
+                      _coeff),
+            min_size=2,
+            max_size=4,
+        ),
+        st.sampled_from([None, F(6), F(13, 2)]),
+    ),
+).filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def _weighted_element(draw, l0, l1):
+    """Every generator of a rank-1 CF(l0, l1), or one of them."""
+    coords = cf(l0, l1).coords()
+    if not draw(st.booleans()):
+        coords = (draw(st.sampled_from(coords)),)
+    return FloerElement(cf(l0, l1), {c: ((draw(_weight),),) for c in coords})
+
+
+@st.composite
+def _rank1_products(draw):
+    """(phi2, phi1, cutoff) for three drawn rank-1 branes."""
+    b0, b1, b2 = (draw(_rank1_branes) for _ in range(3))
+    try:
+        phi1 = draw(_weighted_element(b0, b1))
+        phi2 = draw(_weighted_element(b1, b2))
+    except (NonTransverse, MarkerCollision):
+        assume(False)
+    return phi2, phi1, draw(st.builds(F, st.integers(2, 32), st.just(2)))
+
+
+def _weighted(l0, l1, weight):
+    """Every generator of CF(l0, l1) weighted by the 1 x 1 `weight`."""
+    return FloerElement(cf(l0, l1), {c: ((weight,),) for c in cf(l0, l1).coords()})
+
+
+_L0, _L1, _L2 = Brane((0, -1), F(1, 4)), Brane((1, 2)), Brane((1, 0), F(1, 3))
+_TINY_L0 = Brane((0, -1), F(1, 4), local_system=LocalSystem.from_eigenvalue(1e-6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rank1_products())
+# phi1 at q^(1/2): the exponent of the scalars folded before phi2's series
+@example((
+    _weighted(_L1, _L2, NovikovSeries(((0, 1), (F(1, 2), 0.5)), F(6))),
+    _weighted(_L0, _L1, NovikovSeries.q_power(F(1, 2), 2)),
+    F(8),
+))
+# 2e-12 * (1e-6)^(1/6) drops to zero on the smallest triangle: it adds
+# no term and, unlike its neighbours, no cutoff
+@example((
+    _weighted(_L1, _L2, NovikovSeries.constant(1, F(3))),
+    _weighted(_TINY_L0, _L1, NovikovSeries.constant(2e-12)),
+    F(8),
+))
+def test_rank1_sum_matches_the_matrix_oracle(product):
+    want = _outcome(mu2_matrix_oracle, *product)
+    assert repr(_outcome(mu2, *product)) == repr(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0, 1]),
+    st.builds(F, st.integers(-40, 40), st.integers(1, 13)),
+    st.one_of(
+        st.sampled_from([1, -1, 1j, complex(-0.0, 1.0), 0.5, 2.5, _phase, _UNIT]),
+        _units(max_cutoff=2),
+    ),
+    st.builds(F, st.integers(-48, 256 * 4), st.just(4)),
+)
+def test_theta_kernel_matches_the_add_loop_oracle(kind, x, unit, cutoff):
+    want = _outcome(theta_eval_raw_add_oracle, kind, x, unit, cutoff)
+    assert repr(_outcome(theta_eval_raw, kind, x, unit, cutoff)) == repr(want)
 
 
 # ---------------------------------------------------------------------------
