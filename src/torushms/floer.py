@@ -414,6 +414,7 @@ def _add_rank1(entry: _RunningSum, ops, area: Fraction, sign: int) -> None:
         x,
         None if right is None else right[1],
         [c for _, c in lefts] + [sign],
+        shift,
     )
 
 
@@ -470,7 +471,9 @@ def _sum(phi2: FloerElement, chain, cutoff: Fraction, triangles) -> FloerElement
         lefts = (sign,)
         for sum_row, m_row in zip(sums, m):
             for entry, x in zip(sum_row, m_row):
-                entry.add_product(area.numerator, area.denominator, x, None, lefts)
+                entry.add_product(
+                    area.numerator, area.denominator, x, None, lefts, area
+                )
     final = {
         c: tuple(tuple(x.series() for x in row) for row in sums)
         for c, sums in acc.items()

@@ -32,7 +32,9 @@ rank 1 the scalar transports and generators, of a triangle),
 `_RunningSum.add_product` adds it in one pass over x's terms: each
 coefficient goes through the stages of the products it replaces, `0 +`
 and the drop rule included, and lands at the shifted integer key, with
-no intermediate series and no Fraction per term.  A product of two
+no intermediate series and no Fraction per term; a caller that holds
+the shift as a Fraction (the triangle's area in `floer`) passes it, and
+x's exponent-0 term lands on that object.  A product of two
 multi-term series runs its double loop into an integer-keyed dict,
 leaving the inner loop at the first key at or above the cutoff.  A
 product builds Fractions only for the terms it returns; a sum builds
@@ -67,9 +69,10 @@ bookkeeping.
 Truncation policy.  No other module reads ZERO_TOL or WINDOW_SLACK.
 ZERO_TOL drops |c| <= ZERO_TOL when a series is formed; the scalar
 group law of `tate` asks `NovikovSeries._exact_term` whether its one
-coefficient survives.  A verdict at a requested cutoff reads a series
-below `verdict_window`: min(cutoff, series cutoff) - WINDOW_SLACK, the
-requested cutoff for an exact series.  `vanishes(x, cutoff)`, the one
+coefficient survives, and its scalar zero test asks `_kept`.  A
+verdict at a requested cutoff reads a series below `verdict_window`:
+min(cutoff, series cutoff) - WINDOW_SLACK, the requested cutoff for an
+exact series.  `vanishes(x, cutoff)`, the one
 vanishing verdict, holds when x is zero or its lowest exponent is at or
 above that window.  `floer` reads it per matrix entry
 (`vanishes_truncated`) and takes `assoc_defect`'s window from
@@ -508,12 +511,16 @@ class _RunningSum:
         self.cutoff = _min_cutoff(self.cutoff, x.cutoff)
 
     def add_product(
-        self, num: int, den: int, x: NovikovSeries, right=None, lefts=()
+        self, num: int, den: int, x: NovikovSeries, right=None, lefts=(),
+        exp: Optional[Fraction] = None,
     ) -> None:
         """`add` of q^(num/den) * l_m * (... (l_1 * (x * right))), where
         `right` (unless None) and each l_i are the coefficients of exact
         one-term factors whose exponents, with num/den, sum to the shift
-        num/den; den > 0.
+        num/den; den > 0.  `exp`, when the caller holds the shift as a
+        Fraction, is that object: `series` returns it as the exponent of
+        the shift's key (where x's exponent-0 term lands) instead of
+        building a new Fraction, so the entries of one product share it.
 
         One pass over x's terms, with no intermediate series.  Each term's
         coefficient goes through the stages of the one-term products it
@@ -554,6 +561,8 @@ class _RunningSum:
                         coeffs.pop(k, None)
                     else:
                         coeffs[k] = total
+            if exp is not None and shift in coeffs:
+                self.exps.setdefault(shift, exp)
         if x.cutoff is not None:
             self.cutoff = _min_cutoff(self.cutoff, x.cutoff + Fraction(num, den))
 

@@ -18,6 +18,16 @@ The relation generators come in four families:
      determinant point fixed (the hyperplane divisor is 3.O),
   4. Jordan towers 0 -> Y_1 -> Y_(h+1) -> Y_h -> 0 over a simple
      skyscraper or a coprime stable bundle.
+
+Cost.  Each family has one private builder, which the public
+constructor and `relation_suite` both call, and which builds once what
+its relations share: the point of O(D - Q) and the sum O_Q per
+(D's point, Q) for every degree, the sub-sum (r-1)*O(-3n) per (r, n),
+and each tower member Y_k per (base, k), whose sum the up to three
+sequences holding it share.  A sum of one sheaf stores its one term and
+hashes nothing; only sums of two or more sheaves merge through a dict.
+A shared piece is an immutable value equal, bit for bit, to the one a
+fresh build gives, so every triple and defect keeps its bits.
 """
 
 from __future__ import annotations
@@ -115,7 +125,9 @@ class SheafSum:
 
     def __init__(self, terms: Iterable = ()):
         if isinstance(terms, (Bundle, Skyscraper)):
-            terms = [(terms, 1)]
+            # one sheaf: its canonical terms, with no dict and no hash
+            object.__setattr__(self, "terms", ((terms, 1),))
+            return
         acc = {}  # sheaf -> [multiplicity]: setdefault hashes each sheaf once
         for entry in terms:
             if isinstance(entry, (Bundle, Skyscraper)):
@@ -174,7 +186,8 @@ class K0Class:
 
     @classmethod
     def zero(cls) -> "K0Class":
-        return cls(0, 0, TatePoint.zero())
+        """(0, 0, O), one shared instance (classes are immutable)."""
+        return _K0_ZERO
 
     def __add__(self, other: "K0Class") -> "K0Class":
         return K0Class(
@@ -202,6 +215,9 @@ class K0Class:
 
     def __str__(self):
         return f"({self.rk}, {self.deg}, {self.pt})"
+
+
+_K0_ZERO = K0Class(0, 0, TatePoint.zero())
 
 
 def sum_with_multiplicities(terms: Iterable, class_of: Callable, zero):
@@ -277,14 +293,49 @@ def iso_pair(f, g, label: str = "iso") -> RelationTriple:
     return RelationTriple(as_sum(f), as_sum(g), SheafSum(), label)
 
 
+def _divisor_sequences(
+    d_pt: TatePoint, q: TatePoint
+) -> Callable[[int], RelationTriple]:
+    """d -> the divisor sequence of degree d over (d_pt, q).  The point
+    of O(D - Q) and the sum O_Q do not depend on d: they are built once."""
+    sub_pt = point_mul(d_pt, conjugate_zero(q))
+    quot = SheafSum(Skyscraper(q, 1))
+
+    def relation(d_deg: int) -> RelationTriple:
+        return RelationTriple(
+            SheafSum(Bundle(1, d_deg - 1, sub_pt)),
+            SheafSum(Bundle(1, d_deg, d_pt)),
+            quot,
+            "divisor",
+        )
+
+    return relation
+
+
 def ses_divisor(d_deg: int, d_pt: TatePoint, q: TatePoint) -> RelationTriple:
     """0 -> O(D - Q) -> O(D) -> O_Q -> 0 for a degree-d divisor D."""
-    total = Bundle(1, d_deg, d_pt)
-    sub = Bundle(1, d_deg - 1, point_mul(d_pt, conjugate_zero(q)))
-    quot = Skyscraper(q, 1)
-    return RelationTriple(
-        as_sum(sub), as_sum(total), as_sum(quot), "divisor"
-    )
+    return _divisor_sequences(d_pt, q)(d_deg)
+
+
+def _atiyah_sequences(
+    r: int, n: int
+) -> Callable[[int, TatePoint], RelationTriple]:
+    """(d, det_pt) -> the coprime-bundle sequence of rank r and twist n.
+    The sub-sum (r-1)*O(-3n) does not depend on (d, det_pt): it is
+    built once."""
+    sub = SheafSum([(Bundle(1, -3 * n, TatePoint.zero()), r - 1)])
+
+    def relation(d: int, det_pt: TatePoint) -> RelationTriple:
+        if r < 2 or gcd(r, abs(d)) != 1:
+            raise BadGcd(f"need r >= 2 and gcd(r,d) = 1, got ({r}, {d})")
+        return RelationTriple(
+            sub,
+            SheafSum(Bundle(r, d, det_pt)),
+            SheafSum(Bundle(1, d + 3 * n * (r - 1), det_pt)),
+            "atiyah-coprime",
+        )
+
+    return relation
 
 
 def ses_atiyah_coprime(
@@ -297,12 +348,7 @@ def ses_atiyah_coprime(
     has degree -3n and the quotient line degree d + 3n(r-1); the
     determinant point is carried entirely by the quotient.
     """
-    if r < 2 or gcd(r, abs(d)) != 1:
-        raise BadGcd(f"need r >= 2 and gcd(r,d) = 1, got ({r}, {d})")
-    sub = SheafSum([(Bundle(1, -3 * n, TatePoint.zero()), r - 1)])
-    total = as_sum(Bundle(r, d, det_pt))
-    quot = as_sum(Bundle(1, d + 3 * n * (r - 1), det_pt))
-    return RelationTriple(sub, total, quot, "atiyah-coprime")
+    return _atiyah_sequences(r, n)(d, det_pt)
 
 
 def _tower_member(base: IndecSheaf, h: int) -> IndecSheaf:
@@ -313,10 +359,10 @@ def _tower_member(base: IndecSheaf, h: int) -> IndecSheaf:
     )
 
 
-def ses_jordan_tower(base: IndecSheaf, h: int) -> RelationTriple:
-    """0 -> Y_1 -> Y_(h+1) -> Y_h -> 0, where Y_k is the k-th member of
-    the Jordan-type tower over `base` (a simple skyscraper or a
-    coprime stable bundle)."""
+def _jordan_towers(base: IndecSheaf) -> Callable[[int], RelationTriple]:
+    """h -> the Jordan-tower sequence of height h over `base`.  Each
+    member Y_k is built once, when a sequence first needs it, and its
+    sum is shared by the (up to three) sequences that hold it."""
     if isinstance(base, Skyscraper):
         if base.h != 1 or base.shift:
             raise BadBase("tower base must be a simple unshifted skyscraper")
@@ -325,14 +371,27 @@ def ses_jordan_tower(base: IndecSheaf, h: int) -> RelationTriple:
             raise BadBase("tower base bundle must have coprime (rank, degree)")
     else:
         raise BadBase(f"unsupported tower base {base!r}")
-    if h < 1:
-        raise ValueError("tower height must be >= 1")
-    return RelationTriple(
-        as_sum(_tower_member(base, 1)),
-        as_sum(_tower_member(base, h + 1)),
-        as_sum(_tower_member(base, h)),
-        "jordan-tower",
-    )
+    members = {}  # k -> SheafSum(Y_k)
+
+    def member(k: int) -> SheafSum:
+        y = members.get(k)
+        if y is None:
+            y = members[k] = SheafSum(_tower_member(base, k))
+        return y
+
+    def relation(h: int) -> RelationTriple:
+        if h < 1:
+            raise ValueError("tower height must be >= 1")
+        return RelationTriple(member(1), member(h + 1), member(h), "jordan-tower")
+
+    return relation
+
+
+def ses_jordan_tower(base: IndecSheaf, h: int) -> RelationTriple:
+    """0 -> Y_1 -> Y_(h+1) -> Y_h -> 0, where Y_k is the k-th member of
+    the Jordan-type tower over `base` (a simple skyscraper or a
+    coprime stable bundle)."""
+    return _jordan_towers(base)(h)
 
 
 @record
@@ -367,23 +426,22 @@ def relation_suite(
                 Bundle(1, n, point_pow(TatePoint.two_torsion(), n)),
             )
         )
+    divisors = [_divisor_sequences(d_pt, q) for d_pt in points for q in points]
     for d in range(-bounds.d_max, bounds.d_max + 1):
-        for d_pt in points:
-            for q in points:
-                out.append(ses_divisor(d, d_pt, q))
+        out.extend(relation(d) for relation in divisors)
     for r in range(2, bounds.r_max + 1):
+        twists = [_atiyah_sequences(r, n) for n in range(1, bounds.n_max + 1)]
         for d in range(-bounds.d_max, bounds.d_max + 1):
             if gcd(r, abs(d)) != 1:
                 continue
-            for n in range(1, bounds.n_max + 1):
-                for det_pt in points:
-                    out.append(ses_atiyah_coprime(r, d, det_pt, n))
+            for relation in twists:
+                out.extend(relation(d, det_pt) for det_pt in points)
     bases: List[IndecSheaf] = [Skyscraper(p, 1) for p in points]
     for r in range(1, bounds.r_max + 1):
         for d in range(-bounds.d_max, bounds.d_max + 1):
             if gcd(r, abs(d)) == 1:
                 bases.append(Bundle(r, d, points[0]))
     for base in bases:
-        for h in range(1, bounds.h_max + 1):
-            out.append(ses_jordan_tower(base, h))
+        relation = _jordan_towers(base)
+        out.extend(relation(h) for h in range(1, bounds.h_max + 1))
     return out

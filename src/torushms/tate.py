@@ -30,7 +30,8 @@ form it, 0 + -(0 + c * c'), and conjugate_zero as `invert` forms it,
 without TatePoint.__init__.  Every other unit, and a coefficient the drop
 rule removes (`NovikovSeries._exact_term` applies it, in `novikov`),
 takes the series path, so a result keeps its bits and a vanishing unit
-raises the same NonUnit.
+raises the same NonUnit.  `is_zero_point` has a scalar path for the same
+units, with the series test's verdict.
 
 One inverse per unit: `conjugate_zero` and the negative powers of a
 theta table (`_unit_powers`) invert a series unit through
@@ -50,7 +51,8 @@ from typing import Union
 from ._record import record
 from .errors import NonUnit
 from .novikov import (
-    NovikovSeries, Rational, _Powers, _RunningSum, invert, lattice_window, vanishes,
+    NovikovSeries, Rational, _Powers, _RunningSum, _kept, invert, lattice_window,
+    vanishes,
 )
 
 __all__ = [
@@ -106,7 +108,22 @@ class TatePoint:
         return cls(Fraction(1, 2), 1)
 
     def is_zero_point(self, tol: float = 1e-9) -> bool:
-        return self.x == 0 and (self.unit - (-1)).max_abs_coeff() <= tol
+        """x = 0 and (unit - (-1)).max_abs_coeff() <= tol: the point is O
+        up to tol.
+
+        A constant unit c (one term, cutoff None) takes a scalar path:
+        unit - (-1) is the one term c + 1, or the zero series where the
+        drop rule (`novikov._kept`) removes it, so its largest |coefficient|
+        is 0.0 or max(0.0, |c + 1|) (0.0 for a nan, as `max_abs_coeff`
+        gives it).  The verdict is the series path's for every tol,
+        0, nan and negative ones included."""
+        if self.x != 0:
+            return False
+        unit = self.unit
+        if _scalar(unit):
+            c = _kept(unit.terms[0][1] + 1)
+            return (0.0 if c is None else max(0.0, abs(c))) <= tol
+        return (unit - (-1)).max_abs_coeff() <= tol
 
     def approx_eq(self, other: "TatePoint", tol: float = 1e-9) -> bool:
         return self.x == other.x and self.unit.approx_eq(other.unit, tol)

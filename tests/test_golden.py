@@ -7,8 +7,10 @@ The Floer files under tests/golden/ were recorded once, from the
 grid-scan intersection enumerator and the series-by-series triangle
 accumulation that preceded the closed-form enumerator and the per-entry
 accumulator; `mu2_phase3_c16.json` from the matrix-only triangle sum
-that preceded the rank-1 path and its scalar transports.  The files of the other verbs were recorded from the
-code that still carried the mpmath coefficient backend and three
+that preceded the rank-1 path and its scalar transports;
+`relations_top.json` from the relation suite that built every relation
+from its public family constructor.  The files of the other verbs were
+recorded from the code that still carried the mpmath coefficient backend and three
 separate loops for sums with multiplicities; their inputs use grammar
 phases and large multiplicities, so a change in evaluation order or
 rounding shows up in the last bits.  They pin that behaviour: a mismatch
@@ -113,6 +115,9 @@ CASES = {
     "relations_bounds": (0, ("relations", "--r-max", "2", "--d-max", "3",
                              "--n-max", "2", "--h-max", "4",
                              "--tol", "1e-12")),
+    # the heaviest level of the K-theory sweep: 2,386 relations
+    "relations_top": (0, ("relations", "--r-max", "8", "--d-max", "8",
+                          "--n-max", "4", "--h-max", "6")),
     "mirror_sky": (0, ("mirror", "--sheaf", "Sky(pt(x=1/3, phase=1/7), 2)")),
     "mirror_bun": (0, ("mirror", "--sheaf", "Bun(2,1,pt(x=0, phase=0))")),
     "mirror_shifted": (0, ("mirror", "--sheaf", "O(3P0)[1]")),

@@ -19,13 +19,16 @@ exponent at or above the cutoff, and the loops that
 `_RunningSum.add_product` replaced: the matrix-only `floer._sum` (every
 rank through `mat_mul` and `mat_scale`, each entry then added) and the
 `theta_eval_raw` loop that added each term q_power(e) * coef(n) as a
-series.  The kernels must give the same `repr`
-(so the same exponents, coefficient types, bits and signed zeros) on
-every draw, `mu2_triangles` the same list once `cli` formats it, and a
+series, the relation suite whose family constructors built every
+relation's sheaves and sums afresh, and the zero test that took every
+point unit through the series difference.  The kernels must give the
+same `repr` (so the same exponents, coefficient types, bits and signed
+zeros) on every draw, `mu2_triangles` the same list once `cli` formats it, and a
 failing draw the same error, and a sum must return its operands'
 exponent objects.  The work-count tests pin what the kernels share: one
 inverse per point in `eval_section`, one multi-term inversion per series
-object, and each power of eps formed once per mu2 call.
+object, each power of eps formed once per mu2 call, and each shared
+piece of the relation suite built once.
 
 The two vanishing rules that `novikov.vanishes` replaced are kept as
 oracles too: the per-entry loop of `floer.vanishes_truncated`, which the
@@ -99,6 +102,7 @@ from torushms.novikov import (
 from torushms.mirror import MirrorPair
 from torushms.sheafk import (
     Bundle, K0Class, RelationBounds, RelationTriple, SheafSum, Skyscraper,
+    relation_suite,
 )
 from torushms.tate import (
     SectionCoeffs,
@@ -623,6 +627,70 @@ def record_oracle(cls):
     return dataclasses.make_dataclass(
         cls.__qualname__, fields, bases=(cls,), namespace=namespace, frozen=True
     )
+
+
+def relation_suite_oracle(bounds, points):
+    """`sheafk.relation_suite` before its families shared their pieces:
+    one call per relation of the family constructors as they were then,
+    each building its sheaves and sums afresh."""
+    as_sum = sheafk.as_sum
+
+    def divisor(d_deg, d_pt, q):
+        total = Bundle(1, d_deg, d_pt)
+        sub = Bundle(1, d_deg - 1, point_mul(d_pt, conjugate_zero(q)))
+        return RelationTriple(
+            as_sum(sub), as_sum(total), as_sum(Skyscraper(q, 1)), "divisor"
+        )
+
+    def atiyah(r, d, det_pt, n):
+        sub = SheafSum([(Bundle(1, -3 * n, TatePoint.zero()), r - 1)])
+        total = as_sum(Bundle(r, d, det_pt))
+        quot = as_sum(Bundle(1, d + 3 * n * (r - 1), det_pt))
+        return RelationTriple(sub, total, quot, "atiyah-coprime")
+
+    def member(base, h):
+        if isinstance(base, Skyscraper):
+            return Skyscraper(base.pt, h)
+        return Bundle(h * base.rank, h * base.degree, point_pow(base.det_pt, h))
+
+    def tower(base, h):
+        return RelationTriple(
+            as_sum(member(base, 1)), as_sum(member(base, h + 1)),
+            as_sum(member(base, h)), "jordan-tower",
+        )
+
+    out = []
+    for n in range(-bounds.n_max, bounds.n_max + 1):
+        out.append(sheafk.iso_pair(
+            sheafk.o_of_n_p0(n),
+            Bundle(1, n, point_pow(TatePoint.two_torsion(), n)),
+        ))
+    for d in range(-bounds.d_max, bounds.d_max + 1):
+        for d_pt in points:
+            for q in points:
+                out.append(divisor(d, d_pt, q))
+    for r in range(2, bounds.r_max + 1):
+        for d in range(-bounds.d_max, bounds.d_max + 1):
+            if math.gcd(r, abs(d)) != 1:
+                continue
+            for n in range(1, bounds.n_max + 1):
+                for det_pt in points:
+                    out.append(atiyah(r, d, det_pt, n))
+    bases = [Skyscraper(p, 1) for p in points]
+    for r in range(1, bounds.r_max + 1):
+        for d in range(-bounds.d_max, bounds.d_max + 1):
+            if math.gcd(r, abs(d)) == 1:
+                bases.append(Bundle(r, d, points[0]))
+    for base in bases:
+        for h in range(1, bounds.h_max + 1):
+            out.append(tower(base, h))
+    return out
+
+
+def is_zero_point_oracle(p, tol):
+    """`TatePoint.is_zero_point` before its scalar path: every unit
+    through the series difference."""
+    return p.x == 0 and (p.unit - (-1)).max_abs_coeff() <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -1247,11 +1315,35 @@ _SIX, _BELOW_SIX = NovikovSeries.constant(1e-6), math.nextafter(1e-6, 0.0)
 @example(_ZERO_AT_4, [(_SIX, F(1, 3), _BELOW_SIX, [1e6])])  # right drops it
 @example(_ZERO_AT_4, [(_SIX, F(1, 3), None, [_BELOW_SIX, 1e6])])  # a left does
 def test_add_product_matches_adding_the_product(start, items):
-    acc, want = _RunningSum(start), _RunningSum(start)
+    """With and without the caller's shift object, which names an
+    exponent and changes no value."""
+    acc, shared, want = _RunningSum(start), _RunningSum(start), _RunningSum(start)
     for x, shift, right, lefts in items:
         acc.add_product(shift.numerator, shift.denominator, x, right, lefts)
+        shared.add_product(
+            shift.numerator, shift.denominator, x, right, lefts, shift
+        )
         want.add(add_product_oracle(shift, x, right, lefts))
-        assert repr(acc.series()) == repr(want.series())
+        assert repr(acc.series()) == repr(shared.series()) == repr(want.series())
+
+
+def test_add_product_returns_the_callers_shift_object():
+    """x's exponent-0 term lands on the shift: `series` returns the
+    caller's Fraction there, in every entry given it, and builds one for
+    the other exponents; an exponent an operand of `add` brought first
+    keeps that object."""
+    area = F(5, 3)
+    x = NovikovSeries(((0, 2.0), (F(1, 2), 1.0)), 8)
+    entries = [_RunningSum(NovikovSeries.zero(8)) for _ in range(2)]
+    for entry in entries:
+        entry.add_product(5, 3, x, None, (1,), area)
+    outs = [entry.series() for entry in entries]
+    assert [out.terms[0][0] is area for out in outs] == [True, True]
+    assert outs[0].terms[1][0] is not outs[1].terms[1][0]
+    early = F(5, 3)
+    entry = _RunningSum(NovikovSeries.q_power(early, 1.0, 8))
+    entry.add_product(5, 3, x, None, (1,), area)
+    assert entry.series().terms[0][0] is early
 
 
 _phase = cmath.exp(2j * cmath.pi / 7)
@@ -1363,6 +1455,152 @@ def test_rank1_sum_matches_the_matrix_oracle(product):
 def test_theta_kernel_matches_the_add_loop_oracle(kind, x, unit, cutoff):
     want = _outcome(theta_eval_raw_add_oracle, kind, x, unit, cutoff)
     assert repr(_outcome(theta_eval_raw, kind, x, unit, cutoff)) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# the relation suite at the cost of its distinct sheaves
+# ---------------------------------------------------------------------------
+
+#: a series unit with a finite cutoff, which takes the series group law;
+#: its product with its inverse changes bits when the factors swap
+_SERIES_POINT = TatePoint(
+    F(1, 3), NovikovSeries(((0, -0.25j), (F(1, 3), -1.5), (F(1, 2), 0.3 - 0.7j)), 2)
+)
+#: constant units as the K-theory sweeps draw them, the origin's, and the
+#: series unit
+_suite_point = st.one_of(
+    st.builds(
+        TatePoint,
+        st.builds(F, st.integers(0, 10), st.sampled_from([3, 5, 7, 8, 9, 11])),
+        st.integers(1, 12).map(lambda k: cmath.exp(2j * cmath.pi * k / 13)),
+    ),
+    st.just(TatePoint.zero()),
+    st.just(_SERIES_POINT),
+)
+#: five points with constant phase units, as the K-theory sweeps draw them
+_SWEEP_POINTS = [
+    TatePoint(F(x, den), cmath.exp(2j * cmath.pi * turns))
+    for x, den, turns in (
+        (2, 3, 0.134), (4, 7, 0.847), (0, 5, 0.764), (7, 9, 0.255), (5, 11, 0.495)
+    )
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.builds(
+        RelationBounds,
+        st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.integers(0, 3),
+    ),
+    st.lists(_suite_point, min_size=1, max_size=5),
+)
+@example(RelationBounds(8, 8, 4, 6), _SWEEP_POINTS)
+@example(RelationBounds(2, 1, 1, 2), [_SERIES_POINT, TatePoint.zero()])
+def test_relation_suite_matches_the_per_relation_oracle(bounds, points):
+    """Every triple (label, sub, total, quot) and its defect by `repr`,
+    and `holds` against the series zero test at two tolerances."""
+    got = relation_suite(bounds, points)
+    want = relation_suite_oracle(bounds, points)
+    assert len(got) == len(want)
+    for tri, ref in zip(got, want):
+        assert repr(tri) == repr(ref)
+        defect = ref.k0_defect()
+        assert repr(tri.k0_defect()) == repr(defect)
+        for tol in (1e-9, 0):
+            assert tri.holds(tol) is (
+                (defect.rk, defect.deg) == (0, 0)
+                and is_zero_point_oracle(defect.pt, tol)
+            )
+
+
+def test_the_suite_builds_each_shared_piece_once(monkeypatch):
+    """One conjugate point per (D's point, Q), not per degree, and one
+    determinant power per Jordan-tower member, not one per sequence
+    holding it."""
+    counts = {"conjugate_zero": 0, "point_pow": 0}
+    for name in counts:
+        real = getattr(sheafk, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(sheafk, name, counted)
+    bounds, points = RelationBounds(3, 4, 2, 5), _SWEEP_POINTS[:3]
+    suite = relation_suite(bounds, points)
+    coprime = [
+        (r, d) for r in range(1, 4) for d in range(-4, 5) if math.gcd(r, abs(d)) == 1
+    ]
+    iso_pairs = 2 * (2 * bounds.n_max + 1)  # each pair's two presentations
+    assert counts == {
+        "conjugate_zero": len(points) ** 2,
+        "point_pow": iso_pairs + len(coprime) * (bounds.h_max + 1),
+    }
+    towers = [tri for tri in suite if tri.label == "jordan-tower"]
+    assert towers[0].sub is towers[1].sub and towers[0].total is towers[1].quot
+
+
+#: |delta| of the units -1 + delta: at, below and above the drop rule's
+#: edge, and a distance that the default tolerance accepts
+_DELTAS = (0.0, 1e-13, ZERO_TOL, 2e-12, 1e-9)
+_ZERO_TEST_TOLS = (0, 1e-13, 1e-12, 1e-9, math.inf, math.nan, -1)
+
+
+def _near_minus_one():
+    """Coefficients -1 + delta as int, float and complex (along each axis
+    and off them, with signed-zero parts), a Fraction, and a nan."""
+    out = [-1, -2, F(-1), F(-1) + F(1, 10 ** 13), math.nan, complex(math.nan, 0.0)]
+    for size in _DELTAS:
+        for sign in (1.0, -1.0):
+            delta = sign * size
+            out += [
+                -1.0 + delta,
+                complex(-1.0 + delta, 0.0),
+                complex(-1.0 + delta, -0.0),
+                complex(-1.0, delta),
+                -1 + delta * cmath.exp(2j * cmath.pi / 7),
+            ]
+    return out
+
+
+@pytest.mark.parametrize("tol", _ZERO_TEST_TOLS)
+def test_scalar_zero_test_matches_the_series_path(tol):
+    """The scalar path against the series difference on the same unit,
+    and against the series path that a finite cutoff takes."""
+    for c in _near_minus_one():
+        unit = NovikovSeries.constant(c)
+        for x in (F(0), F(1, 3)):
+            p = TatePoint(x, unit)
+            assert p.is_zero_point(tol) is is_zero_point_oracle(p, tol), (c, x)
+            series = TatePoint(x, NovikovSeries.constant(c, 5))
+            assert series.is_zero_point(tol) is p.is_zero_point(tol), (c, x)
+
+
+_ONE_SHEAVES = [
+    Bundle(1, 0, TatePoint.zero()),
+    Bundle(2, -3, TatePoint(F(2, 5), cmath.exp(2j * cmath.pi / 7))),
+    Bundle(3, 1, TatePoint(F(1, 3), _UNIT), shift=1),
+    Bundle(1, 4, TatePoint.two_torsion(), shift=-2),
+    Skyscraper(TatePoint.zero()),
+    Skyscraper(TatePoint(F(1, 7), 0.5j), 3),
+    Skyscraper(TatePoint(F(1, 3), _UNIT), 1, shift=1),
+    Skyscraper(TatePoint(F(4, 9), -2.0), 2, shift=3),
+]
+
+
+@pytest.mark.parametrize("sheaf", _ONE_SHEAVES, ids=str)
+def test_one_sheaf_sum_matches_the_one_term_list(sheaf):
+    got, want = SheafSum(sheaf), SheafSum([(sheaf, 1)])
+    assert got.terms == want.terms == ((sheaf, 1),)
+    assert type(got.terms[0][1]) is int
+    assert repr(got) == repr(want)
+    assert hash(got) == hash(want)
+    assert got == want and want == got
+
+
+def test_the_zero_class_is_shared():
+    assert K0Class.zero() is K0Class.zero()
+    assert repr(K0Class.zero()) == repr(K0Class(0, 0, TatePoint.zero()))
 
 
 # ---------------------------------------------------------------------------
