@@ -60,6 +60,7 @@ from .novikov import (
     Rational,
     _kept,
     _RunningSum,
+    _largest,
     lattice_window,
     vanishes,
     verdict_window,
@@ -185,7 +186,7 @@ class FloerElement:
         return index_of(self.space.l0, self.space.l1)
 
     def max_abs_coeff(self, below: Optional[Rational] = None) -> float:
-        return max((mat_max_abs(m, below) for _, m in self.components), default=0.0)
+        return _largest(mat_max_abs(m, below) for _, m in self.components)
 
     # -- linear structure -----------------------------------------------
 

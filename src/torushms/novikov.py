@@ -124,6 +124,17 @@ def _kept(c: Scalar) -> Optional[Scalar]:
     return None if abs(c) <= ZERO_TOL else c
 
 
+def _largest(values: Iterable[float]) -> float:
+    """max(0.0, *values), except that a nan among the values is the
+    result: builtin `max` keeps or drops a nan depending on where it
+    stands, so a nan coefficient would pass a tolerance test."""
+    best = 0.0
+    for v in values:
+        if v > best or v != v:  # nothing compares above a nan: it stays
+            best = v
+    return best
+
+
 def _as_cutoff(cutoff: Optional[Rational]) -> Optional[Fraction]:
     if cutoff is None or type(cutoff) is Fraction:
         return cutoff
@@ -298,14 +309,11 @@ class NovikovSeries:
         return 0j
 
     def max_abs_coeff(self, below: Optional[Rational] = None) -> float:
-        """Largest |coefficient| among exponents < `below` (all if None)."""
+        """Largest |coefficient| among exponents < `below` (all if None);
+        nan if one of them is nan."""
         bound = None if below is None else Fraction(below)
-        best = 0.0
-        for e, c in self.terms:
-            if bound is not None and e >= bound:
-                break
-            best = max(best, abs(c))
-        return best
+        terms = self.terms[:_count_below(self.terms, bound)]
+        return _largest(abs(c) for _, c in terms)
 
     def truncated(self, cutoff: Rational) -> "NovikovSeries":
         if type(cutoff) is not Fraction:

@@ -113,16 +113,14 @@ class TatePoint:
 
         A constant unit c (one term, cutoff None) takes a scalar path:
         unit - (-1) is the one term c + 1, or the zero series where the
-        drop rule (`novikov._kept`) removes it, so its largest |coefficient|
-        is 0.0 or max(0.0, |c + 1|) (0.0 for a nan, as `max_abs_coeff`
-        gives it).  The verdict is the series path's for every tol,
-        0, nan and negative ones included."""
+        drop rule (`novikov._kept`) removes it.  The verdict is the series
+        path's for every tol, and False for a nan coefficient."""
         if self.x != 0:
             return False
         unit = self.unit
         if _scalar(unit):
             c = _kept(unit.terms[0][1] + 1)
-            return (0.0 if c is None else max(0.0, abs(c))) <= tol
+            return (0.0 if c is None else abs(c)) <= tol
         return (unit - (-1)).max_abs_coeff() <= tol
 
     def approx_eq(self, other: "TatePoint", tol: float = 1e-9) -> bool:

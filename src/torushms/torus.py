@@ -34,6 +34,7 @@ from .novikov import (
     _binom,
     _eps_powers,
     _kept,
+    _largest,
     _Powers,
     fractional_power,
     invert,
@@ -139,7 +140,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_max_abs(a: Matrix, below: Optional[Rational] = None) -> float:
-    return max(x.max_abs_coeff(below) for row in a for x in row)
+    return _largest(x.max_abs_coeff(below) for row in a for x in row)
 
 
 # ---------------------------------------------------------------------------
