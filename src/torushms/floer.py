@@ -423,52 +423,42 @@ def _sum(phi2: FloerElement, chain, cutoff: Fraction, triangles) -> FloerElement
     """mu2(phi2, phi1) over `triangles` from `_walk` on `chain`, skipping
     those whose y2 corner phi2 does not weight.
 
-    When all three local systems have rank 1, each triangle's product is
-    formed by `_add_rank1` from the 1 x 1 entries and the rank-1
-    transports (`LocalSystem._rank1_transport`), without matrices.  Any
-    higher rank takes the matrix loop: transports sharing each system's
-    eps power tables, four `mat_mul`s, and q_power(area, sign) applied by
-    `add_product` as each entry is added."""
+    The rank decides only how a triangle's product is added.  When all
+    three local systems have rank 1, `_add_rank1` forms it on the one
+    entry from the 1 x 1 entries and the rank-1 transports
+    (`LocalSystem._rank1_transport`), without matrices.  Any higher rank
+    takes four `mat_mul`s of matrix transports, and `add_product` applies
+    q_power(area, sign) as each entry is added.  Each eigenvalue series
+    holds its own eps powers and inverse (see `novikov`), so every arc
+    over one system shares them."""
     b0, b1, b2, _, _, _ = chain
     out_space = cf(b0, b2)
     i_y1 = index_of(b0, b1)
     phi2_at = dict(phi2.components)
-    start = NovikovSeries.zero(cutoff)
-    if b0.rank == b1.rank == b2.rank == 1:
-        t0, t1, t2 = [b.local_system._rank1_transport() for b in (b0, b1, b2)]
-        entries: Dict[Vec, _RunningSum] = {}
-        for _, y1c, a1, s, t, area, p0, p2 in triangles:
-            a2 = phi2_at.get((p2[0] % 1, p2[1] % 1))
-            if a2 is None:
-                continue
-            d_arc, _, sign = _boundary(b0, b1, b2, i_y1, y1c, p0, p2)
-            y0g = (p0[0] % 1, p0[1] % 1)
-            entry = entries.get(y0g)
-            if entry is None:
-                entry = entries[y0g] = _RunningSum(start)
-            ops = (t0(s), a1[0][0], t1(-t), a2[0][0], t2(-d_arc))
-            _add_rank1(entry, ops, area, sign)
-        return FloerElement(
-            out_space, {c: ((x.series(),),) for c, x in entries.items()}
-        )
-    (l0, e0), (l1, e1), (l2, e2) = [
-        (b.local_system, b.local_system._eps_tables()) for b in (b0, b1, b2)
-    ]
     rows, cols = out_space.hom_shape
+    start = NovikovSeries.zero(cutoff)
+    l0, l1, l2 = [b.local_system for b in (b0, b1, b2)]
+    rank1 = l0.rank == l1.rank == l2.rank == 1
+    if rank1:
+        t0, t1, t2 = [ls._rank1_transport() for ls in (l0, l1, l2)]
     acc: Dict[Vec, List[List[_RunningSum]]] = {}
     for _, y1c, a1, s, t, area, p0, p2 in triangles:
         a2 = phi2_at.get((p2[0] % 1, p2[1] % 1))
         if a2 is None:
             continue
         d_arc, _, sign = _boundary(b0, b1, b2, i_y1, y1c, p0, p2)
-        m = mat_mul(l2.transport(-d_arc, e2), mat_mul(a2, mat_mul(
-            l1.transport(-t, e1), mat_mul(a1, l0.transport(s, e0)))))
         y0g = (p0[0] % 1, p0[1] % 1)
         sums = acc.get(y0g)
         if sums is None:
             sums = acc[y0g] = [
                 [_RunningSum(start) for _ in range(cols)] for _ in range(rows)
             ]
+        if rank1:
+            ops = (t0(s), a1[0][0], t1(-t), a2[0][0], t2(-d_arc))
+            _add_rank1(sums[0][0], ops, area, sign)
+            continue
+        m = mat_mul(l2.transport(-d_arc), mat_mul(a2, mat_mul(
+            l1.transport(-t), mat_mul(a1, l0.transport(s)))))
         lefts = (sign,)
         for sum_row, m_row in zip(sums, m):
             for entry, x in zip(sum_row, m_row):

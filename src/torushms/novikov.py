@@ -39,13 +39,19 @@ multi-term series runs its double loop into an integer-keyed dict,
 leaving the inner loop at the first key at or above the cutoff.  A
 product builds Fractions only for the terms it returns; a sum builds
 none and reuses its operands' exponent objects, and so does a product
-by a one-term factor at exponent 0.  One power table, `_Powers`, serves
-every loop over the powers of one series (eps in `invert` and
-`fractional_power`, a point's unit and its inverse in theta series) and
-forms each power once; a caller taking many fractional powers of one
-unit shares its table of eps powers across exponents t.  `invert` forms
-the inverse of a multi-term series once per series object while that
-object is among the last `_INVERSES_HELD` it inverted.
+by a one-term factor at exponent 0.
+
+A series keeps what is derived from it, and no caller passes tables
+around.  Its one private slot, `_held` (a `_Held`, filled on first use),
+holds its inverse (`invert`), its powers P_k = P_(k-1) * a (`_power`,
+which reads a^-k from the inverse's powers) and its table of eps powers
+(`fractional_power`), so each is formed once per series object, by the
+same products in the same order as a fresh formation.  `==`, `hash`,
+`repr`, pickle and copy ignore the slot, and a copy starts empty.  Equal
+series are not merged: coefficients 1, 1.0 and 1+0j compare equal, but
+1.0 / c0 is a float for the first two and complex for the third.
+Nothing held refers back to its series, so reference counting frees a
+series together with all it holds.
 
 Every coefficient is formed by the same float operations, in the same
 order, as before the kernels: as the public constructor forms it from
@@ -184,7 +190,7 @@ def _shifted(terms, shift: Fraction, cutoff: Optional[Fraction]):
 class NovikovSeries:
     """Immutable truncated Novikov series in canonical form."""
 
-    __slots__ = ("terms", "cutoff")
+    __slots__ = ("terms", "cutoff", "_held")
 
     def __init__(
         self,
@@ -588,24 +594,35 @@ class _RunningSum:
         )
 
 
-class _Powers:
-    """The powers P_0 = one(), P_k = P_(k-1) * base of one series, each
-    truncated at `window` when one is given.  P_k is formed once, when it
-    is first asked for, so the caller that holds the table shares them."""
+class _Held:
+    """What is derived from one series and kept in its `_held` slot, each
+    None until first asked for: `inverse`; `powers`, the table of its
+    powers; `eps_powers`, (eps, the table of eps's powers) for a unit
+    c0 * (1 + eps)."""
 
-    __slots__ = ("base", "window", "_table")
+    __slots__ = ("inverse", "powers", "eps_powers")
 
-    def __init__(self, base: NovikovSeries, window: Optional[Fraction] = None):
-        self.base = base
-        self.window = window
-        self._table = [NovikovSeries.one()]
+    def __init__(self):
+        self.inverse = self.powers = self.eps_powers = None
 
-    def __getitem__(self, k: int) -> NovikovSeries:
-        table = self._table
-        while len(table) <= k:
-            p = table[-1] * self.base
-            table.append(p if self.window is None else p.truncated(self.window))
-        return table[k]
+    @classmethod
+    def of(cls, a: NovikovSeries) -> "_Held":
+        try:
+            return a._held
+        except AttributeError:
+            held = cls()
+            object.__setattr__(a, "_held", held)
+            return held
+
+
+def _nth(table: list, base: NovikovSeries, k: int, window=None) -> NovikovSeries:
+    """P_k of the power table P_0 = table[0], P_j = P_(j-1) * base, each
+    truncated at `window` when one is given.  The powers up to P_k are
+    appended to `table` as they are formed, so each is formed once."""
+    while len(table) <= k:
+        p = table[-1] * base
+        table.append(p if window is None else p.truncated(window))
+    return table[k]
 
 
 # ---------------------------------------------------------------------------
@@ -658,47 +675,45 @@ def lattice_bound(X: Rational) -> int:
     return 1 + math.isqrt(4 * X.numerator // X.denominator) if X > 0 else 0
 
 
-#: the inverses of the last _INVERSES_HELD multi-term series inverted:
-#: id(a) -> (a, invert(a)).  Holding a keeps its id from being reused, so
-#: an entry answers for that very object only.  Equal series are not
-#: merged: coefficients 1, 1.0 and 1+0j compare equal, but 1.0 / c0 is a
-#: float for the first two and complex for the third.
-_INVERSES = {}
-_INVERSES_HELD = 16
-
-
 def invert(a: NovikovSeries) -> NovikovSeries:
     """Multiplicative inverse, reliable where the inputs allow.
 
     Factors a = c0 * q^v * (1 + eps) with val(eps) > 0 and sums the
     geometric series in eps.  The result carries cutoff a.cutoff - 2v,
-    which makes val(a * invert(a) - 1) >= a.cutoff - v.  The inverse of
-    a multi-term series is formed once per series object and handed out
-    again while it is among the last few inverted (`_INVERSES`).
+    which makes val(a * invert(a) - 1) >= a.cutoff - v.  It is formed
+    once per series object and held on it.
     """
     if a.is_zero():
         raise ZeroSeries("cannot invert the zero series")
-    if len(a.terms) == 1:
-        # the path of `_series_inverse`, with eps = 0 and geo = one()
-        (v, c0), = a.terms
+    held = _Held.of(a)
+    if held.inverse is None:
+        held.inverse = _series_inverse(a)
+    return held.inverse
+
+
+def _power(a: NovikovSeries, k: int) -> NovikovSeries:
+    """a^k for an integer k: P_k of the table P_0 = one(), P_k = P_(k-1) * a
+    held on a, or for k < 0 P_(-k) of the table held on invert(a).  Each
+    power is formed once.  (`a ** k` squares and multiplies, which forms
+    other bits.)"""
+    if k < 0:
+        a, k = invert(a), -k
+    held = _Held.of(a)
+    if held.powers is None:
+        held.powers = [NovikovSeries.one()]
+    return _nth(held.powers, a, k)
+
+
+def _series_inverse(a: NovikovSeries) -> NovikovSeries:
+    """`invert` of a nonzero series, formed afresh."""
+    v = a.val()
+    c0 = a.leading_coefficient()
+    if len(a.terms) == 1:  # the path below, with eps = 0 and geo = one()
         if a.cutoff is None:
             return NovikovSeries._sorted(((-v, 1.0 / c0),), None)
         return NovikovSeries._sorted(
             ((-v, (1.0 + 0.0j) / c0),), a.cutoff - 2 * v
         )
-    held = _INVERSES.get(id(a))
-    if held is None:
-        held = (a, _series_inverse(a))
-        if len(_INVERSES) >= _INVERSES_HELD:
-            del _INVERSES[next(iter(_INVERSES))]  # the oldest entry
-        _INVERSES[id(a)] = held
-    return held[1]
-
-
-def _series_inverse(a: NovikovSeries) -> NovikovSeries:
-    """`invert` of a series with two or more terms, formed afresh."""
-    v = a.val()
-    c0 = a.leading_coefficient()
 
     def normalized(terms):
         # exponents shifted down by v (kept as they are for a unit), each
@@ -722,10 +737,10 @@ def _series_inverse(a: NovikovSeries) -> NovikovSeries:
     geo = _RunningSum(NovikovSeries.one())
     step = (-eps).truncated(window)
     if not step.is_zero():
-        powers = _Powers(step, window)
+        term = NovikovSeries.one()
         k_max = math.ceil(float(window) / float(step.val()))
-        for k in range(1, k_max + 2):
-            term = powers[k]
+        for _ in range(k_max + 1):
+            term = (term * step).truncated(window)
             if term.is_zero():
                 break
             geo.add(term)
@@ -771,34 +786,34 @@ def _fraction_multiple(num: int, den: int, x: NovikovSeries) -> NovikovSeries:
     )
 
 
-def _eps_powers(u: NovikovSeries) -> _Powers:
-    """The powers of eps for a valuation-zero unit u = c0 * (1 + eps),
-    truncated at u.cutoff.  They do not depend on the exponent t of
-    `fractional_power`, so a caller taking many powers of one unit
-    builds this table once and passes it to every call."""
-    eps = NovikovSeries._below(u.terms[1:], u.cutoff)
-    return _Powers(eps * (1.0 / u.leading_coefficient()), u.cutoff)
+def _eps_powers(u: NovikovSeries):
+    """(eps, its power table) for a valuation-zero unit u = c0 * (1 + eps),
+    held on u; each power is truncated at u.cutoff (`_nth`).  They do not
+    depend on the exponent t of `fractional_power`, so every power of one
+    unit forms each of them once."""
+    held = _Held.of(u)
+    if held.eps_powers is None:
+        eps = NovikovSeries._below(u.terms[1:], u.cutoff)
+        eps = eps * (1.0 / u.leading_coefficient())
+        held.eps_powers = (eps, [NovikovSeries.one()])
+    return held.eps_powers
 
 
-def fractional_power(
-    u: NovikovSeries, t: Rational, _eps_table: Optional[_Powers] = None
-) -> NovikovSeries:
+def fractional_power(u: NovikovSeries, t: Rational) -> NovikovSeries:
     """u^t for a valuation-zero unit u and rational t.
 
     Writes u = c0 (1 + eps) and returns c0^t * sum_k binom(t,k) eps^k,
     with c0^t taken on the principal logarithm branch.  Satisfies the
-    exponent law u^s * u^t = u^(s+t) up to cutoff/tolerance.
-
-    `_eps_table`, when given, is `_eps_powers(u)`, shared by the caller
-    across exponents t.
+    exponent law u^s * u^t = u^(s+t) up to cutoff/tolerance.  The powers
+    of eps are held on u (`_eps_powers`).
     """
     if u.is_zero():
         raise ZeroSeries("fractional power of the zero series")
     if u.val() != 0:
         raise NonUnit(f"fractional_power needs val = 0, got val = {u.val()}")
     t = Fraction(t)
-    powers = _eps_powers(u) if _eps_table is None else _eps_table
-    c0, eps = u.leading_coefficient(), powers.base
+    eps, powers = _eps_powers(u)
+    c0 = u.leading_coefficient()
     scale = cmath.exp(t * cmath.log(c0)) if t != 0 else 1.0 + 0.0j
     if eps.is_zero():
         return NovikovSeries.constant(scale, u.cutoff)
@@ -822,8 +837,9 @@ def fractional_power(
         num, den = num // g, den // g
         if num == 0:
             break
-        power = powers[k]
+        power = _nth(powers, eps, k, u.cutoff)
         if power.is_zero():
             break
         out.add(_fraction_multiple(num, den, power))
     return scale * out.series()
+

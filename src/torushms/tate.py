@@ -33,13 +33,12 @@ takes the series path, so a result keeps its bits and a vanishing unit
 raises the same NonUnit.  `is_zero_point` has a scalar path for the same
 units, with the series test's verdict.
 
-One inverse per unit: `conjugate_zero` and the negative powers of a
-theta table (`_unit_powers`) invert a series unit through
-`novikov.invert`, which forms the inverse of a multi-term series once per
-series object.  `conjugate_zero` hands out that same inverse object, so
-the theta tables at the conjugate point invert it once too: a series
-unit M costs one inversion of M and one of M^-1, however many times the
-vanishing bridge asks.
+One inverse per unit: a unit series M holds its inverse and its powers
+(see `novikov`).  `conjugate_zero` takes M^-1 from `novikov.invert`, and
+a theta term takes M^k from `novikov._power`, which reads M^-k from the
+powers of that same inverse object.  So each power of M is formed once,
+and a series unit M costs one inversion of M and one of M^-1, however
+many times the vanishing bridge asks.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from typing import Union
 from ._record import record
 from .errors import NonUnit
 from .novikov import (
-    NovikovSeries, Rational, _Powers, _RunningSum, _kept, invert, lattice_window,
+    NovikovSeries, Rational, _RunningSum, _kept, _power, invert, lattice_window,
     vanishes,
 )
 
@@ -194,41 +193,18 @@ def point_pow(p: TatePoint, n: int) -> TatePoint:
     return out
 
 
-def _unit_powers(unit: NovikovSeries):
-    """k -> unit^k for integer k, each power formed once: from a table of
-    the unit's powers, or of its inverse for k < 0, inverted once when a
-    negative power is first asked for.  Built once per point, the table
-    serves both theta kinds."""
-    up, down = _Powers(unit), None
-
-    def power(k: int) -> NovikovSeries:
-        nonlocal down
-        if k >= 0:
-            return up[k]
-        if down is None:
-            down = _Powers(invert(unit))
-        return down[-k]
-
-    return power
-
-
-def theta_eval_raw(
-    kind: int, x: Rational, unit, cutoff: Rational, _powers=None
-) -> NovikovSeries:
+def theta_eval_raw(kind: int, x: Rational, unit, cutoff: Rational) -> NovikovSeries:
     """Theta series at the (possibly unnormalized) presentation
     w = -q^x * unit, truncated at `cutoff`.
 
     Accepting x outside [0,1) is what makes the quasi-periodicity law
     directly checkable; for group-law work use theta_eval on TatePoint.
-    `_powers`, when given, is `_unit_powers(unit)`, shared by a caller
-    that evaluates both kinds at one point.
     """
     x = Fraction(x)
     unit = _as_unit(unit)
     cutoff = Fraction(cutoff)
     if kind not in (0, 1):
         raise ValueError("theta kind must be 0 or 1")
-    mpow = _unit_powers(unit) if _powers is None else _powers
 
     # exponent (n + c)^2 - x^2, c = x or x + 1/2, is below the cutoff on
     # lattice_window(c, cutoff + x^2): walk it up from the vertex, then down
@@ -244,18 +220,16 @@ def theta_eval_raw(
     for ns in (range(up, hi), range(up - 1, lo - 1, -1)):
         for n in ns:
             if kind == 0:
-                e, coef = (n * n * p + 2 * n * num, p), mpow(2 * n)
+                e, coef = (n * n * p + 2 * n * num, p), _power(unit, 2 * n)
             else:
                 m = 2 * n + 1
-                e, coef = (m * m * p + 4 * m * num, 4 * p), -mpow(m)
+                e, coef = (m * m * p + 4 * m * num, 4 * p), -_power(unit, m)
             out.add_product(*e, coef, None, (1,))
     return out.series()
 
 
-def theta_eval(
-    kind: int, p: TatePoint, cutoff: Rational, _powers=None
-) -> NovikovSeries:
-    return theta_eval_raw(kind, p.x, p.unit, cutoff, _powers)
+def theta_eval(kind: int, p: TatePoint, cutoff: Rational) -> NovikovSeries:
+    return theta_eval_raw(kind, p.x, p.unit, cutoff)
 
 
 @record
@@ -273,19 +247,16 @@ class SectionCoeffs:
 def section_through(q_pt: TatePoint, cutoff: Rational) -> SectionCoeffs:
     """The (projective) section vanishing at q_pt and at its conjugate:
     s = theta1(w_Q) * theta0 - theta0(w_Q) * theta1."""
-    powers = _unit_powers(q_pt.unit)
     return SectionCoeffs(
-        sigma0=theta_eval(1, q_pt, cutoff, powers),
-        sigma1=-theta_eval(0, q_pt, cutoff, powers),
+        sigma0=theta_eval(1, q_pt, cutoff), sigma1=-theta_eval(0, q_pt, cutoff)
     )
 
 
 def eval_section(
     section: SectionCoeffs, p: TatePoint, cutoff: Rational
 ) -> NovikovSeries:
-    powers = _unit_powers(p.unit)
-    return section.sigma0 * theta_eval(0, p, cutoff, powers) + (
-        section.sigma1 * theta_eval(1, p, cutoff, powers)
+    return section.sigma0 * theta_eval(0, p, cutoff) + (
+        section.sigma1 * theta_eval(1, p, cutoff)
     )
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ._record import record
 from .errors import MarkerCollision, NonTransverse, NonUnit
@@ -32,10 +32,8 @@ from .novikov import (
     Rational,
     _ZERO,
     _binom,
-    _eps_powers,
     _kept,
     _largest,
-    _Powers,
     fractional_power,
     invert,
 )
@@ -191,7 +189,7 @@ class LocalSystem:
     def is_trivial_rank_one(self) -> bool:
         return self.rank == 1 and (self.blocks[0][0] - 1).is_zero()
 
-    def transport(self, t: Rational, _eps_tables=None) -> Matrix:
+    def transport(self, t: Rational) -> Matrix:
         """Parallel transport over an oriented arc fraction t.
 
         Each Jordan block J = lam*(I + N/lam) contributes
@@ -199,20 +197,17 @@ class LocalSystem:
         nilpotent); fractional eigenvalue powers use the principal
         branch, so transport(s) * transport(t) = transport(s+t).  Each
         block is written straight into the output matrix, and its
-        diagonal (k = 0) is lam^t itself.
-
-        `_eps_tables`, when given, is `self._eps_tables()`, shared by a
-        caller that transports over many arcs.
+        diagonal (k = 0) is lam^t itself.  An eigenvalue series holds its
+        eps powers and its inverse (see `novikov`), so transports over
+        many arcs form each of them once.
         """
         t = Fraction(t)
-        if _eps_tables is None:
-            _eps_tables = self._eps_tables()
         n = self.rank
         zero = NovikovSeries.zero()
         out = [[zero] * n for _ in range(n)]
         offset = 0
-        for (eig, size), table in zip(self.blocks, _eps_tables):
-            lam_t = fractional_power(eig, t, table)
+        for eig, size in self.blocks:
+            lam_t = fractional_power(eig, t)
             inv_eig = invert(eig) if size > 1 else None
             for k in range(size):
                 coeff = lam_t if k == 0 else lam_t * _binom(t, k) * inv_eig ** k
@@ -227,8 +222,7 @@ class LocalSystem:
         gives the exact term (0, c) with c = 0 + cmath.exp(t * log(c0)),
         the expression `fractional_power` ends in, with log(c0) taken
         once here, or None where the drop rule makes that term zero.  A
-        series eigenvalue gives its `fractional_power`, which shares one
-        table of eps powers across t."""
+        series eigenvalue gives its `fractional_power`."""
         (eig, _), = self.blocks
         if eig.cutoff is None and len(eig.terms) == 1:
             log_c0 = cmath.log(eig.terms[0][1])
@@ -238,12 +232,7 @@ class LocalSystem:
                 return None if c is None else (_ZERO, c)
 
             return scalar
-        table = _eps_powers(eig)
-        return lambda t: fractional_power(eig, t, table)
-
-    def _eps_tables(self) -> List[_Powers]:
-        """The table of eps powers of each block eigenvalue."""
-        return [_eps_powers(eig) for eig, _ in self.blocks]
+        return lambda t: fractional_power(eig, t)
 
     def monodromy(self) -> Matrix:
         return self.transport(1)

@@ -27,13 +27,14 @@ draw the same error.  An oracle may call a kernel that is checked
 elsewhere: a row above, the grid scan of `intersections`
 (test_torus.py) or `mu2_bruteforce` (test_floer.py).  tests/mutants.json
 records the mutants these tests kill; `python tests/mutants.py` re-runs
-it.  The work-count tests pin what the kernels share: one inverse per
-point in `eval_section`, one multi-term inversion per series object,
-each power of eps formed once per mu2 call, and each shared piece of the
-relation suite built once.  `vanishes` must match the per-entry loop of
-`floer.vanishes_truncated` always, and `tate.value_vanishes` whenever
-the series is exact or known no further than the requested cutoff, the
-only case `section_through` produces.
+it.  The work-count tests pin what a series holds (one inverse per
+series object, each power of a point's unit formed once across
+`section_through` and `eval_section`, each power of eps formed once per
+mu2 call), that holding it changes no identity of the series, and that
+each shared piece of the relation suite is built once.  `vanishes` must
+match the per-entry loop of `floer.vanishes_truncated` always, and
+`tate.value_vanishes` whenever the series is exact or known no further
+than the requested cutoff, the only case `section_through` produces.
 """
 
 import ast
@@ -266,10 +267,8 @@ def transport_oracle(system, t):
 
 def _transports(brane):
     """t -> the brane's transport over t, formed once per arc within one
-    mu2 call, every arc sharing the eps power tables of the eigenvalues."""
-    system = brane.local_system
-    tables = system._eps_tables()
-    return functools.lru_cache(maxsize=None)(lambda t: system.transport(t, tables))
+    mu2 call; every arc reads the eps powers its eigenvalues hold."""
+    return functools.lru_cache(maxsize=None)(brane.local_system.transport)
 
 
 def mu2_oracle(phi2, phi1, cutoff, _collect: Optional[List[dict]] = None):
@@ -740,11 +739,11 @@ def test_fraction_multiple_matches_the_operator(x, b):
 @settings(max_examples=150, deadline=None)
 @given(_units(max_cutoff=3), st.lists(_expo, min_size=1, max_size=4))
 def test_shared_fractional_power_matches_the_unshared_oracle(u, ts):
-    """One table of eps powers serves every exponent t, as in a mu2 call."""
-    table = novikov._eps_powers(u)
+    """The eps powers held on u serve every exponent t, as in a mu2 call:
+    a second call with the same t reads only held powers."""
     for t in ts:
         want = repr(fractional_power_oracle(u, t))
-        assert repr(fractional_power(u, t, table)) == want
+        assert repr(fractional_power(u, t)) == want
         assert repr(fractional_power(u, t)) == want
 
 
@@ -769,17 +768,17 @@ def test_invert_matches_the_geometric_series_oracle(u, shift):
 @example(0, F(-7, 2), _UNIT, F(-49, 4))  # cutoff + x^2 = 0: no term
 @example(0, F(5), -1, F(256))
 def test_theta_with_one_table_matches_the_per_kind_oracle(kind, x, unit, cutoff):
-    """`theta_eval_raw` at any x; then, at the point, both kinds from one
-    power table, the section through it and its value there."""
+    """`theta_eval_raw` at any x; then, at the point, both kinds twice
+    (the second call reads the powers the unit holds), the section
+    through it and its value there."""
     want = _outcome(theta_oracle, kind, x, unit, cutoff)
     assert repr(_outcome(theta_eval_raw, kind, x, unit, cutoff)) == repr(want)
     if kind == 2 or cutoff <= 0 or isinstance(want, tuple):
         return
     p, cutoff = TatePoint(x, unit), min(cutoff, 3)  # as the per-kind test did
     theta = [theta_oracle(k, p.x, p.unit, cutoff) for k in (0, 1)]
-    powers = tate._unit_powers(p.unit)
     for kind in (1, 0):  # the order section_through asks for them
-        assert repr(theta_eval(kind, p, cutoff, powers)) == repr(theta[kind])
+        assert repr(theta_eval(kind, p, cutoff)) == repr(theta[kind])
         assert repr(theta_eval(kind, p, cutoff)) == repr(theta[kind])
     sec = section_through(p, cutoff)
     assert repr(sec) == repr(SectionCoeffs(theta[1], neg_oracle(theta[0])))
@@ -915,10 +914,11 @@ def test_point_pow_matches_repeated_oracle_products(p, n):
 @given(_systems(max_rank=3),
        st.lists(_q(-6, 6, st.sampled_from([1, 2, 3, 5, 12])), min_size=1, max_size=3))
 def test_transport_matches_the_scratch_block_oracle(system, ts):
-    tables = system._eps_tables()
+    """The oracle on a copy, whose eigenvalues hold nothing; the system
+    twice per arc, the second time reading what its eigenvalues hold."""
     for t in ts:
-        want = repr(_outcome(transport_oracle, system, t))
-        assert repr(_outcome(system.transport, t, tables)) == want
+        want = repr(_outcome(transport_oracle, copy.deepcopy(system), t))
+        assert repr(_outcome(system.transport, t)) == want
         assert repr(_outcome(system.transport, t)) == want
 
 
@@ -993,28 +993,8 @@ def test_sums_return_their_operands_exponent_objects(start, addends):
 # ---------------------------------------------------------------------------
 
 
-def test_eval_section_inverts_the_unit_once(monkeypatch):
-    calls = []
-
-    def counted(a):
-        calls.append(a)
-        return invert(a)
-
-    monkeypatch.setattr(tate, "invert", counted)
-    p = TatePoint(F(1, 3), _UNIT)
-    flat = SectionCoeffs(NovikovSeries.one(), NovikovSeries.one())
-    eval_section(flat, p, 8)
-    assert calls == [p.unit]
-    calls.clear()
-    section_through(p, 8)
-    assert calls == [p.unit]
-
-
-def test_a_series_unit_is_inverted_once_per_object(monkeypatch):
-    """conjugate_zero twice on one point forms one multi-term inverse;
-    units equal by `==` but with int, float and complex coefficients each
-    get the inverse of their own coefficients (the complex one's repr
-    differs), so the stored inverses are not keyed by value."""
+def _count_inversions(monkeypatch):
+    """The list of series that `novikov._series_inverse` forms from now on."""
     formed = []
     real = novikov._series_inverse
 
@@ -1023,6 +1003,28 @@ def test_a_series_unit_is_inverted_once_per_object(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(novikov, "_series_inverse", counted)
+    return formed
+
+
+def test_eval_section_inverts_the_unit_once(monkeypatch):
+    """On a fresh unit: one inverse for eval_section, and none more for
+    section_through at the same point."""
+    formed = _count_inversions(monkeypatch)
+    p = TatePoint(F(1, 3), NovikovSeries(_UNIT.terms, _UNIT.cutoff))
+    flat = SectionCoeffs(NovikovSeries.one(), NovikovSeries.one())
+    eval_section(flat, p, 8)
+    assert len(formed) == 1 and formed[0] is p.unit
+    section_through(p, 8)
+    assert len(formed) == 1
+
+
+def test_a_series_unit_is_inverted_once_per_object(monkeypatch):
+    """conjugate_zero twice on one point forms one multi-term inverse;
+    units equal by `==` but with int, float and complex coefficients each
+    get the inverse of their own coefficients (the complex one's repr
+    differs), so the stored inverses are not keyed by value."""
+    real = novikov._series_inverse
+    formed = _count_inversions(monkeypatch)
     p = TatePoint(F(1, 3), NovikovSeries(_UNIT.terms, _UNIT.cutoff))
     assert conjugate_zero(p).unit is conjugate_zero(p).unit
     assert formed == [p.unit]
@@ -1035,9 +1037,11 @@ def test_a_series_unit_is_inverted_once_per_object(monkeypatch):
 def test_mu2_builds_each_eps_power_once(monkeypatch):
     """The vertical brane of the theta bridge carries the series unit; the
     walk transports it over many arcs, and all of them share one set of
-    powers P_k = P_(k-1) * eps of the unit's expansion."""
-    eps = NovikovSeries(_UNIT.terms[1:], _UNIT.cutoff) * (1.0 / _UNIT.terms[0][1])
-    k_max = math.ceil(_UNIT.cutoff / eps.val())
+    powers P_k = P_(k-1) * eps of the unit's expansion.  The unit is
+    built here: one shared with other tests may hold its powers already."""
+    unit = NovikovSeries(_UNIT.terms, _UNIT.cutoff)
+    eps = NovikovSeries(unit.terms[1:], unit.cutoff) * (1.0 / unit.terms[0][1])
+    k_max = math.ceil(unit.cutoff / eps.val())
     eps_products = []
     real_mul = NovikovSeries.__mul__
 
@@ -1048,17 +1052,17 @@ def test_mu2_builds_each_eps_power_once(monkeypatch):
 
     monkeypatch.setattr(NovikovSeries, "__mul__", mul)
     y0, y1 = Brane((1, 2)), Brane((1, 0))
-    y2 = Brane((0, -1), F(1, 3), local_system=LocalSystem.from_eigenvalue(_UNIT, 1))
+    y2 = Brane((0, -1), F(1, 3), local_system=LocalSystem.from_eigenvalue(unit, 1))
     arcs = []
     real_power = torus.fractional_power
 
-    def power(u, t, *args):  # the rank-1 transport of a series unit
-        if u is _UNIT:
+    def power(u, t):  # the rank-1 transport of a series unit
+        if u is unit:
             arcs.append(t)
-        return real_power(u, t, *args)
+        return real_power(u, t)
 
     monkeypatch.setattr(torus, "fractional_power", power)
-    sec = section_through(tate.conjugate_zero(TatePoint(F(1, 3), _UNIT)), 12)
+    sec = section_through(tate.conjugate_zero(TatePoint(F(1, 3), unit)), 12)
     eps_products.clear()
     c1 = FloerElement(
         cf(y0, y1), {(F(0), F(0)): ((sec.sigma0,),), (F(1, 2), F(0)): ((sec.sigma1,),)}
@@ -1070,6 +1074,45 @@ def test_mu2_builds_each_eps_power_once(monkeypatch):
     assert len(set(arcs)) > 10  # many distinct arcs of the series-unit brane
     assert 0 < len(eps_products) <= k_max + 1
     assert len(set(eps_products)) == len(eps_products)  # each P_k once
+
+
+def test_a_section_and_its_value_form_each_power_of_the_unit_once(monkeypatch):
+    """section_through, then eval_section at the same point: four theta
+    series over the powers M^k of one fresh unit, positive and negative,
+    and each P_k = P_(k-1) * M (or * M^-1) formed once across both calls."""
+    unit = NovikovSeries(_UNIT.terms, _UNIT.cutoff)
+    inverse = invert(unit)
+    products = []
+    real_mul = NovikovSeries.__mul__
+
+    def mul(self, other):
+        if other is unit or other is inverse:
+            products.append((other is unit, repr(self)))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(NovikovSeries, "__mul__", mul)
+    p = TatePoint(F(1, 3), unit)
+    eval_section(section_through(p, 8), p, 8)
+    assert {up for up, _ in products} == {True, False}
+    assert len(set(products)) == len(products)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_units(max_cutoff=3), _expo)
+def test_what_a_series_holds_changes_none_of_its_identity(u, t):
+    """`==`, `hash`, `repr`, pickle and deepcopy read the same before and
+    after a series holds its inverse and its powers, and a copy holds
+    nothing."""
+    twin = NovikovSeries(u.terms, u.cutoff)
+    before = repr(u), hash(u), pickle.dumps(u)
+    fractional_power(u, t)
+    novikov._power(u, -2)  # forms the inverse and its powers
+    novikov._power(u, 2)
+    assert (repr(u), hash(u), pickle.dumps(u)) == before
+    assert u == twin and twin == u and hash(twin) == hash(u)
+    for copied in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u), copy.copy(u)):
+        assert copied == u and hash(copied) == hash(u) and repr(copied) == repr(u)
+        assert not hasattr(copied, "_held")
 
 
 # ---------------------------------------------------------------------------
@@ -1349,6 +1392,16 @@ def test_only_novikov_reads_the_truncation_constants():
         if re.search(r"\b(ZERO_TOL|WINDOW_SLACK)\b", text):
             namers.add(path.name)
     assert readers == namers == {"novikov.py"}
+
+
+def test_only_novikov_names_what_a_series_holds():
+    """The holder, its slot and the power tables, anywhere in the source
+    text: what a series keeps is decided in `novikov` alone."""
+    namers = {
+        path.name for path in Path(novikov.__file__).parent.glob("*.py")
+        if re.search(r"\b(_Held|_held|_Powers|_eps_powers)\b", path.read_text())
+    }
+    assert namers == {"novikov.py"}
 
 
 # ---------------------------------------------------------------------------
