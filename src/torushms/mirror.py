@@ -128,10 +128,11 @@ def _sharp_one(b: Brane) -> K0Class:
 
 
 def theta_sharp(b) -> K0Class:
-    """K-class of an anchored brane (or formal sum of them)."""
+    """K-class of an anchored brane (or formal sum of them, summed by
+    `sheafk.sum_with_multiplicities`, on its scalar lane where it can)."""
     if isinstance(b, Brane):
         return _sharp_one(b)
-    return sum_with_multiplicities(b, _sharp_one, K0Class.zero())
+    return sum_with_multiplicities(b, _sharp_one)
 
 
 def theta_floer_equiv(

@@ -74,8 +74,8 @@ bookkeeping.
 
 Truncation policy.  No other module reads ZERO_TOL or WINDOW_SLACK.
 ZERO_TOL drops |c| <= ZERO_TOL when a series is formed; the scalar
-group law of `tate` asks `NovikovSeries._exact_term` whether its one
-coefficient survives, and its scalar zero test asks `_kept`.  A
+group law of `tate` and its scalar zero test ask `_kept` whether their
+one coefficient survives.  A
 verdict at a requested cutoff reads a series below `verdict_window`:
 min(cutoff, series cutoff) - WINDOW_SLACK, the requested cutoff for an
 exact series.  `vanishes(x, cutoff)`, the one
@@ -124,8 +124,8 @@ _ZERO = Fraction(0)  # the exponent of constants, shared (Fractions are immutabl
 def _kept(c: Scalar) -> Optional[Scalar]:
     """0 + c, the coefficient a one-term series stores for c, or None where
     |0 + c| <= ZERO_TOL makes that series zero.  Callers that multiply
-    exact one-term factors as scalars (the rank-1 path of `floer`) apply
-    the drop rule here."""
+    exact one-term factors as scalars (the rank-1 path of `floer`, the
+    scalar group law of `tate`) apply the drop rule here."""
     c = 0 + c
     return None if abs(c) <= ZERO_TOL else c
 
@@ -257,15 +257,6 @@ class NovikovSeries:
                 continue
             clean.append((e, c))
         return cls._canonical(tuple(clean), cutoff)
-
-    @classmethod
-    def _exact_term(cls, e: Fraction, c: Scalar) -> Optional["NovikovSeries"]:
-        """`_below(((e, c),), None)` without the loop: the exact series
-        (0 + c) q^e, or None where |0 + c| <= ZERO_TOL makes that the
-        zero series.  The scalar group law of `tate` builds its units
-        here, so the drop rule stays in this module."""
-        c = _kept(c)
-        return None if c is None else cls._canonical(((e, c),), None)
 
     # -- constructors ------------------------------------------------
 

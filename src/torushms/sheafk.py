@@ -28,18 +28,39 @@ sequences holding it share.  A sum of one sheaf stores its one term and
 hashes nothing; only sums of two or more sheaves merge through a dict.
 A shared piece is an immutable value equal, bit for bit, to the one a
 fresh build gives, so every triple and defect keeps its bits.
+
+Each SheafSum holds its class in one private slot, `_held_k0`, which
+`k0_class` or `k0_defect` fills on first use; so a suite classes each
+distinct sum once, however many relations hold it.  `==`, `hash`, `repr`, pickle and
+copy ignore the slot, a copy starts empty, and equal sums do not share
+it: coefficients 1 and 1+0j compare equal but give other bits.
+
+The K-class group law runs on a lane of plain scalars while every class
+in a sum has a constant unit, one exact term: a lane is a tuple of the
+rank and degree (ints), x as an integer numerator and denominator, and
+the unit's exponent and coefficient.  `sum_with_multiplicities` and
+`RelationTriple.k0_defect` build one K0Class, at the end, and a sum
+holds its lane, not a K0Class.  Each coefficient is formed by
+`tate._unit_product` or `tate._unit_inverse`, the steps `point_mul` and
+`conjugate_zero` take, in the order of K0Class + and -, so the lane
+keeps every bit.  A class with any other unit, or a step whose
+coefficient the drop rule removes, sends that sum back to the object
+path, K0Class + and - from the start, and the sum holds its K0Class: the
+object path is the reference, so the bits and the NonUnit are the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Iterable, List, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ._record import record
 from .errors import BadBase, BadGcd
-from .novikov import NovikovSeries
-from .tate import TatePoint, conjugate_zero, point_mul, point_pow
+from .tate import (
+    TatePoint, _scalar, _scalar_point, _unit_inverse, _unit_product,
+    conjugate_zero, point_mul, point_pow,
+)
 
 __all__ = [
     "Bundle",
@@ -178,8 +199,9 @@ class K0Class:
     pt: TatePoint
 
     def __init__(self, rk: int, deg: int, pt: TatePoint):
-        # written out: one K-theory task builds about 16,000 classes, and
-        # the generic record __init__ costs about 0.4 us more per call
+        # written out: a K-theory task still builds about 3,100 classes
+        # (one per sheaf classed and one per relation defect), and the
+        # generic record __init__ costs about 0.4 us more per call
         object.__setattr__(self, "rk", rk)
         object.__setattr__(self, "deg", deg)
         object.__setattr__(self, "pt", pt)
@@ -220,23 +242,102 @@ class K0Class:
 _K0_ZERO = K0Class(0, 0, TatePoint.zero())
 
 
-def sum_with_multiplicities(terms: Iterable, class_of: Callable, zero):
-    """The class of a formal sum: for each term `obj` or `(obj, mult)`,
-    in order, class_of(obj) is added to `zero` |mult| times (negated for
-    mult < 0).
+#: a class on the lane: (rk, deg, num, den, e, c), the ints rank and
+#: degree, x = num / den in [0, 1), and the exponent e and coefficient c
+#: of the one-term unit
+_Lane = Tuple[int, int, int, int, Fraction, object]
 
-    The addition is repeated on purpose: a closed-form multiple rounds
-    the floating-point part of a class (the point unit of a K-class)
-    differently.
-    """
-    total = zero
-    for term in terms:
-        obj, mult = term if isinstance(term, tuple) else (term, 1)
+
+def _on_lane(k: K0Class) -> Optional[_Lane]:
+    """k on the lane, or None where its unit is not one exact term or its
+    rank or degree is not an int."""
+    unit = k.pt.unit
+    if not (_scalar(unit) and type(k.rk) is int and type(k.deg) is int):
+        return None
+    (e, c), = unit.terms
+    return (k.rk, k.deg, *k.pt.x.as_integer_ratio(), e, c)
+
+
+_ZERO_LANE = _on_lane(_K0_ZERO)
+
+
+def _negated(a: Optional[_Lane]) -> Optional[_Lane]:
+    """-a, as `K0Class.__neg__` forms it; None where a is None or the drop
+    rule removes the coefficient."""
+    if a is None:
+        return None
+    rk, deg, num, den, e, c = a
+    c = _unit_inverse(c)
+    if c is None:
+        return None
+    return (-rk, -deg, den - num if num else 0, den, e, c)
+
+
+def _added(a: Optional[_Lane], b: Optional[_Lane], m: int = 1) -> Optional[_Lane]:
+    """a + b + ... + b (m times), as repeated `K0Class.__add__` forms it:
+    one coefficient product per step, the exact parts in closed form;
+    None where a or b is None or the drop rule removes a coefficient."""
+    if a is None or b is None:
+        return None
+    if not m:
+        return a
+    rk, deg, num, den, e, c = a
+    b_rk, b_deg, b_num, b_den, _, b_c = b
+    for _ in range(m):
+        c = _unit_product(c, b_c)
+        if c is None:
+            return None
+    d = lcm(den, b_den)
+    num = (num * (d // den) + m * b_num * (d // b_den)) % d
+    return (rk + m * b_rk, deg + m * b_deg, num, d, e, c)
+
+
+def _as_class(held: Union[_Lane, K0Class]) -> K0Class:
+    """The K0Class of a lane (or a K0Class itself)."""
+    if type(held) is not tuple:
+        return held
+    if held is _ZERO_LANE:
+        return _K0_ZERO
+    rk, deg, num, den, e, c = held
+    return K0Class(rk, deg, _scalar_point(Fraction(num, den), e, c))
+
+
+def _class_of_sum(
+    terms: Sequence[Tuple[object, int]], class_of: Callable
+) -> Union[_Lane, K0Class]:
+    """The class of the (obj, mult) pairs: its lane while every class and
+    step stays on the lane, else the K0Class of the object path."""
+    lane = _ZERO_LANE
+    for obj, mult in terms:
+        step = _on_lane(class_of(obj))
+        if step is not None and not mult > 0:
+            step = _negated(step)
+        moved = None if step is None else _added(lane, step, abs(int(mult)))
+        if moved is None:
+            break
+        lane = moved
+    else:
+        return lane
+    total = _K0_ZERO  # the object path, from the start
+    for obj, mult in terms:
         cls = class_of(obj)
         step = cls if mult > 0 else -cls
         for _ in range(abs(int(mult))):
             total = total + step
     return total
+
+
+def sum_with_multiplicities(terms: Iterable, class_of: Callable) -> K0Class:
+    """The class of a formal sum: for each term `obj` or `(obj, mult)`,
+    in order, class_of(obj) is added to the zero class |mult| times
+    (negated for mult <= 0).
+
+    The addition is repeated on purpose, one coefficient product per
+    step, on the lane where it can be: a closed-form multiple, a power of
+    the unit's coefficient, rounds that coefficient differently.
+    """
+    pairs = [term if isinstance(term, tuple) else (term, 1) for term in terms]
+    return _as_class(_class_of_sum(pairs, class_of))
 
 
 def _class_of(sheaf: IndecSheaf) -> K0Class:
@@ -247,10 +348,20 @@ def _class_of(sheaf: IndecSheaf) -> K0Class:
     return base if sheaf.shift % 2 == 0 else -base
 
 
+def _held_class(s: SheafSum) -> Union[_Lane, K0Class]:
+    """The class s holds in its slot, formed on first use."""
+    held = s.__dict__.get("_held_k0")
+    if held is None:
+        held = _class_of_sum(s.terms, _class_of)
+        object.__setattr__(s, "_held_k0", held)
+    return held
+
+
 def k0_class(s) -> K0Class:
     """The K-theory class of a sheaf or formal sum (a group morphism:
-    additive, and homological shift flips the sign)."""
-    return sum_with_multiplicities(as_sum(s).terms, _class_of, K0Class.zero())
+    additive, and homological shift flips the sign), formed once per
+    SheafSum object and held in its slot."""
+    return _as_class(_held_class(as_sum(s)))
 
 
 def line_bundle(
@@ -282,6 +393,12 @@ class RelationTriple:
     label: str = ""
 
     def k0_defect(self) -> K0Class:
+        """[total] - [sub] - [quot], formed as (T + (-S)) + (-Q)."""
+        t, s, q = _held_class(self.total), _held_class(self.sub), _held_class(self.quot)
+        if type(t) is type(s) is type(q) is tuple:
+            defect = _added(_added(t, _negated(s)), _negated(q))
+            if defect is not None:
+                return _as_class(defect)
         return k0_class(self.total) - k0_class(self.sub) - k0_class(self.quot)
 
     def holds(self, tol: float = 1e-9) -> bool:

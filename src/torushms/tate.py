@@ -23,15 +23,18 @@ theta0 and theta1; SectionCoeffs stores a section s = s0*theta0 +
 s1*theta1, and section_through(Q) produces a section vanishing at Q.
 
 The group law has a scalar path for constant units (one term, cutoff
-None), the units of every K-class sum, relation check and O(nP0).  There
-point_mul forms the one coefficient as the series product and negation
-form it, 0 + -(0 + c * c'), and conjugate_zero as `invert` forms it,
-0 + 1.0 / c; x is reduced into [0, 1) on integers, and the point is built
-without TatePoint.__init__.  Every other unit, and a coefficient the drop
-rule removes (`NovikovSeries._exact_term` applies it, in `novikov`),
-takes the series path, so a result keeps its bits and a vanishing unit
-raises the same NonUnit.  `is_zero_point` has a scalar path for the same
-units, with the series test's verdict.
+None), the units of every K-class sum, relation check and O(nP0).  Two
+scalar steps form its one coefficient: `_unit_product`, as the series
+product and negation form it, 0 + -(0 + c * c'), and `_unit_inverse`, as
+`invert` forms it, 0 + 1.0 / c, each None where the drop rule
+(`novikov._kept`) removes it.  point_mul and conjugate_zero call them,
+and so does the K-class lane of `sheafk`, so every coefficient the group
+law forms comes from one expression.  x is reduced into [0, 1) on
+integers, and the point is built without TatePoint.__init__.  Every
+other unit, and a coefficient the drop rule removes, takes the series
+path, so a result keeps its bits and a vanishing unit raises the same
+NonUnit.  `is_zero_point` has a scalar path for the same units, with the
+series test's verdict.
 
 One inverse per unit: a unit series M holds its inverse and its powers
 (see `novikov`).  `conjugate_zero` takes M^-1 from `novikov.invert`, and
@@ -132,17 +135,31 @@ class TatePoint:
 _ZERO = TatePoint(0, -1)
 
 
-def _point(x: Fraction, unit: NovikovSeries) -> TatePoint:
-    """The point of a normalized x and a unit, without `TatePoint.__init__`."""
+def _scalar_point(x: Fraction, e: Fraction, c) -> TatePoint:
+    """The point [-q^x * c q^e] of a normalized x and a kept coefficient c,
+    without `TatePoint.__init__` or the series constructor."""
     out = object.__new__(TatePoint)
     object.__setattr__(out, "x", x)
-    object.__setattr__(out, "unit", unit)
+    object.__setattr__(out, "unit", NovikovSeries._canonical(((e, c),), None))
     return out
 
 
 def _scalar(unit: NovikovSeries) -> bool:
     """The unit is one exact term: the constant units of the scalar path."""
     return unit.cutoff is None and len(unit.terms) == 1
+
+
+def _unit_product(ca, cb):
+    """The coefficient of -(M * M') for one-term units with coefficients
+    ca and cb, as the series product and negation form it; None where
+    the drop rule removes it."""
+    return _kept(-(0 + ca * cb))
+
+
+def _unit_inverse(c0):
+    """The coefficient of M^-1 for a one-term unit with coefficient c0, as
+    `invert` forms it; None where the drop rule removes it."""
+    return _kept(1.0 / c0)
 
 
 def _x_sum(x: Fraction, y: Fraction) -> Fraction:
@@ -163,10 +180,9 @@ def point_mul(p: TatePoint, r: TatePoint) -> TatePoint:
     a, b = p.unit, r.unit
     if _scalar(a) and _scalar(b):
         (e, ca), = a.terms
-        # what `-(a * b)` forms from the two terms: 0 + -(0 + ca * cb)
-        unit = NovikovSeries._exact_term(e, -(0 + ca * b.terms[0][1]))
-        if unit is not None:
-            return _point(_x_sum(p.x, r.x), unit)
+        c = _unit_product(ca, b.terms[0][1])
+        if c is not None:
+            return _scalar_point(_x_sum(p.x, r.x), e, c)
     return TatePoint(p.x + r.x, -(a * b))
 
 
@@ -176,10 +192,10 @@ def conjugate_zero(p: TatePoint) -> TatePoint:
     a = p.unit
     if _scalar(a):
         (e, c0), = a.terms
-        unit = NovikovSeries._exact_term(e, 1.0 / c0)  # as `invert` forms it
-        if unit is not None:
+        c = _unit_inverse(c0)
+        if c is not None:
             n, d = p.x.as_integer_ratio()
-            return _point(Fraction(d - n, d) if n else p.x, unit)
+            return _scalar_point(Fraction(d - n, d) if n else p.x, e, c)
     return TatePoint(-p.x, invert(a))
 
 

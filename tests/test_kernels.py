@@ -18,6 +18,9 @@ or, for the records, the dataclasses they were.
     vanishes, vanishes_truncated          vanishes_truncated_oracle, and
                                             value_vanishes_oracle
     relation_suite                        relation_suite_oracle
+    k0_class, theta_sharp, k0_defect      k0_class_oracle, k0_defect_oracle
+                                            (a class per step, over the
+                                            two rows above)
     TatePoint.is_zero_point               is_zero_point_oracle
     the records of torushms._record       record_oracle (dataclasses)
 
@@ -30,8 +33,10 @@ records the mutants these tests kill; `python tests/mutants.py` re-runs
 it.  The work-count tests pin what a series holds (one inverse per
 series object, each power of a point's unit formed once across
 `section_through` and `eval_section`, each power of eps formed once per
-mu2 call), that holding it changes no identity of the series, and that
-each shared piece of the relation suite is built once.  `vanishes` must
+mu2 call), that holding it changes no identity of the series, that
+each shared piece of the relation suite is built once, and that each
+distinct sum of a suite is classed once, with the same pins on what a
+sum holds.  `vanishes` must
 match the per-entry loop of `floer.vanishes_truncated` always, and
 `tate.value_vanishes` whenever the series is exact or known no further
 than the requested cutoff, the only case `section_through` produces.
@@ -519,6 +524,59 @@ def relation_suite_oracle(bounds, points):
         for h in range(1, bounds.h_max + 1):
             out.append(tower(base, h))
     return out
+
+
+def _k0_add_oracle(a, b):
+    """`K0Class.__add__` on (rk, deg, pt) triples, over `point_mul_oracle`."""
+    return a[0] + b[0], a[1] + b[1], point_mul_oracle(a[2], b[2])
+
+
+def _k0_neg_oracle(a):
+    """`K0Class.__neg__` on (rk, deg, pt) triples, over
+    `conjugate_zero_oracle`."""
+    return -a[0], -a[1], conjugate_zero_oracle(a[2])
+
+
+def _sheaf_class_oracle(sheaf):
+    """`sheafk._class_of` over the oracle group law: a skyscraper's point
+    is h products from O."""
+    if isinstance(sheaf, Bundle):
+        base = sheaf.rank, sheaf.degree, sheaf.det_pt
+    else:
+        pt = TatePoint.zero()
+        for _ in range(sheaf.h):
+            pt = point_mul_oracle(pt, sheaf.pt)
+        base = 0, sheaf.h, pt
+    return base if sheaf.shift % 2 == 0 else _k0_neg_oracle(base)
+
+
+def _sharp_class_oracle(brane):
+    k = mirror._sharp_one(brane)
+    return k.rk, k.deg, k.pt
+
+
+def k0_class_oracle(terms, class_of=_sheaf_class_oracle):
+    """`k0_class` (for `theta_sharp`, pass `_sharp_class_oracle`) before
+    the lane: for each (obj, mult), |mult| steps each adding the class
+    of obj (negated for mult <= 0) to the running total, from (0, 0, O),
+    with a new class per step."""
+    total = 0, 0, TatePoint.zero()
+    for obj, mult in terms:
+        cls = class_of(obj)
+        step = cls if mult > 0 else _k0_neg_oracle(cls)
+        for _ in range(abs(int(mult))):
+            total = _k0_add_oracle(total, step)
+    return K0Class(*total)
+
+
+def k0_defect_oracle(tri):
+    """`RelationTriple.k0_defect` before the lane, in its order:
+    (T + (-S)) + (-Q)."""
+    t, s, q = (
+        (k.rk, k.deg, k.pt)
+        for k in (k0_class_oracle(x.terms) for x in (tri.total, tri.sub, tri.quot))
+    )
+    return K0Class(*_k0_add_oracle(_k0_add_oracle(t, _k0_neg_oracle(s)), _k0_neg_oracle(q)))
 
 
 def is_zero_point_oracle(p, tol):
@@ -1208,14 +1266,15 @@ _SWEEP_POINTS = [
 @example(RelationBounds(8, 8, 4, 6), _SWEEP_POINTS)
 @example(RelationBounds(2, 1, 1, 2), [_SERIES_POINT, TatePoint.zero()])
 def test_relation_suite_matches_the_per_relation_oracle(bounds, points):
-    """Every triple (label, sub, total, quot) and its defect by `repr`,
-    and `holds` against the series zero test at two tolerances."""
+    """Every triple (label, sub, total, quot) by `repr`, its defect
+    against the per-step oracle by `repr`, and `holds` against the series
+    zero test at two tolerances."""
     got = relation_suite(bounds, points)
     want = relation_suite_oracle(bounds, points)
     assert len(got) == len(want)
     for tri, ref in zip(got, want):
         assert repr(tri) == repr(ref)
-        defect = ref.k0_defect()
+        defect = k0_defect_oracle(ref)
         assert repr(tri.k0_defect()) == repr(defect)
         for tol in (1e-9, 0):
             zero = (defect.rk, defect.deg) == (0, 0)
@@ -1247,6 +1306,118 @@ def test_the_suite_builds_each_shared_piece_once(monkeypatch):
     }
     towers = [tri for tri in suite if tri.label == "jordan-tower"]
     assert towers[0].sub is towers[1].sub and towers[0].total is towers[1].quot
+
+
+def test_the_suite_classes_each_distinct_sum_once(monkeypatch):
+    """One class per distinct sum object, formed at its first use: a
+    second `holds` pass forms none."""
+    formed = []
+    real = sheafk._class_of_sum
+
+    def counted(terms, class_of):
+        formed.append(terms)
+        return real(terms, class_of)
+
+    monkeypatch.setattr(sheafk, "_class_of_sum", counted)
+    suite = relation_suite(RelationBounds(3, 4, 2, 5), _SWEEP_POINTS[:3])
+    assert all(tri.holds() for tri in suite)
+    sums = {id(s) for tri in suite for s in (tri.sub, tri.total, tri.quot)}
+    assert len(formed) == len(sums) < 3 * len(suite)
+    formed.clear()
+    assert all(tri.holds() for tri in suite) and formed == []
+
+
+#: the units of the K-class draws: 1e-6, whose product with itself the
+#: drop rule removes, 1e12, whose inverse it removes, and exact units of
+#: other types (an int, a Fraction, signed zeros, a complex 1)
+_K_UNITS = [1e-6, 1e12, 1, F(3, 2), complex(-0.0, 1.0), 1.0 + 0.0j]
+_class_point = st.one_of(_suite_point, st.builds(TatePoint, _x, st.sampled_from(_K_UNITS)))
+_class_sheaf = st.one_of(
+    st.builds(Bundle, st.integers(1, 4), st.integers(-5, 5), _class_point,
+              st.integers(0, 1)),
+    st.builds(Skyscraper, _class_point, st.integers(1, 4), st.integers(0, 1)),
+)
+_class_brane = st.one_of(
+    st.builds(lambda k, offset: Brane((1, k), grading_offset=offset),
+              st.integers(-4, 4), st.integers(0, 1)),
+    st.builds(
+        lambda sign, x, eig, size, offset: Brane(
+            (0, sign), x, offset, local_system=LocalSystem.from_eigenvalue(eig, size)
+        ),
+        st.sampled_from([-1, 1]), _x,
+        st.one_of(st.sampled_from(_K_UNITS + [_SERIES_POINT.unit]), _constant_units),
+        st.integers(1, 3), st.integers(0, 1),
+    ),
+)
+_mults = st.integers(-500, 500)
+
+
+def _assert_same_class(got, want):
+    if isinstance(want, tuple):
+        assert got == want  # the same exception type and message
+        return
+    assert repr(got) == repr(want)
+    if "nan" not in repr(want):  # a nan compares and hashes by identity
+        assert hash(got) == hash(want)
+        assert got == want and want == got
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_class_sheaf, _mults), max_size=3),
+       st.lists(st.tuples(_class_brane, _mults), max_size=3))
+@example([(Skyscraper(TatePoint(0, 1e-6)), 2)], [])  # the 2nd product drops
+@example([(Bundle(1, 0, TatePoint(F(1, 3), 1e12)), -1)], [])  # the inverse drops
+@example([(Bundle(2, 1, _SWEEP_POINTS[0]), 7), (Bundle(1, 1, _SERIES_POINT), 2)],
+         [(Brane((1, 2)), 0)])  # a series unit after a lane step; mult 0
+def test_k_classes_match_the_per_step_oracle(sheaves, branes):
+    """`k0_class` and `theta_sharp` against the per-step oracle, by
+    `repr`, `hash` and `==`, or the same error; a held class is handed
+    out again."""
+    s = SheafSum(sheaves)
+    want = _outcome(k0_class_oracle, s.terms)
+    for _ in range(2):
+        _assert_same_class(_outcome(sheafk.k0_class, s), want)
+    _assert_same_class(
+        _outcome(mirror.theta_sharp, branes),
+        _outcome(k0_class_oracle, branes, _sharp_class_oracle),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_class_sheaf, st.integers(-3, 3)), max_size=3))
+def test_what_a_sum_holds_changes_none_of_its_identity(terms):
+    """`==`, `hash`, `repr` and pickle bytes read the same before and
+    after a sum holds its class, a copy holds nothing, and an equal twin
+    holds nothing until it is classed itself."""
+    s, twin = SheafSum(terms), SheafSum(terms)
+    before = repr(s), hash(s), pickle.dumps(s)
+    classed = not isinstance(_outcome(sheafk.k0_class, s), tuple)
+    assert ("_held_k0" in vars(s)) is classed
+    assert (repr(s), hash(s), pickle.dumps(s)) == before
+    assert s == twin and twin == s and hash(twin) == hash(s)
+    assert "_held_k0" not in vars(twin)
+    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+        assert copied == s and hash(copied) == hash(s) and repr(copied) == repr(s)
+        assert "_held_k0" not in vars(copied)
+
+
+def test_equal_sums_hold_their_own_classes():
+    """Units 1, 1.0 and 1+0j make equal sums whose classes differ in type,
+    so no sum may hand out another's class."""
+    sums = [SheafSum([(Skyscraper(TatePoint(F(1, 3), c), 2), 3)]) for c in (1, 1.0, 1 + 0j)]
+    assert sums[0] == sums[1] == sums[2] and len({hash(s) for s in sums}) == 1
+    classes = [sheafk.k0_class(s) for s in sums]
+    assert len({repr(k) for k in classes}) == 3
+    for s, k in zip(sums, classes):
+        assert repr(k) == repr(k0_class_oracle(s.terms))
+
+
+def test_only_sheafk_names_what_a_sum_holds():
+    namers = {
+        path.name for path in Path(sheafk.__file__).parent.glob("*.py")
+        if re.search(r"\b_held_k0\b", path.read_text())
+    }
+    assert namers == {"sheafk.py"}
 
 
 #: |delta| of the units -1 + delta: at, below and above the drop rule's
