@@ -22,31 +22,28 @@ The relation generators come in four families:
 Cost.  Each family has one private builder, which the public
 constructor and `relation_suite` both call, and which builds once what
 its relations share: the point of O(D - Q) and the sum O_Q per
-(D's point, Q) for every degree, the sub-sum (r-1)*O(-3n) per (r, n),
-and each tower member Y_k per (base, k), whose sum the up to three
-sequences holding it share.  A sum of one sheaf stores its one term and
-hashes nothing; only sums of two or more sheaves merge through a dict.
-A shared piece is an immutable value equal, bit for bit, to the one a
-fresh build gives, so every triple and defect keeps its bits.
+(D's point, Q), the sub-sum (r-1)*O(-3n) per (r, n), and each tower
+member Y_k per (base, k).  A suite keeps one table per call of the
+bundle sums on its points, keyed by (rank, degree, index of the point),
+never by value: O(D) is shared across Q, E(r, d) across n, and an
+Atiyah quotient is the divisor total of its degree.  A sum of one sheaf
+hashes nothing.  A shared piece is equal, bit for bit, to a fresh build.
 
-Each SheafSum holds its class in one private slot, `_held_k0`, which
-`k0_class` or `k0_defect` fills on first use; so a suite classes each
-distinct sum once, however many relations hold it.  `==`, `hash`, `repr`, pickle and
-copy ignore the slot, a copy starts empty, and equal sums do not share
-it: coefficients 1 and 1+0j compare equal but give other bits.
+Each SheafSum holds its class in one private slot, `_held_k0`, filled
+on first use, so a suite classes each distinct sum once.  `==`, `hash`,
+`repr`, pickle and copy ignore it, a copy starts empty, and equal sums
+do not share it: 1 and 1+0j compare equal but give other bits.
 
 The K-class group law runs on a lane of plain scalars while every class
-in a sum has a constant unit, one exact term: a lane is a tuple of the
-rank and degree (ints), x as an integer numerator and denominator, and
-the unit's exponent and coefficient.  `sum_with_multiplicities` and
-`RelationTriple.k0_defect` build one K0Class, at the end, and a sum
-holds its lane, not a K0Class.  Each coefficient is formed by
-`tate._unit_product` or `tate._unit_inverse`, the steps `point_mul` and
-`conjugate_zero` take, in the order of K0Class + and -, so the lane
-keeps every bit.  A class with any other unit, or a step whose
-coefficient the drop rule removes, sends that sum back to the object
-path, K0Class + and - from the start, and the sum holds its K0Class: the
-object path is the reference, so the bits and the NonUnit are the same.
+in a sum has a constant unit, one exact term: a lane is a tuple (rk,
+deg, num, den, e, c), with x = num/den and the unit c q^e.  A sum holds
+its lane; `sum_with_multiplicities` and `RelationTriple.k0_defect` build
+one K0Class at the end, and `RelationTriple.holds` reads its verdict off
+the defect's lane.  Its coefficient steps are those of `point_mul` and
+`conjugate_zero` (`tate._unit_product`, `tate._unit_inverse`), taken in
+the order of K0Class + and -, so the lane keeps every bit.  Any other
+unit, or a coefficient the drop rule removes, sends that sum back to
+K0Class + and - from the start: the same bits and the same NonUnit.
 """
 
 from __future__ import annotations
@@ -58,8 +55,8 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 from ._record import record
 from .errors import BadBase, BadGcd
 from .tate import (
-    TatePoint, _scalar, _scalar_point, _unit_inverse, _unit_product,
-    conjugate_zero, point_mul, point_pow,
+    TatePoint, _scalar, _scalar_point, _unit_at_origin, _unit_inverse,
+    _unit_multiple, conjugate_zero, point_mul, point_pow,
 )
 
 __all__ = [
@@ -93,7 +90,7 @@ class Bundle:
     def __init__(
         self, rank: int, degree: int, det_pt: TatePoint, shift: int = 0
     ):
-        # written out, as K0Class's is: the K-theory sweeps build thousands
+        # written out: ~1,000 per K-theory task, and the generic one read 4% slower
         if rank < 1:
             raise ValueError("bundle rank must be >= 1")
         object.__setattr__(self, "rank", rank)
@@ -199,9 +196,7 @@ class K0Class:
     pt: TatePoint
 
     def __init__(self, rk: int, deg: int, pt: TatePoint):
-        # written out: a K-theory task still builds about 3,100 classes
-        # (one per sheaf classed and one per relation defect), and the
-        # generic record __init__ costs about 0.4 us more per call
+        # written out: ~1,000 per K-theory task, and the generic one read 2% slower
         object.__setattr__(self, "rk", rk)
         object.__setattr__(self, "deg", deg)
         object.__setattr__(self, "pt", pt)
@@ -283,10 +278,9 @@ def _added(a: Optional[_Lane], b: Optional[_Lane], m: int = 1) -> Optional[_Lane
         return a
     rk, deg, num, den, e, c = a
     b_rk, b_deg, b_num, b_den, _, b_c = b
-    for _ in range(m):
-        c = _unit_product(c, b_c)
-        if c is None:
-            return None
+    c = _unit_multiple(c, b_c, m)
+    if c is None:
+        return None
     d = lcm(den, b_den)
     num = (num * (d // den) + m * b_num * (d // b_den)) % d
     return (rk + m * b_rk, deg + m * b_deg, num, d, e, c)
@@ -392,17 +386,27 @@ class RelationTriple:
     quot: SheafSum
     label: str = ""
 
-    def k0_defect(self) -> K0Class:
-        """[total] - [sub] - [quot], formed as (T + (-S)) + (-Q)."""
+    def _defect_lane(self) -> Optional[_Lane]:
+        """(T + (-S)) + (-Q) on the lane, or None off it."""
         t, s, q = _held_class(self.total), _held_class(self.sub), _held_class(self.quot)
         if type(t) is type(s) is type(q) is tuple:
-            defect = _added(_added(t, _negated(s)), _negated(q))
-            if defect is not None:
-                return _as_class(defect)
+            return _added(_added(t, _negated(s)), _negated(q))
+        return None  # a class off the lane
+
+    def k0_defect(self) -> K0Class:
+        """[total] - [sub] - [quot], formed as (T + (-S)) + (-Q)."""
+        defect = self._defect_lane()
+        if defect is not None:
+            return _as_class(defect)
         return k0_class(self.total) - k0_class(self.sub) - k0_class(self.quot)
 
     def holds(self, tol: float = 1e-9) -> bool:
-        return self.k0_defect().is_zero(tol)
+        """`k0_defect().is_zero(tol)`, read off the lane where it can be."""
+        defect = self._defect_lane()
+        if defect is None:
+            return self.k0_defect().is_zero(tol)
+        rk, deg, num, _, _, c = defect
+        return rk == 0 and deg == 0 and num == 0 and _unit_at_origin(c, tol)
 
 
 def iso_pair(f, g, label: str = "iso") -> RelationTriple:
@@ -410,18 +414,26 @@ def iso_pair(f, g, label: str = "iso") -> RelationTriple:
     return RelationTriple(as_sum(f), as_sum(g), SheafSum(), label)
 
 
+def _bundle_sum(table: dict, rank: int, degree: int, pt: TatePoint, i: int):
+    """SheafSum(Bundle(rank, degree, pt)), one per (rank, degree, i)."""
+    s = table.get((rank, degree, i))
+    if s is None:
+        s = table[rank, degree, i] = SheafSum(Bundle(rank, degree, pt))
+    return s
+
+
 def _divisor_sequences(
-    d_pt: TatePoint, q: TatePoint
+    d_pt: TatePoint, q: TatePoint, table: dict, i: int
 ) -> Callable[[int], RelationTriple]:
-    """d -> the divisor sequence of degree d over (d_pt, q).  The point
-    of O(D - Q) and the sum O_Q do not depend on d: they are built once."""
+    """d -> the divisor sequence of degree d over (d_pt, q), O(D) from
+    `table`.  The point of O(D - Q) and the sum O_Q are built once."""
     sub_pt = point_mul(d_pt, conjugate_zero(q))
     quot = SheafSum(Skyscraper(q, 1))
 
     def relation(d_deg: int) -> RelationTriple:
         return RelationTriple(
             SheafSum(Bundle(1, d_deg - 1, sub_pt)),
-            SheafSum(Bundle(1, d_deg, d_pt)),
+            _bundle_sum(table, 1, d_deg, d_pt, i),
             quot,
             "divisor",
         )
@@ -431,24 +443,24 @@ def _divisor_sequences(
 
 def ses_divisor(d_deg: int, d_pt: TatePoint, q: TatePoint) -> RelationTriple:
     """0 -> O(D - Q) -> O(D) -> O_Q -> 0 for a degree-d divisor D."""
-    return _divisor_sequences(d_pt, q)(d_deg)
+    return _divisor_sequences(d_pt, q, {}, 0)(d_deg)
 
 
 def _atiyah_sequences(
-    r: int, n: int
-) -> Callable[[int, TatePoint], RelationTriple]:
-    """(d, det_pt) -> the coprime-bundle sequence of rank r and twist n.
-    The sub-sum (r-1)*O(-3n) does not depend on (d, det_pt): it is
-    built once."""
+    r: int, n: int, table: dict
+) -> Callable[[int, TatePoint, int], RelationTriple]:
+    """(d, det_pt, i) -> the coprime-bundle sequence of rank r and twist
+    n, E(r, d) and its quotient line from `table`.  The sub-sum
+    (r-1)*O(-3n) is built once."""
     sub = SheafSum([(Bundle(1, -3 * n, TatePoint.zero()), r - 1)])
 
-    def relation(d: int, det_pt: TatePoint) -> RelationTriple:
+    def relation(d: int, det_pt: TatePoint, i: int) -> RelationTriple:
         if r < 2 or gcd(r, abs(d)) != 1:
             raise BadGcd(f"need r >= 2 and gcd(r,d) = 1, got ({r}, {d})")
         return RelationTriple(
             sub,
-            SheafSum(Bundle(r, d, det_pt)),
-            SheafSum(Bundle(1, d + 3 * n * (r - 1), det_pt)),
+            _bundle_sum(table, r, d, det_pt, i),
+            _bundle_sum(table, 1, d + 3 * n * (r - 1), det_pt, i),
             "atiyah-coprime",
         )
 
@@ -465,7 +477,7 @@ def ses_atiyah_coprime(
     has degree -3n and the quotient line degree d + 3n(r-1); the
     determinant point is carried entirely by the quotient.
     """
-    return _atiyah_sequences(r, n)(d, det_pt)
+    return _atiyah_sequences(r, n, {})(d, det_pt, 0)
 
 
 def _tower_member(base: IndecSheaf, h: int) -> IndecSheaf:
@@ -536,6 +548,7 @@ def relation_suite(
     for r <= r_max, |d| <= d_max, n <= n_max, and Jordan towers up to
     height h_max over skyscraper and bundle bases."""
     out: List[RelationTriple] = []
+    table: dict = {}
     for n in range(-bounds.n_max, bounds.n_max + 1):
         out.append(
             iso_pair(
@@ -543,16 +556,17 @@ def relation_suite(
                 Bundle(1, n, point_pow(TatePoint.two_torsion(), n)),
             )
         )
-    divisors = [_divisor_sequences(d_pt, q) for d_pt in points for q in points]
+    divisors = [_divisor_sequences(d_pt, q, table, i)
+                for i, d_pt in enumerate(points) for q in points]
     for d in range(-bounds.d_max, bounds.d_max + 1):
         out.extend(relation(d) for relation in divisors)
     for r in range(2, bounds.r_max + 1):
-        twists = [_atiyah_sequences(r, n) for n in range(1, bounds.n_max + 1)]
+        twists = [_atiyah_sequences(r, n, table) for n in range(1, bounds.n_max + 1)]
         for d in range(-bounds.d_max, bounds.d_max + 1):
             if gcd(r, abs(d)) != 1:
                 continue
             for relation in twists:
-                out.extend(relation(d, det_pt) for det_pt in points)
+                out.extend(relation(d, pt, i) for i, pt in enumerate(points))
     bases: List[IndecSheaf] = [Skyscraper(p, 1) for p in points]
     for r in range(1, bounds.r_max + 1):
         for d in range(-bounds.d_max, bounds.d_max + 1):

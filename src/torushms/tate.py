@@ -27,14 +27,14 @@ None), the units of every K-class sum, relation check and O(nP0).  Two
 scalar steps form its one coefficient: `_unit_product`, as the series
 product and negation form it, 0 + -(0 + c * c'), and `_unit_inverse`, as
 `invert` forms it, 0 + 1.0 / c, each None where the drop rule
-(`novikov._kept`) removes it.  point_mul and conjugate_zero call them,
-and so does the K-class lane of `sheafk`, so every coefficient the group
-law forms comes from one expression.  x is reduced into [0, 1) on
-integers, and the point is built without TatePoint.__init__.  Every
-other unit, and a coefficient the drop rule removes, takes the series
-path, so a result keeps its bits and a vanishing unit raises the same
-NonUnit.  `is_zero_point` has a scalar path for the same units, with the
-series test's verdict.
+(`novikov._kept`) removes it.  point_mul, conjugate_zero, point_pow (n
+steps from O's coefficient) and the K-class lane of `sheafk` call them,
+so every coefficient the group law forms comes from one expression, and
+each point is built once, x reduced into [0, 1) on integers.  Every
+other unit, and a dropped coefficient, takes the series path from the
+start: the same bits and the same NonUnit.  `is_zero_point` and the
+`sheafk` verdicts share one scalar test against -1, `_unit_at_origin`,
+whose verdict is the series test's.
 
 One inverse per unit: a unit series M holds its inverse and its powers
 (see `novikov`).  `conjugate_zero` takes M^-1 from `novikov.invert`, and
@@ -111,18 +111,12 @@ class TatePoint:
 
     def is_zero_point(self, tol: float = 1e-9) -> bool:
         """x = 0 and (unit - (-1)).max_abs_coeff() <= tol: the point is O
-        up to tol.
-
-        A constant unit c (one term, cutoff None) takes a scalar path:
-        unit - (-1) is the one term c + 1, or the zero series where the
-        drop rule (`novikov._kept`) removes it.  The verdict is the series
-        path's for every tol, and False for a nan coefficient."""
+        up to tol (a constant unit takes the scalar path)."""
         if self.x != 0:
             return False
         unit = self.unit
         if _scalar(unit):
-            c = _kept(unit.terms[0][1] + 1)
-            return (0.0 if c is None else abs(c)) <= tol
+            return _unit_at_origin(unit.terms[0][1], tol)
         return (unit - (-1)).max_abs_coeff() <= tol
 
     def approx_eq(self, other: "TatePoint", tol: float = 1e-9) -> bool:
@@ -154,6 +148,21 @@ def _unit_product(ca, cb):
     ca and cb, as the series product and negation form it; None where
     the drop rule removes it."""
     return _kept(-(0 + ca * cb))
+
+
+def _unit_multiple(c, b, n: int):
+    """c after n `_unit_product` steps by b; None once a step drops."""
+    for _ in range(n):
+        c = _unit_product(c, b)
+        if c is None:
+            return None
+    return c
+
+
+def _unit_at_origin(c, tol) -> bool:
+    """The one-term unit c is -1 up to tol, as unit - (-1) reads it."""
+    c = _kept(c + 1)
+    return (0.0 if c is None else abs(c)) <= tol
 
 
 def _unit_inverse(c0):
@@ -200,10 +209,16 @@ def conjugate_zero(p: TatePoint) -> TatePoint:
 
 
 def point_pow(p: TatePoint, n: int) -> TatePoint:
-    """n-fold group-law multiple of p (n may be negative)."""
+    """n-fold group-law multiple of p (n may be negative): n products from O."""
     if n < 0:
         return point_pow(conjugate_zero(p), -n)
     out = TatePoint.zero()
+    if n and _scalar(p.unit):
+        (e, c), = out.unit.terms
+        c = _unit_multiple(c, p.unit.terms[0][1], n)
+        if c is not None:
+            num, den = p.x.as_integer_ratio()
+            return _scalar_point(Fraction(num * n % den, den), e, c)
     for _ in range(n):
         out = point_mul(out, p)
     return out
