@@ -533,10 +533,11 @@ def _mirror_steps(args, sheaf: SumAst) -> int:
 #: 0.65-1.15 s: cf takes 5 steps a point; the mu2 walk 4 a triangle, 16
 #: more to list it (--triangles); a triangle phi2 weights 16 at rank 1,
 #: plus 1/2 per scalar product of its matrices (3-7 us each).  With the
-#: scalar group law those verbs take 0.2-0.5 s, and at the bound cf,
-#: mu2 and assoc run 1.3-4.2 times as long as they do; with a rank-r
-#: system on every brane only 0.1-0.3 times, because mat_mul does not
-#: form the exact-zero products that the rank term counts.
+#: scalar group law and the integer walk, at the bound (best of 3) the
+#: group-law verbs take 15-30 ms; cf takes 0.63-0.85 s, mu2 0.15-0.58 s
+#: and assoc 0.53 s (6-40 times as long), but 0.04-0.06 s with a rank-r
+#: system on every brane, because mat_mul does not form the exact-zero
+#: products that the rank term counts.
 _POINT, _WALKED, _LISTED, _WEIGHTED = 5, 4, 16, 16
 
 

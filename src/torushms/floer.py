@@ -8,10 +8,13 @@ mu2(phi2, phi1) are enumerated by fixing the lift of y1 in [0,1)^2 and
 walking the Z-family of lifts of L2: the signed offset u = k + r of
 lift k is affine in k and the triangle area is A u^2, so the lifts with
 area below the cutoff are one `novikov.lattice_window` (one isqrt).
-`_walk` yields these triangles and has two consumers: `mu2` sums the
-ones whose y2 corner phi2 weights, and `mu2_triangles` also lists every
-triangle with its exact boundary data (`_boundary`) as a plain tuple,
-which `cli` renders.  Each triangle contributes
+`_walk` steps this lattice on integers: U = R u for one denominator R
+per generator, corners as integer numerators reduced mod 1 by `%`, and
+marker counts as floors of affine functions of U.  It yields the
+triangles whose y2 corner phi2 weights, which `mu2` sums, and for
+`mu2_triangles` lists every triangle with its exact boundary data as a
+plain tuple, which `cli` renders; only that listing builds Fractions.
+Each triangle contributes
 
     sign * q^area * T2 . phi2(y2) . T1 . phi1(y1) . T0
 
@@ -21,14 +24,14 @@ and sign = (-1)^(i(y1)) * (-1)^(crossings+1), with `crossings` the
 number of Pin markers met by the triangle boundary.  When all three
 local systems have rank 1, `_sum` forms this product without matrices,
 with the same factors in the same order; a transport whose eigenvalue is
-one exact term c0 is then the scalar exp(t log c0).  A local system of
-rank 2 or more sends the whole product through the matrix loop: matrix
-transports and four `mat_mul`s per triangle.  Both add each triangle's
-entries with `novikov._RunningSum.add_product`.  Only triangles
-whose corner cycle (y0, y1, y2) has positive signed area contribute to
-this ordered product; when the slope data forces the opposite
-orientation the product is identically zero (and degree additivity
-i(y0) = i(y1) + i(y2) fails, consistently).
+one exact term c0 is then the scalar exp(t log c0), t = num/den.  A
+local system of rank 2 or more sends the whole product through the
+matrix loop: matrix transports and four `mat_mul`s per triangle.  Both
+add each triangle's entries with `novikov._RunningSum.add_product`.
+Only triangles whose corner cycle (y0, y1, y2) has positive signed area
+contribute to this ordered product; when the slope data forces the
+opposite orientation the product is identically zero (and degree
+additivity i(y0) = i(y1) + i(y2) fails, consistently).
 
 mu^1 vanishes identically: two straight lines of different slopes meet
 exactly once in the cover, so no bigons exist.  With mu^1 = 0, mu^2 is
@@ -308,69 +311,120 @@ def _triangle_window(d01: int, d02: int, d12: int, cutoff: Fraction):
     return None if d01 * d02 * d12 > 0 else 2 * abs(d02 * d12) * cutoff / abs(d01)
 
 
-def _walk(phi1: FloerElement, chain, cutoff: Fraction):
-    """Yield each triangle of mu2(phi2, phi1) with area below `cutoff` as
-    (k, y1c, a1, s, t, area, p0, p2), where phi1 is a1 at y1c and the
-    lift k of L2 meets L0 at p0 = y1c + s*v0 and L1 at p2 = y1c + t*v1.
-    Per generator, u = k + r and k runs through `lattice_window(r, X)`:
-    down from floor(-r), then up.  `chain` is `_chain(phi2, phi1)`."""
+def _scaled(pairs, D: int) -> dict:
+    """{(x D, y D): value} for the ((x, y), value) pairs whose coordinates
+    are multiples of 1/D: corners over D, reduced mod 1, look them up."""
+    return {(x.numerator * D // x.denominator, y.numerator * D // y.denominator): value
+            for (x, y), value in pairs
+            if not (x.numerator * D % x.denominator or y.numerator * D % y.denominator)}
+
+
+def _marker_form(line, y1c: Vec, arc: Fraction, drift: Fraction):
+    """(M, F, Z, C, forward) for one brane's boundary arc of the triangles
+    over y1c: the arc is arc*U, and the Pin-marker lift (line = (bezout of
+    the slope, marker lift)) sits c1 - drift*U along it from its start.
+    The arc meets floor((F U - C)/M) - floor((Z U - C)/M) marker lifts,
+    negated when it runs backwards (`forward` is arc > 0, for U > 0); a
+    numerator divisible by M puts a lift on a corner."""
+    (a, b), mk = line
+    c1 = a * (mk[0] - y1c[0]) + b * (mk[1] - y1c[1])
+    hi = arc + drift
+    M = math.lcm(hi.denominator, drift.denominator, c1.denominator)
+    return (M, hi.numerator * (M // hi.denominator),
+            drift.numerator * (M // drift.denominator),
+            c1.numerator * (M // c1.denominator), arc > 0)
+
+
+def _walk(phi1: FloerElement, phi2: FloerElement, chain, cutoff: Fraction,
+          out_coords, listing: Optional[list] = None):
+    """Yield each triangle of mu2(phi2, phi1) with area below `cutoff`
+    whose y2 corner phi2 weights, as (y0, a1, a2, U, R, sign), y0 an
+    object of `out_coords`; with `listing`, append every triangle as
+    `mu2_triangles` lists it.  `chain` is `_chain(phi2, phi1)`.
+
+    Per generator y1, u = k + r and k runs through `lattice_window(r, X)`:
+    down from floor(-r), then up.  U = R u, for R the least common
+    denominator of y1 and r, gives s = U/(R d02), t = U/(R d12), the L2
+    arc d_arc = -U d01/(R d02 d12) (as d12 v0 - d02 v1 = -d01 v2), the
+    area |d01| U^2/(2 |d02 d12| R^2), and the corners p0 = y1 + s v0 and
+    p2 = y1 + t v1 as integer vectors over R|d02| and R|d12|."""
     b0, b1, b2, d01, d02, d12 = chain
     X = _triangle_window(d01, d02, d12, cutoff)
     if X is None:
         return
     assert index_of(b0, b2) == index_of(b0, b1) + index_of(b1, b2)
+    branes = (b0, b1, b2)
     v0, v1, v2 = b0.slope, b1.slope, b2.slope
+    lines = [(bezout(*b.slope), b.marker_point) for b in branes]
+    drift = lines[2][0][0] * v1[0] + lines[2][0][1] * v1[1]  # L2's marker per unit t
     base2v = det2(b2.base_point, v2)
-    area_coeff = Fraction(abs(d01), 2 * abs(d02 * d12))
+    deg = (-1) ** index_of(b0, b1)
+    e0, e2 = (1 if d02 > 0 else -1), (1 if d12 > 0 else -1)
     for y1c, a1 in phi1.components:
         r = base2v - det2(y1c, v2)
         if r.denominator == 1:
             raise DegenerateConfiguration(
                 f"the three supports share a point over generator {y1c}"
             )
+        R = math.lcm(y1c[0].denominator, y1c[1].denominator, r.denominator)
+        Y = (y1c[0].numerator * (R // y1c[0].denominator),
+             y1c[1].numerator * (R // y1c[1].denominator))
+        D0, D2 = R * abs(d02), R * abs(d12)
+        y0_at = _scaled(((c, c) for c in out_coords), D0)
+        y2_at = _scaled(phi2.components, D2)
+        arcs = (Fraction(1, R * d02), 0), (Fraction(1, R * d12), 0), (
+            Fraction(-d01, R * d02 * d12), Fraction(drift, R * d12))
+        forms = [_marker_form(line, y1c, *a) for line, a in zip(lines, arcs)]
+        # p0 = (Y |d02| + U e0 v0) / D0 and p2 = (Y |d12| + U e2 v1) / D2
+        n0, g0 = (Y[0] * abs(d02), Y[1] * abs(d02)), (e0 * v0[0], e0 * v0[1])
+        n2, g2 = (Y[0] * abs(d12), Y[1] * abs(d12)), (e2 * v1[0], e2 * v1[1])
         lo, hi = lattice_window(r, X)
         kc = math.floor(-r)
+        Rr = r.numerator * (R // r.denominator)
         for ks in (range(kc, lo - 1, -1), range(kc + 1, hi)):
             for k in ks:
-                u = k + r
-                area = area_coeff * u * u
-                s = Fraction(u, 1) / d02
-                t = Fraction(u, 1) / d12
-                p0 = (y1c[0] + s * v0[0], y1c[1] + s * v0[1])
-                p2 = (y1c[0] + t * v1[0], y1c[1] + t * v1[1])
-                if __debug__:
-                    signed = det2(
-                        (y1c[0] - p0[0], y1c[1] - p0[1]),
-                        (p2[0] - p0[0], p2[1] - p0[1]),
-                    )
-                    assert signed > 0, "triangle orientation selection broke"
-                yield k, y1c, a1, s, t, area, p0, p2
-
-
-def _boundary(
-    b0: Brane, b1: Brane, b2: Brane, i_y1: int, y1c: Vec, p0: Vec, p2: Vec
-) -> Tuple[Fraction, int, int]:
-    """(d_arc, crossings, sign) of one triangle: the arc from p2 to p0
-    along L2, the Pin markers on its boundary, and its sign."""
-    d_arc = _ratio_along((p0[0] - p2[0], p0[1] - p2[1]), b2.slope)
-    crossings = (
-        _count_markers(b0, y1c, p0)
-        + _count_markers(b1, y1c, p2)
-        + _count_markers(b2, p2, p0)
-    )
-    return d_arc, crossings, (-1) ** i_y1 * (-1) ** (crossings + 1)
+                U = k * R + Rr
+                p2x, p2y = n2[0] + U * g2[0], n2[1] + U * g2[1]
+                a2 = y2_at.get((p2x % D2, p2y % D2))
+                if a2 is None and listing is None:
+                    continue
+                p0x, p0y = n0[0] + U * g0[0], n0[1] + U * g0[1]
+                if __debug__:  # R D0 (y1 - p0) x D0 D2 (p2 - p0) > 0
+                    ex, ey = Y[0] * D0 - p0x * R, Y[1] * D0 - p0y * R
+                    fx, fy = p2x * D0 - p0x * D2, p2y * D0 - p0y * D2
+                    assert ex * fy - ey * fx > 0, "triangle orientation selection broke"
+                crossings = 0
+                for brane, (M, F, Z, C, forward) in zip(branes, forms):
+                    f, z = F * U - C, Z * U - C
+                    if not (f % M and z % M):
+                        raise MarkerCollision(
+                            f"Pin marker of {brane} sits on a triangle corner"
+                        )
+                    n = f // M - z // M
+                    crossings += n if (U > 0) == forward else -n
+                sign = -deg if crossings % 2 == 0 else deg
+                if listing is not None:
+                    p0, p2 = (Fraction(p0x, D0), Fraction(p0y, D0)), (
+                        Fraction(p2x, D2), Fraction(p2y, D2))
+                    area = Fraction(abs(d01) * U * U, 2 * abs(d02 * d12) * R * R)
+                    turns = Fraction(U, R * d02), Fraction(-U, R * d12), Fraction(
+                        U * d01, R * d02 * d12)  # s, -t, -d_arc
+                    listing.append((k, (p0, y1c, p2), area, sign, turns, crossings))
+                if a2 is not None:
+                    yield y0_at[p0x % D0, p0y % D0], a1, a2, U, R, sign
 
 
 def _term_series(term) -> NovikovSeries:
     """The exact one-term series of a term (e, c) whose c is kept."""
-    return NovikovSeries._canonical((term,), None)
+    e, c = term
+    return NovikovSeries._from_keys(e.denominator, (e.numerator,), (c,), None)
 
 
-def _add_rank1(entry: _RunningSum, ops, area: Fraction, sign: int) -> None:
-    """Add q_power(area, sign) * (f4 * (f3 * (f2 * (f1 * f0)))) to `entry`,
-    with the same products in the same order as the 1 x 1 matrix chain,
-    for ops = (f0, ..., f4): a series, an exact term (e, c) with c kept,
-    or None for the exact zero, which makes the whole product zero.
+def _add_rank1(entry: _RunningSum, ops, num: int, den: int, sign: int) -> None:
+    """Add q_power(num/den, sign) * (f4 * (f3 * (f2 * (f1 * f0)))) to
+    `entry`, with the same products in the same order as the 1 x 1 matrix
+    chain, for ops = (f0, ..., f4): a series, an exact term (e, c) with c
+    kept, or None for the exact zero, which makes the whole product zero.
 
     Exact terms before the first series x fold into one term `right`,
     those after it go to `lefts`, and `add_product` applies both in its
@@ -381,8 +435,8 @@ def _add_rank1(entry: _RunningSum, ops, area: Fraction, sign: int) -> None:
     for op in ops:
         if op is None:
             return
-        if type(op) is not tuple and op.cutoff is None and len(op.terms) <= 1:
-            if not op.terms:
+        if type(op) is not tuple and op.cutoff is None and len(op._keys) <= 1:
+            if not op._keys:
                 return
             op = op.terms[0]
         if type(op) is not tuple:
@@ -405,36 +459,29 @@ def _add_rank1(entry: _RunningSum, ops, area: Fraction, sign: int) -> None:
             right = (right[0] + op[0] if op[0] else right[0], c)
     if x is None:  # every factor is an exact term
         x, right = _term_series(right), None
-    shift = area
     for e, _ in lefts if right is None else [right, *lefts]:
         if e:
-            shift = shift + e
+            num, den = num * e.denominator + e.numerator * den, den * e.denominator
     entry.add_product(
-        shift.numerator,
-        shift.denominator,
-        x,
-        None if right is None else right[1],
-        [c for _, c in lefts] + [sign],
-        shift,
+        num, den, x, None if right is None else right[1], [c for _, c in lefts] + [sign]
     )
 
 
-def _sum(phi2: FloerElement, chain, cutoff: Fraction, triangles) -> FloerElement:
-    """mu2(phi2, phi1) over `triangles` from `_walk` on `chain`, skipping
-    those whose y2 corner phi2 does not weight.
+def _sum(phi2: FloerElement, phi1: FloerElement, chain, cutoff: Fraction,
+         listing: Optional[list] = None) -> FloerElement:
+    """mu2(phi2, phi1) over the triangles `_walk` yields on `chain`.
 
     The rank decides only how a triangle's product is added.  When all
     three local systems have rank 1, `_add_rank1` forms it on the one
     entry from the 1 x 1 entries and the rank-1 transports
-    (`LocalSystem._rank1_transport`), without matrices.  Any higher rank
-    takes four `mat_mul`s of matrix transports, and `add_product` applies
+    (`LocalSystem._rank1_transport`, over arcs given as (num, den)),
+    without matrices.  Any higher rank takes four `mat_mul`s of matrix
+    transports over Fraction arcs, and `add_product` applies
     q_power(area, sign) as each entry is added.  Each eigenvalue series
     holds its own eps powers and inverse (see `novikov`), so every arc
     over one system shares them."""
-    b0, b1, b2, _, _, _ = chain
+    b0, b1, b2, d01, d02, d12 = chain
     out_space = cf(b0, b2)
-    i_y1 = index_of(b0, b1)
-    phi2_at = dict(phi2.components)
     rows, cols = out_space.hom_shape
     start = NovikovSeries.zero(cutoff)
     l0, l1, l2 = [b.local_system for b in (b0, b1, b2)]
@@ -442,29 +489,26 @@ def _sum(phi2: FloerElement, chain, cutoff: Fraction, triangles) -> FloerElement
     if rank1:
         t0, t1, t2 = [ls._rank1_transport() for ls in (l0, l1, l2)]
     acc: Dict[Vec, List[List[_RunningSum]]] = {}
-    for _, y1c, a1, s, t, area, p0, p2 in triangles:
-        a2 = phi2_at.get((p2[0] % 1, p2[1] % 1))
-        if a2 is None:
-            continue
-        d_arc, _, sign = _boundary(b0, b1, b2, i_y1, y1c, p0, p2)
-        y0g = (p0[0] % 1, p0[1] % 1)
-        sums = acc.get(y0g)
+    triangles = _walk(phi1, phi2, chain, cutoff, out_space.coords(), listing)
+    for y0, a1, a2, U, R, sign in triangles:
+        sums = acc.get(y0)
         if sums is None:
-            sums = acc[y0g] = [
+            sums = acc[y0] = [
                 [_RunningSum(start) for _ in range(cols)] for _ in range(rows)
             ]
+        num, den = abs(d01) * U * U, 2 * abs(d02 * d12) * R * R  # the area
         if rank1:
-            ops = (t0(s), a1[0][0], t1(-t), a2[0][0], t2(-d_arc))
-            _add_rank1(sums[0][0], ops, area, sign)
+            ops = (t0(U, R * d02), a1[0][0], t1(-U, R * d12), a2[0][0],
+                   t2(U * d01, R * d02 * d12))
+            _add_rank1(sums[0][0], ops, num, den, sign)
             continue
-        m = mat_mul(l2.transport(-d_arc), mat_mul(a2, mat_mul(
+        s, t = Fraction(U, R * d02), Fraction(U, R * d12)
+        m = mat_mul(l2.transport(Fraction(U * d01, R * d02 * d12)), mat_mul(a2, mat_mul(
             l1.transport(-t), mat_mul(a1, l0.transport(s)))))
         lefts = (sign,)
         for sum_row, m_row in zip(sums, m):
             for entry, x in zip(sum_row, m_row):
-                entry.add_product(
-                    area.numerator, area.denominator, x, None, lefts, area
-                )
+                entry.add_product(num, den, x, None, lefts)
     final = {
         c: tuple(tuple(x.series() for x in row) for row in sums)
         for c, sums in acc.items()
@@ -476,8 +520,7 @@ def mu2(phi2: FloerElement, phi1: FloerElement, cutoff: Rational) -> FloerElemen
     """The triangle product CF(L1,L2) x CF(L0,L1) -> CF(L0,L2),
     truncated at `cutoff`."""
     cutoff = Fraction(cutoff)
-    chain = _chain(phi2, phi1)
-    return _sum(phi2, chain, cutoff, _walk(phi1, chain, cutoff))
+    return _sum(phi2, phi1, _chain(phi2, phi1), cutoff)
 
 
 def mu2_triangles(
@@ -487,19 +530,10 @@ def mu2_triangles(
     (n, (p0, y1, p2), area, sign, (s, -t, -d_arc), crossings): the lift n
     of L2, the corners on L0∩L2, L0∩L1 and L1∩L2, the exact area, the
     sign, the transported arcs along L0, L1, L2, and the Pin markers met."""
-    b0, b1, b2, _, _, _ = chain = _chain(phi2, phi1)
+    chain = _chain(phi2, phi1)
     cutoff = Fraction(cutoff)
-    i_y1 = index_of(b0, b1)
     tris: List[tuple] = []
-
-    def listed():
-        for tri in _walk(phi1, chain, cutoff):
-            k, y1c, _, s, t, area, p0, p2 = tri
-            d_arc, crossings, sign = _boundary(b0, b1, b2, i_y1, y1c, p0, p2)
-            tris.append((k, (p0, y1c, p2), area, sign, (s, -t, -d_arc), crossings))
-            yield tri
-
-    return _sum(phi2, chain, cutoff, listed()), tris
+    return _sum(phi2, phi1, chain, cutoff, tris), tris
 
 
 def mu2_bruteforce(

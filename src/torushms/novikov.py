@@ -14,14 +14,19 @@ strictly increasing exponents, every exponent below the cutoff, every
 coefficient stored as `0 + c` (so a float -0.0 reads 0.0) and no
 coefficient with |c| <= ZERO_TOL.  The public constructor reaches it
 from any input by merging equal exponents and sorting.  Results that
-are canonical by construction (constants, negation, truncation, a
-product with a one-term factor, inverses) go through the private
-`NovikovSeries._sorted` or `_below` instead, which apply the per-term
-rules only; their callers guarantee Fraction exponents in strictly
-increasing order and a Fraction (or None) cutoff.
+are canonical by construction (constants, truncation of a term list,
+inverses) go through the private `NovikovSeries._sorted` or `_below`
+instead, which apply the per-term rules only; their callers guarantee
+Fraction exponents in strictly increasing order and a Fraction (or None)
+cutoff.  The same series in keyed form is (den, keys, coeffs): den the
+least common denominator of the exponents, keys the exponents times den.
+A series holds at least one form and forms the other on its first read:
+one built from Fraction terms keeps them, one a kernel builds holds only
+keys until something reads `terms`.  `==` compares keyed forms; `hash`,
+`repr` and pickle read `terms`.
 
-Kernels.  Sums and products work on integer keys: each exponent times
-the operands' common denominator (`math.lcm`).  One adder, `_RunningSum`,
+Kernels.  Sums and products work on the keyed form, and build no
+Fraction.  One adder, `_RunningSum`,
 forms every sum: `a + b` is a running sum started at `a` with `b` added,
 and every loop that adds many series into one (the geometric series of
 `invert`, the binomial series of `fractional_power`, theta series, each
@@ -29,17 +34,14 @@ matrix entry of `mu2`) keeps one running sum instead of re-merging the
 partial sum each step.  Where an addend is a series x times exact
 one-term factors (q^e times M^k in a theta term; the area weight, and on
 rank 1 the scalar transports and generators, of a triangle),
-`_RunningSum.add_product` adds it in one pass over x's terms: each
+`_RunningSum.add_product` adds it in one pass over x's keys: each
 coefficient goes through the stages of the products it replaces, `0 +`
 and the drop rule included, and lands at the shifted integer key, with
-no intermediate series and no Fraction per term; a caller that holds
-the shift as a Fraction (the triangle's area in `floer`) passes it, and
-x's exponent-0 term lands on that object.  A product of two
+no intermediate series.  A product of two
 multi-term series runs its double loop into an integer-keyed dict,
-leaving the inner loop at the first key at or above the cutoff.  A
-product builds Fractions only for the terms it returns; a sum builds
-none and reuses its operands' exponent objects, and so does a product
-by a one-term factor at exponent 0.
+leaving the inner loop at the first key at or above the cutoff.  Every
+kernel output (sums, products, negation, truncation) is keyed, reduced
+to its least denominator, and holds no exponent object.
 
 A series keeps what is derived from it, and no caller passes tables
 around.  Its one private slot, `_held` (a `_Held`, filled on first use),
@@ -147,17 +149,6 @@ def _as_cutoff(cutoff: Optional[Rational]) -> Optional[Fraction]:
     return Fraction(cutoff)
 
 
-def _common_den(a, b) -> int:
-    """The least common denominator of the exponents of two term lists."""
-    return math.lcm(*(e.denominator for e, _ in a), *(e.denominator for e, _ in b))
-
-
-def _keys(terms, den: int):
-    """Each exponent of `terms` times `den`, a multiple of every
-    exponent's denominator: the integer keys of the kernels."""
-    return [e.numerator * (den // e.denominator) for e, _ in terms]
-
-
 def _key_bound(cutoff: Fraction, den: int) -> int:
     """The least integer key k with k / den >= cutoff."""
     return -(-cutoff.numerator * den // cutoff.denominator)
@@ -172,25 +163,10 @@ def _count_below(terms, cutoff: Optional[Fraction]) -> int:
     return bisect.bisect_left(terms, cutoff, key=lambda t: t[0])
 
 
-def _shifted(terms, shift: Fraction, cutoff: Optional[Fraction]):
-    """The exponents e + shift of the sorted `terms` that lie below the
-    cutoff.  At shift 0 these are the exponent objects themselves;
-    otherwise they are computed on integer keys, and one Fraction is
-    built per exponent kept."""
-    if shift == 0:
-        return [e for e, _ in terms[:_count_below(terms, cutoff)]]
-    den = math.lcm(shift.denominator, *(e.denominator for e, _ in terms))
-    step = shift.numerator * (den // shift.denominator)
-    keys = [k + step for k in _keys(terms, den)]
-    if cutoff is not None:
-        del keys[bisect.bisect_left(keys, _key_bound(cutoff, den)):]
-    return [Fraction(k, den) for k in keys]
-
-
 class NovikovSeries:
     """Immutable truncated Novikov series in canonical form."""
 
-    __slots__ = ("terms", "cutoff", "_held")
+    __slots__ = ("terms", "cutoff", "_den", "_keys", "_coeffs", "_held")
 
     def __init__(
         self,
@@ -216,6 +192,33 @@ class NovikovSeries:
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("NovikovSeries is immutable")
+
+    def __getattr__(self, name):
+        """The form a series does not hold yet, formed on its first read
+        (see the module docstring); any other missing name raises."""
+        if name == "terms":
+            den = self._den
+            value = tuple(zip([Fraction(k, den) for k in self._keys], self._coeffs))
+            object.__setattr__(self, "terms", value)
+            return value
+        if name not in ("_den", "_keys", "_coeffs"):
+            raise AttributeError(name)
+        return getattr(self._keyed(), name)
+
+    def _keyed(self) -> "NovikovSeries":
+        """Set the keyed form from `terms`; return the series."""
+        terms = self.terms
+        if len(terms) == 1:
+            ((e, c),) = terms
+            den, keys, coeffs = e.denominator, (e.numerator,), (c,)
+        else:
+            den = math.lcm(*[e.denominator for e, _ in terms])
+            keys = tuple([e.numerator * (den // e.denominator) for e, _ in terms])
+            coeffs = tuple([c for _, c in terms])
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_coeffs", coeffs)
+        return self
 
     def __reduce__(self):  # pickle and copy rebuild without __setattr__
         return NovikovSeries._canonical, (self.terms, self.cutoff)
@@ -244,19 +247,42 @@ class NovikovSeries:
         return out
 
     @classmethod
+    def _from_keys(cls, den: int, keys, coeffs, cutoff) -> "NovikovSeries":
+        """The keyed series of increasing integer `keys` over `den`, all
+        below the cutoff, with the per-term rules of `_below`, at the least
+        denominator."""
+        kept_keys, kept = [], []
+        for k, c in zip(keys, coeffs):
+            c = 0 + c
+            if abs(c) <= ZERO_TOL:  # not `>`: a nan is kept
+                continue
+            kept_keys.append(k)
+            kept.append(c)
+        g = math.gcd(den, *kept_keys)
+        if g > 1:
+            den, kept_keys = den // g, [k // g for k in kept_keys]
+        out = object.__new__(cls)
+        object.__setattr__(out, "_den", den)
+        object.__setattr__(out, "_keys", tuple(kept_keys))
+        object.__setattr__(out, "_coeffs", tuple(kept))
+        object.__setattr__(out, "cutoff", cutoff)
+        return out
+
+    @classmethod
     def _below(
         cls, terms: Iterable[Tuple[Fraction, Scalar]], cutoff: Optional[Fraction]
     ) -> "NovikovSeries":
         """`_sorted` for terms whose exponents all lie below the cutoff:
         each coefficient is stored as `0 + c` and |c| <= ZERO_TOL is
-        dropped, with no comparison against the cutoff."""
+        dropped, with no comparison against the cutoff.  The result holds
+        both forms."""
         clean = []
         for e, c in terms:
             c = 0 + c
             if abs(c) <= ZERO_TOL:
                 continue
             clean.append((e, c))
-        return cls._canonical(tuple(clean), cutoff)
+        return cls._canonical(tuple(clean), cutoff)._keyed()
 
     # -- constructors ------------------------------------------------
 
@@ -264,7 +290,7 @@ class NovikovSeries:
 
     @classmethod
     def zero(cls, cutoff: Optional[Rational] = None) -> "NovikovSeries":
-        return cls._canonical((), _as_cutoff(cutoff))
+        return cls._from_keys(1, (), (), _as_cutoff(cutoff))
 
     @classmethod
     def one(cls) -> "NovikovSeries":
@@ -285,18 +311,18 @@ class NovikovSeries:
     # -- basic queries ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     def val(self) -> Fraction:
         """Smallest exponent carrying a nonzero coefficient."""
-        if not self.terms:
+        if not self._keys:
             raise ZeroSeries("valuation of the zero series is undefined")
-        return self.terms[0][0]
+        return Fraction(self._keys[0], self._den)
 
     def leading_coefficient(self):
-        if not self.terms:
+        if not self._keys:
             raise ZeroSeries("zero series has no leading coefficient")
-        return self.terms[0][1]
+        return self._coeffs[0]
 
     def coefficient(self, e: Rational):
         e = Fraction(e)
@@ -308,14 +334,19 @@ class NovikovSeries:
     def max_abs_coeff(self, below: Optional[Rational] = None) -> float:
         """Largest |coefficient| among exponents < `below` (all if None);
         nan if one of them is nan."""
-        bound = None if below is None else Fraction(below)
-        terms = self.terms[:_count_below(self.terms, bound)]
-        return _largest(abs(c) for _, c in terms)
+        n = len(self._keys) if below is None else self._n_below(Fraction(below))
+        return _largest(abs(c) for c in self._coeffs[:n])
+
+    def _n_below(self, bound: Fraction) -> int:
+        """How many keys lie below the exponent `bound`."""
+        return bisect.bisect_left(self._keys, _key_bound(bound, self._den))
 
     def truncated(self, cutoff: Rational) -> "NovikovSeries":
         if type(cutoff) is not Fraction:
             cutoff = Fraction(cutoff)
-        return NovikovSeries._sorted(self.terms, _min_cutoff(self.cutoff, cutoff))
+        cut = _min_cutoff(self.cutoff, cutoff)
+        n = self._n_below(cut)
+        return self._from_keys(self._den, self._keys[:n], self._coeffs[:n], cut)
 
     # -- ring structure ----------------------------------------------
 
@@ -337,7 +368,9 @@ class NovikovSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return NovikovSeries._below(((e, -c) for e, c in self.terms), self.cutoff)
+        return NovikovSeries._from_keys(
+            self._den, self._keys, [-c for c in self._coeffs], self.cutoff
+        )
 
     def __sub__(self, other):
         o = self._coerced(other)
@@ -357,47 +390,46 @@ class NovikovSeries:
             return NotImplemented
         cut_a = None
         if self.cutoff is not None:
-            shift = o.terms[0][0] if o.terms else o.cutoff
+            shift = o.val() if o._keys else o.cutoff
             cut_a = None if shift is None else self.cutoff + shift
         cut_b = None
         if o.cutoff is not None:
-            shift = self.terms[0][0] if self.terms else self.cutoff
+            shift = self.val() if self._keys else self.cutoff
             cut_b = None if shift is None else o.cutoff + shift
         cut = _min_cutoff(cut_a, cut_b)
+        da, db = self._den, o._den
+        den = da if da == db else math.lcm(da, db)
+        sa, sb = den // da, den // db
+        ka, kb = self._keys, o._keys
+        stop = None if cut is None else _key_bound(cut, den)
         # a one-term factor shifts every exponent by the same amount, so
         # the product is already sorted and has no exponents to merge
-        if len(o.terms) == 1:
-            eb, cb = o.terms[0]
-            exps = _shifted(self.terms, eb, cut)
-            return NovikovSeries._below(
-                ((e, ca * cb) for e, (_, ca) in zip(exps, self.terms)), cut
-            )
-        if len(self.terms) == 1:
-            ea, ca = self.terms[0]
-            exps = _shifted(o.terms, ea, cut)
-            return NovikovSeries._below(
-                ((e, ca * cb) for e, (_, cb) in zip(exps, o.terms)), cut
-            )
-        if not self.terms or not o.terms:
-            return NovikovSeries._canonical((), cut)
-        den = _common_den(self.terms, o.terms)
-        left = _keys(self.terms, den)
-        right = list(zip(_keys(o.terms, den), [c for _, c in o.terms]))
-        if cut is not None:
-            stop = _key_bound(cut, den)
-        else:
+        if len(kb) == 1 or len(ka) == 1:
+            right = len(kb) == 1  # o is the one-term factor
+            step = kb[0] * sb if right else ka[0] * sa
+            keys = [k * sa + step for k in ka] if right else [k * sb + step for k in kb]
+            if stop is not None:
+                del keys[bisect.bisect_left(keys, stop):]
+            n = len(keys)
+            coeffs = ([ca * o._coeffs[0] for ca in self._coeffs[:n]] if right
+                      else [self._coeffs[0] * cb for cb in o._coeffs[:n]])
+            return NovikovSeries._from_keys(den, keys, coeffs, cut)
+        if not ka or not kb:
+            return NovikovSeries._from_keys(1, (), (), cut)
+        left = [k * sa for k in ka]
+        right = list(zip([k * sb for k in kb], o._coeffs))
+        if stop is None:
             stop = left[-1] + right[-1][0] + 1
         acc = {}
-        for ka, (_, ca) in zip(left, self.terms):
-            bound = stop - ka
-            for kb, cb in right:
-                if kb >= bound:
+        for a, ca in zip(left, self._coeffs):
+            bound = stop - a
+            for b, cb in right:
+                if b >= bound:
                     break  # o's keys increase: no later term is below the cutoff
-                k = ka + kb
+                k = a + b
                 acc[k] = acc.get(k, 0) + ca * cb
-        return NovikovSeries._below(
-            ((Fraction(k, den), acc[k]) for k in sorted(acc)), cut
-        )
+        keys = sorted(acc)
+        return NovikovSeries._from_keys(den, keys, [acc[k] for k in keys], cut)
 
     __rmul__ = __mul__
 
@@ -421,7 +453,10 @@ class NovikovSeries:
     def __eq__(self, other):
         if not isinstance(other, NovikovSeries):
             return NotImplemented
-        return self.terms == other.terms and self.cutoff == other.cutoff
+        return (
+            self._keys == other._keys and self._den == other._den
+            and self._coeffs == other._coeffs and self.cutoff == other.cutoff
+        )
 
     def __hash__(self):
         return hash((self.terms, self.cutoff))
@@ -473,22 +508,15 @@ class _RunningSum:
     |c| <= ZERO_TOL is dropped at once, as each addition would drop it,
     and the weakest cutoff wins.  Keys at or above that cutoff stay in
     the map until `series`, which drops them.  Exponents are integer
-    keys over a denominator that grows when a term needs it; `exps`
-    keeps the first exponent object seen for each key, so `series`
-    builds no Fraction for a key an operand of `add` brought, and one
-    for each other key it returns.
+    keys over a denominator that grows when an addend needs it; `series`
+    returns the keyed form at the least denominator.
     """
 
-    __slots__ = ("den", "coeffs", "exps", "cutoff")
+    __slots__ = ("den", "coeffs", "cutoff")
 
     def __init__(self, start: NovikovSeries):
-        self.den = den = math.lcm(*[e.denominator for e, _ in start.terms])
-        self.coeffs = coeffs = {}
-        self.exps = exps = {}
-        for e, c in start.terms:
-            k = e.numerator * (den // e.denominator)
-            coeffs[k] = c
-            exps[k] = e
+        self.den = start._den
+        self.coeffs = dict(zip(start._keys, start._coeffs))
         self.cutoff = start.cutoff
 
     def _grow(self, d: int) -> int:
@@ -496,38 +524,32 @@ class _RunningSum:
         factor = d // math.gcd(self.den, d)
         self.den *= factor
         self.coeffs = {k * factor: v for k, v in self.coeffs.items()}
-        self.exps = {k * factor: v for k, v in self.exps.items()}
         return self.den
 
     def add(self, x: NovikovSeries) -> None:
-        den, coeffs, exps = self.den, self.coeffs, self.exps
-        for e, c in x.terms:
-            d = e.denominator
-            if den % d:
-                den = self._grow(d)
-                coeffs, exps = self.coeffs, self.exps
-            k = e.numerator * (den // d)
+        den, coeffs = self.den, self.coeffs
+        if den % x._den:
+            den = self._grow(x._den)
+            coeffs = self.coeffs
+        scale = den // x._den
+        for k, c in zip(x._keys, x._coeffs):
+            k *= scale
             total = coeffs.get(k, 0) + c
             if abs(total) <= ZERO_TOL:
                 coeffs.pop(k, None)
             else:
                 coeffs[k] = total
-                exps.setdefault(k, e)
         self.cutoff = _min_cutoff(self.cutoff, x.cutoff)
 
     def add_product(
-        self, num: int, den: int, x: NovikovSeries, right=None, lefts=(),
-        exp: Optional[Fraction] = None,
+        self, num: int, den: int, x: NovikovSeries, right=None, lefts=()
     ) -> None:
         """`add` of q^(num/den) * l_m * (... (l_1 * (x * right))), where
         `right` (unless None) and each l_i are the coefficients of exact
         one-term factors whose exponents, with num/den, sum to the shift
-        num/den; den > 0.  `exp`, when the caller holds the shift as a
-        Fraction, is that object: `series` returns it as the exponent of
-        the shift's key (where x's exponent-0 term lands) instead of
-        building a new Fraction, so the entries of one product share it.
+        num/den; den > 0, and num/den need not be in lowest terms.
 
-        One pass over x's terms, with no intermediate series.  Each term's
+        One pass over x's keys, with no intermediate series.  Each term's
         coefficient goes through the stages of the one-term products it
         replaces: `0 + c * right`, then `0 + l * c` for each l in order,
         dropped at the first stage where |c| <= ZERO_TOL.  A kept term
@@ -537,15 +559,17 @@ class _RunningSum:
         makes the whole product the exact zero, which adds nothing; the
         caller does not call this then.
         """
-        terms = x.terms
-        if terms:
+        keys = x._keys
+        if keys:
             tol = ZERO_TOL
-            base, coeffs = self.den, self.coeffs
+            base = self.den
             if base % den:
                 base = self._grow(den)
-                coeffs = self.coeffs
-            shift = num * (base // den)
-            for e, c in terms:
+            if base % x._den:
+                base = self._grow(x._den)
+            coeffs = self.coeffs
+            shift, scale = num * (base // den), base // x._den
+            for k, c in zip(keys, x._coeffs):
                 if right is not None:
                     c = 0 + c * right
                     if abs(c) <= tol:
@@ -555,34 +579,21 @@ class _RunningSum:
                     if abs(c) <= tol:
                         break
                 else:
-                    d = e.denominator
-                    if base % d:
-                        base = self._grow(d)
-                        coeffs = self.coeffs
-                        shift = num * (base // den)
-                    k = shift + e.numerator * (base // d)
+                    k = shift + k * scale
                     total = coeffs.get(k, 0) + c
                     if abs(total) <= tol:
                         coeffs.pop(k, None)
                     else:
                         coeffs[k] = total
-            if exp is not None and shift in coeffs:
-                self.exps.setdefault(shift, exp)
         if x.cutoff is not None:
             self.cutoff = _min_cutoff(self.cutoff, x.cutoff + Fraction(num, den))
 
     def series(self) -> NovikovSeries:
-        den, coeffs, exps, cut = self.den, self.coeffs, self.exps, self.cutoff
+        den, coeffs, cut = self.den, self.coeffs, self.cutoff
         keys = sorted(coeffs)
         if cut is not None:
             del keys[bisect.bisect_left(keys, _key_bound(cut, den)):]
-        return NovikovSeries._canonical(
-            tuple([
-                (exps[k] if k in exps else Fraction(k, den), coeffs[k])
-                for k in keys
-            ]),
-            cut,
-        )
+        return NovikovSeries._from_keys(den, keys, [coeffs[k] for k in keys], cut)
 
 
 class _Held:
@@ -641,7 +652,7 @@ def verdict_window(cutoff: Rational, series: Optional[NovikovSeries] = None):
 
 def vanishes(x: NovikovSeries, cutoff: Rational) -> bool:
     """x has no term below its verdict window at `cutoff`."""
-    return not x.terms or x.terms[0][0] >= verdict_window(cutoff, x)
+    return not x._keys or x._keys[0] >= _key_bound(verdict_window(cutoff, x), x._den)
 
 
 def lattice_window(c: Rational, X: Rational) -> Tuple[int, int]:
@@ -763,16 +774,15 @@ def _fraction_multiple(num: int, den: int, x: NovikovSeries) -> NovikovSeries:
         return Fraction(num, den) * x
     fb = num / den
     cb = complex(fb)
-    return NovikovSeries._below(
-        (
-            (
-                e,
-                c * cb if type(c) is complex
-                else c * fb if type(c) is float
-                else c * Fraction(num, den),
-            )
-            for e, c in x.terms
-        ),
+    return NovikovSeries._from_keys(
+        x._den,
+        x._keys,
+        [
+            c * cb if type(c) is complex
+            else c * fb if type(c) is float
+            else c * Fraction(num, den)
+            for c in x._coeffs
+        ],
         x.cutoff,
     )
 

@@ -119,20 +119,22 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     exact zero, which adds no term and no window to a sum, so it is not
     formed; an entry with no other product is `zero()`.  A zero that
     carries a cutoff is still multiplied: its cutoff reaches the entry.
+    Each entry's test is read once per call, not once per product.
     """
     cols = tuple(zip(*b))
+    live_cols = [[bool(y._keys) or y.cutoff is not None for y in col] for col in cols]
+    zero = NovikovSeries.zero()
     out = []
     for row in a:
+        live_row = [bool(x._keys) or x.cutoff is not None for x in row]
         out_row = []
-        for col in cols:
+        for col, live_col in zip(cols, live_cols):
             acc = None
-            for x, y in zip(row, col):
-                if (x.terms or x.cutoff is not None) and (
-                    y.terms or y.cutoff is not None
-                ):
+            for x, y, x_live, y_live in zip(row, col, live_row, live_col):
+                if x_live and y_live:
                     p = x * y
                     acc = p if acc is None else acc + p  # zero() + p is p
-            out_row.append(NovikovSeries.zero() if acc is None else acc)
+            out_row.append(zero if acc is None else acc)
         out.append(tuple(out_row))
     return tuple(out)
 
@@ -217,22 +219,24 @@ class LocalSystem:
         return tuple(tuple(row) for row in out)
 
     def _rank1_transport(self):
-        """For a rank-1 system, t -> transport(t)[0][0] without the
-        matrix, for a Fraction t.  An eigenvalue that is one exact term c0
-        gives the exact term (0, c) with c = 0 + cmath.exp(t * log(c0)),
-        the expression `fractional_power` ends in, with log(c0) taken
-        once here, or None where the drop rule makes that term zero.  A
-        series eigenvalue gives its `fractional_power`."""
+        """For a rank-1 system, (num, den) -> transport(num/den)[0][0]
+        without the matrix, for ints num and den != 0 at any common scale.
+        An eigenvalue that is one exact term c0 gives the exact term
+        (0, c), c = 0 + cmath.exp(complex(num / den) * log(c0)): the
+        expression `fractional_power` ends in, as a Fraction t times a
+        complex forms it, with log(c0) taken once here; or None where the
+        drop rule makes that term zero.  A series eigenvalue gives its
+        `fractional_power` at num/den."""
         (eig, _), = self.blocks
-        if eig.cutoff is None and len(eig.terms) == 1:
-            log_c0 = cmath.log(eig.terms[0][1])
+        if eig.cutoff is None and len(eig._keys) == 1:
+            log_c0 = cmath.log(eig._coeffs[0])
 
-            def scalar(t: Fraction):
-                c = _kept(cmath.exp(t * log_c0) if t != 0 else 1.0 + 0.0j)
+            def scalar(num: int, den: int):
+                c = _kept(cmath.exp(complex(num / den) * log_c0) if num else 1.0 + 0.0j)
                 return None if c is None else (_ZERO, c)
 
             return scalar
-        return lambda t: fractional_power(eig, t)
+        return lambda num, den: fractional_power(eig, Fraction(num, den))
 
     def monodromy(self) -> Matrix:
         return self.transport(1)

@@ -1,7 +1,7 @@
 """Golden corpus: byte-for-byte `--json` outputs of every verb (the
 Floer verbs `cf`, `mu2` with and without `--triangles` and `assoc`, and
 the theta, K-theory, mirror and cobordism verbs) and the exact terms and
-cutoffs of three library-level `mu2` products.
+cutoffs of four library-level `mu2` products.
 
 The Floer files under tests/golden/ were recorded once, from the
 grid-scan intersection enumerator and the series-by-series triangle
@@ -9,7 +9,9 @@ accumulation that preceded the closed-form enumerator and the per-entry
 accumulator; `mu2_phase3_c16.json` from the matrix-only triangle sum
 that preceded the rank-1 path and its scalar transports;
 `relations_top.json` from the relation suite that built every relation
-from its public family constructor.  The files of the other verbs were
+from its public family constructor; the `markers_series_c32` product of
+`library_products.json` from the `Fraction` triangle walk that preceded
+the integer lattice walk.  The files of the other verbs were
 recorded from the code that still carried the mpmath coefficient backend and three
 separate loops for sums with multiplicities; their inputs use grammar
 phases and large multiplicities, so a change in evaluation order or
@@ -169,10 +171,12 @@ def _weights(space, rows, cols, salt):
 
 
 def library_products():
-    """Three products with every generator weighted, so that each output
+    """Four products with every generator weighted, so that each output
     entry sums many triangles: a Jordan rank-2 system on the middle
-    brane of a small triple, the heavy rank-1 triple, and the heavy
-    triple with the Jordan system on its middle brane."""
+    brane of a small triple, the heavy rank-1 triple, the heavy triple
+    with the Jordan system on its middle brane, and a rank-1 triple with
+    negative d02 and d12, its own Pin markers and a series eigenvalue,
+    which no CLI input can set."""
     jordan = LocalSystem.from_eigenvalue(cmath.exp(2j * cmath.pi / 7), 2)
     l0 = Brane((0, -1), F(1, 4))
     l1 = Brane((1, 2), F(0), local_system=jordan)
@@ -199,10 +203,28 @@ def library_products():
         FloerElement(s01, _weights(s01, 2, 1, 6)),
         F(6),
     )
+    # d01, d02, d12 = -5, -7, -4; a Pin marker off the default on every
+    # brane; two constant phases and a series eigenvalue, all rank 1
+    series = LocalSystem.from_eigenvalue(NovikovSeries(
+        ((0, cmath.exp(2j * cmath.pi / 5)), (F(1, 2), 0.25 - 0.5j), (F(2, 3), 0.125)),
+        F(8),
+    ))
+    m0 = Brane((1, 2), F(1, 6), 0, F(2, 11),
+               LocalSystem.from_eigenvalue(cmath.exp(2j * cmath.pi / 9)))
+    m1 = Brane((2, -1), F(2, 7), 0, F(3, 7), series)
+    m2 = Brane((2, -3), F(3, 10), 0, F(2, 9),
+               LocalSystem.from_eigenvalue(cmath.exp(-6j * cmath.pi / 11)))
+    s01, s12 = cf(m0, m1), cf(m1, m2)
+    markers = mu2(
+        FloerElement(s12, _weights(s12, 1, 1, 7)),
+        FloerElement(s01, _weights(s01, 1, 1, 8)),
+        F(32),
+    )
     return {
         "rank2_jordan_c12": rank2,
         "heavy_weighted_c8": heavy,
         "heavy_rank2_c6": heavy_rank2,
+        "markers_series_c32": markers,
     }
 
 

@@ -33,7 +33,9 @@ records the mutants these tests kill; `python tests/mutants.py` re-runs
 it.  The work-count tests pin what a series holds (one inverse per
 series object, each power of a point's unit formed once across
 `section_through` and `eval_section`, each power of eps formed once per
-mu2 call), that holding it changes no identity of the series, that
+mu2 call), that holding it changes no identity of the series, that a
+series a kernel builds holds only integer keys at its least denominator
+until its terms are read, with the identity of its Fraction twin, that
 each shared piece of the relation suite is built once, that a suite
 holds one sum per bundle on its points and shares none with another
 suite, and that each distinct sum of a suite is classed once, with the
@@ -669,23 +671,28 @@ def _systems(draw, max_rank):
 _slope = st.sampled_from(
     [(m, n) for m in range(-3, 4) for n in range(-3, 4) if math.gcd(m, n) == 1]
 )
+#: the triangle walk's slopes: entries in [-6, 6]
+_wide_slope = st.sampled_from(
+    [(m, n) for m in range(-6, 7) for n in range(-6, 7) if math.gcd(m, n) == 1]
+)
 _shift = _q(0, 11, st.sampled_from([1, 2, 3, 5, 7, 12]))
 _marker = st.one_of(
     st.just(DEFAULT_MARKER), _q(0, 11, st.sampled_from([2, 3, 5, 7, 12, 64]))
 )
 
 
-def _branes(max_rank):
+def _branes(max_rank, slope=_slope):
     """Branes with the trivial system or one Jordan block of rank 1 to
     max_rank."""
     system = st.one_of(
         st.just(LocalSystem.trivial()),
         st.builds(LocalSystem.from_eigenvalue, _eigen, st.integers(1, max_rank)),
     )
-    return st.builds(Brane, _slope, _shift, st.integers(-1, 1), _marker, system)
+    return st.builds(Brane, slope, _shift, st.integers(-1, 1), _marker, system)
 
 
 _BRANES = {rank: _branes(rank) for rank in (1, 2, 3)}
+_WALK_BRANES = {rank: _branes(rank, _wide_slope) for rank in (1, 2)}
 
 
 _above_tol = math.nextafter(ZERO_TOL, 1.0)
@@ -726,8 +733,9 @@ def _element(draw, l0, l1):
 
 @st.composite
 def _products(draw):
-    """(phi2, phi1, cutoff) on three rank-1 branes, or three of rank 1 or 2."""
-    branes = _BRANES[draw(st.sampled_from([1, 2]))]
+    """(phi2, phi1, cutoff) on three rank-1 branes, or three of rank 1 or
+    2, with drawn Pin markers and slope entries in [-6, 6]."""
+    branes = _WALK_BRANES[draw(st.sampled_from([1, 2]))]
     b0, b1, b2 = (draw(branes) for _ in range(3))
     try:
         phi1, phi2 = draw(_element(b0, b1)), draw(_element(b1, b2))
@@ -749,6 +757,9 @@ _x = _q(-40, 40, st.integers(1, 13))
 
 @settings(max_examples=300, deadline=None)
 @given(_series, _series)
+# 2e-12 * 0.5 is ZERO_TOL exactly: the product drops it, one-term or not
+@example(NovikovSeries(((0, 2 * ZERO_TOL),)), NovikovSeries(((0, 0.5), (1, 1.0))))
+@example(NovikovSeries(((0, 2 * ZERO_TOL), (1, 1.0))), NovikovSeries(((0, 0.5), (1, 1.0))))
 def test_product_matches_the_dict_of_fractions_product(a, b):
     assert repr(a * b) == repr(mul_oracle(a, b))
     assert repr(b * a) == repr(mul_oracle(b, a))
@@ -761,6 +772,8 @@ def test_sum_matches_the_constructor_sum(a, b, c):
     assert repr(b + a) == repr(add_oracle(b, a))
     assert repr(a + c) == repr(add_oracle(a, NovikovSeries(((0, c),))))
     assert repr(a - b) == repr(add_oracle(a, neg_oracle(b)))
+    assert repr(c - a) == repr(NovikovSeries.constant(c) + (-a))  # __rsub__
+    assert repr(c - a) == repr(add_oracle(NovikovSeries(((0, c),)), neg_oracle(a)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -995,6 +1008,12 @@ def _weighted(l0, l1, weight):
 
 
 _L0, _L1, _L2 = Brane((0, -1), F(1, 4)), Brane((1, 2)), Brane((1, 0), F(1, 3))
+#: d01, d02, d12 = -5, -7, -4; generators and offsets with denominators,
+#: so R > 1; Pin markers off the default, and odd degrees
+_N0 = Brane((1, 2), F(1, 6), 1, F(2, 11))
+_N1 = Brane((2, -1), F(2, 7), 0, F(3, 7), LocalSystem.from_eigenvalue(_phase))
+_N2 = Brane((2, -3), F(3, 10), -1, F(2, 9))
+_N1_JORDAN = Brane((2, -1), F(2, 7), 0, F(3, 7), LocalSystem.from_eigenvalue(_phase, 2))
 _TINY_L0 = Brane((0, -1), F(1, 4), local_system=LocalSystem.from_eigenvalue(1e-6))
 _C = NovikovSeries.constant
 
@@ -1010,6 +1029,12 @@ _C = NovikovSeries.constant
 # (1e-6)^s drops to zero on the arcs s >= 2, before the generator 1e6
 # would lift it back above ZERO_TOL
 @example((_weighted(_L1, _L2, _C(1)), _weighted(_TINY_L0, _L1, _C(1e6)), F(8)))
+# negative d02 and d12 with R > 1, rank 1 (a series generator) and rank 2
+@example((_weighted(_N1, _N2, _C(0.5j)),
+          _weighted(_N0, _N1, NovikovSeries(((0, 1), (F(1, 3), 0.25)), F(9))), F(12)))
+@example((FloerElement(cf(_N1_JORDAN, _N2), {c: ((_C(1), _C(-1j)),)
+                                              for c in cf(_N1_JORDAN, _N2).coords()}),
+          generator_element(_N0, _N1_JORDAN, cf(_N0, _N1_JORDAN).coords()[2]), F(10)))
 def test_mu2_walk_matches_the_one_loop_oracle(product):
     """Ranks 1 and 2: the rank-1 path and the matrix loop of `floer._sum`
     against one matrix loop, and the triangle listing."""
@@ -1037,22 +1062,36 @@ def test_generator_element_matches_the_cli_generator_oracle(data, l0, l1):
         assert repr(generator_element(l0, l1, coords[idx])) == want
 
 
-def _exponents_of_operands(result, *operands):
-    """Every exponent of `result` is an exponent object of an operand."""
-    return all(
-        any(e is f for x in operands for f, _ in x.terms) for e, _ in result.terms
-    )
+_TERMS = NovikovSeries.__dict__["terms"]  # the slot, read without forming it
 
 
-@settings(max_examples=200, deadline=None)
-@given(_series, st.lists(st.one_of(_series, colliding), min_size=1, max_size=4))
-def test_sums_return_their_operands_exponent_objects(start, addends):
-    acc = _RunningSum(start)
-    for x in addends:
-        assert _exponents_of_operands(start + x, start, x)
-        assert _exponents_of_operands(x - start, x, start)
-        acc.add(x)
-    assert _exponents_of_operands(acc.series(), start, *addends)
+def _holds_terms(x):
+    try:
+        _TERMS.__get__(x)
+    except AttributeError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series, st.one_of(_series, colliding), _expo, _weight, _weight, _q(2, 12, 2))
+def test_a_kernel_built_series_holds_keys_until_its_terms_are_read(a, b, e, w1, w2, cut):
+    """Sums, products, negation, truncation, the fused add and a mu2
+    output entry hold only keys, at the least denominator: `==` with the
+    public constructor's series of the same pairs reads no terms, and the
+    terms formed on the first read, `hash` and `repr` are the twin's."""
+    acc = _RunningSum(a)
+    acc.add_product(e.numerator, e.denominator, b, None, (1,))
+    out = mu2(_weighted(_L1, _L2, w2), _weighted(_L0, _L1, w1), cut)
+    built = [a + b, b - a, a * b, -a, a.truncated(e), acc.series()]
+    built += [x for _, m in out.components for row in m for x in row]
+    for x in built:
+        assert not _holds_terms(x)
+        pairs = [(F(k, x._den), c) for k, c in zip(x._keys, x._coeffs)]
+        twin = NovikovSeries(pairs, x.cutoff)
+        assert x == twin and twin == x and not _holds_terms(x)
+        assert repr(x.terms) == repr(twin.terms) and _holds_terms(x)
+        assert hash(x) == hash(twin) and repr(x) == repr(twin) and x == twin
 
 
 # ---------------------------------------------------------------------------
@@ -1214,33 +1253,14 @@ _SIX, _BELOW_SIX = NovikovSeries.constant(1e-6), math.nextafter(1e-6, 0.0)
 @example(_ZERO_AT_4, [(_SIX, F(1, 3), _BELOW_SIX, [1e6])])  # right drops it
 @example(_ZERO_AT_4, [(_SIX, F(1, 3), None, [_BELOW_SIX, 1e6])])  # a left does
 def test_add_product_matches_adding_the_product(start, items):
-    """With and without the caller's shift object, which names an
-    exponent and changes no value."""
-    acc, shared, want = _RunningSum(start), _RunningSum(start), _RunningSum(start)
+    """The shift as given and times a common factor, which changes no
+    value."""
+    acc, scaled, want = _RunningSum(start), _RunningSum(start), _RunningSum(start)
     for x, shift, right, lefts in items:
         acc.add_product(shift.numerator, shift.denominator, x, right, lefts)
-        shared.add_product(shift.numerator, shift.denominator, x, right, lefts, shift)
+        scaled.add_product(6 * shift.numerator, 6 * shift.denominator, x, right, lefts)
         want.add(add_product_oracle(shift, x, right, lefts))
-        assert repr(acc.series()) == repr(shared.series()) == repr(want.series())
-
-
-def test_add_product_returns_the_callers_shift_object():
-    """x's exponent-0 term lands on the shift: `series` returns the
-    caller's Fraction there, in every entry given it, and builds one for
-    the other exponents; an exponent an operand of `add` brought first
-    keeps that object."""
-    area = F(5, 3)
-    x = NovikovSeries(((0, 2.0), (F(1, 2), 1.0)), 8)
-    entries = [_RunningSum(NovikovSeries.zero(8)) for _ in range(2)]
-    for entry in entries:
-        entry.add_product(5, 3, x, None, (1,), area)
-    outs = [entry.series() for entry in entries]
-    assert [out.terms[0][0] is area for out in outs] == [True, True]
-    assert outs[0].terms[1][0] is not outs[1].terms[1][0]
-    early = F(5, 3)
-    entry = _RunningSum(NovikovSeries.q_power(early, 1.0, 8))
-    entry.add_product(5, 3, x, None, (1,), area)
-    assert entry.series().terms[0][0] is early
+        assert repr(acc.series()) == repr(scaled.series()) == repr(want.series())
 
 
 # ---------------------------------------------------------------------------
