@@ -1094,6 +1094,28 @@ def test_a_kernel_built_series_holds_keys_until_its_terms_are_read(a, b, e, w1, 
         assert hash(x) == hash(twin) and repr(x) == repr(twin) and x == twin
 
 
+def _exponents_of_operands(result, *operands):
+    """`result` holds no exponent object of its own, and every exponent
+    its keys name is an exponent of an operand."""
+    have = {F(k, x._den) for x in operands for k in x._keys}
+    return not _holds_terms(result) and all(
+        F(k, result._den) in have for k in result._keys
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series, st.lists(st.one_of(_series, colliding), min_size=1, max_size=4))
+def test_sums_return_their_operands_exponent_objects(start, addends):
+    """A sum places its terms on its operands' exponents, as keys at its
+    own denominator, and forms no Fraction for them."""
+    acc = _RunningSum(start)
+    for x in addends:
+        assert _exponents_of_operands(start + x, start, x)
+        assert _exponents_of_operands(x - start, x, start)
+        acc.add(x)
+    assert _exponents_of_operands(acc.series(), start, *addends)
+
+
 # ---------------------------------------------------------------------------
 # work shared within one call
 # ---------------------------------------------------------------------------
@@ -1261,6 +1283,29 @@ def test_add_product_matches_adding_the_product(start, items):
         scaled.add_product(6 * shift.numerator, 6 * shift.denominator, x, right, lefts)
         want.add(add_product_oracle(shift, x, right, lefts))
         assert repr(acc.series()) == repr(scaled.series()) == repr(want.series())
+
+
+def test_add_product_returns_the_callers_shift_object():
+    """x's exponent-0 term lands on the caller's shift num/den, in every
+    entry given it and for the shift in any terms, held as a key at the
+    least denominator with no exponent object formed; each entry forms
+    its own exponents when read.  An exponent an operand of `add` brought
+    first takes the product's coefficient on its key."""
+    x = NovikovSeries(((0, 2.0), (F(1, 2), 1.0)), 8)
+    entries = [_RunningSum(NovikovSeries.zero(8)) for _ in range(3)]
+    for entry, (num, den) in zip(entries, [(5, 3), (5, 3), (10, 6)]):
+        entry.add_product(num, den, x, None, (1,))
+    outs = [entry.series() for entry in entries]
+    for out in outs:
+        assert not _holds_terms(out)
+        assert (out._den, out._keys) == (6, (10, 13))
+        assert out.terms == ((F(5, 3), 2.0), (F(13, 6), 1.0))
+    assert outs[0].terms[1][0] is not outs[1].terms[1][0]
+    entry = _RunningSum(NovikovSeries.q_power(F(5, 3), 1.0, 8))
+    entry.add_product(5, 3, x, None, (1,))
+    out = entry.series()
+    assert (out._den, out._keys) == (6, (10, 13))
+    assert out.terms == ((F(5, 3), 3.0), (F(13, 6), 1.0))
 
 
 # ---------------------------------------------------------------------------
