@@ -64,6 +64,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -535,9 +536,10 @@ def _mirror_steps(args, sheaf: SumAst) -> int:
 #: plus 1/2 per scalar product of its matrices (3-7 us each).  With the
 #: scalar group law and the integer walk, at the bound (best of 3) the
 #: group-law verbs take 15-30 ms; cf takes 0.63-0.85 s, mu2 0.15-0.58 s
-#: and assoc 0.53 s (6-40 times as long), but 0.04-0.06 s with a rank-r
-#: system on every brane, because mat_mul does not form the exact-zero
-#: products that the rank term counts.
+#: and assoc 0.53 s (6-40 times as long).  With a rank-r system (rank 167
+#: on one brane, 64 on l0 at cutoff 512, 19 on every brane) mu2 and assoc
+#: take 4-27 ms, because the scalar chain of `floer` forms only the
+#: nonzero products among those the rank term counts.
 _POINT, _WALKED, _LISTED, _WEIGHTED = 5, 4, 16, 16
 
 
@@ -992,25 +994,42 @@ def _emit_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
-def _report(exc: Exception, as_json: bool) -> int:
-    """Print a rejected run and return its exit code: 2 for a domain
-    error, 1 for a usage or parse error.  Under --json one object goes to
-    stdout; otherwise one labelled line goes to stderr, unless argparse
+def _report(exc: Exception, as_json: bool) -> Tuple[int, Optional[str]]:
+    """The exit code of a rejected run, 2 for a domain error and 1 for a
+    usage or parse error, and its text for stdout: under --json one object;
+    otherwise None, and one labelled line goes to stderr, unless argparse
     has printed its own text already."""
     domain = isinstance(exc, TorushmsError)
+    code = 2 if domain else 1
     if as_json:
         detail = {}
         if isinstance(exc, ParseError):
             detail = {"position": exc.position, "expected": list(exc.expected)}
-        print(_emit_json({"error": str(exc), "kind": exc.kind,
-                          "detail": detail}))
-    elif not getattr(exc, "on_stderr", False):
+        return code, _emit_json({"error": str(exc), "kind": exc.kind, "detail": detail})
+    if not getattr(exc, "on_stderr", False):
         label = f"error[{exc.kind}]" if domain else f"{exc.kind} error"
         print(f"{label}: {exc}", file=sys.stderr)
-    return 2 if domain else 1
+    return code, None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code.  Only argparse's help and
+    the answer go to stdout.  When the reader closes it early (`| head -c
+    5`), the rest goes to os.devnull and the exit code is the answer's (0
+    for --help), with no traceback."""
+    code = 0
+    try:
+        code, text = _answer(argv)
+        if text is not None:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
+def _answer(argv: Optional[Sequence[str]]) -> Tuple[int, Optional[str]]:
+    """The exit code of one command and its text for stdout, if any."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     as_json = "--json" in argv
     try:
@@ -1035,12 +1054,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             pairs = _realize_terms(tree)
             setattr(args, e.flag[2:], pairs if e.sums else pairs[0][0])
         payload, plain = args.run(args)
-    except SystemExit as exc:  # --help
-        return 0 if exc.code in (0, None) else 1
+    except SystemExit as exc:  # --help, printed by argparse
+        return (0 if exc.code in (0, None) else 1), None
     except (_UsageError, ParseError, TorushmsError) as exc:
         return _report(exc, as_json)
-    print(_emit_json(payload) if as_json else "\n".join(plain))
-    return 0
+    return 0, _emit_json(payload) if as_json else "\n".join(plain)
 
 
 if __name__ == "__main__":

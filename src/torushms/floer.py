@@ -21,13 +21,13 @@ Each triangle contributes
 where the T_i are local-system parallel transports along the boundary
 arcs (arc fractions s, -t, -d against each brane's oriented direction)
 and sign = (-1)^(i(y1)) * (-1)^(crossings+1), with `crossings` the
-number of Pin markers met by the triangle boundary.  When all three
-local systems have rank 1, `_sum` forms this product without matrices,
-with the same factors in the same order; a transport whose eigenvalue is
-one exact term c0 is then the scalar exp(t log c0), t = num/den.  A
-local system of rank 2 or more sends the whole product through the
-matrix loop: matrix transports and four `mat_mul`s per triangle.  Both
-add each triangle's entries with `novikov._RunningSum.add_product`.
+number of Pin markers met by the triangle boundary.  `_sum` forms it
+with the factors, products and sums of four `mat_mul`s in their order:
+on three rank-1 systems without matrices; where every eigenvalue and
+generator entry is an exact constant, on scalars (`torus.scalar_chain`:
+a Jordan transport is one scalar per superdiagonal, and exact zeros form
+no product, so an e00 generator touches one row or column); otherwise by
+the matrix loop.
 Only triangles whose corner cycle (y0, y1, y2) has positive signed area
 contribute to this ordered product; when the slope data forces the
 opposite orientation the product is identically zero (and degree
@@ -48,19 +48,17 @@ precision.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._record import record
-from .errors import (
-    DegenerateConfiguration,
-    MarkerCollision,
-    NonTransverse,
-)
+from .errors import DegenerateConfiguration, MarkerCollision, NonTransverse
 from .novikov import (
     NovikovSeries,
     Rational,
+    _ZERO,
     _kept,
     _RunningSum,
     _largest,
@@ -81,6 +79,8 @@ from .torus import (
     mat_max_abs,
     mat_mul,
     mat_scale,
+    scalar_chain,
+    scalar_columns,
 )
 
 __all__ = [
@@ -335,12 +335,13 @@ def _marker_form(line, y1c: Vec, arc: Fraction, drift: Fraction):
             c1.numerator * (M // c1.denominator), arc > 0)
 
 
-def _walk(phi1: FloerElement, phi2: FloerElement, chain, cutoff: Fraction,
-          out_coords, listing: Optional[list] = None):
+def _walk(comps1, comps2, chain, cutoff: Fraction, out_coords,
+          listing: Optional[list] = None):
     """Yield each triangle of mu2(phi2, phi1) with area below `cutoff`
     whose y2 corner phi2 weights, as (y0, a1, a2, U, R, sign), y0 an
-    object of `out_coords`; with `listing`, append every triangle as
-    `mu2_triangles` lists it.  `chain` is `_chain(phi2, phi1)`.
+    object of `out_coords` and a1, a2 values of phi1's and phi2's (coords,
+    value) pairs comps1 and comps2; with `listing`, append every triangle
+    as `mu2_triangles` lists it.  `chain` is `_chain(phi2, phi1)`.
 
     Per generator y1, u = k + r and k runs through `lattice_window(r, X)`:
     down from floor(-r), then up.  U = R u, for R the least common
@@ -360,7 +361,7 @@ def _walk(phi1: FloerElement, phi2: FloerElement, chain, cutoff: Fraction,
     base2v = det2(b2.base_point, v2)
     deg = (-1) ** index_of(b0, b1)
     e0, e2 = (1 if d02 > 0 else -1), (1 if d12 > 0 else -1)
-    for y1c, a1 in phi1.components:
+    for y1c, a1 in comps1:
         r = base2v - det2(y1c, v2)
         if r.denominator == 1:
             raise DegenerateConfiguration(
@@ -371,7 +372,7 @@ def _walk(phi1: FloerElement, phi2: FloerElement, chain, cutoff: Fraction,
              y1c[1].numerator * (R // y1c[1].denominator))
         D0, D2 = R * abs(d02), R * abs(d12)
         y0_at = _scaled(((c, c) for c in out_coords), D0)
-        y2_at = _scaled(phi2.components, D2)
+        y2_at = _scaled(comps2, D2)
         arcs = (Fraction(1, R * d02), 0), (Fraction(1, R * d12), 0), (
             Fraction(-d01, R * d02 * d12), Fraction(drift, R * d12))
         forms = [_marker_form(line, y1c, *a) for line, a in zip(lines, arcs)]
@@ -467,60 +468,75 @@ def _add_rank1(entry: _RunningSum, ops, num: int, den: int, sign: int) -> None:
     )
 
 
+def _arc_transport(system, scalar, path: str):
+    """(num, den) -> `system`'s transport over num/den as `path` takes it
+    (`scalar` is `system.scalar_transport()`); "rank1" an `_add_rank1` op."""
+    if path == "matrix":
+        return lambda num, den: system.transport(Fraction(num, den))
+    if scalar is None:  # a series eigenvalue on rank 1
+        return lambda num, den: system.transport(Fraction(num, den))[0][0]
+    scalars, blocks = scalar
+    if path == "scalar":
+        return lambda num, den: (scalars(num, den), blocks)
+    return lambda num, den: None if (c := scalars(num, den)[0]) is None else (_ZERO, c)
+
+
 def _sum(phi2: FloerElement, phi1: FloerElement, chain, cutoff: Fraction,
          listing: Optional[list] = None) -> FloerElement:
     """mu2(phi2, phi1) over the triangles `_walk` yields on `chain`.
 
-    The rank decides only how a triangle's product is added.  When all
-    three local systems have rank 1, `_add_rank1` forms it on the one
-    entry from the 1 x 1 entries and the rank-1 transports
-    (`LocalSystem._rank1_transport`, over arcs given as (num, den)),
-    without matrices.  Any higher rank takes four `mat_mul`s of matrix
-    transports over Fraction arcs, and `add_product` applies
-    q_power(area, sign) as each entry is added.  Each eigenvalue series
-    holds its own eps powers and inverse (see `novikov`), so every arc
-    over one system shares them."""
+    The inputs pick the path (module docstring), never the bits: rank 1
+    by `_add_rank1`; exact constants by `scalar_chain`, each entry signed
+    and added at the area (`add_term`); else four `mat_mul`s and
+    `add_product`.  Transports are over s = U/(R d02), -t = -U/(R d12) and
+    -d_arc = U d01/(R d02 d12) as (num, den); an eigenvalue series holds
+    its eps powers and inverse, shared by every arc (see `novikov`)."""
     b0, b1, b2, d01, d02, d12 = chain
     out_space = cf(b0, b2)
     rows, cols = out_space.hom_shape
     start = NovikovSeries.zero(cutoff)
-    l0, l1, l2 = [b.local_system for b in (b0, b1, b2)]
-    rank1 = l0.rank == l1.rank == l2.rank == 1
-    if rank1:
-        t0, t1, t2 = [ls._rank1_transport() for ls in (l0, l1, l2)]
-    acc: Dict[Vec, List[List[_RunningSum]]] = {}
-    triangles = _walk(phi1, phi2, chain, cutoff, out_space.coords(), listing)
+    systems = [b.local_system for b in (b0, b1, b2)]
+    scalars = [ls.scalar_transport() for ls in systems]
+    comps1, comps2 = phi1.components, phi2.components
+    path = "rank1" if rows == cols == systems[1].rank == 1 else "matrix"
+    if path == "matrix" and None not in scalars:
+        by_cols = [[(c, scalar_columns(m)) for c, m in comps] for comps in (comps1, comps2)]
+        if all(m is not None for comps in by_cols for _, m in comps):
+            path, (comps1, comps2) = "scalar", by_cols
+    t0, t1, t2 = (_arc_transport(ls, f, path) for ls, f in zip(systems, scalars))
+    # per output generator, the running sum of each entry a product reaches
+    acc: Dict[Vec, Dict[Tuple[int, int], _RunningSum]] = defaultdict(
+        lambda: defaultdict(lambda: _RunningSum(start)))
+    triangles = _walk(comps1, comps2, chain, cutoff, out_space.coords(), listing)
     for y0, a1, a2, U, R, sign in triangles:
-        sums = acc.get(y0)
-        if sums is None:
-            sums = acc[y0] = [
-                [_RunningSum(start) for _ in range(cols)] for _ in range(rows)
-            ]
+        sums = acc[y0]
         num, den = abs(d01) * U * U, 2 * abs(d02 * d12) * R * R  # the area
-        if rank1:
-            ops = (t0(U, R * d02), a1[0][0], t1(-U, R * d12), a2[0][0],
-                   t2(U * d01, R * d02 * d12))
-            _add_rank1(sums[0][0], ops, num, den, sign)
-            continue
-        s, t = Fraction(U, R * d02), Fraction(U, R * d12)
-        m = mat_mul(l2.transport(Fraction(U * d01, R * d02 * d12)), mat_mul(a2, mat_mul(
-            l1.transport(-t), mat_mul(a1, l0.transport(s)))))
-        lefts = (sign,)
-        for sum_row, m_row in zip(sums, m):
-            for entry, x in zip(sum_row, m_row):
-                entry.add_product(num, den, x, None, lefts)
-    final = {
-        c: tuple(tuple(x.series() for x in row) for row in sums)
-        for c, sums in acc.items()
-    }
-    return FloerElement(out_space, final)
+        T0, T1, T2 = t0(U, R * d02), t1(-U, R * d12), t2(U * d01, R * d02 * d12)
+        if path == "rank1":
+            _add_rank1(sums[0, 0], (T0, a1[0][0], T1, a2[0][0], T2), num, den, sign)
+        elif path == "scalar":
+            for i, m_row in scalar_chain(a1, T0, T1, a2, T2).items():
+                for j, c in m_row.items():
+                    c = _kept(sign * c)
+                    if c is not None:
+                        sums[i, j].add_term(num, den, c)
+        else:
+            m = mat_mul(T2, mat_mul(a2, mat_mul(T1, mat_mul(a1, T0))))
+            lefts = (sign,)
+            for i, m_row in enumerate(m):
+                for j, x in enumerate(m_row):
+                    if x._keys or x.cutoff is not None:
+                        sums[i, j].add_product(num, den, x, None, lefts)
+    return FloerElement(out_space, {  # an entry no product reached is `start`
+        c: tuple(tuple(sums[i, j].series() if (i, j) in sums else start
+                       for j in range(cols)) for i in range(rows))
+        for c, sums in acc.items()})
 
 
 def mu2(phi2: FloerElement, phi1: FloerElement, cutoff: Rational) -> FloerElement:
     """The triangle product CF(L1,L2) x CF(L0,L1) -> CF(L0,L2),
     truncated at `cutoff`."""
-    cutoff = Fraction(cutoff)
-    return _sum(phi2, phi1, _chain(phi2, phi1), cutoff)
+    return _sum(phi2, phi1, _chain(phi2, phi1), Fraction(cutoff))
 
 
 def mu2_triangles(
@@ -530,15 +546,12 @@ def mu2_triangles(
     (n, (p0, y1, p2), area, sign, (s, -t, -d_arc), crossings): the lift n
     of L2, the corners on L0∩L2, L0∩L1 and L1∩L2, the exact area, the
     sign, the transported arcs along L0, L1, L2, and the Pin markers met."""
-    chain = _chain(phi2, phi1)
-    cutoff = Fraction(cutoff)
     tris: List[tuple] = []
-    return _sum(phi2, phi1, chain, cutoff, tris), tris
+    return _sum(phi2, phi1, _chain(phi2, phi1), Fraction(cutoff), tris), tris
 
 
-def mu2_bruteforce(
-    phi2: FloerElement, phi1: FloerElement, cutoff: Rational
-) -> FloerElement:
+def mu2_bruteforce(phi2: FloerElement, phi1: FloerElement,
+                   cutoff: Rational) -> FloerElement:
     """Independent oracle for mu2: enumerate all lifts of all three
     lines in a bounding box sized from the cutoff, take pairwise
     intersections as corners, filter by orientation and area (shoelace),
@@ -550,8 +563,7 @@ def mu2_bruteforce(
         return FloerElement(out_space, {})
     i_y1 = index_of(b0, b1)
     v0, v1, v2 = b0.slope, b1.slope, b2.slope
-    supp1 = dict(phi1.components)
-    supp2 = dict(phi2.components)
+    supp1, supp2 = dict(phi1.components), dict(phi2.components)
     s_max = math.sqrt(2 * float(cutoff) * abs(d12) / (abs(d01) * abs(d02))) + 1
     t_max = math.sqrt(2 * float(cutoff) * abs(d02) / (abs(d01) * abs(d12))) + 1
     reach = 2 + max(
@@ -571,9 +583,7 @@ def mu2_bruteforce(
 
     acc: Dict[Vec, Matrix] = {}
     seen = set()
-    c0_base = det2(b0.base_point, v0)
-    c1_base = det2(b1.base_point, v1)
-    c2_base = det2(b2.base_point, v2)
+    c0_base, c1_base, c2_base = (det2(b.base_point, b.slope) for b in (b0, b1, b2))
     for k0 in range(-offsets[0], offsets[0] + 1):
         c0 = c0_base + k0
         for k1 in range(-offsets[1], offsets[1] + 1):
@@ -604,9 +614,7 @@ def mu2_bruteforce(
                 if key in seen:
                     continue
                 seen.add(key)
-                y1n = (key[0], key[1])
-                p0n = (key[2], key[3])
-                p2n = (key[4], key[5])
+                y1n, p0n, p2n = key[:2], key[2:4], key[4:]
                 y0g = (p0n[0] % 1, p0n[1] % 1)
                 y2g = (p2n[0] % 1, p2n[1] % 1)
                 a2 = supp2.get(y2g)
@@ -622,16 +630,8 @@ def mu2_bruteforce(
                 )
                 sign = (-1) ** i_y1 * (-1) ** (crossings + 1)
                 weight = NovikovSeries.q_power(area, sign)
-                m = mat_mul(
-                    b2.local_system.transport(-d_arc),
-                    mat_mul(
-                        a2,
-                        mat_mul(
-                            b1.local_system.transport(-t),
-                            mat_mul(a1, b0.local_system.transport(s)),
-                        ),
-                    ),
-                )
+                m = mat_mul(b2.local_system.transport(-d_arc), mat_mul(a2, mat_mul(
+                    b1.local_system.transport(-t), mat_mul(a1, b0.local_system.transport(s)))))
                 m = mat_scale(weight, m)
                 acc[y0g] = mat_add(acc[y0g], m) if y0g in acc else m
     final = {

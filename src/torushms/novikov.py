@@ -588,6 +588,20 @@ class _RunningSum:
         if x.cutoff is not None:
             self.cutoff = _min_cutoff(self.cutoff, x.cutoff + Fraction(num, den))
 
+    def add_term(self, num: int, den: int, c) -> None:
+        """`add` of the exact term c * q^(num/den), for a coefficient c that
+        the drop rule keeps (`_kept`) and den > 0: `add_product` of a
+        one-term x at exponent 0 once its stages have run."""
+        base = self.den
+        if base % den:
+            base = self._grow(den)
+        k = num * (base // den)
+        total = self.coeffs.get(k, 0) + c
+        if abs(total) <= ZERO_TOL:
+            self.coeffs.pop(k, None)
+        else:
+            self.coeffs[k] = total
+
     def series(self) -> NovikovSeries:
         den, coeffs, cut = self.den, self.coeffs, self.cutoff
         keys = sorted(coeffs)
@@ -749,14 +763,30 @@ def _series_inverse(a: NovikovSeries) -> NovikovSeries:
     return NovikovSeries._below(normalized(geo.series().terms), a.cutoff - 2 * v)
 
 
-def _binom(t: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(k):
-        out *= (t - j) / (k - j)
-    return out
+def _binomials(p: int, q: int):
+    """binom(p/q, k) for k = 1, 2, ... as (num, den) in lowest terms, q != 0
+    (den < 0 only for q < 0): binom(t, k) = binom(t, k - 1) (t - k + 1)/k
+    on integers.  Transports and `fractional_power` take every binomial
+    from here."""
+    num = den = 1
+    k = 0
+    while True:
+        num *= p - k * q
+        k += 1
+        den *= q * k
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        yield num, den
 
 
 _TOL_RATIO = ZERO_TOL.as_integer_ratio()  # ZERO_TOL, exactly
+
+
+def _ratio_dropped(num: int, den: int) -> bool:
+    """|num/den| <= ZERO_TOL, exactly, for ints num and den != 0: the drop
+    rule makes `constant(Fraction(num, den))` the zero series."""
+    tol_num, tol_den = _TOL_RATIO
+    return abs(num) * tol_den <= tol_num * abs(den)
 
 
 def _fraction_multiple(num: int, den: int, x: NovikovSeries) -> NovikovSeries:
@@ -769,8 +799,7 @@ def _fraction_multiple(num: int, den: int, x: NovikovSeries) -> NovikovSeries:
     define them so), and here they are formed once for all terms.  So
     every coefficient keeps its bits.
     """
-    tol_num, tol_den = _TOL_RATIO
-    if abs(num) * tol_den <= tol_num * den:  # constant(b) is the zero series
+    if _ratio_dropped(num, den):
         return Fraction(num, den) * x
     fb = num / den
     cb = complex(fb)
@@ -826,16 +855,9 @@ def fractional_power(u: NovikovSeries, t: Rational) -> NovikovSeries:
             "finite cutoff; truncate first"
         )
     out = _RunningSum(NovikovSeries.one())
-    # binom(t, k) = num/den in lowest terms, updated from binom(t, k - 1):
-    # the same rational as _binom(t, k)
-    p, q = t.numerator, t.denominator
-    num = den = 1
     k_max = math.ceil(float(u.cutoff) / float(eps.val()))
-    for k in range(1, k_max + 2):
-        num *= p - (k - 1) * q
-        den *= q * k
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
+    binomials = _binomials(t.numerator, t.denominator)
+    for k, (num, den) in zip(range(1, k_max + 2), binomials):
         if num == 0:
             break
         power = _nth(powers, eps, k, u.cutoff)

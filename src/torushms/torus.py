@@ -30,10 +30,11 @@ from .errors import MarkerCollision, NonTransverse, NonUnit
 from .novikov import (
     NovikovSeries,
     Rational,
-    _ZERO,
-    _binom,
+    _binomials,
+    _fraction_multiple,
     _kept,
     _largest,
+    _ratio_dropped,
     fractional_power,
     invert,
 )
@@ -143,6 +144,97 @@ def mat_max_abs(a: Matrix, below: Optional[Rational] = None) -> float:
     return _largest(x.max_abs_coeff(below) for row in a for x in row)
 
 
+# Scalar matrices: where every entry is an exact constant (one term at q^0,
+# no cutoff) or the exact zero, `mat_mul` reduces to products of scalars.
+# A generator is held by its columns, {k: [(i, c), ...]}; a product by its
+# rows, {i: {j: c}}; a `LocalSystem.scalar_transport` as (diagonals, blocks).
+# Only nonzero entries are held, so an e00 generator touches one row or one
+# column of the transports beside it.
+
+
+def scalar_columns(m: Matrix):
+    """m by its columns, or None unless every entry is an exact constant
+    or the exact zero."""
+    cols = {}
+    for i, row in enumerate(m):
+        for k, x in enumerate(row):
+            if x.cutoff is not None or x._keys not in ((), (0,)):
+                return None
+            if x._keys:
+                cols.setdefault(k, []).append((i, x._coeffs[0]))
+    return cols
+
+
+def _jordan_row(t, k: int) -> dict:
+    """Row k of the scalar transport t: the block's diagonals from k on."""
+    diags, blocks = t
+    lo, hi = blocks[k]
+    return {j: c for j in range(k, hi) if (c := diags[lo + j - k]) is not None}
+
+
+def _jordan_col(t, k: int) -> list:
+    """Column k of the scalar transport t, from the block's first row down."""
+    diags, blocks = t
+    lo = blocks[k][0]
+    return [(i, c) for i in range(lo, k + 1) if (c := diags[lo + k - i]) is not None]
+
+
+def _scalar_mul(col, rows: dict) -> dict:
+    """A B with A by col(k) -> [(i, x), ...] (or None) and B by its rows, as
+    `mat_mul` forms each entry: `0 + x * y` per product, the inner index
+    ascending, the running sum's `+`, the drop rule after each step.  An
+    inner index where either factor is the exact zero forms nothing."""
+    out = {}
+    for k in sorted(rows):
+        a = col(k)
+        if not a:
+            continue
+        row = rows[k].items()
+        for i, x in a:
+            acc = out.get(i)
+            if acc is None:
+                acc = out[i] = {}
+            for j, y in row:
+                p = _kept(x * y)
+                if p is None:
+                    continue
+                v = acc.get(j)
+                if v is not None:
+                    p = _kept(v + p)
+                    if p is None:
+                        del acc[j]
+                        continue
+                acc[j] = p
+    return out
+
+
+def scalar_chain(a1: dict, t0, t1, a2: dict, t2) -> dict:
+    """The rows of T2 . (a2 . (T1 . (a1 . T0))): generators a1 and a2 by
+    their columns, scalar transports t0, t1 and t2."""
+    m = _scalar_mul(a1.get, {k: _jordan_row(t0, k) for k in a1})
+    m = _scalar_mul(lambda k: _jordan_col(t1, k), m)
+    m = _scalar_mul(a2.get, m)
+    return _scalar_mul(lambda k: _jordan_col(t2, k), m)
+
+
+def _power_steps(c, k: int):
+    """The coefficient of `constant(c) ** k` for a kept c and k >= 1: from
+    1.0 + 0.0j by `__pow__`'s squarings and products, each through the drop
+    rule; None once one drops (the exact zero then stays zero)."""
+    out = 1.0 + 0.0j
+    while k:
+        if k & 1:
+            out = _kept(out * c)
+            if out is None:
+                return None
+        k >>= 1
+        if k:
+            c = _kept(c * c)
+            if c is None:
+                return None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # local systems
 # ---------------------------------------------------------------------------
@@ -201,7 +293,8 @@ class LocalSystem:
         block is written straight into the output matrix, and its
         diagonal (k = 0) is lam^t itself.  An eigenvalue series holds its
         eps powers and its inverse (see `novikov`), so transports over
-        many arcs form each of them once.
+        many arcs form each of them once.  `scalar_transport` forms the
+        same entries on scalars where every eigenvalue is one exact term.
         """
         t = Fraction(t)
         n = self.rank
@@ -210,33 +303,57 @@ class LocalSystem:
         offset = 0
         for eig, size in self.blocks:
             lam_t = fractional_power(eig, t)
-            inv_eig = invert(eig) if size > 1 else None
+            if size > 1:
+                inv_eig, binomials = invert(eig), _binomials(t.numerator, t.denominator)
             for k in range(size):
-                coeff = lam_t if k == 0 else lam_t * _binom(t, k) * inv_eig ** k
+                coeff = lam_t if k == 0 else (
+                    _fraction_multiple(*next(binomials), lam_t) * inv_eig ** k)
                 for i in range(offset, offset + size - k):
                     out[i][i + k] = coeff
             offset += size
         return tuple(tuple(row) for row in out)
 
-    def _rank1_transport(self):
-        """For a rank-1 system, (num, den) -> transport(num/den)[0][0]
-        without the matrix, for ints num and den != 0 at any common scale.
-        An eigenvalue that is one exact term c0 gives the exact term
-        (0, c), c = 0 + cmath.exp(complex(num / den) * log(c0)): the
-        expression `fractional_power` ends in, as a Fraction t times a
-        complex forms it, with log(c0) taken once here; or None where the
-        drop rule makes that term zero.  A series eigenvalue gives its
-        `fractional_power` at num/den."""
-        (eig, _), = self.blocks
-        if eig.cutoff is None and len(eig._keys) == 1:
-            log_c0 = cmath.log(eig._coeffs[0])
+    def scalar_transport(self):
+        """(scalars, blocks) for a system whose every eigenvalue is one
+        exact term c0, else None: scalars(num, den) is the list of
+        diagonals of `transport(num/den)`, for ints num and den != 0 at any
+        common scale, and blocks[k] = (lo, hi) the rows of index k's
+        Jordan block.  `diagonals[lo + d]` is the entry on that block's
+        d-th superdiagonal, or None where it is the exact zero.
 
-            def scalar(num: int, den: int):
-                c = _kept(cmath.exp(complex(num / den) * log_c0) if num else 1.0 + 0.0j)
-                return None if c is None else (_ZERO, c)
+        Each entry is formed by the float steps of `transport`, with the
+        drop rule after each step: lam = 0 + exp(complex(num / den) *
+        log(c0)), the value that `fractional_power` forms from a Fraction
+        t; for d >= 1, complex(binom(t, d)) * lam, the binomial from
+        `_binomials`; then times (1/c0)^d in `__pow__`'s order, each power
+        formed once here.  A rank-1 system gives [lam] and [(0, 1)]."""
+        parts, blocks = [], []
+        for eig, size in self.blocks:
+            if eig.cutoff is not None or len(eig._keys) != 1:
+                return None
+            c0 = eig._coeffs[0]
+            inv = _kept(1.0 / c0)
+            powers = [inv and _power_steps(inv, d) for d in range(1, size)]
+            parts.append((cmath.log(c0), powers))
+            blocks += [(len(blocks), len(blocks) + size)] * size
 
-            return scalar
-        return lambda num, den: fractional_power(eig, Fraction(num, den))
+        def scalars(num: int, den: int) -> list:
+            diagonals = []
+            for log_c0, powers in parts:
+                lam = _kept(cmath.exp(complex(num / den) * log_c0) if num else 1.0 + 0.0j)
+                diagonals.append(lam)
+                if not powers:
+                    continue
+                if lam is None:
+                    diagonals += [None] * len(powers)
+                    continue
+                for (b_num, b_den), power in zip(_binomials(num, den), powers):
+                    c = None if _ratio_dropped(b_num, b_den) else _kept(
+                        complex(b_num / b_den) * lam)
+                    diagonals.append(c and power and _kept(c * power))
+            return diagonals
+
+        return scalars, blocks
 
     def monodromy(self) -> Matrix:
         return self.transport(1)

@@ -577,6 +577,37 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+def _with_pipe_closed(argv, keep=0):
+    """(exit code, stderr) of `python -m torushms.cli *argv` whose reader
+    takes `keep` bytes of stdout and closes it."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torushms.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    got = proc.stdout.read(keep)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert len(got) == keep
+    return proc.wait(timeout=60), err
+
+
+def test_a_pipe_closed_early_ends_with_the_answers_code_and_no_traceback():
+    """`| head -c N`: an answer, a JSON parse error and --help, each with
+    the pipe closed before the first write, and 5 bytes read of a mu2
+    listing longer than a pipe buffer holds (124 KB), so that the rest
+    is written after the close."""
+    heavy = ("--l0", "L(1,-4;1/12)", "--l1", "L(3,4;2/5)", "--l2", "L(3,-1;5/12)")
+    runs = [
+        (("relations", "--json"), 0, 0),
+        (("cf", "--l0", "L(1,2;0)", "--l1", "L(1,0;0", "--json"), 0, 1),
+        (("cf", "--help"), 0, 0),
+        (("mu2", *heavy, "--cutoff", "2048", "--triangles", "--json"), 5, 0),
+    ]
+    for argv, keep, code in runs:
+        assert _with_pipe_closed(argv, keep) == (code, ""), argv
+
+
 def test_cutoff_above_the_bound_is_a_usage_error(capsys):
     theta = VERB_FLAGS["theta"][0]
     # end to end, so that a lost bound fails here instead of hanging

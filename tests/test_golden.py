@@ -8,6 +8,8 @@ grid-scan intersection enumerator and the series-by-series triangle
 accumulation that preceded the closed-form enumerator and the per-entry
 accumulator; `mu2_phase3_c16.json` from the matrix-only triangle sum
 that preceded the rank-1 path and its scalar transports;
+`mu2_rank3_c8.json` from the matrix loop that preceded the scalar chain
+of rank-r products;
 `relations_top.json` from the relation suite that built every relation
 from its public family constructor; the `markers_series_c32` product of
 `library_products.json` from the `Fraction` triangle walk that preceded
@@ -82,6 +84,12 @@ CASES = {
                            "--l1", "L(1,2;0){M=phase 2/5, rank 1}",
                            "--l2", "L(1,0;1/3){M=phase -3/11, rank 1}",
                            "--cutoff", "16")),
+    # three constant phases on rank-3 Jordan blocks: the scalar chain
+    "mu2_rank3_c8": (0, ("mu2",
+                         "--l0", "L(0,-1;1/4){M=phase 1/7, rank 3}",
+                         "--l1", "L(1,2;0){M=phase 2/5, rank 3}",
+                         "--l2", "L(1,0;1/3){M=phase -3/11, rank 3}",
+                         "--cutoff", "8")),
     "mu2_degenerate": (2, ("mu2", "--l0", "L(0,-1;0)", "--l1", "L(1,2;0)",
                            "--l2", "L(1,0;0)")),
     "assoc_small_c5": (0, ("assoc", "--l0", "L(1,2;0)", "--l1", "L(1,0;1/7)",

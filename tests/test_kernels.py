@@ -82,7 +82,7 @@ from torushms.floer import (
     generator_element, mu2, mu2_triangles,
 )
 from torushms.novikov import (
-    WINDOW_SLACK, ZERO_TOL, NovikovSeries, _binom, _fraction_multiple,
+    WINDOW_SLACK, ZERO_TOL, NovikovSeries, _fraction_multiple,
     _RunningSum, fractional_power, invert, lattice_bound, lattice_window, vanishes,
 )
 from torushms.mirror import MirrorPair
@@ -139,6 +139,14 @@ def invert_oracle(a):
             geo = add_oracle(geo, term)
     inv_terms = tuple((e - v, c / c0) for e, c in geo.terms)
     return NovikovSeries(inv_terms, a.cutoff - 2 * v)
+
+
+def _binom(t, k):
+    """binom(t, k) by the Fraction loop that `novikov._binomials` replaced."""
+    out = F(1)
+    for j in range(k):
+        out *= (t - j) / (k - j)
+    return out
 
 
 def fractional_power_oracle(u, t):
@@ -659,13 +667,13 @@ _any_unit = st.one_of(_eigen, _series_units)
 
 
 @st.composite
-def _systems(draw, max_rank):
-    """Ranks 1 to max_rank split into Jordan blocks of any unit."""
+def _systems(draw, max_rank, units=_any_unit):
+    """Ranks 1 to max_rank split into Jordan blocks of `units`."""
     rank = draw(st.integers(1, max_rank))
     sizes = []
     while sum(sizes) < rank:
         sizes.append(draw(st.integers(1, rank - sum(sizes))))
-    return LocalSystem(tuple((draw(_any_unit), size) for size in sizes))
+    return LocalSystem(tuple((draw(units), size) for size in sizes))
 
 
 _slope = st.sampled_from(
@@ -681,18 +689,20 @@ _marker = st.one_of(
 )
 
 
-def _branes(max_rank, slope=_slope):
+def _branes(max_rank, slope=_slope, blocks=False):
     """Branes with the trivial system or one Jordan block of rank 1 to
-    max_rank."""
-    system = st.one_of(
+    max_rank; with `blocks`, also constant systems of several blocks."""
+    systems = [
         st.just(LocalSystem.trivial()),
         st.builds(LocalSystem.from_eigenvalue, _eigen, st.integers(1, max_rank)),
-    )
-    return st.builds(Brane, slope, _shift, st.integers(-1, 1), _marker, system)
+    ]
+    if blocks:
+        systems.append(_systems(max_rank, st.one_of(_constant_units, st.just(1e-6))))
+    return st.builds(Brane, slope, _shift, st.integers(-1, 1), _marker, st.one_of(*systems))
 
 
 _BRANES = {rank: _branes(rank) for rank in (1, 2, 3)}
-_WALK_BRANES = {rank: _branes(rank, _wide_slope) for rank in (1, 2)}
+_WALK_BRANES = {rank: _branes(rank, _wide_slope, blocks=True) for rank in (1, 3)}
 
 
 _above_tol = math.nextafter(ZERO_TOL, 1.0)
@@ -733,9 +743,10 @@ def _element(draw, l0, l1):
 
 @st.composite
 def _products(draw):
-    """(phi2, phi1, cutoff) on three rank-1 branes, or three of rank 1 or
-    2, with drawn Pin markers and slope entries in [-6, 6]."""
-    branes = _WALK_BRANES[draw(st.sampled_from([1, 2]))]
+    """(phi2, phi1, cutoff) on three rank-1 branes, or three of rank 1 to
+    3 (one Jordan block, or constant blocks), with drawn Pin markers and
+    slope entries in [-6, 6]."""
+    branes = _WALK_BRANES[draw(st.sampled_from([1, 3]))]
     b0, b1, b2 = (draw(branes) for _ in range(3))
     try:
         phi1, phi2 = draw(_element(b0, b1)), draw(_element(b1, b2))
@@ -1015,7 +1026,18 @@ _N1 = Brane((2, -1), F(2, 7), 0, F(3, 7), LocalSystem.from_eigenvalue(_phase))
 _N2 = Brane((2, -3), F(3, 10), -1, F(2, 9))
 _N1_JORDAN = Brane((2, -1), F(2, 7), 0, F(3, 7), LocalSystem.from_eigenvalue(_phase, 2))
 _TINY_L0 = Brane((0, -1), F(1, 4), local_system=LocalSystem.from_eigenvalue(1e-6))
+_TINY_JORDAN = Brane((0, -1), F(1, 4), local_system=LocalSystem.from_eigenvalue(1e-6, 2))
+_SERIES_JORDAN = Brane((1, 2), local_system=LocalSystem.from_eigenvalue(
+    NovikovSeries(((0, _phase), (F(1, 3), 0.5)), F(6)), 2))
 _C = NovikovSeries.constant
+
+
+def _rows(l0, l1, *entries):
+    """Every generator of CF(l0, l1) weighted by the matrix of `entries`,
+    row by row."""
+    rows, cols = cf(l0, l1).hom_shape
+    m = [entries[r * cols:(r + 1) * cols] for r in range(rows)]
+    return FloerElement(cf(l0, l1), {c: m for c in cf(l0, l1).coords()})
 
 
 @settings(max_examples=200, deadline=None)
@@ -1035,9 +1057,19 @@ _C = NovikovSeries.constant
 @example((FloerElement(cf(_N1_JORDAN, _N2), {c: ((_C(1), _C(-1j)),)
                                               for c in cf(_N1_JORDAN, _N2).coords()}),
           generator_element(_N0, _N1_JORDAN, cf(_N0, _N1_JORDAN).coords()[2]), F(10)))
+# a Jordan block of eigenvalue 1e-6 on the scalar path: (1e-6)^s drops on
+# the diagonal from s = 2, and products and partial sums of the entries
+# 2e-12 and 1e6 on a superdiagonal drop too
+@example((_rows(_L1, _L2, _C(1)), _rows(_TINY_JORDAN, _L1, _C(2e-12), _C(1e6)), F(8)))
+# a q_power generator on a rank-2 pair, and a two-term series eigenvalue
+# at rank 2: both take the matrix loop
+@example((_rows(_L1, _L2, _C(1)),
+          _rows(_TINY_JORDAN, _L1, NovikovSeries.q_power(F(1, 2), 2), _C(-1j)), F(8)))
+@example((_rows(_SERIES_JORDAN, _L2, _C(1), _C(0.5j)),
+          _rows(_L0, _SERIES_JORDAN, _C(1), _C(-1)), F(6)))
 def test_mu2_walk_matches_the_one_loop_oracle(product):
-    """Ranks 1 and 2: the rank-1 path and the matrix loop of `floer._sum`
-    against one matrix loop, and the triangle listing."""
+    """Ranks 1 to 3: the rank-1 path, the scalar chain and the matrix loop
+    of `floer._sum` against one matrix loop, and the triangle listing."""
     assert repr(_outcome(mu2, *product)) == repr(_outcome(mu2_oracle, *product))
     got = _outcome(mu2_triangles, *product)
     want = _outcome(mu2_triangles_oracle, *product)
