@@ -1013,9 +1013,13 @@ def test_transport_matches_the_scratch_block_oracle(system, ts):
         assert repr(_outcome(system.transport, t)) == want
 
 
-def _weighted(l0, l1, weight):
-    """Every generator of CF(l0, l1) weighted by the 1 x 1 `weight`."""
-    return FloerElement(cf(l0, l1), {c: ((weight,),) for c in cf(l0, l1).coords()})
+def _weighted(l0, l1, *entries):
+    """Every generator of CF(l0, l1) weighted by the matrix of `entries`,
+    row by row (one entry on a 1 x 1 space)."""
+    space = cf(l0, l1)
+    cols = space.hom_shape[1]
+    m = [entries[i:i + cols] for i in range(0, len(entries), cols)]
+    return FloerElement(space, {c: m for c in space.coords()})
 
 
 _L0, _L1, _L2 = Brane((0, -1), F(1, 4)), Brane((1, 2)), Brane((1, 0), F(1, 3))
@@ -1030,14 +1034,6 @@ _TINY_JORDAN = Brane((0, -1), F(1, 4), local_system=LocalSystem.from_eigenvalue(
 _SERIES_JORDAN = Brane((1, 2), local_system=LocalSystem.from_eigenvalue(
     NovikovSeries(((0, _phase), (F(1, 3), 0.5)), F(6)), 2))
 _C = NovikovSeries.constant
-
-
-def _rows(l0, l1, *entries):
-    """Every generator of CF(l0, l1) weighted by the matrix of `entries`,
-    row by row."""
-    rows, cols = cf(l0, l1).hom_shape
-    m = [entries[r * cols:(r + 1) * cols] for r in range(rows)]
-    return FloerElement(cf(l0, l1), {c: m for c in cf(l0, l1).coords()})
 
 
 @settings(max_examples=200, deadline=None)
@@ -1060,13 +1056,13 @@ def _rows(l0, l1, *entries):
 # a Jordan block of eigenvalue 1e-6 on the scalar path: (1e-6)^s drops on
 # the diagonal from s = 2, and products and partial sums of the entries
 # 2e-12 and 1e6 on a superdiagonal drop too
-@example((_rows(_L1, _L2, _C(1)), _rows(_TINY_JORDAN, _L1, _C(2e-12), _C(1e6)), F(8)))
+@example((_weighted(_L1, _L2, _C(1)), _weighted(_TINY_JORDAN, _L1, _C(2e-12), _C(1e6)), F(8)))
 # a q_power generator on a rank-2 pair, and a two-term series eigenvalue
 # at rank 2: both take the matrix loop
-@example((_rows(_L1, _L2, _C(1)),
-          _rows(_TINY_JORDAN, _L1, NovikovSeries.q_power(F(1, 2), 2), _C(-1j)), F(8)))
-@example((_rows(_SERIES_JORDAN, _L2, _C(1), _C(0.5j)),
-          _rows(_L0, _SERIES_JORDAN, _C(1), _C(-1)), F(6)))
+@example((_weighted(_L1, _L2, _C(1)),
+          _weighted(_TINY_JORDAN, _L1, NovikovSeries.q_power(F(1, 2), 2), _C(-1j)), F(8)))
+@example((_weighted(_SERIES_JORDAN, _L2, _C(1), _C(0.5j)),
+          _weighted(_L0, _SERIES_JORDAN, _C(1), _C(-1)), F(6)))
 def test_mu2_walk_matches_the_one_loop_oracle(product):
     """Ranks 1 to 3: the rank-1 path, the scalar chain and the matrix loop
     of `floer._sum` against one matrix loop, and the triangle listing."""
