@@ -439,7 +439,8 @@ def _add_rank1(entry: _RunningSum, ops, num: int, den: int, sign: int) -> None:
         if type(op) is not tuple and op.cutoff is None and len(op._keys) <= 1:
             if not op._keys:
                 return
-            op = op.terms[0]
+            k = op._keys[0]
+            op = (Fraction(k, op._den) if k else _ZERO, op._coeffs[0])
         if type(op) is not tuple:
             if x is not None:
                 if right is not None:

@@ -9,21 +9,19 @@ Exponents are exact (fractions.Fraction); coefficients are machine
 complex doubles.  Coefficients whose magnitude is below ZERO_TOL are
 dropped during normalization.
 
-Canonical form: `terms` is a tuple of (Fraction, coefficient) pairs with
-strictly increasing exponents, every exponent below the cutoff, every
-coefficient stored as `0 + c` (so a float -0.0 reads 0.0) and no
-coefficient with |c| <= ZERO_TOL.  The public constructor reaches it
-from any input by merging equal exponents and sorting.  Results that
-are canonical by construction (constants, truncation of a term list,
-inverses) go through the private `NovikovSeries._sorted` or `_below`
-instead, which apply the per-term rules only; their callers guarantee
-Fraction exponents in strictly increasing order and a Fraction (or None)
-cutoff.  The same series in keyed form is (den, keys, coeffs): den the
-least common denominator of the exponents, keys the exponents times den.
-A series holds at least one form and forms the other on its first read:
-one built from Fraction terms keeps them, one a kernel builds holds only
-keys until something reads `terms`.  `==` compares keyed forms; `hash`,
-`repr` and pickle read `terms`.
+Canonical form.  A series stores one form, keyed: `_den`, the least
+common denominator of its exponents, `_keys`, the exponents times `_den`
+as strictly increasing integers, and `_coeffs`, each coefficient stored
+as `0 + c` (so a float -0.0 reads 0.0), none with |c| <= ZERO_TOL; every
+exponent lies below the cutoff.  `terms`, the (Fraction, coefficient)
+pairs, is formed from the keys on each read.  Only output reads it
+(`repr`, `series_text`, `coefficient`, the CLI's JSON); every kernel and
+group-law step reads keys.  The public constructor reaches the keyed
+form from any input by merging equal exponents and sorting; every other
+series comes from the private `NovikovSeries._from_keys`, which takes
+increasing keys below the cutoff, applies the per-term rules (`0 + c`,
+the drop) and reduces to the least denominator.  `==`, `hash` and
+pickle read the keyed form, so equal series hash equal.
 
 Kernels.  Sums and products work on the keyed form, and build no
 Fraction.  One adder, `_RunningSum`,
@@ -40,8 +38,8 @@ and the drop rule included, and lands at the shifted integer key, with
 no intermediate series.  A product of two
 multi-term series runs its double loop into an integer-keyed dict,
 leaving the inner loop at the first key at or above the cutoff.  Every
-kernel output (sums, products, negation, truncation) is keyed, reduced
-to its least denominator, and holds no exponent object.
+kernel output (sums, products, negation, truncation) is reduced to its
+least denominator, and no kernel forms an exponent Fraction.
 
 A series keeps what is derived from it, and no caller passes tables
 around.  Its one private slot, `_held` (a `_Held`, filled on first use),
@@ -99,7 +97,7 @@ import bisect
 import cmath
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from .errors import NonUnit, ZeroSeries
 
@@ -154,22 +152,13 @@ def _key_bound(cutoff: Fraction, den: int) -> int:
     return -(-cutoff.numerator * den // cutoff.denominator)
 
 
-def _count_below(terms, cutoff: Optional[Fraction]) -> int:
-    """How many of the sorted `terms` have exponents below the cutoff:
-    one comparison when all of them do, a bisection otherwise."""
-    n = len(terms)
-    if cutoff is None or not n or terms[-1][0] < cutoff:
-        return n
-    return bisect.bisect_left(terms, cutoff, key=lambda t: t[0])
-
-
 class NovikovSeries:
     """Immutable truncated Novikov series in canonical form."""
 
-    __slots__ = ("terms", "cutoff", "_den", "_keys", "_coeffs", "_held")
+    __slots__ = ("cutoff", "_den", "_keys", "_coeffs", "_held")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         terms: Iterable[Tuple[Rational, Scalar]] = (),
         cutoff: Optional[Rational] = None,
     ):
@@ -179,78 +168,31 @@ class NovikovSeries:
                 e = Fraction(e)
             acc[e] = acc.get(e, 0) + c
         cut = _as_cutoff(cutoff)
-        clean = []
-        for e in sorted(acc):
-            if cut is not None and e >= cut:
-                continue
-            c = acc[e]
-            if abs(c) <= ZERO_TOL:
-                continue
-            clean.append((e, c))
-        object.__setattr__(self, "terms", tuple(clean))
-        object.__setattr__(self, "cutoff", cut)
+        exps = sorted(acc)
+        if cut is not None:
+            del exps[bisect.bisect_left(exps, cut):]
+        den = math.lcm(*[e.denominator for e in exps])
+        keys = [e.numerator * (den // e.denominator) for e in exps]
+        return cls._from_keys(den, keys, [acc[e] for e in exps], cut)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("NovikovSeries is immutable")
 
-    def __getattr__(self, name):
-        """The form a series does not hold yet, formed on its first read
-        (see the module docstring); any other missing name raises."""
-        if name == "terms":
-            den = self._den
-            value = tuple(zip([Fraction(k, den) for k in self._keys], self._coeffs))
-            object.__setattr__(self, "terms", value)
-            return value
-        if name not in ("_den", "_keys", "_coeffs"):
-            raise AttributeError(name)
-        return getattr(self._keyed(), name)
-
-    def _keyed(self) -> "NovikovSeries":
-        """Set the keyed form from `terms`; return the series."""
-        terms = self.terms
-        if len(terms) == 1:
-            ((e, c),) = terms
-            den, keys, coeffs = e.denominator, (e.numerator,), (c,)
-        else:
-            den = math.lcm(*[e.denominator for e, _ in terms])
-            keys = tuple([e.numerator * (den // e.denominator) for e, _ in terms])
-            coeffs = tuple([c for _, c in terms])
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_keys", keys)
-        object.__setattr__(self, "_coeffs", coeffs)
-        return self
+    @property
+    def terms(self) -> Tuple[Tuple[Fraction, Scalar], ...]:
+        """The (exponent, coefficient) pairs, formed from the keys on each
+        read (see the module docstring)."""
+        den = self._den
+        return tuple(zip([Fraction(k, den) for k in self._keys], self._coeffs))
 
     def __reduce__(self):  # pickle and copy rebuild without __setattr__
-        return NovikovSeries._canonical, (self.terms, self.cutoff)
-
-    @classmethod
-    def _sorted(
-        cls, terms: Sequence[Tuple[Fraction, Scalar]], cutoff: Optional[Fraction]
-    ) -> "NovikovSeries":
-        """The series of `terms`, which must have Fraction exponents in
-        strictly increasing order, and a Fraction (or None) cutoff.
-
-        Applies the public constructor's per-term rules and nothing
-        else: terms at or above the cutoff are dropped, each coefficient
-        is stored as `0 + c`, and |c| <= ZERO_TOL is dropped.
-        """
-        return cls._below(terms[:_count_below(terms, cutoff)], cutoff)
-
-    @classmethod
-    def _canonical(
-        cls, terms: Tuple[Tuple[Fraction, Scalar], ...], cutoff: Optional[Fraction]
-    ) -> "NovikovSeries":
-        """The series whose `terms` and `cutoff` are already canonical."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "cutoff", cutoff)
-        return out
+        return NovikovSeries._from_keys, (self._den, self._keys, self._coeffs, self.cutoff)
 
     @classmethod
     def _from_keys(cls, den: int, keys, coeffs, cutoff) -> "NovikovSeries":
-        """The keyed series of increasing integer `keys` over `den`, all
-        below the cutoff, with the per-term rules of `_below`, at the least
-        denominator."""
+        """The series of increasing integer `keys` over `den`, all below
+        the cutoff (a Fraction or None): each coefficient is stored as
+        `0 + c` and |c| <= ZERO_TOL is dropped, at the least denominator."""
         kept_keys, kept = [], []
         for k, c in zip(keys, coeffs):
             c = 0 + c
@@ -268,22 +210,6 @@ class NovikovSeries:
         object.__setattr__(out, "cutoff", cutoff)
         return out
 
-    @classmethod
-    def _below(
-        cls, terms: Iterable[Tuple[Fraction, Scalar]], cutoff: Optional[Fraction]
-    ) -> "NovikovSeries":
-        """`_sorted` for terms whose exponents all lie below the cutoff:
-        each coefficient is stored as `0 + c` and |c| <= ZERO_TOL is
-        dropped, with no comparison against the cutoff.  The result holds
-        both forms."""
-        clean = []
-        for e, c in terms:
-            c = 0 + c
-            if abs(c) <= ZERO_TOL:
-                continue
-            clean.append((e, c))
-        return cls._canonical(tuple(clean), cutoff)._keyed()
-
     # -- constructors ------------------------------------------------
 
     # (one term needs no merge or sort: these skip the public constructor)
@@ -294,11 +220,11 @@ class NovikovSeries:
 
     @classmethod
     def one(cls) -> "NovikovSeries":
-        return cls._sorted(((_ZERO, 1.0 + 0.0j),), None)
+        return cls._from_keys(1, (0,), (1.0 + 0.0j,), None)
 
     @classmethod
     def constant(cls, c: Scalar, cutoff: Optional[Rational] = None) -> "NovikovSeries":
-        return cls._sorted(((_ZERO, c),), _as_cutoff(cutoff))
+        return cls.q_power(_ZERO, c, cutoff)
 
     @classmethod
     def q_power(
@@ -306,7 +232,10 @@ class NovikovSeries:
     ) -> "NovikovSeries":
         if type(e) is not Fraction:
             e = Fraction(e)
-        return cls._sorted(((e, coeff),), _as_cutoff(cutoff))
+        cut = _as_cutoff(cutoff)
+        if cut is not None and e >= cut:  # the term lies past the cutoff
+            return cls._from_keys(1, (), (), cut)
+        return cls._from_keys(e.denominator, (e.numerator,), (coeff,), cut)
 
     # -- basic queries ----------------------------------------------
 
@@ -459,7 +388,7 @@ class NovikovSeries:
         )
 
     def __hash__(self):
-        return hash((self.terms, self.cutoff))
+        return hash((self._den, self._keys, self._coeffs, self.cutoff))
 
     def approx_eq(
         self,
@@ -724,23 +653,26 @@ def _series_inverse(a: NovikovSeries) -> NovikovSeries:
     """`invert` of a nonzero series, formed afresh."""
     v = a.val()
     c0 = a.leading_coefficient()
-    if len(a.terms) == 1:  # the path below, with eps = 0 and geo = one()
+    den, keys = a._den, a._keys
+    if len(keys) == 1:  # the path below, with eps = 0 and geo = one()
         if a.cutoff is None:
-            return NovikovSeries._sorted(((-v, 1.0 / c0),), None)
-        return NovikovSeries._sorted(
-            ((-v, (1.0 + 0.0j) / c0),), a.cutoff - 2 * v
+            return NovikovSeries._from_keys(den, (-keys[0],), (1.0 / c0,), None)
+        return NovikovSeries._from_keys(
+            den, (-keys[0],), ((1.0 + 0.0j) / c0,), a.cutoff - 2 * v
         )
 
-    def normalized(terms):
-        # exponents shifted down by v (kept as they are for a unit), each
+    def normalized(den, keys, coeffs, cutoff):
+        # keys shifted down by v over a denominator both share, each
         # coefficient divided by c0; the order stays sorted
-        if v == 0:
-            return ((e, c / c0) for e, c in terms)
-        return ((e - v, c / c0) for e, c in terms)
+        d = math.lcm(den, v.denominator)
+        scale, shift = d // den, v.numerator * (d // v.denominator)
+        return NovikovSeries._from_keys(
+            d, [k * scale - shift for k in keys], [c / c0 for c in coeffs], cutoff
+        )
 
     # normalized unit 1 + eps
-    eps = NovikovSeries._below(
-        normalized(a.terms[1:]), None if a.cutoff is None else a.cutoff - v
+    eps = normalized(
+        den, keys[1:], a._coeffs[1:], None if a.cutoff is None else a.cutoff - v
     )
     if a.cutoff is None:
         if not eps.is_zero():
@@ -760,7 +692,8 @@ def _series_inverse(a: NovikovSeries) -> NovikovSeries:
             if term.is_zero():
                 break
             geo.add(term)
-    return NovikovSeries._below(normalized(geo.series().terms), a.cutoff - 2 * v)
+    geo = geo.series()
+    return normalized(geo._den, geo._keys, geo._coeffs, a.cutoff - 2 * v)
 
 
 def _binomials(p: int, q: int):
@@ -823,7 +756,7 @@ def _eps_powers(u: NovikovSeries):
     unit forms each of them once."""
     held = _Held.of(u)
     if held.eps_powers is None:
-        eps = NovikovSeries._below(u.terms[1:], u.cutoff)
+        eps = NovikovSeries._from_keys(u._den, u._keys[1:], u._coeffs[1:], u.cutoff)
         eps = eps * (1.0 / u.leading_coefficient())
         held.eps_powers = (eps, [NovikovSeries.one()])
     return held.eps_powers

@@ -237,10 +237,10 @@ class K0Class:
 _K0_ZERO = K0Class(0, 0, TatePoint.zero())
 
 
-#: a class on the lane: (rk, deg, num, den, e, c), the ints rank and
-#: degree, x = num / den in [0, 1), and the exponent e and coefficient c
-#: of the one-term unit
-_Lane = Tuple[int, int, int, int, Fraction, object]
+#: a class on the lane: (rk, deg, num, den, c), the ints rank and
+#: degree, x = num / den in [0, 1), and the coefficient c of the one-term
+#: unit (whose exponent is 0)
+_Lane = Tuple[int, int, int, int, object]
 
 
 def _on_lane(k: K0Class) -> Optional[_Lane]:
@@ -249,23 +249,20 @@ def _on_lane(k: K0Class) -> Optional[_Lane]:
     unit = k.pt.unit
     if not (_scalar(unit) and type(k.rk) is int and type(k.deg) is int):
         return None
-    (e, c), = unit.terms
-    return (k.rk, k.deg, *k.pt.x.as_integer_ratio(), e, c)
+    return (k.rk, k.deg, *k.pt.x.as_integer_ratio(), unit._coeffs[0])
 
 
 _ZERO_LANE = _on_lane(_K0_ZERO)
 
 
-def _negated(a: Optional[_Lane]) -> Optional[_Lane]:
-    """-a, as `K0Class.__neg__` forms it; None where a is None or the drop
-    rule removes the coefficient."""
-    if a is None:
-        return None
-    rk, deg, num, den, e, c = a
+def _negated(a: _Lane) -> Optional[_Lane]:
+    """-a, as `K0Class.__neg__` forms it; None where the drop rule removes
+    the coefficient."""
+    rk, deg, num, den, c = a
     c = _unit_inverse(c)
     if c is None:
         return None
-    return (-rk, -deg, den - num if num else 0, den, e, c)
+    return (-rk, -deg, den - num if num else 0, den, c)
 
 
 def _added(a: Optional[_Lane], b: Optional[_Lane], m: int = 1) -> Optional[_Lane]:
@@ -276,14 +273,14 @@ def _added(a: Optional[_Lane], b: Optional[_Lane], m: int = 1) -> Optional[_Lane
         return None
     if not m:
         return a
-    rk, deg, num, den, e, c = a
-    b_rk, b_deg, b_num, b_den, _, b_c = b
+    rk, deg, num, den, c = a
+    b_rk, b_deg, b_num, b_den, b_c = b
     c = _unit_multiple(c, b_c, m)
     if c is None:
         return None
     d = lcm(den, b_den)
     num = (num * (d // den) + m * b_num * (d // b_den)) % d
-    return (rk + m * b_rk, deg + m * b_deg, num, d, e, c)
+    return (rk + m * b_rk, deg + m * b_deg, num, d, c)
 
 
 def _as_class(held: Union[_Lane, K0Class]) -> K0Class:
@@ -292,8 +289,8 @@ def _as_class(held: Union[_Lane, K0Class]) -> K0Class:
         return held
     if held is _ZERO_LANE:
         return _K0_ZERO
-    rk, deg, num, den, e, c = held
-    return K0Class(rk, deg, _scalar_point(Fraction(num, den), e, c))
+    rk, deg, num, den, c = held
+    return K0Class(rk, deg, _scalar_point(Fraction(num, den), c))
 
 
 def _class_of_sum(
@@ -405,7 +402,7 @@ class RelationTriple:
         defect = self._defect_lane()
         if defect is None:
             return self.k0_defect().is_zero(tol)
-        rk, deg, num, _, _, c = defect
+        rk, deg, num, _, c = defect
         return rk == 0 and deg == 0 and num == 0 and _unit_at_origin(c, tol)
 
 

@@ -74,8 +74,8 @@ __all__ = [
 def _as_unit(unit: Union[NovikovSeries, int, float, complex]) -> NovikovSeries:
     if not isinstance(unit, NovikovSeries):
         unit = NovikovSeries.constant(unit)
-    # nonzero with valuation 0: the lowest canonical exponent is 0
-    if not (unit.terms and unit.terms[0][0] == 0):
+    # nonzero with valuation 0: the lowest key is 0
+    if not (unit._keys and unit._keys[0] == 0):
         raise NonUnit("point unit coordinate must have valuation 0")
     return unit
 
@@ -116,7 +116,7 @@ class TatePoint:
             return False
         unit = self.unit
         if _scalar(unit):
-            return _unit_at_origin(unit.terms[0][1], tol)
+            return _unit_at_origin(unit._coeffs[0], tol)
         return (unit - (-1)).max_abs_coeff() <= tol
 
     def approx_eq(self, other: "TatePoint", tol: float = 1e-9) -> bool:
@@ -129,18 +129,18 @@ class TatePoint:
 _ZERO = TatePoint(0, -1)
 
 
-def _scalar_point(x: Fraction, e: Fraction, c) -> TatePoint:
-    """The point [-q^x * c q^e] of a normalized x and a kept coefficient c,
-    without `TatePoint.__init__` or the series constructor."""
+def _scalar_point(x: Fraction, c) -> TatePoint:
+    """The point [-q^x * c] of a normalized x and a kept coefficient c,
+    without `TatePoint.__init__` or the public series constructor."""
     out = object.__new__(TatePoint)
     object.__setattr__(out, "x", x)
-    object.__setattr__(out, "unit", NovikovSeries._canonical(((e, c),), None))
+    object.__setattr__(out, "unit", NovikovSeries._from_keys(1, (0,), (c,), None))
     return out
 
 
 def _scalar(unit: NovikovSeries) -> bool:
     """The unit is one exact term: the constant units of the scalar path."""
-    return unit.cutoff is None and len(unit.terms) == 1
+    return unit.cutoff is None and len(unit._keys) == 1
 
 
 def _unit_product(ca, cb):
@@ -188,10 +188,9 @@ def point_mul(p: TatePoint, r: TatePoint) -> TatePoint:
     """Group law: [ -q^x M ] * [ -q^x' M' ] = [ -q^(x+x') * (-M M') ]."""
     a, b = p.unit, r.unit
     if _scalar(a) and _scalar(b):
-        (e, ca), = a.terms
-        c = _unit_product(ca, b.terms[0][1])
+        c = _unit_product(a._coeffs[0], b._coeffs[0])
         if c is not None:
-            return _scalar_point(_x_sum(p.x, r.x), e, c)
+            return _scalar_point(_x_sum(p.x, r.x), c)
     return TatePoint(p.x + r.x, -(a * b))
 
 
@@ -200,11 +199,10 @@ def conjugate_zero(p: TatePoint) -> TatePoint:
     section of O(2 P0) vanishing at p."""
     a = p.unit
     if _scalar(a):
-        (e, c0), = a.terms
-        c = _unit_inverse(c0)
+        c = _unit_inverse(a._coeffs[0])
         if c is not None:
             n, d = p.x.as_integer_ratio()
-            return _scalar_point(Fraction(d - n, d) if n else p.x, e, c)
+            return _scalar_point(Fraction(d - n, d) if n else p.x, c)
     return TatePoint(-p.x, invert(a))
 
 
@@ -214,11 +212,10 @@ def point_pow(p: TatePoint, n: int) -> TatePoint:
         return point_pow(conjugate_zero(p), -n)
     out = TatePoint.zero()
     if n and _scalar(p.unit):
-        (e, c), = out.unit.terms
-        c = _unit_multiple(c, p.unit.terms[0][1], n)
+        c = _unit_multiple(out.unit._coeffs[0], p.unit._coeffs[0], n)
         if c is not None:
             num, den = p.x.as_integer_ratio()
-            return _scalar_point(Fraction(num * n % den, den), e, c)
+            return _scalar_point(Fraction(num * n % den, den), c)
     for _ in range(n):
         out = point_mul(out, p)
     return out

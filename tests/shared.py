@@ -1,11 +1,12 @@
-"""Draws and the product oracle shared by test_kernels.py, test_novikov.py
-and test_floer.py, one copy each."""
+"""Draws, the product oracle and weighted Floer elements shared by
+test_kernels.py, test_novikov.py and test_floer.py, one copy each."""
 
 import math
 from fractions import Fraction as F
 
 from hypothesis import strategies as st
 
+from torushms.floer import FloerElement, cf
 from torushms.novikov import ZERO_TOL, NovikovSeries
 
 
@@ -73,3 +74,12 @@ colliding = st.builds(
 def at_zero(*coeffs):
     """The constants c, each a series at exponent 0."""
     return [NovikovSeries.constant(c) for c in coeffs]
+
+
+def weighted(l0, l1, *entries):
+    """Every generator of CF(l0, l1) weighted by the matrix of `entries`,
+    row by row (one entry on a 1 x 1 space)."""
+    space = cf(l0, l1)
+    cols = space.hom_shape[1]
+    m = [entries[i:i + cols] for i in range(0, len(entries), cols)]
+    return FloerElement(space, {c: m for c in space.coords()})

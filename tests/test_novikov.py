@@ -1,15 +1,16 @@
 """Truncated Novikov arithmetic: canonical form, cutoff propagation,
 inversion, fractional powers, and the field/ultrametric axioms."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torushms.cli import _series_json
 from torushms.errors import NonUnit, ZeroSeries
-from torushms.floer import FloerElement, cf
+from torushms.floer import FloerElement, cf, mu2
 from torushms.novikov import (
     NovikovSeries,
     fractional_power,
@@ -18,10 +19,11 @@ from torushms.novikov import (
     series_text,
     val,
 )
-from torushms.tate import TatePoint
-from torushms.torus import Brane, mat_max_abs
+from torushms.sheafk import RelationBounds, relation_suite
+from torushms.tate import TatePoint, point_pow, theta_eval
+from torushms.torus import Brane, LocalSystem, mat_max_abs
 
-from shared import any_coeff, min_cut, mul_oracle
+from shared import any_coeff, min_cut, mul_oracle, weighted
 
 F = Fraction
 
@@ -270,7 +272,7 @@ def test_norm_is_multiplicative(a, b):
 
 
 # ---------------------------------------------------------------------------
-# the sorted-terms constructor: negation, truncation, products with a
+# the one-term constructors, negation, truncation, products with a
 # one-term factor and the inverse of a one-term series skip the public
 # constructor's merge and sort; built the general way they must give the
 # same repr (coefficient types and signed zeros included)
@@ -298,15 +300,16 @@ def _invert_one_term_through_constructor(a):
 
 
 @settings(max_examples=250, deadline=None)
-@given(
-    st.lists(st.tuples(_expo, any_coeff), max_size=6, unique_by=lambda t: t[0]),
-    _cutoff,
-)
-def test_sorted_constructor_matches_public_constructor(pairs, cutoff):
-    pairs.sort(key=lambda t: t[0])
-    assert repr(NovikovSeries._sorted(pairs, cutoff)) == repr(
-        NovikovSeries(pairs, cutoff)
-    )
+@given(_expo, any_coeff, _cutoff)
+@example(F(2), 1.0, F(2))  # a term at the cutoff is dropped
+@example(F(0), 1.0, F(0))
+def test_one_term_constructors_match_public_constructor(e, c, cutoff):
+    """`q_power`, `constant` and `one` apply the public constructor's
+    per-term rules: `0 + c`, the drop rule, and a term at or above the
+    cutoff dropped."""
+    assert repr(NovikovSeries.q_power(e, c, cutoff)) == repr(NovikovSeries([(e, c)], cutoff))
+    assert repr(NovikovSeries.constant(c, cutoff)) == repr(NovikovSeries([(0, c)], cutoff))
+    assert repr(NovikovSeries.one()) == repr(NovikovSeries([(0, 1.0 + 0.0j)]))
 
 
 @settings(max_examples=250, deadline=None)
@@ -335,6 +338,19 @@ def test_invert_one_term_matches_general_path(a):
         assert repr(invert(u)) == repr(_invert_one_term_through_constructor(u))
 
 
+def test_hash_reads_the_keyed_form():
+    """Equal series hash equal however they were built, with coefficient
+    1, 1.0 or 1+0j; series that differ in an exponent, a coefficient or
+    the cutoff hash apart (a point hashes its unit, and every sheaf its
+    points)."""
+    quarter = NovikovSeries.q_power(F(1, 4))
+    equal = [S([(F(1, 2), 1)]), S([(F(1, 2), 1.0)]), S([(F(1, 2), 1 + 0j)]), quarter * quarter]
+    assert len({hash(x) for x in equal}) == 1 and all(x == equal[0] for x in equal)
+    apart = [S([(F(1, 2), 1)]), S([(F(1, 3), 1)]), S([(F(1, 2), 2)]), S([(F(1, 2), 1)], 3),
+             S([(F(1, 2), 1), (1, 1)]), S([(F(1, 2), 1), (1, 2)])]
+    assert len({hash(x) for x in apart}) == len(apart)
+
+
 def test_a_nan_coefficient_fails_every_tolerance_test():
     """A nan coefficient is the largest one wherever it stands, in a
     series, a matrix and an element, so no tolerance accepts it."""
@@ -352,3 +368,42 @@ def test_a_nan_coefficient_fails_every_tolerance_test():
     for pair in ((bad, one), (one, bad)):
         elem = FloerElement(space, {c: ((x,),) for c, x in zip(space.coords(), pair)})
         assert math.isnan(elem.max_abs_coeff())
+
+
+# ---------------------------------------------------------------------------
+# one storage form: hot paths read keys, only output reads `terms`
+# ---------------------------------------------------------------------------
+
+
+def test_hot_paths_read_no_terms(monkeypatch):
+    """mu2 on rank-1 phases, on a rank-3 scalar chain and on a series
+    eigenvalue, theta series of a series unit, point_pow and the relation
+    suite with its verdicts read the keyed form only."""
+    phase = cmath.exp(2j * cmath.pi / 7)
+    unit = S([(0, phase), (F(1, 3), 0.5)], 12)
+
+    def triple(eig, rank):
+        ls = LocalSystem.from_eigenvalue(eig, rank)
+        return (Brane((0, -1), F(1, 4), local_system=ls), Brane((1, 2), local_system=ls),
+                Brane((1, 0), F(1, 3), local_system=ls))
+
+    points = [TatePoint.zero(), TatePoint.two_torsion(), TatePoint(F(1, 3), phase),
+              TatePoint(F(2, 5), -1j)]
+    reads, real = [], NovikovSeries.terms.fget  # one entry per read of `terms`
+    monkeypatch.setattr(NovikovSeries, "terms", property(lambda x: reads.append(x) or real(x)))
+    for eig, rank in ((phase, 1), (phase, 3), (unit, 1), (unit, 2)):
+        l0, l1, l2 = triple(eig, rank)
+        entries = [NovikovSeries.constant(1.0 - 0.5j * k) for k in range(rank * rank)]
+        mu2(weighted(l1, l2, *entries), weighted(l0, l1, *entries), 8)
+    for kind in (0, 1):
+        theta_eval(kind, TatePoint(F(1, 3), unit), 12)
+    for p in (TatePoint(F(1, 3), phase), TatePoint(F(1, 3), unit)):
+        point_pow(p, 5)
+        point_pow(p, -3)
+    suite = relation_suite(RelationBounds(), points)
+    assert all(t.holds() for t in suite)
+    for t in suite[::50]:
+        t.k0_defect()
+    assert reads == []
+    repr(unit)  # output reads it: the counter is in place
+    assert reads == [unit]
