@@ -707,8 +707,8 @@ class _ArgParser(argparse.ArgumentParser):
 
 
 #: Largest --cutoff a verb accepts.  The walks and theta sums run up to
-#: the cutoff; at 4096 `section` takes 1.4-1.9 s and `theta`, `mu2` and
-#: `assoc` 0.05-0.3 s each on a 2-core x86-64 host (CPython 3.11).
+#: the cutoff; at 4096 `section` takes 20-330 ms and `theta`, `mu2` and
+#: `assoc` 4-12 ms each on a 2-core x86-64 host (CPython 3.11).
 MAX_CUTOFF = 4096
 #: The most digits a --cutoff or --x value may spell out: the length of
 #: the text plus |N| for a decimal exponent eN.  A longer value is refused

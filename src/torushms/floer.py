@@ -23,10 +23,12 @@ arcs (arc fractions s, -t, -d against each brane's oriented direction)
 and sign = (-1)^(i(y1)) * (-1)^(crossings+1), with `crossings` the
 number of Pin markers met by the triangle boundary.  `_sum` forms it
 with the factors, products and sums of four `mat_mul`s in their order:
-on three rank-1 systems without matrices; where every eigenvalue and
-generator entry is an exact constant, on scalars (`torus.scalar_chain`:
-a Jordan transport is one scalar per superdiagonal, and exact zeros form
-no product, so an e00 generator touches one row or column); otherwise by
+on three rank-1 systems without matrices, where a triangle of exact
+one-term factors (`torus.scalar_power` for a constant eigenvalue) is one
+scalar chain and builds no series; where every eigenvalue and generator
+entry is an exact constant, on scalars (`torus.scalar_chain`: a Jordan
+transport is one scalar per superdiagonal, and exact zeros form no
+product, so an e00 generator touches one row or column); otherwise by
 the matrix loop.
 Only triangles whose corner cycle (y0, y1, y2) has positive signed area
 contribute to this ordered product; when the slope data forces the
@@ -58,7 +60,6 @@ from .errors import DegenerateConfiguration, MarkerCollision, NonTransverse
 from .novikov import (
     NovikovSeries,
     Rational,
-    _ZERO,
     _kept,
     _RunningSum,
     _largest,
@@ -81,6 +82,7 @@ from .torus import (
     mat_scale,
     scalar_chain,
     scalar_columns,
+    scalar_power,
 )
 
 __all__ = [
@@ -338,10 +340,10 @@ def _marker_form(line, y1c: Vec, arc: Fraction, drift: Fraction):
 def _walk(comps1, comps2, chain, cutoff: Fraction, out_coords,
           listing: Optional[list] = None):
     """Yield each triangle of mu2(phi2, phi1) with area below `cutoff`
-    whose y2 corner phi2 weights, as (y0, a1, a2, U, R, sign), y0 an
-    object of `out_coords` and a1, a2 values of phi1's and phi2's (coords,
-    value) pairs comps1 and comps2; with `listing`, append every triangle
-    as `mu2_triangles` lists it.  `chain` is `_chain(phi2, phi1)`.
+    whose y2 corner phi2 weights, as (y0, a1, a2, U, R, sign), y0 an index
+    of `out_coords` and a1, a2 values of phi1's and phi2's (coords, value)
+    pairs comps1 and comps2; with `listing`, append every triangle as
+    `mu2_triangles` lists it.  `chain` is `_chain(phi2, phi1)`.
 
     Per generator y1, u = k + r and k runs through `lattice_window(r, X)`:
     down from floor(-r), then up.  U = R u, for R the least common
@@ -371,7 +373,7 @@ def _walk(comps1, comps2, chain, cutoff: Fraction, out_coords,
         Y = (y1c[0].numerator * (R // y1c[0].denominator),
              y1c[1].numerator * (R // y1c[1].denominator))
         D0, D2 = R * abs(d02), R * abs(d12)
-        y0_at = _scaled(((c, c) for c in out_coords), D0)
+        y0_at = _scaled(((c, i) for i, c in enumerate(out_coords)), D0)
         y2_at = _scaled(comps2, D2)
         arcs = (Fraction(1, R * d02), 0), (Fraction(1, R * d12), 0), (
             Fraction(-d01, R * d02 * d12), Fraction(drift, R * d12))
@@ -415,58 +417,54 @@ def _walk(comps1, comps2, chain, cutoff: Fraction, out_coords,
                     yield y0_at[p0x % D0, p0y % D0], a1, a2, U, R, sign
 
 
-def _term_series(term) -> NovikovSeries:
-    """The exact one-term series of a term (e, c) whose c is kept."""
-    e, c = term
-    return NovikovSeries._from_keys(e.denominator, (e.numerator,), (c,), None)
+def _rank1_factor(x: NovikovSeries):
+    """x as an `_add_rank1` factor: c or (key, den, c) for one exact term, else x."""
+    if x.cutoff is not None or len(x._keys) != 1:
+        return x
+    k = x._keys[0]
+    return (k, x._den, x._coeffs[0]) if k else x._coeffs[0]
 
 
 def _add_rank1(entry: _RunningSum, ops, num: int, den: int, sign: int) -> None:
     """Add q_power(num/den, sign) * (f4 * (f3 * (f2 * (f1 * f0)))) to
-    `entry`, with the same products in the same order as the 1 x 1 matrix
-    chain, for ops = (f0, ..., f4): a series, an exact term (e, c) with c
-    kept, or None for the exact zero, which makes the whole product zero.
+    `entry` by the products of the 1 x 1 matrix chain, in their order, for
+    ops = (f0, ..., f4): a kept coefficient c at exponent 0, an exact term
+    (key, den, c), a series, or None, the exact zero (no product at all).
 
-    Exact terms before the first series x fold into one term `right`,
-    those after it go to `lefts`, and `add_product` applies both in its
-    one pass over x.  Only a second series (a series-unit transport and a
-    multi-term generator) forms a product series."""
+    Exact factors before the first series x fold into one scalar `right`,
+    signed and added (`add_term`) if there is no x; those after x go to
+    `lefts`, which `add_product` applies with `right` in one pass over x,
+    unless a second series multiplies x after them.  Exponents of exact
+    factors shift every product alike: their sum joins the area's."""
     x = right = None
     lefts = []
+    en, ed = 0, 1  # the summed exponent of the exact factors
     for op in ops:
         if op is None:
             return
-        if type(op) is not tuple and op.cutoff is None and len(op._keys) <= 1:
-            if not op._keys:
-                return
-            k = op._keys[0]
-            op = (Fraction(k, op._den) if k else _ZERO, op._coeffs[0])
-        if type(op) is not tuple:
-            if x is not None:
-                if right is not None:
-                    x = x * _term_series(right)
-                for term in lefts:
-                    x = _term_series(term) * x
+        if type(op) is tuple:
+            k, d, op = op
+            en, ed = en * d + k * ed, ed * d
+        elif type(op) is NovikovSeries:
+            if x is not None:  # x times its factors so far, then op * x
+                x = x if right is None else x * right
+                for f in lefts:
+                    x = NovikovSeries.constant(f) * x
                 right, lefts = None, []
-                op = op * x
-            x = op
-        elif x is not None:
+            x = op if x is None else op * x
+            continue
+        if x is not None:
             lefts.append(op)
         elif right is None:
             right = op
-        else:
-            c = _kept(op[1] * right[1])
-            if c is None:
-                return
-            right = (right[0] + op[0] if op[0] else right[0], c)
-    if x is None:  # every factor is an exact term
-        x, right = _term_series(right), None
-    for e, _ in lefts if right is None else [right, *lefts]:
-        if e:
-            num, den = num * e.denominator + e.numerator * den, den * e.denominator
-    entry.add_product(
-        num, den, x, None if right is None else right[1], [c for _, c in lefts] + [sign]
-    )
+        elif (right := _kept(op * right)) is None:
+            return
+    if en:
+        num, den = num * ed + en * den, den * ed
+    if x is not None:
+        entry.add_product(num, den, x, right, lefts + [sign])
+    elif (right := _kept(sign * right)) is not None:
+        entry.add_term(num, den, right)
 
 
 def _arc_transport(system, scalar, path: str):
@@ -476,10 +474,10 @@ def _arc_transport(system, scalar, path: str):
         return lambda num, den: system.transport(Fraction(num, den))
     if scalar is None:  # a series eigenvalue on rank 1
         return lambda num, den: system.transport(Fraction(num, den))[0][0]
+    if path == "rank1":
+        return scalar_power(system.blocks[0][0]._coeffs[0])
     scalars, blocks = scalar
-    if path == "scalar":
-        return lambda num, den: (scalars(num, den), blocks)
-    return lambda num, den: None if (c := scalars(num, den)[0]) is None else (_ZERO, c)
+    return lambda num, den: (scalars(num, den), blocks)
 
 
 def _sum(phi2: FloerElement, phi1: FloerElement, chain, cutoff: Fraction,
@@ -500,21 +498,25 @@ def _sum(phi2: FloerElement, phi1: FloerElement, chain, cutoff: Fraction,
     scalars = [ls.scalar_transport() for ls in systems]
     comps1, comps2 = phi1.components, phi2.components
     path = "rank1" if rows == cols == systems[1].rank == 1 else "matrix"
-    if path == "matrix" and None not in scalars:
+    if path == "rank1":
+        comps1, comps2 = ([(c, _rank1_factor(m[0][0])) for c, m in comps]
+                          for comps in (comps1, comps2))
+    elif None not in scalars:
         by_cols = [[(c, scalar_columns(m)) for c, m in comps] for comps in (comps1, comps2)]
         if all(m is not None for comps in by_cols for _, m in comps):
             path, (comps1, comps2) = "scalar", by_cols
     t0, t1, t2 = (_arc_transport(ls, f, path) for ls, f in zip(systems, scalars))
-    # per output generator, the running sum of each entry a product reaches
-    acc: Dict[Vec, Dict[Tuple[int, int], _RunningSum]] = defaultdict(
+    # per output generator index, the running sum of each entry a product reaches
+    acc: Dict[int, Dict[Tuple[int, int], _RunningSum]] = defaultdict(
         lambda: defaultdict(lambda: _RunningSum(start)))
-    triangles = _walk(comps1, comps2, chain, cutoff, out_space.coords(), listing)
+    out_coords = out_space.coords()
+    triangles = _walk(comps1, comps2, chain, cutoff, out_coords, listing)
     for y0, a1, a2, U, R, sign in triangles:
         sums = acc[y0]
         num, den = abs(d01) * U * U, 2 * abs(d02 * d12) * R * R  # the area
         T0, T1, T2 = t0(U, R * d02), t1(-U, R * d12), t2(U * d01, R * d02 * d12)
         if path == "rank1":
-            _add_rank1(sums[0, 0], (T0, a1[0][0], T1, a2[0][0], T2), num, den, sign)
+            _add_rank1(sums[0, 0], (T0, a1, T1, a2, T2), num, den, sign)
         elif path == "scalar":
             for i, m_row in scalar_chain(a1, T0, T1, a2, T2).items():
                 for j, c in m_row.items():
@@ -529,9 +531,9 @@ def _sum(phi2: FloerElement, phi1: FloerElement, chain, cutoff: Fraction,
                     if x._keys or x.cutoff is not None:
                         sums[i, j].add_product(num, den, x, None, lefts)
     return FloerElement(out_space, {  # an entry no product reached is `start`
-        c: tuple(tuple(sums[i, j].series() if (i, j) in sums else start
-                       for j in range(cols)) for i in range(rows))
-        for c, sums in acc.items()})
+        out_coords[y0]: tuple(tuple(sums[i, j].series() if (i, j) in sums else start
+                                    for j in range(cols)) for i in range(rows))
+        for y0, sums in acc.items()})
 
 
 def mu2(phi2: FloerElement, phi1: FloerElement, cutoff: Rational) -> FloerElement:

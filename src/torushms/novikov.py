@@ -30,16 +30,17 @@ and every loop that adds many series into one (the geometric series of
 `invert`, the binomial series of `fractional_power`, theta series, each
 matrix entry of `mu2`) keeps one running sum instead of re-merging the
 partial sum each step.  Where an addend is a series x times exact
-one-term factors (q^e times M^k in a theta term; the area weight, and on
-rank 1 the scalar transports and generators, of a triangle),
-`_RunningSum.add_product` adds it in one pass over x's keys: each
-coefficient goes through the stages of the products it replaces, `0 +`
-and the drop rule included, and lands at the shifted integer key, with
-no intermediate series.  A product of two
-multi-term series runs its double loop into an integer-keyed dict,
-leaving the inner loop at the first key at or above the cutoff.  Every
-kernel output (sums, products, negation, truncation) is reduced to its
-least denominator, and no kernel forms an exponent Fraction.
+one-term factors (q^e times M^k in a theta term; the area weight,
+transports and generators of a rank-1 triangle), `add_product` adds it
+in one pass over x's keys: each coefficient goes through the stages of
+the products it replaces, `0 +` and the drop rule included, and lands at
+the shifted integer key.  Where x too is one exact term (a constant
+unit's theta term, a rank-1 triangle with no series factor), the caller
+runs those stages on scalars (`_kept`) and `add_term` adds the result.
+A product of two multi-term series runs its double loop into an
+integer-keyed dict, leaving the inner loop at the first key at or above
+the cutoff.  Every kernel output (sums, products, negation, truncation)
+is reduced to its least denominator; no kernel forms an exponent Fraction.
 
 A series keeps what is derived from it, and no caller passes tables
 around.  Its one private slot, `_held` (a `_Held`, filled on first use),
@@ -208,6 +209,17 @@ class NovikovSeries:
         object.__setattr__(out, "_keys", tuple(kept_keys))
         object.__setattr__(out, "_coeffs", tuple(kept))
         object.__setattr__(out, "cutoff", cutoff)
+        return out
+
+    @classmethod
+    def _kept_constant(cls, c) -> "NovikovSeries":
+        """`_from_keys(1, (0,), (c,), None)` for a kept c minus the no-op loop and gcd;
+        the same objects (a fresh keys tuple too), so the collector runs at the same points."""
+        out, put = object.__new__(cls), object.__setattr__
+        put(out, "_den", 1)
+        put(out, "_keys", tuple([0]))
+        put(out, "_coeffs", (c,))
+        put(out, "cutoff", None)
         return out
 
     # -- constructors ------------------------------------------------

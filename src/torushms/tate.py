@@ -38,16 +38,17 @@ whose verdict is the series test's.
 
 One inverse per unit: a unit series M holds its inverse and its powers
 (see `novikov`).  `conjugate_zero` takes M^-1 from `novikov.invert`, and
-a theta term takes M^k from `novikov._power`, which reads M^-k from the
-powers of that same inverse object.  So each power of M is formed once,
-and a series unit M costs one inversion of M and one of M^-1, however
-many times the vanishing bridge asks.
+a theta term of a series unit takes M^k from `novikov._power`, which
+reads M^-k from the powers of that same inverse object.  So each power
+of M is formed once, and a series unit M costs one inversion of M and
+one of M^-1 however often asked; a constant unit's M^k: `_scalar_powers`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
 from ._record import record
@@ -134,7 +135,7 @@ def _scalar_point(x: Fraction, c) -> TatePoint:
     without `TatePoint.__init__` or the public series constructor."""
     out = object.__new__(TatePoint)
     object.__setattr__(out, "x", x)
-    object.__setattr__(out, "unit", NovikovSeries._from_keys(1, (0,), (c,), None))
+    object.__setattr__(out, "unit", NovikovSeries._kept_constant(c))
     return out
 
 
@@ -221,6 +222,23 @@ def point_pow(p: TatePoint, n: int) -> TatePoint:
     return out
 
 
+def _scalar_powers(c0):
+    """k -> M^k's coefficient for the one-term unit c0 as `_power` forms it:
+    from 1.0 + 0.0j, times c0 or, for k < 0, `invert`'s 1.0 / c0, each
+    step through the drop rule, None from the first drop on; each once."""
+    tables = {}  # k >= 0 and k < 0: [P_0, P_1, ...] and the step
+
+    def power(k):
+        if (up := k >= 0) not in tables:  # 1.0 / c0 once asked for, as `invert`
+            tables[up] = [1.0 + 0.0j], c0 if up else _unit_inverse(c0)
+        table, step = tables[up]
+        while len(table) <= abs(k):
+            table.append(table[-1] and step and _kept(table[-1] * step))
+        return table[abs(k)]
+
+    return power
+
+
 def theta_eval_raw(kind: int, x: Rational, unit, cutoff: Rational) -> NovikovSeries:
     """Theta series at the (possibly unnormalized) presentation
     w = -q^x * unit, truncated at `cutoff`.
@@ -239,20 +257,22 @@ def theta_eval_raw(kind: int, x: Rational, unit, cutoff: Rational) -> NovikovSer
     c = x if kind == 0 else x + Fraction(1, 2)
     lo, hi = lattice_window(c, cutoff + x * x)
     up = math.ceil(-c)
-    # term n is q_power(e) * coef: e = n^2 + 2nx, coef = M^(2n) for kind 0,
-    # e = (m/2)^2 + mx, coef = -M^m with m = 2n + 1 for kind 1; e is kept
-    # as an integer numerator over p = x's denominator (kind 0) or 4p, and
+    # term n is q_power(e) * coef, m = 2n + kind: e = (m/2)^2 + mx as an int
+    # over 4p, p = x's denominator, coef = M^m (kind 0) or -M^m (kind 1), and
     # q_power(e)'s coefficient, 0 + 1, is the one left factor
     num, p = x.numerator, x.denominator
+    scalar = _scalar(unit)  # a constant unit's M^m is a scalar, None where it drops
+    power = _scalar_powers(unit._coeffs[0]) if scalar else partial(_power, unit)
     out = _RunningSum(NovikovSeries.zero(cutoff))
     for ns in (range(up, hi), range(up - 1, lo - 1, -1)):
         for n in ns:
-            if kind == 0:
-                e, coef = (n * n * p + 2 * n * num, p), _power(unit, 2 * n)
-            else:
-                m = 2 * n + 1
-                e, coef = (m * m * p + 4 * m * num, 4 * p), -_power(unit, m)
-            out.add_product(*e, coef, None, (1,))
+            m = 2 * n + kind
+            e, coef = (m * m * p + 4 * m * num, 4 * p), power(m)
+            if not scalar:
+                out.add_product(*e, -coef if kind else coef, None, (1,))
+            elif coef is not None:  # the stages of the negation and of 0 + 1
+                if (coef := _kept(1 * (_kept(-coef) if kind else coef))) is not None:
+                    out.add_term(*e, coef)
     return out.series()
 
 

@@ -217,6 +217,13 @@ def scalar_chain(a1: dict, t0, t1, a2: dict, t2) -> dict:
     return _scalar_mul(lambda k: _jordan_col(t2, k), m)
 
 
+def scalar_power(c0):
+    """(num, den) -> c0^(num/den) as `fractional_power` forms it for a one-term
+    c0: 0 + exp(complex(num / den) * log(c0)), 1.0 + 0.0j at 0, None if it drops."""
+    log = cmath.log(c0)
+    return lambda num, den: _kept(cmath.exp(complex(num / den) * log) if num else 1.0 + 0.0j)
+
+
 def _power_steps(c, k: int):
     """The coefficient of `constant(c) ** k` for a kept c and k >= 1: from
     1.0 + 0.0j by `__pow__`'s squarings and products, each through the drop
@@ -322,11 +329,10 @@ class LocalSystem:
         d-th superdiagonal, or None where it is the exact zero.
 
         Each entry is formed by the float steps of `transport`, with the
-        drop rule after each step: lam = 0 + exp(complex(num / den) *
-        log(c0)), the value that `fractional_power` forms from a Fraction
-        t; for d >= 1, complex(binom(t, d)) * lam, the binomial from
-        `_binomials`; then times (1/c0)^d in `__pow__`'s order, each power
-        formed once here.  A rank-1 system gives [lam] and [(0, 1)]."""
+        drop rule after each step: lam from `scalar_power`; for d >= 1,
+        complex(binom(t, d)) * lam, the binomial from `_binomials`; then
+        times (1/c0)^d in `__pow__`'s order, each power formed once here.
+        A rank-1 system gives [lam] and [(0, 1)]."""
         parts, blocks = [], []
         for eig, size in self.blocks:
             if eig.cutoff is not None or len(eig._keys) != 1:
@@ -334,13 +340,13 @@ class LocalSystem:
             c0 = eig._coeffs[0]
             inv = _kept(1.0 / c0)
             powers = [inv and _power_steps(inv, d) for d in range(1, size)]
-            parts.append((cmath.log(c0), powers))
+            parts.append((scalar_power(c0), powers))
             blocks += [(len(blocks), len(blocks) + size)] * size
 
         def scalars(num: int, den: int) -> list:
             diagonals = []
-            for log_c0, powers in parts:
-                lam = _kept(cmath.exp(complex(num / den) * log_c0) if num else 1.0 + 0.0j)
+            for power, powers in parts:
+                lam = power(num, den)
                 diagonals.append(lam)
                 if not powers:
                     continue

@@ -9,7 +9,9 @@ accumulation that preceded the closed-form enumerator and the per-entry
 accumulator; `mu2_phase3_c16.json` from the matrix-only triangle sum
 that preceded the rank-1 path and its scalar transports;
 `mu2_rank3_c8.json` from the matrix loop that preceded the scalar chain
-of rank-r products;
+of rank-r products; `theta_k1_phase_c256.json` and
+`section_vanishes_c256.json` from the theta sums that formed every power
+of a constant unit as a series, before its scalar chain;
 `relations_top.json` from the relation suite that built every relation
 from its public family constructor; the `markers_series_c32` product of
 `library_products.json` from the `Fraction` triangle walk that preceded
@@ -105,8 +107,15 @@ CASES = {
     "theta_k1_phase": (0, ("theta", "--kind", "1",
                            "--point", "pt(x=2/5, phase=-3/11)",
                            "--cutoff", "12")),
+    # the power chain of a constant unit, deep: M^k for |k| up to about 32
+    "theta_k1_phase_c256": (0, ("theta", "--kind", "1",
+                                "--point", "pt(x=3/13, phase=2/7)",
+                                "--cutoff", "256")),
     "section_vanishes": (0, ("section", "--q", "pt(x=1/3, phase=1/7)",
                              "--at", "pt(x=1/3, phase=1/7)")),
+    "section_vanishes_c256": (0, ("section", "--q", "pt(x=3/13, phase=2/7)",
+                                  "--at", "pt(x=3/13, phase=2/7)",
+                                  "--cutoff", "256")),
     "section_elsewhere": (0, ("section", "--q", "pt(x=1/3, phase=1/7)",
                               "--at", "pt(x=1/5, phase=2/9)",
                               "--cutoff", "6")),

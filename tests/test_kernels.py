@@ -851,6 +851,12 @@ def test_invert_matches_the_geometric_series_oracle(u, shift):
 @example(1, F(0), 1, F(1, 4))  # kind 1 at x = 0 starts at 1/4: no term
 @example(0, F(-7, 2), _UNIT, F(-49, 4))  # cutoff + x^2 = 0: no term
 @example(0, F(5), -1, F(256))
+# the scalar chain of a constant unit drops a power: c0^k from k = 2 for
+# 1e-7, (1.0 / c0)^k from k = 2 for 1e7, and each stays dropped
+@example(0, F(1, 3), 1e-7, F(64))
+@example(1, F(1, 3), 1e-7, F(64))
+@example(0, F(1, 3), 1e7, F(64))
+@example(1, F(1, 3), 1e7, F(64))
 def test_theta_with_one_table_matches_the_per_kind_oracle(kind, x, unit, cutoff):
     """`theta_eval_raw` at any x; then, at the point, both kinds twice
     (the second call reads the powers the unit holds), the section

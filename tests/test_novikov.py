@@ -407,3 +407,30 @@ def test_hot_paths_read_no_terms(monkeypatch):
     assert reads == []
     repr(unit)  # output reads it: the counter is in place
     assert reads == [unit]
+
+
+def test_one_term_factors_build_no_series_per_term(monkeypatch):
+    """Theta series of a constant unit and rank-1 mu2 with constant
+    eigenvalues and generators form each term on scalars: the series
+    they build (calls of `NovikovSeries._from_keys`) do not grow with the
+    cutoff, which takes in more terms and triangles."""
+    phase = cmath.exp(2j * cmath.pi / 7)
+    ls = LocalSystem.from_eigenvalue(phase, 1)
+    l0, l1, l2 = (Brane((0, -1), F(1, 4), local_system=ls), Brane((1, 2), local_system=ls),
+                  Brane((1, 0), F(1, 3), local_system=ls))
+    phi1 = weighted(l0, l1, NovikovSeries.constant(0.5j))
+    phi2 = weighted(l1, l2, NovikovSeries.constant(1.0 - 0.5j))
+    calls, real = [], NovikovSeries._from_keys.__func__
+    monkeypatch.setattr(NovikovSeries, "_from_keys", classmethod(
+        lambda cls, *args: calls.append(args) or real(cls, *args)))
+
+    def built(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    for kind in (0, 1):
+        points = [TatePoint(F(1, 3), phase) for _ in range(2)]  # no powers held
+        assert built(theta_eval, kind, points[0], 8) == built(theta_eval, kind, points[1], 256)
+    assert built(mu2, phi2, phi1, 8) == built(mu2, phi2, phi1, 64)
+    assert len(mu2(phi2, phi1, 64).components[0][1][0][0].terms) > 10
