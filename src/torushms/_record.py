@@ -47,10 +47,7 @@ def _refuse_del(self, name):
 def record(cls):
     """Make `cls` a frozen record (see the module docstring)."""
     names = tuple(cls.__annotations__)
-    slots = cls.__dict__.get("__slots__", ())
-    defaults = {
-        n: cls.__dict__[n] for n in names if n in cls.__dict__ and n not in slots
-    }
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     qualname = cls.__qualname__
     tail = tuple(defaults.values())
     if names[len(names) - len(tail):] != tuple(defaults):

@@ -82,7 +82,7 @@ from .sheafk import (
     line_bundle, o_of_n_p0, relation_suite,
 )
 from .tate import TatePoint, eval_section, section_through, theta_eval
-from .torus import Brane, LocalSystem, det2, is_primitive
+from .torus import Brane, LocalSystem, det2, index_of, is_primitive
 from .cobord import CobordClass, class_of_sum, normal_form
 
 __all__ = ["main", "parse_expr", "print_ast", "parse_ast"]
@@ -776,10 +776,12 @@ def _generator(l0: Brane, l1: Brane, idx: int) -> FloerElement:
 
 
 def _cmd_cf(args):
+    points = cf(args.l0, args.l1).points  # a parallel pair raises here
+    index = index_of(args.l0, args.l1)
     gens = [
-        {"coords": [_frac(p.coords[0]), _frac(p.coords[1])], "index": p.index,
+        {"coords": [_frac(x), _frac(y)], "index": index,
          "dim": args.l0.rank * args.l1.rank}
-        for p in cf(args.l0, args.l1).points
+        for x, y in points
     ]
     plain = [f"generators: {len(gens)}"] + [
         f"  y=({g['coords'][0]}, {g['coords'][1]})  degree {g['index']}"

@@ -121,7 +121,8 @@ def curve_of(b: Brane) -> CurveClass:
 def surgery(c0: CurveClass, c1: CurveClass) -> CurveClass:
     """Elementary surgery: slopes add, fluxes add plus the 1/2 handle
     correction.  Requires |det(v0, v1)| = 1 (one crossing per
-    fundamental domain) and a nonzero primitive sum."""
+    fundamental domain); the sum is then primitive, since
+    det(v0, v0 + v1) = det(v0, v1) = +-1."""
     v = (c0.v[0] + c1.v[0], c0.v[1] + c1.v[1])
     if v == (0, 0):
         raise NullClass("surgery of opposite slopes has no homology class")
@@ -130,8 +131,6 @@ def surgery(c0: CurveClass, c1: CurveClass) -> CurveClass:
         raise NonElementary(
             f"|det{c0.v, c1.v}| = {abs(d)} != 1: surgery is not elementary"
         )
-    if not is_primitive(v):  # impossible when |det| = 1; defensive
-        raise NonElementary(f"surgered slope {v} is imprimitive")
     return CurveClass(v, c0.flux + c1.flux + Fraction(1, 2))
 
 

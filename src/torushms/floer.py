@@ -69,7 +69,6 @@ from .novikov import (
 )
 from .torus import (
     Brane,
-    IntersectionPoint,
     Matrix,
     Vec,
     bezout,
@@ -103,11 +102,14 @@ __all__ = [
 
 @record
 class CFSpace:
-    """The cochain space CF(L0, L1) = sum over y of Hom(E0|_y, E1|_y)."""
+    """The cochain space CF(L0, L1) = sum over y of Hom(E0|_y, E1|_y):
+    `points` are the coordinates of the intersection points y, sorted,
+    as `torus.intersections` gives them; each has degree
+    `torus.index_of(l0, l1)`."""
 
     l0: Brane
     l1: Brane
-    points: Tuple[IntersectionPoint, ...]
+    points: Tuple[Vec, ...]
 
     @property
     def hom_shape(self) -> Tuple[int, int]:
@@ -115,7 +117,7 @@ class CFSpace:
         return (self.l1.rank, self.l0.rank)
 
     def coords(self) -> Tuple[Vec, ...]:
-        return tuple(p.coords for p in self.points)
+        return self.points
 
 
 def cf(l0: Brane, l1: Brane) -> CFSpace:

@@ -14,7 +14,10 @@ rational base point, together with
   * a local system, stored in its Jordan normal form: blocks
     (eigenvalue, size) with valuation-zero eigenvalues.
 
-Index computations never touch floating-point angles: every floor of a
+Two branes of different slopes v0, v1 meet in |det(v0, v1)| points;
+`intersections` gives their coordinates in [0,1)^2, and every point of
+the ordered pair has the one degree `index_of` gives.  Index
+computations never touch floating-point angles: every floor of a
 grading difference reduces to sign tests on integer cross products.
 """
 
@@ -442,19 +445,6 @@ class Brane:
         return s
 
 
-@record
-class IntersectionPoint:
-    """One transverse intersection y of an ordered brane pair, with its
-    degree and the arc parameters (fractions of the primitive period
-    from each base point, mod 1) at which the branes pass through y."""
-
-    __slots__ = ("coords", "index", "s", "t")
-    coords: Vec
-    index: int
-    s: Fraction
-    t: Fraction
-
-
 def index_of(l0: Brane, l1: Brane) -> int:
     """Degree of every intersection point of the ordered pair:
     floor(alpha1 - alpha0) + 1 with the integer offsets included."""
@@ -466,13 +456,12 @@ def index_of(l0: Brane, l1: Brane) -> int:
     )
 
 
-def intersections(l0: Brane, l1: Brane) -> Tuple[IntersectionPoint, ...]:
-    """All |det(v0,v1)| intersection points, sorted by coordinates.
+def intersections(l0: Brane, l1: Brane) -> Tuple[Vec, ...]:
+    """All |det(v0,v1)| intersection points, as coordinates in [0,1)^2,
+    sorted.  Every point of the pair has the degree `index_of` gives.
 
     With d = det(v0,v1) and c = det(p1-p0, v1), the points are
-    y_j = p0 + s_j*v0 (mod 1) for s_j = (c+j)/d, j = 0..|d|-1; the arc
-    parameter on L1 is t = a*(y-p1)_x + b*(y-p1)_y (mod 1), where
-    a*v1_x + b*v1_y = 1.
+    y_j = p0 + s_j*v0 (mod 1) for s_j = (c+j)/d, j = 0..|d|-1.
 
     Raises NonTransverse for parallel slopes and MarkerCollision when a
     Pin marker sits on an intersection point.
@@ -482,15 +471,11 @@ def intersections(l0: Brane, l1: Brane) -> Tuple[IntersectionPoint, ...]:
     if d == 0:
         raise NonTransverse(f"branes {l0} and {l1} are parallel")
     p0, p1 = l0.base_point, l1.base_point
-    idx = index_of(l0, l1)
-    a, b = bezout(*v1)
     c = det2((p1[0] - p0[0], p1[1] - p0[1]), v1)
-    found = {}
+    found = set()
     for j in range(abs(d)):
         s = (c + j) / d
-        y = ((p0[0] + s * v0[0]) % 1, (p0[1] + s * v0[1]) % 1)
-        t = (a * (y[0] - p1[0]) + b * (y[1] - p1[1])) % 1
-        found[y] = (s % 1, t)
+        found.add(((p0[0] + s * v0[0]) % 1, (p0[1] + s * v0[1]) % 1))
     if len(found) != abs(d):
         raise AssertionError(
             f"expected {abs(d)} intersection points, found {len(found)}"
@@ -499,13 +484,11 @@ def intersections(l0: Brane, l1: Brane) -> Tuple[IntersectionPoint, ...]:
         (l0, (l0.marker_point[0] % 1, l0.marker_point[1] % 1)),
         (l1, (l1.marker_point[0] % 1, l1.marker_point[1] % 1)),
     )
-    pts = []
-    for y in sorted(found):
+    pts = tuple(sorted(found))
+    for y in pts:
         for brane, mk in marker_lifts:
             if y == mk:
                 raise MarkerCollision(
                     f"Pin marker of {brane} sits on intersection point {y}"
                 )
-        s, t = found[y]
-        pts.append(IntersectionPoint(y, idx, s, t))
-    return tuple(pts)
+    return pts

@@ -25,6 +25,7 @@ from torushms.errors import (
     NonTransverse,
 )
 from torushms.floer import (
+    CFSpace,
     FloerElement,
     assoc_defect,
     cf,
@@ -246,6 +247,13 @@ def test_mu1_vanishes_for_straight_branes():
     a = generator_element(l0, l1, cf(l0, l1).coords()[0])
     assert mu1(a).is_zero()
     assert zero_element(l0, l1).is_zero()
+
+
+def test_mu1_refuses_a_space_of_parallel_branes():
+    """`cf` refuses a parallel pair; a space built by hand reaches mu1."""
+    l0, l1 = Brane((1, 2)), Brane((-1, -2), F(1, 3))
+    with pytest.raises(NonTransverse):
+        mu1(FloerElement(CFSpace(l0, l1, ()), {}))
 
 
 def test_bilinearity():

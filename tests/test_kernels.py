@@ -95,7 +95,7 @@ from torushms.tate import (
     section_through, section_vanishes_at, theta_eval, theta_eval_raw,
 )
 from torushms.torus import (
-    DEFAULT_MARKER, Brane, IntersectionPoint, LocalSystem, det2, index_of,
+    DEFAULT_MARKER, Brane, LocalSystem, det2, index_of,
     mat_mul, mat_scale,
 )
 
@@ -445,10 +445,9 @@ def _bundle_post_init(self):
 
 def _record_defaults(cls):
     """The fields of `cls` that have a default, with the default."""
-    slots = cls.__dict__.get("__slots__", ())
     return {
         name: cls.__dict__[name] for name in cls.__annotations__
-        if name in cls.__dict__ and name not in slots
+        if name in cls.__dict__
     }
 
 
@@ -457,10 +456,7 @@ def record_oracle(cls):
     qualname, fields, defaults and `__post_init__`.  It subclasses `cls`
     for the properties and methods the constructor checks call;
     dataclasses writes its __init__, __repr__, __eq__, __hash__ and
-    __setattr__.  (IntersectionPoint was `slots=True`, whose frozen
-    __setattr__ raised TypeError for a name that is not a field; the twin
-    has no slots of its own, so it raises AttributeError as the record
-    does.)"""
+    __setattr__."""
     defaults = {
         name: dataclasses.field(default=value)
         for name, value in _record_defaults(cls).items()
@@ -1030,6 +1026,9 @@ _TINY_L0 = Brane((0, -1), F(1, 4), local_system=LocalSystem.from_eigenvalue(1e-6
 _TINY_JORDAN = Brane((0, -1), F(1, 4), local_system=LocalSystem.from_eigenvalue(1e-6, 2))
 _SERIES_JORDAN = Brane((1, 2), local_system=LocalSystem.from_eigenvalue(
     NovikovSeries(((0, _phase), (F(1, 3), 0.5)), F(6)), 2))
+_PAIR_L1 = Brane((1, 2), local_system=LocalSystem.trivial(2))
+_HUGE3_L1 = Brane((1, 2), local_system=LocalSystem.from_eigenvalue(2e6, 3))
+_HUGE4_L1 = Brane((1, 2), local_system=LocalSystem.from_eigenvalue(1e5, 4))
 _C = NovikovSeries.constant
 
 
@@ -1060,6 +1059,13 @@ _C = NovikovSeries.constant
           weighted(_TINY_JORDAN, _L1, NovikovSeries.q_power(F(1, 2), 2), _C(-1j)), F(8)))
 @example((weighted(_SERIES_JORDAN, _L2, _C(1), _C(0.5j)),
           weighted(_L0, _SERIES_JORDAN, _C(1), _C(-1)), F(6)))
+# on the scalar chain, phi2 . T1 . phi1 sums x and -x: the partial sum
+# cancels and the entry is dropped
+@example((weighted(_PAIR_L1, _L2, _C(1), _C(-1)), weighted(_L0, _PAIR_L1, _C(1), _C(1)), F(8)))
+# (1/c0)^d on the scalar chain: for c0 = 2e6 the squaring for d = 2 drops,
+# for c0 = 1e5 the product for d = 3 drops (the squaring stays kept)
+@example((weighted(_HUGE3_L1, _L2, *[_C(1)] * 3), weighted(_L0, _HUGE3_L1, *[_C(1)] * 3), F(8)))
+@example((weighted(_HUGE4_L1, _L2, *[_C(1)] * 4), weighted(_L0, _HUGE4_L1, *[_C(1)] * 4), F(8)))
 def test_mu2_walk_matches_the_one_loop_oracle(product):
     """Ranks 1 to 3: the rank-1 path, the scalar chain and the matrix loop
     of `floer._sum` against one matrix loop, and the triangle listing."""
@@ -1792,9 +1798,6 @@ _item_ast = st.one_of(
     st.builds(OP0Ast, _small, _small),
     st.builds(SkyAst, _point_ast, _small, _small),
 )
-_intersection = st.builds(
-    IntersectionPoint, st.tuples(_frac, _frac), _small, _frac, _frac
-)
 
 
 @st.composite
@@ -1817,9 +1820,8 @@ _RECORD_FIELDS = {
         max_size=2,
     ).map(tuple)),
     Brane: st.tuples(_vector, _frac, _small, _frac, _systems(max_rank=2)),
-    IntersectionPoint: st.tuples(st.tuples(_frac, _frac), _small, _frac, _frac),
     CFSpace: st.tuples(_BRANES[2], _BRANES[2],
-                       st.lists(_intersection, max_size=2).map(tuple)),
+                       st.lists(st.tuples(_frac, _frac), max_size=2).map(tuple)),
     FloerElement: _space.flatmap(lambda sp: st.tuples(st.just(sp), _components(sp))),
     Bundle: st.tuples(st.integers(-1, 3), _small, _point, _small),
     Skyscraper: st.tuples(_point, st.integers(-1, 3), _small),
@@ -1875,7 +1877,7 @@ def test_every_record_has_a_twin():
         if isinstance(obj, type) and obj.__module__ == module.__name__
         and obj.__setattr__ is _record._refuse_set
     }
-    assert records == set(_RECORD_FIELDS) and len(records) == 24
+    assert records == set(_RECORD_FIELDS) and len(records) == 23
     assert not any(map(dataclasses.is_dataclass, records))
 
 

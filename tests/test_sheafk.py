@@ -62,6 +62,9 @@ def test_sum_canonicalization():
     t = as_sum(b) + as_sum(Skyscraper(POINTS[3], 2))
     assert t.terms == tuple(sorted(t.terms, key=lambda kv: repr(kv[0])))
     assert (-s).terms == ((b, -3),)
+    # a bare sheaf inside the iterable counts once
+    c = Skyscraper(POINTS[3], 2)
+    assert SheafSum([b, (c, 2)]) == SheafSum([(b, 1), (c, 2)])
 
 
 def test_one_sheaf_sum_never_renders_its_sheaf(monkeypatch):

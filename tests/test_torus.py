@@ -13,7 +13,6 @@ from torushms.errors import MarkerCollision, NonTransverse, NonUnit
 from torushms.novikov import NovikovSeries
 from torushms.torus import (
     Brane,
-    IntersectionPoint,
     LocalSystem,
     alpha0_floor_diff,
     bezout,
@@ -143,28 +142,17 @@ def test_intersection_count_is_the_determinant():
     for v0, v1, count in cases:
         pts = intersections(Brane(v0), Brane(v1, F(1, 5)))
         assert len(pts) == count
-        coords = {p.coords for p in pts}
-        assert len(coords) == count  # distinct mod 1
+        assert len(set(pts)) == count  # distinct mod 1
 
 
 def test_intersection_points_lie_on_both_circles():
     l0, l1 = Brane((1, 2), F(1, 7)), Brane((2, -1), F(2, 5))
-    for p in intersections(l0, l1):
+    for x, y in intersections(l0, l1):
         for l in (l0, l1):
             bx, by = l.base_point
             m, n = l.slope
-            d = (p.coords[0] - bx) * n - (p.coords[1] - by) * m
+            d = (x - bx) * n - (y - by) * m
             assert d.denominator == 1  # on the circle mod the lattice
-
-
-def test_arc_parameters_locate_the_point():
-    l0, l1 = Brane((3, -2), F(2, 7)), Brane((-1, 4), F(5, 11), 1)
-    for p in intersections(l0, l1):
-        for l, arc in ((l0, p.s), (l1, p.t)):
-            assert 0 <= arc < 1
-            y = (l.base_point[0] + arc * l.slope[0],
-                 l.base_point[1] + arc * l.slope[1])
-            assert (y[0] % 1, y[1] % 1) == p.coords
 
 
 def grid_intersections(l0: Brane, l1: Brane):
@@ -176,32 +164,27 @@ def grid_intersections(l0: Brane, l1: Brane):
     if d == 0:
         raise NonTransverse(f"branes {l0} and {l1} are parallel")
     p0, p1 = l0.base_point, l1.base_point
-    idx = index_of(l0, l1)
     bound = abs(v0[0]) + abs(v0[1]) + abs(v1[0]) + abs(v1[1]) + 2
-    found = {}
+    found = set()
     for j in range(-bound, bound + 1):
         for k in range(-bound, bound + 1):
             rx = p1[0] - p0[0] + j
             ry = p1[1] - p0[1] + k
             s = F(rx * (-v1[1]) - ry * (-v1[0]), -d)
-            t = F(v0[0] * ry - v0[1] * rx, -d)
-            y = ((p0[0] + s * v0[0]) % 1, (p0[1] + s * v0[1]) % 1)
-            found.setdefault(y, (s % 1, t % 1))
+            found.add(((p0[0] + s * v0[0]) % 1, (p0[1] + s * v0[1]) % 1))
     assert len(found) == abs(d)
     marker_lifts = (
         (l0, (l0.marker_point[0] % 1, l0.marker_point[1] % 1)),
         (l1, (l1.marker_point[0] % 1, l1.marker_point[1] % 1)),
     )
-    pts = []
-    for y in sorted(found):
+    pts = tuple(sorted(found))
+    for y in pts:
         for brane, mk in marker_lifts:
             if y == mk:
                 raise MarkerCollision(
                     f"Pin marker of {brane} sits on intersection point {y}"
                 )
-        s, t = found[y]
-        pts.append(IntersectionPoint(y, idx, s, t))
-    return tuple(pts)
+    return pts
 
 
 def _outcome(enumerate_points, l0, l1):
@@ -227,19 +210,22 @@ _modes = st.sampled_from(
 )
 
 
-def _with_marker_on(brane: Brane, arc: F) -> Brane:
-    """The brane with its Pin marker moved onto the crossing at arc
-    position `arc` (markers run along the canonical direction)."""
-    if canonical_direction(brane.slope) != brane.slope:
-        arc = -arc
+def _with_marker_on(brane: Brane, y) -> Brane:
+    """The brane with its Pin marker moved onto its crossing y.  Markers
+    run along the canonical direction c, so the arc position is the a
+    with base + a*c = y mod 1: with a*c_x + b*c_y = 1, it is
+    a*(y - base)_x + b*(y - base)_y mod 1."""
+    a, b = bezout(*canonical_direction(brane.slope))
+    bx, by = brane.base_point
+    arc = a * (y[0] - bx) + b * (y[1] - by)
     return Brane(brane.slope, brane.shift, brane.grading_offset, arc)
 
 
 @settings(max_examples=120, deadline=None)
 @given(_branes, _branes, _modes, st.integers(min_value=0, max_value=35))
 def test_closed_form_matches_grid_scan(l0, l1, mode, pick):
-    """Same points in the same order with the same s, t and index, and
-    the same error for parallel slopes and marker collisions."""
+    """Same points in the same order, and the same error for parallel
+    slopes and marker collisions."""
     if mode in ("parallel", "antiparallel"):
         sign = 1 if mode == "parallel" else -1
         m, n = l0.slope
@@ -252,11 +238,11 @@ def test_closed_form_matches_grid_scan(l0, l1, mode, pick):
             except MarkerCollision:  # the default marker already collides
                 pts = ()
             if pts:
-                p = pts[pick % len(pts)]
+                y = pts[pick % len(pts)]
                 if mode != "marker1":
-                    l0 = _with_marker_on(l0, p.s)
+                    l0 = _with_marker_on(l0, y)
                 if mode != "marker0":
-                    l1 = _with_marker_on(l1, p.t)
+                    l1 = _with_marker_on(l1, y)
     want = _outcome(grid_intersections, l0, l1)
     assert _outcome(intersections, l0, l1) == want
 
