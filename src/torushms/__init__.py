@@ -36,7 +36,6 @@ from .torus import (
     LocalSystem,
     index_of,
     intersections,
-    ls_ses_triple,
 )
 from .floer import (
     CFSpace,

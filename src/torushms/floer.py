@@ -8,12 +8,17 @@ mu2(phi2, phi1) are enumerated by fixing the lift of y1 in [0,1)^2 and
 walking the Z-family of lifts of L2: the signed offset u = k + r of
 lift k is affine in k and the triangle area is A u^2, so the lifts with
 area below the cutoff are one `novikov.lattice_window` (one isqrt).
-`_walk` steps this lattice on integers: U = R u for one denominator R
-per generator, corners as integer numerators reduced mod 1 by `%`, and
-marker counts as floors of affine functions of U.  It yields the
-triangles whose y2 corner phi2 weights, which `mu2` sums, and for
-`mu2_triangles` lists every triangle with its exact boundary data as a
-plain tuple, which `cli` renders; only that listing builds Fractions.
+A generator is an index into its `CFSpace`, which stores the pair's
+lattice: one denominator and the sorted integer numerator pairs of its
+intersection points; a `FloerElement` holds its components by index.
+`_walk` steps on integers read off the three spaces' lattices: U = R u
+for one denominator R per call, corners as integer numerators reduced
+mod 1 by `%` and found in one map per space, and marker counts as
+floors of affine functions of U.  It yields the triangles whose y2
+corner phi2 weights, which `mu2` sums, and for `mu2_triangles` lists
+every triangle with its exact boundary data as a plain tuple, which
+`cli` renders.  It forms a few Fractions per call and none per
+generator or triangle, except in that listing.
 Each triangle contributes
 
     sign * q^area * T2 . phi2(y2) . T1 . phi1(y1) . T0
@@ -50,6 +55,7 @@ precision.
 from __future__ import annotations
 
 import math
+import bisect
 from collections import defaultdict
 from fractions import Fraction
 from operator import itemgetter
@@ -75,6 +81,7 @@ from .torus import (
     det2,
     index_of,
     intersections,
+    lattice_denominator,
     mat_add,
     mat_max_abs,
     mat_mul,
@@ -102,98 +109,114 @@ __all__ = [
 
 @record
 class CFSpace:
-    """The cochain space CF(L0, L1) = sum over y of Hom(E0|_y, E1|_y):
-    `points` are the coordinates of the intersection points y, sorted,
-    as `torus.intersections` gives them; each has degree
-    `torus.index_of(l0, l1)`."""
+    """The cochain space CF(L0, L1) = sum over y of Hom(E0|_y, E1|_y),
+    and the owner of the generator format: generator i is the point
+    nums[i] / den on the pair's lattice, as `torus.intersections` sorts
+    them; `points` forms the coordinates on read, and `index` maps them
+    back.  Each has degree `torus.index_of(l0, l1)`."""
 
     l0: Brane
     l1: Brane
-    points: Tuple[Vec, ...]
+    den: int
+    nums: Tuple[Tuple[int, int], ...]
+
+    def __repr__(self):
+        return f"CFSpace(l0={self.l0!r}, l1={self.l1!r}, points={self.points!r})"
 
     @property
     def hom_shape(self) -> Tuple[int, int]:
         """(rows, cols) of a component matrix: rk(E1) x rk(E0)."""
         return (self.l1.rank, self.l0.rank)
 
+    def point(self, i: int) -> Vec:
+        """The coordinates of generator i."""
+        x, y = self.nums[i]
+        return Fraction(x, self.den), Fraction(y, self.den)
+
     def coords(self) -> Tuple[Vec, ...]:
-        return self.points
+        return tuple(map(self.point, range(len(self.nums))))
+
+    points = property(coords)
+
+    def index(self, coords) -> Optional[int]:
+        """The index of the generator at `coords` (read mod 1), or None
+        where no generator sits."""
+        den, key = self.den, []
+        for c in (coords[0], coords[1]):
+            num, d = (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
+            if den % d:
+                return None
+            key.append(num * (den // d) % den)
+        i = bisect.bisect_left(self.nums, key := tuple(key))
+        return i if self.nums[i:i + 1] == (key,) else None
 
 
 def cf(l0: Brane, l1: Brane) -> CFSpace:
     """Build CF(L0,L1); raises NonTransverse for parallel slopes and
     MarkerCollision if a Pin marker sits on an intersection point."""
-    return CFSpace(l0, l1, intersections(l0, l1))
-
-
-def _mat_is_zero(m: Matrix) -> bool:
-    return all(x.is_zero() for row in m for x in row)
+    return CFSpace(l0, l1, lattice_denominator(l0, l1), intersections(l0, l1))
 
 
 @record
 class FloerElement:
     """An element of CF(L0,L1): matrix-valued coefficients on the
-    intersection points (shape rk(E1) x rk(E0) each), at most one per
-    point, sorted on the coordinates as given."""
+    generators (shape rk(E1) x rk(E0) each), held by generator index
+    (`entries`, ascending, no zero matrix).  It is built from (coordinates,
+    matrix) pairs, or a dict of them; `components` forms those on read."""
 
     space: CFSpace
-    components: Tuple[Tuple[Vec, Matrix], ...]
+    entries: Tuple[Tuple[int, Matrix], ...]
 
     def __init__(self, space: CFSpace, components):
         if isinstance(components, dict):
             components = components.items()
-        # keys are the space's own coordinate objects, shared, not copies
-        valid = {c: c for c in space.coords()}
         shape = space.hom_shape
-        clean, seen = [], set()
+        entries = {}
         for coords, matrix in sorted(components, key=itemgetter(0)):
-            coords = (Fraction(coords[0]) % 1, Fraction(coords[1]) % 1)
-            if coords not in valid:
-                raise ValueError(
-                    f"{coords} is not an intersection point of the pair"
-                )
-            if coords in seen:
-                raise ValueError(f"generator {coords} is given twice")
-            seen.add(coords)
-            coords = valid[coords]
+            i = space.index(coords)
+            if i is None or i in entries:
+                coords = (Fraction(coords[0]) % 1, Fraction(coords[1]) % 1)
+                raise ValueError(f"generator {coords} is given twice" if i is not None
+                                 else f"{coords} is not an intersection point of the pair")
             matrix = tuple(tuple(row) for row in matrix)
             widths = {len(row) for row in matrix}
             if len(widths) > 1:
                 raise ValueError(
-                    f"component at {coords} has rows of lengths "
+                    f"component at {space.point(i)} has rows of lengths "
                     f"{sorted(widths)}, expected {shape[1]} each"
                 )
             got = (len(matrix), widths.pop() if widths else 0)
             if got != shape:
                 raise ValueError(
-                    f"component at {coords} has shape {got}, expected {shape}"
+                    f"component at {space.point(i)} has shape {got}, expected {shape}"
                 )
-            if not _mat_is_zero(matrix):
-                clean.append((coords, matrix))
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "components", tuple(clean))
+            entries[i] = matrix
+        _fill(self, space, sorted(entries.items()))
+
+    def __repr__(self):
+        return f"FloerElement(space={self.space!r}, components={self.components!r})"
 
     # -- queries -------------------------------------------------------
 
+    @property
+    def components(self) -> Tuple[Tuple[Vec, Matrix], ...]:
+        return tuple((self.space.point(i), m) for i, m in self.entries)
+
     def component(self, coords: Vec) -> Optional[Matrix]:
-        coords = (Fraction(coords[0]) % 1, Fraction(coords[1]) % 1)
-        for c, m in self.components:
-            if c == coords:
-                return m
-        return None
+        return dict(self.entries).get(self.space.index(coords))
 
     def support(self) -> Tuple[Vec, ...]:
-        return tuple(c for c, _ in self.components)
+        return tuple(self.space.point(i) for i, _ in self.entries)
 
     def is_zero(self) -> bool:
-        return not self.components
+        return not self.entries
 
     @property
     def degree(self) -> int:
         return index_of(self.space.l0, self.space.l1)
 
     def max_abs_coeff(self, below: Optional[Rational] = None) -> float:
-        return _largest(mat_max_abs(m, below) for _, m in self.components)
+        return _largest(mat_max_abs(m, below) for _, m in self.entries)
 
     # -- linear structure -----------------------------------------------
 
@@ -202,10 +225,10 @@ class FloerElement:
             return NotImplemented
         if (self.space.l0, self.space.l1) != (other.space.l0, other.space.l1):
             raise ValueError("cannot add elements of different CF spaces")
-        acc: Dict[Vec, Matrix] = dict(self.components)
-        for c, m in other.components:
-            acc[c] = mat_add(acc[c], m) if c in acc else m
-        return FloerElement(self.space, acc)
+        acc: Dict[int, Matrix] = dict(self.entries)
+        for i, m in other.entries:
+            acc[i] = mat_add(acc[i], m) if i in acc else m
+        return _fill(object.__new__(FloerElement), self.space, sorted(acc.items()))
 
     def __neg__(self):
         return self * -1
@@ -218,12 +241,19 @@ class FloerElement:
             scalar = NovikovSeries.constant(scalar)
         if not isinstance(scalar, NovikovSeries):
             return NotImplemented
-        return FloerElement(
-            self.space,
-            {c: mat_scale(scalar, m) for c, m in self.components},
-        )
+        return _fill(object.__new__(FloerElement), self.space,
+                     [(i, mat_scale(scalar, m)) for i, m in self.entries])
 
     __rmul__ = __mul__
+
+
+def _fill(elem: FloerElement, space: CFSpace, entries) -> FloerElement:
+    """Set elem's fields: `space`, and the (index, matrix) pairs `entries`,
+    ascending by index, without their zero matrices."""
+    object.__setattr__(elem, "space", space)
+    object.__setattr__(elem, "entries", tuple(
+        (i, m) for i, m in entries if not all(x.is_zero() for row in m for x in row)))
+    return elem
 
 
 def zero_element(l0: Brane, l1: Brane) -> FloerElement:
@@ -315,44 +345,40 @@ def _triangle_window(d01: int, d02: int, d12: int, cutoff: Fraction):
     return None if d01 * d02 * d12 > 0 else 2 * abs(d02 * d12) * cutoff / abs(d01)
 
 
-def _scaled(pairs, D: int) -> dict:
-    """{(x D, y D): value} for the ((x, y), value) pairs whose coordinates
-    are multiples of 1/D: corners over D, reduced mod 1, look them up."""
-    return {(x.numerator * D // x.denominator, y.numerator * D // y.denominator): value
-            for (x, y), value in pairs
-            if not (x.numerator * D % x.denominator or y.numerator * D % y.denominator)}
-
-
-def _marker_form(line, y1c: Vec, arc: Fraction, drift: Fraction):
-    """(M, F, Z, C, forward) for one brane's boundary arc of the triangles
-    over y1c: the arc is arc*U, and the Pin-marker lift (line = (bezout of
-    the slope, marker lift)) sits c1 - drift*U along it from its start.
-    The arc meets floor((F U - C)/M) - floor((Z U - C)/M) marker lifts,
+def _marker_form(line, R: int, arc: Fraction, drift: Fraction):
+    """(M, F, Z, C, A, B, forward) for one brane's boundary arc of the
+    triangles over each generator y1 = Y/R: the arc is arc*U, and the
+    Pin-marker lift (line = ((a, b), mk): the bezout pair of the slope
+    and the marker lift) sits c1 - drift*U along it from its start, for
+    c1 = a (mk - y1)_x + b (mk - y1)_y, so M c1 = C - A Y_x - B Y_y.  The
+    arc meets floor((F U - M c1)/M) - floor((Z U - M c1)/M) marker lifts,
     negated when it runs backwards (`forward` is arc > 0, for U > 0); a
     numerator divisible by M puts a lift on a corner."""
     (a, b), mk = line
-    c1 = a * (mk[0] - y1c[0]) + b * (mk[1] - y1c[1])
+    c = a * mk[0] + b * mk[1]
     hi = arc + drift
-    M = math.lcm(hi.denominator, drift.denominator, c1.denominator)
+    M = math.lcm(hi.denominator, drift.denominator, c.denominator, R)
     return (M, hi.numerator * (M // hi.denominator),
             drift.numerator * (M // drift.denominator),
-            c1.numerator * (M // c1.denominator), arc > 0)
+            c.numerator * (M // c.denominator), a * (M // R), b * (M // R), arc > 0)
 
 
-def _walk(comps1, comps2, chain, cutoff: Fraction, out_coords,
-          listing: Optional[list] = None):
+def _walk(s1: CFSpace, comps1, s2: CFSpace, comps2, s0: CFSpace, chain,
+          cutoff: Fraction, listing: Optional[list] = None):
     """Yield each triangle of mu2(phi2, phi1) with area below `cutoff`
-    whose y2 corner phi2 weights, as (y0, a1, a2, U, R, sign), y0 an index
-    of `out_coords` and a1, a2 values of phi1's and phi2's (coords, value)
-    pairs comps1 and comps2; with `listing`, append every triangle as
-    `mu2_triangles` lists it.  `chain` is `_chain(phi2, phi1)`.
+    whose y2 corner phi2 weights, as (y0, a1, a2, U, R, sign): y0 an index
+    of s0 = CF(L0, L2), a1 and a2 values of the (index, value) pairs
+    comps1 and comps2 on s1 and s2; with `listing`, append every triangle
+    as `mu2_triangles` lists it.  `chain` is `_chain(phi2, phi1)`.
 
-    Per generator y1, u = k + r and k runs through `lattice_window(r, X)`:
-    down from floor(-r), then up.  U = R u, for R the least common
-    denominator of y1 and r, gives s = U/(R d02), t = U/(R d12), the L2
-    arc d_arc = -U d01/(R d02 d12) (as d12 v0 - d02 v1 = -d01 v2), the
-    area |d01| U^2/(2 |d02 d12| R^2), and the corners p0 = y1 + s v0 and
-    p2 = y1 + t v1 as integer vectors over R|d02| and R|d12|."""
+    One lattice per call, read off the spaces: every y1 = Y/R and r are
+    integers over R = lcm(s1.den, L2's shift denominator).  Per y1, u =
+    k + r, and k runs through `lattice_window(r, X)` (|U| <= m for U = R
+    u): down from floor(-r), then up.  U gives s = U/(R d02), t = U/(R
+    d12), the L2 arc d_arc = -U d01/(R d02 d12) (as d12 v0 - d02 v1 =
+    -d01 v2), the area |d01| U^2/(2 |d02 d12| R^2), and the corners p0 =
+    y1 + s v0 and p2 = y1 + t v1 as integer vectors over D0 = R|d02| and
+    D2 = R|d12|, found in one map each of s0's and s2's generators."""
     b0, b1, b2, d01, d02, d12 = chain
     X = _triangle_window(d01, d02, d12, cutoff)
     if X is None:
@@ -360,32 +386,34 @@ def _walk(comps1, comps2, chain, cutoff: Fraction, out_coords,
     assert index_of(b0, b2) == index_of(b0, b1) + index_of(b1, b2)
     branes = (b0, b1, b2)
     v0, v1, v2 = b0.slope, b1.slope, b2.slope
+    R = math.lcm(s1.den, b2.shift.denominator)
+    D0, D2 = R * abs(d02), R * abs(d12)
+    f0, f1, f2 = D0 // s0.den, R // s1.den, D2 // s2.den
+    y0_at = {(x * f0, y * f0): i for i, (x, y) in enumerate(s0.nums)}
+    y2_at = {(s2.nums[j][0] * f2, s2.nums[j][1] * f2): a2 for j, a2 in comps2}
+    m = lattice_window(0, X * R * R)[1] - 1  # |U| <= m, or m = -1: none
     lines = [(bezout(*b.slope), b.marker_point) for b in branes]
     drift = lines[2][0][0] * v1[0] + lines[2][0][1] * v1[1]  # L2's marker per unit t
-    base2v = det2(b2.base_point, v2)
+    arcs = (Fraction(1, R * d02), 0), (Fraction(1, R * d12), 0), (
+        Fraction(-d01, R * d02 * d12), Fraction(drift, R * d12))
+    forms = [_marker_form(line, R, *a) for line, a in zip(lines, arcs)]
+    base2v = int(det2(b2.base_point, v2) * R)
     deg = (-1) ** index_of(b0, b1)
     e0, e2 = (1 if d02 > 0 else -1), (1 if d12 > 0 else -1)
-    for y1c, a1 in comps1:
-        r = base2v - det2(y1c, v2)
-        if r.denominator == 1:
+    for j, a1 in comps1:
+        Y = (s1.nums[j][0] * f1, s1.nums[j][1] * f1)
+        Rr = base2v - det2(Y, v2)
+        if Rr % R == 0:
             raise DegenerateConfiguration(
-                f"the three supports share a point over generator {y1c}"
+                f"the three supports share a point over generator {s1.point(j)}"
             )
-        R = math.lcm(y1c[0].denominator, y1c[1].denominator, r.denominator)
-        Y = (y1c[0].numerator * (R // y1c[0].denominator),
-             y1c[1].numerator * (R // y1c[1].denominator))
-        D0, D2 = R * abs(d02), R * abs(d12)
-        y0_at = _scaled(((c, i) for i, c in enumerate(out_coords)), D0)
-        y2_at = _scaled(comps2, D2)
-        arcs = (Fraction(1, R * d02), 0), (Fraction(1, R * d12), 0), (
-            Fraction(-d01, R * d02 * d12), Fraction(drift, R * d12))
-        forms = [_marker_form(line, y1c, *a) for line, a in zip(lines, arcs)]
+        marks = [(M, F, Z, C - A * Y[0] - B * Y[1], forward)
+                 for M, F, Z, C, A, B, forward in forms]
         # p0 = (Y |d02| + U e0 v0) / D0 and p2 = (Y |d12| + U e2 v1) / D2
         n0, g0 = (Y[0] * abs(d02), Y[1] * abs(d02)), (e0 * v0[0], e0 * v0[1])
         n2, g2 = (Y[0] * abs(d12), Y[1] * abs(d12)), (e2 * v1[0], e2 * v1[1])
-        lo, hi = lattice_window(r, X)
-        kc = math.floor(-r)
-        Rr = r.numerator * (R // r.denominator)
+        lo, hi = -((m + Rr) // R), (m - Rr) // R + 1
+        kc = -Rr // R
         for ks in (range(kc, lo - 1, -1), range(kc + 1, hi)):
             for k in ks:
                 U = k * R + Rr
@@ -399,7 +427,7 @@ def _walk(comps1, comps2, chain, cutoff: Fraction, out_coords,
                     fx, fy = p2x * D0 - p0x * D2, p2y * D0 - p0y * D2
                     assert ex * fy - ey * fx > 0, "triangle orientation selection broke"
                 crossings = 0
-                for brane, (M, F, Z, C, forward) in zip(branes, forms):
+                for brane, (M, F, Z, C, forward) in zip(branes, marks):
                     f, z = F * U - C, Z * U - C
                     if not (f % M and z % M):
                         raise MarkerCollision(
@@ -414,7 +442,7 @@ def _walk(comps1, comps2, chain, cutoff: Fraction, out_coords,
                     area = Fraction(abs(d01) * U * U, 2 * abs(d02 * d12) * R * R)
                     turns = Fraction(U, R * d02), Fraction(-U, R * d12), Fraction(
                         U * d01, R * d02 * d12)  # s, -t, -d_arc
-                    listing.append((k, (p0, y1c, p2), area, sign, turns, crossings))
+                    listing.append((k, (p0, s1.point(j), p2), area, sign, turns, crossings))
                 if a2 is not None:
                     yield y0_at[p0x % D0, p0y % D0], a1, a2, U, R, sign
 
@@ -498,7 +526,7 @@ def _sum(phi2: FloerElement, phi1: FloerElement, chain, cutoff: Fraction,
     start = NovikovSeries.zero(cutoff)
     systems = [b.local_system for b in (b0, b1, b2)]
     scalars = [ls.scalar_transport() for ls in systems]
-    comps1, comps2 = phi1.components, phi2.components
+    comps1, comps2 = phi1.entries, phi2.entries
     path = "rank1" if rows == cols == systems[1].rank == 1 else "matrix"
     if path == "rank1":
         comps1, comps2 = ([(c, _rank1_factor(m[0][0])) for c, m in comps]
@@ -511,8 +539,8 @@ def _sum(phi2: FloerElement, phi1: FloerElement, chain, cutoff: Fraction,
     # per output generator index, the running sum of each entry a product reaches
     acc: Dict[int, Dict[Tuple[int, int], _RunningSum]] = defaultdict(
         lambda: defaultdict(lambda: _RunningSum(start)))
-    out_coords = out_space.coords()
-    triangles = _walk(comps1, comps2, chain, cutoff, out_coords, listing)
+    triangles = _walk(phi1.space, comps1, phi2.space, comps2, out_space, chain,
+                      cutoff, listing)
     for y0, a1, a2, U, R, sign in triangles:
         sums = acc[y0]
         num, den = abs(d01) * U * U, 2 * abs(d02 * d12) * R * R  # the area
@@ -532,10 +560,10 @@ def _sum(phi2: FloerElement, phi1: FloerElement, chain, cutoff: Fraction,
                 for j, x in enumerate(m_row):
                     if x._keys or x.cutoff is not None:
                         sums[i, j].add_product(num, den, x, None, lefts)
-    return FloerElement(out_space, {  # an entry no product reached is `start`
-        out_coords[y0]: tuple(tuple(sums[i, j].series() if (i, j) in sums else start
-                                    for j in range(cols)) for i in range(rows))
-        for y0, sums in acc.items()})
+    return _fill(object.__new__(FloerElement), out_space, [  # an entry no product reached is `start`
+        (y0, tuple(tuple(sums[i, j].series() if (i, j) in sums else start
+                         for j in range(cols)) for i in range(rows)))
+        for y0, sums in sorted(acc.items())])
 
 
 def mu2(phi2: FloerElement, phi1: FloerElement, cutoff: Rational) -> FloerElement:
@@ -670,7 +698,7 @@ def vanishes_truncated(elem: FloerElement, cutoff: Rational) -> bool:
     """True when every entry of `elem` vanishes at `cutoff`
     (`novikov.vanishes`): zero within the reliable window."""
     return all(
-        vanishes(x, cutoff) for _, m in elem.components for row in m for x in row
+        vanishes(x, cutoff) for _, m in elem.entries for row in m for x in row
     )
 
 

@@ -34,16 +34,16 @@ on first use, so a suite classes each distinct sum once.  `==`, `hash`,
 `repr`, pickle and copy ignore it, a copy starts empty, and equal sums
 do not share it: 1 and 1+0j compare equal but give other bits.
 
-The K-class group law runs on a lane of plain scalars while every class
-in a sum has a constant unit, one exact term: a lane is a tuple (rk,
-deg, num, den, e, c), with x = num/den and the unit c q^e.  A sum holds
-its lane; `sum_with_multiplicities` and `RelationTriple.k0_defect` build
-one K0Class at the end, and `RelationTriple.holds` reads its verdict off
-the defect's lane.  Its coefficient steps are those of `point_mul` and
+The K-class group law runs on a lane of plain scalars (`_Lane`) while
+every class in a sum has a constant unit, one exact term.  Each sheaf is
+classed straight onto it, a sum holds its lane, `sum_with_multiplicities`
+and `RelationTriple.k0_defect` build one K0Class at the end, and
+`RelationTriple.holds` reads its verdict off the defect's lane.  Its
+coefficient steps are those of `point_mul`, `point_pow` and
 `conjugate_zero` (`tate._unit_product`, `tate._unit_inverse`), taken in
 the order of K0Class + and -, so the lane keeps every bit.  Any other
-unit, or a coefficient the drop rule removes, sends that sum back to
-K0Class + and - from the start: the same bits and the same NonUnit.
+unit, or a coefficient the drop rule removes, sends that sheaf or sum
+back to K0Class + and - from the start: the same bits and the same NonUnit.
 """
 
 from __future__ import annotations
@@ -195,12 +195,6 @@ class K0Class:
     deg: int
     pt: TatePoint
 
-    def __init__(self, rk: int, deg: int, pt: TatePoint):
-        # written out: ~1,000 per K-theory task, and the generic one read 2% slower
-        object.__setattr__(self, "rk", rk)
-        object.__setattr__(self, "deg", deg)
-        object.__setattr__(self, "pt", pt)
-
     @classmethod
     def zero(cls) -> "K0Class":
         """(0, 0, O), one shared instance (classes are immutable)."""
@@ -237,22 +231,21 @@ class K0Class:
 _K0_ZERO = K0Class(0, 0, TatePoint.zero())
 
 
-#: a class on the lane: (rk, deg, num, den, c), the ints rank and
-#: degree, x = num / den in [0, 1), and the coefficient c of the one-term
-#: unit (whose exponent is 0)
+#: a class on the lane: (rk, deg, num, den, c) for the ints rk and deg,
+#: x = num / den in [0, 1) and the unit c q^0, one exact term
 _Lane = Tuple[int, int, int, int, object]
 
 
-def _on_lane(k: K0Class) -> Optional[_Lane]:
-    """k on the lane, or None where its unit is not one exact term or its
-    rank or degree is not an int."""
-    unit = k.pt.unit
-    if not (_scalar(unit) and type(k.rk) is int and type(k.deg) is int):
+def _on_lane(rk, deg, pt: TatePoint) -> Optional[_Lane]:
+    """The class (rk, deg, pt) on the lane, or None where pt's unit is not
+    one exact term or rk or deg is not an int."""
+    unit = pt.unit
+    if not (_scalar(unit) and type(rk) is int and type(deg) is int):
         return None
-    return (k.rk, k.deg, *k.pt.x.as_integer_ratio(), unit._coeffs[0])
+    return (rk, deg, *pt.x.as_integer_ratio(), unit._coeffs[0])
 
 
-_ZERO_LANE = _on_lane(_K0_ZERO)
+_ZERO_LANE = _on_lane(0, 0, _K0_ZERO.pt)
 
 
 def _negated(a: _Lane) -> Optional[_Lane]:
@@ -296,11 +289,12 @@ def _as_class(held: Union[_Lane, K0Class]) -> K0Class:
 def _class_of_sum(
     terms: Sequence[Tuple[object, int]], class_of: Callable
 ) -> Union[_Lane, K0Class]:
-    """The class of the (obj, mult) pairs: its lane while every class and
-    step stays on the lane, else the K0Class of the object path."""
+    """The class of the (obj, mult) pairs, each class_of(obj) a lane or a
+    K0Class: its lane while every step stays on it, else the object path's."""
     lane = _ZERO_LANE
     for obj, mult in terms:
-        step = _on_lane(class_of(obj))
+        if type(step := class_of(obj)) is not tuple:
+            step = _on_lane(step.rk, step.deg, step.pt)
         if step is not None and not mult > 0:
             step = _negated(step)
         moved = None if step is None else _added(lane, step, abs(int(mult)))
@@ -311,7 +305,7 @@ def _class_of_sum(
         return lane
     total = _K0_ZERO  # the object path, from the start
     for obj, mult in terms:
-        cls = class_of(obj)
+        cls = _as_class(class_of(obj))
         step = cls if mult > 0 else -cls
         for _ in range(abs(int(mult))):
             total = total + step
@@ -331,11 +325,17 @@ def sum_with_multiplicities(terms: Iterable, class_of: Callable) -> K0Class:
     return _as_class(_class_of_sum(pairs, class_of))
 
 
-def _class_of(sheaf: IndecSheaf) -> K0Class:
-    if isinstance(sheaf, Bundle):
-        base = K0Class(sheaf.rank, sheaf.degree, sheaf.det_pt)
-    else:
-        base = K0Class(0, sheaf.h, point_pow(sheaf.pt, sheaf.h))
+def _class_of(sheaf: IndecSheaf) -> Union[_Lane, K0Class]:
+    """The class of one sheaf, on the lane unless its unit or a dropped
+    step sends it off (a skyscraper's point is h steps from O)."""
+    bundle = isinstance(sheaf, Bundle)
+    lane = (_on_lane(sheaf.rank, sheaf.degree, sheaf.det_pt) if bundle
+            else _added(_ZERO_LANE, _on_lane(0, 1, sheaf.pt), sheaf.h))
+    lane = _negated(lane) if lane is not None and sheaf.shift % 2 else lane
+    if lane is not None:
+        return lane
+    base = (K0Class(sheaf.rank, sheaf.degree, sheaf.det_pt) if bundle
+            else K0Class(0, sheaf.h, point_pow(sheaf.pt, sheaf.h)))
     return base if sheaf.shift % 2 == 0 else -base
 
 

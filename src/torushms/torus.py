@@ -14,11 +14,14 @@ rational base point, together with
   * a local system, stored in its Jordan normal form: blocks
     (eigenvalue, size) with valuation-zero eigenvalues.
 
-Two branes of different slopes v0, v1 meet in |det(v0, v1)| points;
-`intersections` gives their coordinates in [0,1)^2, and every point of
-the ordered pair has the one degree `index_of` gives.  Index
-computations never touch floating-point angles: every floor of a
-grading difference reduces to sign tests on integer cross products.
+Two branes of different slopes v0, v1 meet in |det(v0, v1)| points, all
+on one lattice (1/N)Z^2, N = `lattice_denominator`: |det(v0, v1)| times
+the shifts' common denominator.  `intersections` gives their integer
+numerators over N in [0, N)^2, sorted, which `floer.CFSpace` stores as
+its generators; every point of the ordered pair has the one degree
+`index_of` gives.  Index computations never touch floating-point
+angles: every floor of a grading difference reduces to sign tests on
+integer cross products.
 """
 
 from __future__ import annotations
@@ -372,18 +375,6 @@ class LocalSystem:
         return LocalSystem(tuple((invert(e), s) for e, s in self.blocks))
 
 
-def ls_ses_triple(m_eigen, h: int):
-    """The short-exact-sequence triple (E^1, E^(h+1), E^h) of
-    indecomposable systems with a common eigenvalue."""
-    if h < 1:
-        raise ValueError("tower height h must be >= 1")
-    return (
-        LocalSystem.from_eigenvalue(m_eigen, 1),
-        LocalSystem.from_eigenvalue(m_eigen, h + 1),
-        LocalSystem.from_eigenvalue(m_eigen, h),
-    )
-
-
 # ---------------------------------------------------------------------------
 # branes
 # ---------------------------------------------------------------------------
@@ -456,12 +447,22 @@ def index_of(l0: Brane, l1: Brane) -> int:
     )
 
 
-def intersections(l0: Brane, l1: Brane) -> Tuple[Vec, ...]:
-    """All |det(v0,v1)| intersection points, as coordinates in [0,1)^2,
-    sorted.  Every point of the pair has the degree `index_of` gives.
+def lattice_denominator(l0: Brane, l1: Brane) -> int:
+    """N = |det(v0,v1)| * D, for D the least common denominator of the two
+    shifts: every intersection point of the pair lies in (1/N)Z^2."""
+    return abs(det2(l0.slope, l1.slope)) * math.lcm(
+        l0.shift.denominator, l1.shift.denominator)
+
+
+def intersections(l0: Brane, l1: Brane) -> Tuple[Tuple[int, int], ...]:
+    """All |det(v0,v1)| intersection points, sorted, each as the integer
+    numerators (x, y) in [0, N)^2 of the point (x/N, y/N) for
+    N = `lattice_denominator(l0, l1)`.  Every point of the pair has the
+    degree `index_of` gives.
 
     With d = det(v0,v1) and c = det(p1-p0, v1), the points are
-    y_j = p0 + s_j*v0 (mod 1) for s_j = (c+j)/d, j = 0..|d|-1.
+    y_j = p0 + s_j*v0 (mod 1) for s_j = (c+j)/d, j = 0..|d|-1, and N s_j
+    is an integer.
 
     Raises NonTransverse for parallel slopes and MarkerCollision when a
     Pin marker sits on an intersection point.
@@ -470,25 +471,25 @@ def intersections(l0: Brane, l1: Brane) -> Tuple[Vec, ...]:
     d = det2(v0, v1)
     if d == 0:
         raise NonTransverse(f"branes {l0} and {l1} are parallel")
-    p0, p1 = l0.base_point, l1.base_point
-    c = det2((p1[0] - p0[0], p1[1] - p0[1]), v1)
+    n = lattice_denominator(l0, l1)
+    (x0, y0), (x1, y1) = (
+        (int(x * n), int(y * n)) for x, y in (l0.base_point, l1.base_point))
+    c = det2((x1 - x0, y1 - y0), v1)  # N c
     found = set()
     for j in range(abs(d)):
-        s = (c + j) / d
-        found.add(((p0[0] + s * v0[0]) % 1, (p0[1] + s * v0[1]) % 1))
+        s = (c + j * n) // d  # N s_j, exactly
+        found.add(((x0 + s * v0[0]) % n, (y0 + s * v0[1]) % n))
     if len(found) != abs(d):
         raise AssertionError(
             f"expected {abs(d)} intersection points, found {len(found)}"
         )
-    marker_lifts = (
-        (l0, (l0.marker_point[0] % 1, l0.marker_point[1] % 1)),
-        (l1, (l1.marker_point[0] % 1, l1.marker_point[1] % 1)),
-    )
-    pts = tuple(sorted(found))
-    for y in pts:
-        for brane, mk in marker_lifts:
-            if y == mk:
-                raise MarkerCollision(
-                    f"Pin marker of {brane} sits on intersection point {y}"
-                )
-    return pts
+    # N times each marker point mod 1, which is in `found` only on the
+    # lattice; the least point hit is named, L0's marker first
+    hits = [(mk, i) for i, brane in enumerate((l0, l1))
+            if (mk := tuple(x * n % n for x in brane.marker_point)) in found]
+    if hits:
+        (x, y), i = min(hits)
+        raise MarkerCollision(
+            f"Pin marker of {(l0, l1)[i]} sits on intersection point {(x / n, y / n)}"
+        )
+    return tuple(sorted(found))

@@ -253,7 +253,7 @@ def test_mu1_refuses_a_space_of_parallel_branes():
     """`cf` refuses a parallel pair; a space built by hand reaches mu1."""
     l0, l1 = Brane((1, 2)), Brane((-1, -2), F(1, 3))
     with pytest.raises(NonTransverse):
-        mu1(FloerElement(CFSpace(l0, l1, ()), {}))
+        mu1(FloerElement(CFSpace(l0, l1, 1, ()), {}))
 
 
 def test_bilinearity():
@@ -518,6 +518,10 @@ def test_element_validation_and_algebra():
     assert (a - a).is_zero()
     assert (a * 0.5).component((F(0), F(0)))[0][0].terms[0][1] == 1.0
     assert s.max_abs_coeff() == 2.0
+    assert s.component((F(3, 2), -1)) == b.component((F(1, 2), F(0)))  # read mod 1
+    assert a.component((F(1, 2), F(0))) is None  # a generator outside a's support
+    assert a.component((F(1, 2), F(1, 2))) is None  # on the lattice, no generator
+    assert a.component((F(1, 3), F(0))) is None  # off the lattice (1/2)Z^2
 
     other = cf(Brane((1, 2)), Brane((1, 0), F(1, 3)))
     with pytest.raises(ValueError):
@@ -531,8 +535,12 @@ def test_element_validation_and_algebra():
          r"generator \(Fraction\(0, 1\), Fraction\(0, 1\)\) is given twice"),
         ([((0, 0), ((C(1),),)), ((0, 0), ((C(2),),))], "given twice"),
         ({(0, 0): ()}, r"shape \(0, 0\), expected \(1, 1\)"),
+        ({(F(4, 3), 0): ((C(1),),)},
+         r"^\(Fraction\(1, 3\), Fraction\(0, 1\)\) is not an intersection point"),
+        ({(F(1, 2), F(1, 2)): ((C(1),),)}, "is not an intersection point of the pair"),
     ],
-    ids=["twice-mod-one", "twice-same-key", "empty-matrix"],
+    ids=["twice-mod-one", "twice-same-key", "empty-matrix", "off-the-lattice",
+         "on-the-lattice-not-a-point"],
 )
 def test_element_refuses_malformed_components(components, message):
     space = cf(Brane((1, 2)), Brane((1, 0)))

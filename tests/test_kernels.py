@@ -51,6 +51,7 @@ import cmath
 import copy
 import dataclasses
 import functools
+import inspect
 import math
 import pickle
 import re
@@ -456,12 +457,15 @@ def record_oracle(cls):
     qualname, fields, defaults and `__post_init__`.  It subclasses `cls`
     for the properties and methods the constructor checks call;
     dataclasses writes its __init__, __repr__, __eq__, __hash__ and
-    __setattr__."""
+    __setattr__, except a __repr__ the class writes itself (CFSpace and
+    FloerElement print their coordinates, not their stored indices)."""
     defaults = {
         name: dataclasses.field(default=value)
         for name, value in _record_defaults(cls).items()
     }
     namespace = {"__init__": cls.__init__} if cls in _OWN_INIT else {}
+    if "__repr__" in vars(cls):
+        namespace["__repr__"] = cls.__repr__
     if cls is Bundle:
         namespace["__post_init__"] = _bundle_post_init
     if cls is Brane:  # a fresh trivial system per brane, not a shared one
@@ -1820,8 +1824,8 @@ _RECORD_FIELDS = {
         max_size=2,
     ).map(tuple)),
     Brane: st.tuples(_vector, _frac, _small, _frac, _systems(max_rank=2)),
-    CFSpace: st.tuples(_BRANES[2], _BRANES[2],
-                       st.lists(st.tuples(_frac, _frac), max_size=2).map(tuple)),
+    CFSpace: st.tuples(_BRANES[2], _BRANES[2], st.integers(1, 12),
+                       st.lists(st.tuples(*[st.integers(0, 11)] * 2), max_size=2).map(tuple)),
     FloerElement: _space.flatmap(lambda sp: st.tuples(st.just(sp), _components(sp))),
     Bundle: st.tuples(st.integers(-1, 3), _small, _point, _small),
     Skyscraper: st.tuples(_point, st.integers(-1, 3), _small),
@@ -1850,9 +1854,13 @@ _TWINS = {cls: record_oracle(cls) for cls in _RECORD_FIELDS}
 @st.composite
 def _record_call(draw, cls):
     """(args, kwargs) for `cls`: the first fields by position, the rest
-    by keyword, or left out when the class has a default for them."""
+    by keyword, or left out when the class has a default for them.  A
+    class that writes its own __init__ takes them under its parameter
+    names (FloerElement's second is `components`, its field `entries`)."""
     values = draw(_RECORD_FIELDS[cls])
     names = tuple(cls.__annotations__)
+    if cls in _OWN_INIT:
+        names = tuple(inspect.signature(cls.__init__).parameters)[1:]
     defaults = _record_defaults(cls)
     k = draw(st.integers(0, len(names)))
     kwargs = {

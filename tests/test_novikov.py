@@ -2,12 +2,15 @@
 inversion, fractional powers, and the field/ultrametric axioms."""
 
 import cmath
+import fractions
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import torushms.floer as floer
 from torushms.cli import _series_json
 from torushms.errors import NonUnit, ZeroSeries
 from torushms.floer import FloerElement, cf, mu2
@@ -375,24 +378,26 @@ def test_a_nan_coefficient_fails_every_tolerance_test():
 # ---------------------------------------------------------------------------
 
 
+def _hot_triple(eig, rank):
+    """Branes of slopes (0, -1), (1, 2) and (1, 0), each with E_eig^rank:
+    1, 2 and 1 generators on CF(L0, L1), CF(L1, L2) and CF(L0, L2)."""
+    ls = LocalSystem.from_eigenvalue(eig, rank)
+    return (Brane((0, -1), F(1, 4), local_system=ls), Brane((1, 2), local_system=ls),
+            Brane((1, 0), F(1, 3), local_system=ls))
+
+
 def test_hot_paths_read_no_terms(monkeypatch):
     """mu2 on rank-1 phases, on a rank-3 scalar chain and on a series
     eigenvalue, theta series of a series unit, point_pow and the relation
     suite with its verdicts read the keyed form only."""
     phase = cmath.exp(2j * cmath.pi / 7)
     unit = S([(0, phase), (F(1, 3), 0.5)], 12)
-
-    def triple(eig, rank):
-        ls = LocalSystem.from_eigenvalue(eig, rank)
-        return (Brane((0, -1), F(1, 4), local_system=ls), Brane((1, 2), local_system=ls),
-                Brane((1, 0), F(1, 3), local_system=ls))
-
     points = [TatePoint.zero(), TatePoint.two_torsion(), TatePoint(F(1, 3), phase),
               TatePoint(F(2, 5), -1j)]
     reads, real = [], NovikovSeries.terms.fget  # one entry per read of `terms`
     monkeypatch.setattr(NovikovSeries, "terms", property(lambda x: reads.append(x) or real(x)))
     for eig, rank in ((phase, 1), (phase, 3), (unit, 1), (unit, 2)):
-        l0, l1, l2 = triple(eig, rank)
+        l0, l1, l2 = _hot_triple(eig, rank)
         entries = [NovikovSeries.constant(1.0 - 0.5j * k) for k in range(rank * rank)]
         mu2(weighted(l1, l2, *entries), weighted(l0, l1, *entries), 8)
     for kind in (0, 1):
@@ -407,6 +412,59 @@ def test_hot_paths_read_no_terms(monkeypatch):
     assert reads == []
     repr(unit)  # output reads it: the counter is in place
     assert reads == [unit]
+
+
+def test_mu2_forms_no_fraction_per_generator_or_triangle(monkeypatch):
+    """A generator is an index into its CFSpace's integer lattice, so the
+    calls into fractions.py that mu2 makes (sys.setprofile) are the same
+    at cutoffs 8 and 16 (more triangles) and with one or every generator
+    of phi2 weighted.  On constant eigenvalues that holds for every call.
+    A series eigenvalue's transport takes its arc as an exact rational,
+    one Fraction per arc formed in floer and series work under it, so
+    there the calls floer makes, less three per triangle, are the same."""
+    phase = cmath.exp(2j * cmath.pi / 7)
+    unit = S([(0, phase), (F(1, 3), 0.5)], 12)
+    walk, triangles = floer._walk, []
+
+    def counted(*args):
+        for triangle in walk(*args):
+            triangles.append(triangle)
+            yield triangle
+
+    monkeypatch.setattr(floer, "_walk", counted)
+
+    def calls(phi2, phi1, cutoff):
+        """mu2's calls into fractions.py: all of them, and those made from
+        floer.py less three per triangle walked."""
+        made = {True: 0, False: 0}
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                made[frame.f_back.f_code.co_filename == floer.__file__] += 1
+
+        triangles.clear()
+        sys.setprofile(profile)
+        try:
+            mu2(phi2, phi1, cutoff)
+        finally:
+            sys.setprofile(None)
+        return made[True] + made[False], made[True] - 3 * len(triangles)
+
+    for eig, rank in ((phase, 1), (phase, 3), (unit, 1), (unit, 2)):
+        l0, l1, l2 = _hot_triple(eig, rank)
+        entries = [NovikovSeries.constant(1.0 - 0.5j * k) for k in range(rank * rank)]
+        phi1, every = weighted(l0, l1, *entries), weighted(l1, l2, *entries)
+        one = FloerElement(every.space, every.components[:1])
+        counts, walked = [], []
+        for phi2 in (every, one):
+            for cutoff in (8, 16):
+                counts.append(calls(phi2, phi1, cutoff))
+                walked.append(len(triangles))
+        assert len(set(walked)) == 4, (eig, rank)  # each pair walks other triangles
+        if eig is phase:
+            assert len({total for total, _ in counts}) == 1, (eig, rank, counts)
+        else:
+            assert len({own for _, own in counts}) == 1, (eig, rank, counts)
 
 
 def test_one_term_factors_build_no_series_per_term(monkeypatch):

@@ -21,7 +21,7 @@ from torushms.torus import (
     index_of,
     intersections,
     is_primitive,
-    ls_ses_triple,
+    lattice_denominator,
     mat_max_abs,
     mat_mul,
     upper_half,
@@ -145,9 +145,16 @@ def test_intersection_count_is_the_determinant():
         assert len(set(pts)) == count  # distinct mod 1
 
 
+def points_of(l0: Brane, l1: Brane):
+    """The coordinates of `intersections`: its integer pairs over
+    `lattice_denominator`."""
+    n = lattice_denominator(l0, l1)
+    return tuple((F(x, n), F(y, n)) for x, y in intersections(l0, l1))
+
+
 def test_intersection_points_lie_on_both_circles():
     l0, l1 = Brane((1, 2), F(1, 7)), Brane((2, -1), F(2, 5))
-    for x, y in intersections(l0, l1):
+    for x, y in points_of(l0, l1):
         for l in (l0, l1):
             bx, by = l.base_point
             m, n = l.slope
@@ -234,7 +241,7 @@ def test_closed_form_matches_grid_scan(l0, l1, mode, pick):
         assume(det2(l0.slope, l1.slope) != 0)
         if mode != "generic":
             try:
-                pts = intersections(l0, l1)
+                pts = points_of(l0, l1)
             except MarkerCollision:  # the default marker already collides
                 pts = ()
             if pts:
@@ -244,7 +251,7 @@ def test_closed_form_matches_grid_scan(l0, l1, mode, pick):
                 if mode != "marker0":
                     l1 = _with_marker_on(l1, y)
     want = _outcome(grid_intersections, l0, l1)
-    assert _outcome(intersections, l0, l1) == want
+    assert _outcome(points_of, l0, l1) == want
 
 
 def test_bezout():
@@ -329,17 +336,6 @@ def test_inverse_eigen():
     e = LocalSystem.from_eigenvalue(2.0, 1)
     back = e.inverse_eigen()
     assert abs(back.blocks[0][0].leading_coefficient() - 0.5) < 1e-12
-
-
-def test_ses_triple_ranks():
-    e1, etop, eh = ls_ses_triple(phase(1, 7), 3)
-    assert (e1.rank, etop.rank, eh.rank) == (1, 4, 3)
-    assert e1.rank + eh.rank == etop.rank
-
-
-def test_ses_triple_needs_a_positive_height():
-    with pytest.raises(ValueError, match="height"):
-        ls_ses_triple(phase(1, 7), 0)
 
 
 def test_block_size_must_be_an_integer():
