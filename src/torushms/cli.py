@@ -24,17 +24,12 @@ byte-identical for identical inputs and configuration; the plain format
 is for humans and may change.
 
 Work budget.  A command may ask for at most MAX_GROUP_STEPS = 100,000
-steps of the Tate group law, estimated on the syntax trees of its
-expressions and on its flags before any object is built.  Building
-costs |n| for each O(nP0).  k0 adds |mult| per term and h per Sky;
-theta-sharp |mult| + rank per brane, and |k| for slope (1, k); mirror
-|d| for a rank-1 bundle of degree d.  cf costs 5 per intersection point.
-mu2 costs 5 per point of each CF space it builds, 4 per triangle of its
-walk (20 with --triangles; at most novikov.lattice_bound per generator),
-and 16 plus half the scalar products of its matrices per triangle phi2
-weights (_mu2_steps); assoc the same for its four products.  So cf of
-L(1,999999999;0) and L(1,0;0), or mu2 and assoc with a rank-10000
-system, exit 1 at once.
+steps of the Tate group law, counted before the work starts.  Building
+costs |n| for each O(nP0); k0 adds |mult| per term and h per Sky,
+theta-sharp |mult| + rank per brane and |k| for slope (1, k), mirror |d|
+for a rank-1 bundle of degree d, all read on the syntax trees.  cf, mu2 and
+assoc count on their built branes what `floer._work` says they form.  So cf
+of L(1,999999999;0) and L(1,0;0), or a rank-10000 system, exit 1 at once.
 
 Input grammar (EBNF).  Whitespace is free before, between and after
 tokens.  An INT has at most MAX_INT_DIGITS = 100 digits; a longer one is
@@ -73,16 +68,16 @@ from typing import List, Optional, Sequence, Tuple, Union
 from ._record import record
 from .errors import ParseError, TorushmsError
 from .floer import (
-    FloerElement, _triangle_window, _unit_matrix, assoc_defect, cf, mu2, mu2_triangles,
+    FloerElement, _unit_matrix, _work, assoc_defect, cf, mu2, mu2_triangles,
 )
 from .mirror import mirror_of_sheaf, theta_sharp, zeta_injectivity_witness
-from .novikov import NovikovSeries, lattice_bound, series_text, vanishes
+from .novikov import NovikovSeries, series_text, vanishes
 from .sheafk import (
     Bundle, K0Class, RelationBounds, Skyscraper, k0_class,
     line_bundle, o_of_n_p0, relation_suite,
 )
 from .tate import TatePoint, eval_section, section_through, theta_eval
-from .torus import Brane, LocalSystem, det2, index_of, is_primitive
+from .torus import Brane, LocalSystem, index_of
 from .cobord import CobordClass, class_of_sum, normal_form
 
 __all__ = ["main", "parse_expr", "print_ast", "parse_ast"]
@@ -490,15 +485,14 @@ class _Expr:
 
 #: The most work a command may ask for, in steps of the Tate group law:
 #: one point_mul or K-class addition, 2-5 us on a 2-core x86-64 host
-#: (CPython 3.11), so 10^5 steps take 0.2-0.5 s.  main adds |n| for each
-#: O(nP0) it would build to the estimate of the verb's _VERBS entry, and
-#: compares the sum with this bound once, before any object is built.
+#: (CPython 3.11), so 10^5 steps take 0.2-0.5 s.  main compares the estimate
+#: of the verb's _VERBS entry, plus |n| per O(nP0), before building anything.
 MAX_GROUP_STEPS = 100_000
 
 
 def _no_work(args, *trees) -> int:
-    """Verbs whose flags bound their work (--cutoff, the relation bounds,
-    --x), and the cobordism verbs, which multiply exact classes."""
+    """Verbs whose flags bound their work (--cutoff, the relation bounds, --x),
+    the cobordism verbs (exact classes) and the Floer verbs (`_check_floer`)."""
     return 0
 
 
@@ -512,12 +506,9 @@ def _sharp_steps(args, branes: SumAst) -> int:
     """theta-sharp forms rank-many multiples of a vertical brane's point
     and |k| multiples of P0 for slope (1, k), and adds each term's class
     |mult| times."""
-    steps = 0
-    for mult, item in branes.terms:
-        steps += abs(mult)
-        if isinstance(item, BraneAst):
-            steps += item.rank + (abs(item.n) if item.m == 1 else 0)
-    return steps
+    return sum(abs(mult) + (item.rank + (abs(item.n) if item.m == 1 else 0)
+                            if isinstance(item, BraneAst) else 0)
+               for mult, item in branes.terms)
 
 
 def _mirror_steps(args, sheaf: SumAst) -> int:
@@ -529,68 +520,27 @@ def _mirror_steps(args, sheaf: SumAst) -> int:
     )
 
 
-#: Floer weights in group-law steps, from in-process runs through main
-#: timed against the group-law verbs at the bound when those took
-#: 0.65-1.15 s: cf takes 5 steps a point; the mu2 walk 4 a triangle, 16
-#: more to list it (--triangles); a triangle phi2 weights 16 at rank 1,
-#: plus 1/2 per scalar product of its matrices (3-7 us each).  With the
-#: scalar group law and the integer walk, at the bound (best of 3) the
-#: group-law verbs take 15-30 ms; cf takes 0.63-0.85 s, mu2 0.15-0.58 s
-#: and assoc 0.53 s (6-40 times as long).  With a rank-r system (rank 167
-#: on one brane, 64 on l0 at cutoff 512, 19 on every brane) mu2 and assoc
-#: take 4-27 ms, because the scalar chain of `floer` forms only the
-#: nonzero products among those the rank term counts.
-_POINT, _WALKED, _LISTED, _WEIGHTED = 5, 4, 16, 16
+#: Floer weights in group-law steps, timed through main on a 2-core x86-64
+#: host (CPython 3.11; cf at |det| 20,000 takes 150 ms): 5 a CF point, 1 a
+#: matrix entry, 4 a triangle walked and 16 more listed (--triangles), and
+#: 11 a triangle weighted (rank 1 costs 18, as before), plus 1 a scalar
+#: step, 5 a series product and 1 per 32 binomial digits (`floer._work`).
+_POINT, _ENTRY, _WALKED, _LISTED, _WEIGHTED, _SERIES, _DIGITS = 5, 1, 4, 16, 11, 5, 32
 
 
-def _mu2_steps(b0, b1, b2, cutoff, comps1, comps2, listed=False):
-    """(steps, output components) of mu2(phi2, phi1), phi1 with comps1
-    components and phi2 with comps2, or None when b0 and b2 are parallel
-    (NonTransverse).  It builds CF(b0, b2).  Per component of phi1 the
-    walk's window holds at most `lattice_bound(X)` triangles (12 and 91 on
-    the standard triple at cutoffs 8 and 512; it makes 12 and 90).  Their
-    y2 corners run through the |d12| points of CF(b1, b2), so phi2 weights
-    at most comps2 (walked // |d12| + 1), each with four matrix products."""
-    v0, v1, v2 = (b0.m, b0.n), (b1.m, b1.n), (b2.m, b2.n)
-    d01, d02, d12 = det2(v0, v1), det2(v0, v2), det2(v1, v2)
-    if d02 == 0:
-        return None
-    X = _triangle_window(d01, d02, d12, cutoff)  # None: no triangle counts
-    walked = 0 if X is None else lattice_bound(X)
-    weighted = min(walked, comps2 * (walked // abs(d12) + 1))
-    r0, r1, r2 = b0.rank, b1.rank, b2.rank
-    products = r0 * (r0 * r1 + r1 * r1 + r1 * r2 + r2 * r2)
-    steps = _POINT * abs(d02) + comps1 * (
-        walked * (_WALKED + _LISTED * listed) + weighted * (_WEIGHTED + products // 2)
-    )
-    return steps, min(abs(d02), comps1 * weighted)
+def _check_floer(*branes: Brane, cutoff=None, listed: bool = False) -> None:
+    """Refuse cf, mu2 or assoc over the budget before any space is built."""
+    points, entries, products = _work(branes, cutoff)
+    _check_budget(_POINT * points + _ENTRY * entries + sum(
+        comps1 * per * (_WALKED + _LISTED * listed)
+        + weighted * (_WEIGHTED + steps + _SERIES * series + digits // _DIGITS)
+        for comps1, per, weighted, steps, series, digits in products))
 
 
-def _floer_steps(args, *trees) -> int:
-    """cf, mu2 and assoc: the CF space of each neighbouring pair of
-    branes, then each product in the order the library forms it.  A flag
-    its `_Expr` or the Brane constructor refuses costs nothing, and the
-    first parallel pair ends the work."""
-    b = [t.terms[0][1] for t in trees]
-    if not all(e.refused(t) is None and x.rank > 0 and is_primitive((x.m, x.n))
-               for e, t, x in zip(args.exprs, trees, b)):
-        return 0
-    steps = 0
-    for x, y in zip(b, b[1:]):
-        d = det2((x.m, x.n), (y.m, y.n))
-        if d == 0:
-            return steps
-        steps += _POINT * abs(d)
-    products = []
-    if len(b) == 3:
-        products = [_mu2_steps(*b, args.cutoff, 1, 1, args.triangles)]
-    elif len(b) == 4:  # mu2(mu2(c, b), a), then mu2(c, mu2(b, a))
-        cb = _mu2_steps(b[1], b[2], b[3], args.cutoff, 1, 1)
-        lhs = cb and _mu2_steps(b[0], b[1], b[3], args.cutoff, 1, cb[1])
-        ba = lhs and _mu2_steps(b[0], b[1], b[2], args.cutoff, 1, 1)
-        rhs = ba and _mu2_steps(b[0], b[2], b[3], args.cutoff, ba[1], 1)
-        products = [cb, lhs, ba, rhs]
-    return steps + sum(p[0] for p in products if p)
+def _check_budget(steps: int) -> None:
+    if steps > MAX_GROUP_STEPS:
+        raise ParseError(f"expression needs {steps} group-law steps, more than "
+                         f"MAX_GROUP_STEPS = {MAX_GROUP_STEPS}")
 
 
 # ---------------------------------------------------------------------------
@@ -769,13 +719,13 @@ def _tol(text: str) -> float:
 def _generator(l0: Brane, l1: Brane, idx: int) -> FloerElement:
     """`floer.generator_element` at point `idx`, on one CF(l0, l1)."""
     space = cf(l0, l1)
-    coords = space.coords()
-    if not 0 <= idx < len(coords):
-        raise ParseError(f"generator index {idx} out of range 0..{len(coords) - 1}")
-    return FloerElement(space, {coords[idx]: _unit_matrix(space)})
+    if not 0 <= idx < len(space.nums):
+        raise ParseError(f"generator index {idx} out of range 0..{len(space.nums) - 1}")
+    return FloerElement(space, {space.point(idx): _unit_matrix(space)})
 
 
 def _cmd_cf(args):
+    _check_floer(args.l0, args.l1)
     points = cf(args.l0, args.l1).points  # a parallel pair raises here
     index = index_of(args.l0, args.l1)
     gens = [
@@ -792,6 +742,7 @@ def _cmd_cf(args):
 
 
 def _cmd_mu2(args):
+    _check_floer(args.l0, args.l1, args.l2, cutoff=args.cutoff, listed=args.triangles)
     phi1 = _generator(args.l0, args.l1, args.phi1)
     phi2 = _generator(args.l1, args.l2, args.phi2)
     if args.triangles:
@@ -807,6 +758,7 @@ def _cmd_mu2(args):
 
 
 def _cmd_assoc(args):
+    _check_floer(args.l0, args.l1, args.l2, args.l3, cutoff=args.cutoff)
     a = _generator(args.l0, args.l1, args.a)
     b = _generator(args.l1, args.l2, args.b)
     c = _generator(args.l2, args.l3, args.c)
@@ -939,12 +891,12 @@ _BRANES = [_Expr(f"--l{i}", Brane, "a single brane") for i in range(4)]
 #: then puts the built objects on args.  An `_opt` pair goes to
 #: add_argument as it is.  --help lists the verbs in this order.
 _VERBS = (
-    ("cf", _cmd_cf, _floer_steps, "intersection generators", *_BRANES[:2]),
-    ("mu2", _cmd_mu2, _floer_steps, "triangle product", *_BRANES[:3], _CUTOFF,
+    ("cf", _cmd_cf, _no_work, "intersection generators", *_BRANES[:2]),
+    ("mu2", _cmd_mu2, _no_work, "triangle product", *_BRANES[:3], _CUTOFF,
      _opt("--phi1", type=int, default=0, help="generator in CF(l0,l1)"),
      _opt("--phi2", type=int, default=0, help="generator in CF(l1,l2)"),
      _opt("--triangles", action="store_true", help="dump triangles")),
-    ("assoc", _cmd_assoc, _floer_steps, "associativity defect", *_BRANES, _CUTOFF,
+    ("assoc", _cmd_assoc, _no_work, "associativity defect", *_BRANES, _CUTOFF,
      _TOL, _opt("--a", type=int, default=0), _opt("--b", type=int, default=0),
      _opt("--c", type=int, default=0)),
     ("theta", _cmd_theta, _no_work, "theta series at a point", _CUTOFF,
@@ -1039,14 +991,9 @@ def _answer(argv: Optional[Sequence[str]]) -> Tuple[int, Optional[str]]:
         as_json = args.json
         texts = [getattr(args, e.flag[2:]) for e in args.exprs]
         trees = [parse_ast(text) for text in texts]
-        steps = args.cost(args, *trees) + sum(  # building each O(nP0)
+        _check_budget(args.cost(args, *trees) + sum(  # building each O(nP0)
             abs(x.n) for t in trees for _, x in t.terms if isinstance(x, OP0Ast)
-        )
-        if steps > MAX_GROUP_STEPS:
-            raise ParseError(
-                f"expression needs {steps} group-law steps, more than "
-                f"MAX_GROUP_STEPS = {MAX_GROUP_STEPS}"
-            )
+        ))
         for e, text, tree in zip(args.exprs, texts, trees):
             if (bad := e.refused(tree)) is not None:
                 raise ParseError(f"expected only {e.what} in this expression, got "

@@ -69,6 +69,7 @@ from .novikov import (
     _kept,
     _RunningSum,
     _largest,
+    lattice_bound,
     lattice_window,
     vanishes,
     verdict_window,
@@ -323,14 +324,18 @@ def _count_markers(brane: Brane, p: Vec, q: Vec) -> int:
     return math.floor(hi - c) - math.floor(lo - c)
 
 
-def _chain(phi2: FloerElement, phi1: FloerElement):
-    b0, b1 = phi1.space.l0, phi1.space.l1
-    b1b, b2 = phi2.space.l0, phi2.space.l1
-    if b1 != b1b:
+def _composed(phi2: FloerElement, phi1: FloerElement) -> Tuple[Brane, Brane, Brane]:
+    """(L0, L1, L2) of mu2(phi2, phi1); ValueError unless phi2 starts where phi1 lands."""
+    if phi1.space.l1 != phi2.space.l0:
         raise ValueError(
             "mu2 inputs are not composable: phi1 lands in a different "
             "brane than phi2 starts from"
         )
+    return phi1.space.l0, phi1.space.l1, phi2.space.l1
+
+
+def _chain(b0: Brane, b1: Brane, b2: Brane):
+    """(b0, b1, b2, d01, d02, d12); NonTransverse for a parallel pair."""
     v0, v1, v2 = b0.slope, b1.slope, b2.slope
     d01, d02, d12 = det2(v0, v1), det2(v0, v2), det2(v1, v2)
     if d01 == 0 or d02 == 0 or d12 == 0:
@@ -369,7 +374,7 @@ def _walk(s1: CFSpace, comps1, s2: CFSpace, comps2, s0: CFSpace, chain,
     whose y2 corner phi2 weights, as (y0, a1, a2, U, R, sign): y0 an index
     of s0 = CF(L0, L2), a1 and a2 values of the (index, value) pairs
     comps1 and comps2 on s1 and s2; with `listing`, append every triangle
-    as `mu2_triangles` lists it.  `chain` is `_chain(phi2, phi1)`.
+    as `mu2_triangles` lists it.  `chain` is `_chain` of the three branes.
 
     One lattice per call, read off the spaces: every y1 = Y/R and r are
     integers over R = lcm(s1.den, L2's shift denominator).  Per y1, u =
@@ -510,9 +515,9 @@ def _arc_transport(system, scalar, path: str):
     return lambda num, den: (scalars(num, den), blocks)
 
 
-def _sum(phi2: FloerElement, phi1: FloerElement, chain, cutoff: Fraction,
+def _sum(phi2: FloerElement, phi1: FloerElement, cutoff: Rational,
          listing: Optional[list] = None) -> FloerElement:
-    """mu2(phi2, phi1) over the triangles `_walk` yields on `chain`.
+    """mu2(phi2, phi1) over the triangles `_walk` yields.
 
     The inputs pick the path (module docstring), never the bits: rank 1
     by `_add_rank1`; exact constants by `scalar_chain`, each entry signed
@@ -520,7 +525,8 @@ def _sum(phi2: FloerElement, phi1: FloerElement, chain, cutoff: Fraction,
     `add_product`.  Transports are over s = U/(R d02), -t = -U/(R d12) and
     -d_arc = U d01/(R d02 d12) as (num, den); an eigenvalue series holds
     its eps powers and inverse, shared by every arc (see `novikov`)."""
-    b0, b1, b2, d01, d02, d12 = chain
+    chain = b0, b1, b2, d01, d02, d12 = _chain(*_composed(phi2, phi1))
+    cutoff = Fraction(cutoff)
     out_space = cf(b0, b2)
     rows, cols = out_space.hom_shape
     start = NovikovSeries.zero(cutoff)
@@ -569,7 +575,7 @@ def _sum(phi2: FloerElement, phi1: FloerElement, chain, cutoff: Fraction,
 def mu2(phi2: FloerElement, phi1: FloerElement, cutoff: Rational) -> FloerElement:
     """The triangle product CF(L1,L2) x CF(L0,L1) -> CF(L0,L2),
     truncated at `cutoff`."""
-    return _sum(phi2, phi1, _chain(phi2, phi1), Fraction(cutoff))
+    return _sum(phi2, phi1, cutoff)
 
 
 def mu2_triangles(
@@ -580,7 +586,7 @@ def mu2_triangles(
     of L2, the corners on L0∩L2, L0∩L1 and L1∩L2, the exact area, the
     sign, the transported arcs along L0, L1, L2, and the Pin markers met."""
     tris: List[tuple] = []
-    return _sum(phi2, phi1, _chain(phi2, phi1), Fraction(cutoff), tris), tris
+    return _sum(phi2, phi1, cutoff, tris), tris
 
 
 def mu2_bruteforce(phi2: FloerElement, phi1: FloerElement,
@@ -589,7 +595,7 @@ def mu2_bruteforce(phi2: FloerElement, phi1: FloerElement,
     lines in a bounding box sized from the cutoff, take pairwise
     intersections as corners, filter by orientation and area (shoelace),
     and deduplicate modulo the deck group."""
-    b0, b1, b2, d01, d02, d12 = _chain(phi2, phi1)
+    b0, b1, b2, d01, d02, d12 = _chain(*_composed(phi2, phi1))
     cutoff = Fraction(cutoff)
     out_space = cf(b0, b2)
     if (d01 * d02 * d12) > 0:
@@ -692,6 +698,50 @@ def assoc_defect(
     lhs = mu2(mu2(c, b, cutoff), a, cutoff)
     rhs = mu2(c, mu2(b, a, cutoff), cutoff)
     return (lhs - rhs).max_abs_coeff(below=verdict_window(cutoff))
+
+
+def _work(branes: Sequence[Brane], cutoff: Rational):
+    """What `cf` (two branes), `mu2` (three) and `assoc_defect` (four) form on
+    e00 generators, counted in O(1) at any rank: the points of every CF space
+    and entries of every component matrix built, and per product (comps1,
+    per, weighted, steps, series, digits): phi1's most components, the
+    triangles `_walk` steps through per component, the most phi2 weights (y2
+    corners have period |d12|), and per weighted triangle: the scalar steps,
+    r0 + r1 + r2 transport diagonals plus 4 s0 chain products on generators
+    (s0: L0's first Jordan block); the series products `mat_mul` forms on a
+    mu2 output, all of whose entries hold its cutoff ((2 + r2 + t2) s0 as
+    phi2, r1 t0 + t1 r0 + 2 r0 as phi1, t_i = sum of s (s + 1) / 2 over L_i's
+    blocks); and the digits of the diagonals' exact binomials, s (s - 1) / 2
+    a block.  Exact where no entry drops; the first parallel pair ends it."""
+    points = entries = 0
+    products, outs = [], []  # outs: each product's most output components
+    for b0, b1 in zip(branes, branes[1:]):
+        if not (d := abs(det2(b0.slope, b1.slope))):
+            return points, entries, products
+        points, entries = points + d, entries + b0.rank * b1.rank * (len(branes) > 2)
+    # (L0, L1, L2, phi1, phi2) by index, as assoc_defect orders them; None: a generator
+    plan = {3: [(0, 1, 2, None, None)], 4: [(1, 2, 3, None, None), (0, 1, 3, None, 0),
+                                            (0, 1, 2, None, None), (0, 2, 3, 2, None)]}
+    for i0, i1, i2, in1, in2 in plan.get(len(branes), ()):
+        try:
+            b0, b1, b2, d01, d02, d12 = _chain(branes[i0], branes[i1], branes[i2])
+        except NonTransverse:
+            break
+        X = _triangle_window(d01, d02, d12, Fraction(cutoff))
+        per = 0 if X is None else lattice_bound(X)
+        comps1, comps2 = (1 if i is None else outs[i] for i in (in1, in2))
+        weighted = comps1 * min(per, comps2 * (per // abs(d12) + 1))
+        (r0, s0, t0), (r1, _, t1), (r2, _, t2) = (
+            (b.rank, b.local_system.blocks[0][1],
+             sum(s * (s + 1) // 2 for _, s in b.local_system.blocks)) for b in (b0, b1, b2))
+        formed = (r1 * t0 + t1 * r0 + 2 * r0 if in1 is not None
+                  else (2 + r2 + t2) * s0 if in2 is not None else 4 * s0)
+        series = 0 if (in1, in2) == (None, None) else formed
+        products.append((comps1, per, weighted, r0 + r1 + r2 + formed - series, series,
+                         t0 + t1 + t2 - r0 - r1 - r2))
+        outs.append(min(abs(d02), weighted))
+        points, entries = points + abs(d02), entries + outs[-1] * r0 * r2
+    return points, entries, products
 
 
 def vanishes_truncated(elem: FloerElement, cutoff: Rational) -> bool:

@@ -786,7 +786,7 @@ def fractional_power(u: NovikovSeries, t: Rational) -> NovikovSeries:
         raise ZeroSeries("fractional power of the zero series")
     if u.val() != 0:
         raise NonUnit(f"fractional_power needs val = 0, got val = {u.val()}")
-    t = Fraction(t)
+    t = t if type(t) is Fraction else Fraction(t)  # floer's arcs are not copied
     eps, powers = _eps_powers(u)
     c0 = u.leading_coefficient()
     scale = cmath.exp(t * cmath.log(c0)) if t != 0 else 1.0 + 0.0j

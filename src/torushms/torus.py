@@ -309,7 +309,7 @@ class LocalSystem:
         many arcs form each of them once.  `scalar_transport` forms the
         same entries on scalars where every eigenvalue is one exact term.
         """
-        t = Fraction(t)
+        t = t if type(t) is Fraction else Fraction(t)  # floer's arcs are not copied
         n = self.rank
         zero = NovikovSeries.zero()
         out = [[zero] * n for _ in range(n)]

@@ -854,21 +854,26 @@ _SLOPE = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
 def test_the_mu2_estimate_counts_every_triangle_the_walk_lists(
     slopes, shifts, cutoff
 ):
-    """--triangles adds 16 steps per triangle the estimate expects, so
-    the difference it makes bounds the length of the listing."""
+    """--triangles adds 16 steps per triangle the count walks, so the
+    difference it makes covers the listing, with at most one triangle to
+    spare (`novikov.lattice_bound` against the window of phi1's one
+    generator)."""
     branes = [f"L({m},{n};{x})" for (m, n), x in zip(slopes, shifts)]
     argv = ["mu2", "--l0", branes[0], "--l1", branes[1], "--l2", branes[2],
-            "--cutoff", str(cutoff), "--triangles", "--json"]
-    trees = [parse_ast(text) for text in branes]
-    plain, listed = (
-        torushms.cli._floer_steps(torushms.cli._build_parser().parse_args(a), *trees)
-        for a in (argv[:-2], argv)
-    )
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = main(argv)
+            "--cutoff", str(cutoff), "--json"]
+    counted = []
+    check = torushms.cli._check_budget
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torushms.cli, "_check_budget", lambda steps: counted.append(steps))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(argv)
+            rc = main(argv + ["--triangles"])
     assume(rc == 0)
-    assert len(json.loads(out.getvalue())["triangles"]) * 16 <= listed - plain
+    plain, listed = counted[1::2]  # after each run's tree check
+    assert check is torushms.cli._check_budget
+    walked = len(json.loads(out.getvalue().splitlines()[-1])["triangles"])
+    assert walked * 16 <= listed - plain <= (walked + 1) * 16
 
 
 @pytest.mark.parametrize("argv, calls", [(MU2, 3), (ASSOC, 7)],
@@ -894,21 +899,27 @@ _RANK = "{M=phase 1/7, rank %d}"
 
 
 def _std_steps(r0=1, listed=False):
-    """mu2 on STD at cutoff 8 with rank r0 on l0: the spaces of phi1,
-    phi2 and the output, 5 steps a point; 1 + isqrt(8 * 8 * 2) = 12
-    triangles walked, 4 steps each (20 listed); phi2 weights 12 // 2 + 1
-    = 7 of them, 16 steps each plus half of r0 (r0 + 1 + 1 + 1) products."""
-    return (5 * (1 + 2 + 1) + 12 * (20 if listed else 4)
-            + 7 * (16 + r0 * (r0 + 3) // 2))
+    """mu2 on STD at cutoff 8 with rank r0 on l0: 5 steps a point of the
+    spaces of phi1, phi2 and the output (|det| 1, 2, 1); 1 an entry of
+    phi1 (1 x r0), phi2 (1 x 1) and the output's one component (1 x r0);
+    1 + isqrt(4 * 32) = 12 triangles walked, 4 steps each (20 listed);
+    phi2 weights 12 // 2 + 1 = 7 of them, 11 steps each plus 1 per scalar
+    step (4 r0 products of the e00 chain, r0 + 1 + 1 transport diagonals)
+    and 1 per 32 digits of l0's binomials, r0 (r0 - 1) / 2."""
+    return (5 * (1 + 2 + 1) + (r0 + 1 + r0) + 12 * (20 if listed else 4)
+            + 7 * (11 + 4 * r0 + r0 + 2 + r0 * (r0 - 1) // 2 // 32))
 
 
 def _assoc_steps(r0=1):
-    """ASSOC with rank r0 on l0: the spaces of a, b, c (|det| 2, 1, 1);
-    then mu2(c, b) walks 7 triangles and weights 7, mu2(., a) is
-    misoriented, mu2(b, a) walks and weights 5, and mu2(c, .) is
-    misoriented; each product builds one 1-point space."""
-    return (5 * (2 + 1 + 1) + 4 * 5 + 7 * 4 + 7 * 18 + 5 * 4
-            + 5 * (16 + r0 * (r0 + 3) // 2))
+    """ASSOC with rank r0 on l0: the spaces of a, b, c (|det| 2, 1, 1) and
+    their entries (r0, 1, 1); then mu2(c, b) walks 7 triangles and weights
+    7, 7 scalar steps each, mu2(., a) is misoriented, mu2(b, a) walks and
+    weights 5, 5 r0 + 2 scalar steps each and r0 (r0 - 1) / 2 binomial
+    digits, and mu2(c, .) is misoriented; each product builds one 1-point
+    space, and the two oriented ones one output component each, of 1 and
+    r0 entries."""
+    return (5 * (2 + 1 + 1) + (r0 + 1 + 1) + (5 + 1 + 7 * 4 + 7 * (11 + 7)) + 5
+            + (5 + r0 + 5 * 4 + 5 * (11 + 5 * r0 + 2 + r0 * (r0 - 1) // 2 // 32)) + 5)
 
 
 @pytest.mark.parametrize(
@@ -926,8 +937,9 @@ def test_floer_work_over_the_budget_is_refused_before_any_work(
     capsys, monkeypatch, argv, steps
 ):
     """A slope of 10^9 makes cf list 10^9 points, and a rank-10^4 system
-    makes each mu2 triangle multiply 10^4 x 10^4 matrices: the estimate
-    reads only slopes, ranks and --cutoff, so no space is built."""
+    makes each weighted mu2 triangle form 5 * 10^4 scalar steps: the count
+    reads only the built branes and --cutoff, so no space is built.
+    Building a brane is a gcd and one Jordan-block record at any rank."""
     def fail(*args):
         pytest.fail("Floer work started")
 
@@ -935,7 +947,6 @@ def test_floer_work_over_the_budget_is_refused_before_any_work(
         monkeypatch.setattr(module, "cf", fail)
     for module in (torushms.floer, torushms.torus):
         monkeypatch.setattr(module, "intersections", fail)
-    monkeypatch.setattr(torushms.cli, "_realize", fail)
     start = time.perf_counter()
     rc, out, err = run(capsys, *argv, "--json")
     assert time.perf_counter() - start < 0.1
@@ -952,17 +963,22 @@ def test_floer_work_over_the_budget_is_refused_before_any_work(
         (("mu2",) + STD, _std_steps()),
         (("mu2",) + STD + ("--triangles",), _std_steps(listed=True)),
         (("mu2", "--l0", "L(0,-1;1/4)" + _RANK % 8) + STD[2:], _std_steps(r0=8)),
-        # a parallel pair ends the work: mu2 builds CF(l0, l1) only
-        (("mu2",) + STD[:4] + ("--l2", "L(1,2;1/2)"), 5 * 1),
+        # a parallel pair ends the work: mu2 builds CF(l0, l1) and its
+        # generator's one entry only
+        (("mu2",) + STD[:4] + ("--l2", "L(1,2;1/2)"), 5 * 1 + 1),
         (ASSOC, _assoc_steps()),
-        # every product oriented; spaces of a, b, c: |det| 3, 1, 1.
-        # mu2(c, b): 12 walked and weighted, 2 output points; mu2(., a): 7
-        # walked, its phi2 on 2 of the |det| 2 points weights min(7, 2 * 4);
-        # mu2(b, a): 7 and 7, 2 output points; mu2(c, .): 6 and 6 for each
+        # every product oriented, rank 1: a weighted triangle takes 11 + 7
+        # scalar steps on generators, and 11 + 3 + 5 * 4 with 4 series
+        # products on a mu2 output.  Spaces of a, b, c: |det| 3, 1, 1, 1
+        # entry each.  mu2(c, b): 12 walked and weighted, 2 output points and
+        # components; mu2(., a): 7 walked, its phi2 on 2 of the |det| 2
+        # points weights min(7, 2 * 4); mu2(b, a): 7 and 7, 2 output points
+        # and components; mu2(c, .): 6 and 6 for each of 2 components, 1
+        # output point
         (("assoc", "--l0", "L(3,2;1/7)", "--l1", "L(3,1;1/5)", "--l2",
           "L(1,0;1/11)", "--l3", "L(1,1;1/13)"),
-         5 * (3 + 1 + 1) + (5 * 2 + 12 * 4 + 12 * 18) + (5 + 7 * 4 + 7 * 18)
-         + (5 * 2 + 7 * 4 + 7 * 18) + (5 + 2 * (6 * 4 + 6 * 18))),
+         5 * (3 + 1 + 1) + 3 + (6 * 2 + 12 * 4 + 12 * 18) + (6 + 7 * 4 + 7 * 34)
+         + (6 * 2 + 7 * 4 + 7 * 18) + (6 + 2 * 6 * 4 + 12 * 34)),
     ],
     ids=["cf", "cf-rank", "mu2", "mu2-triangles", "mu2-rank", "mu2-parallel",
          "assoc", "assoc-oriented"],

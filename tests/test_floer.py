@@ -13,10 +13,11 @@ provides a second, independent oracle for generic chains.
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from torushms.cli import _triangle_json
 from torushms.errors import (
@@ -24,6 +25,8 @@ from torushms.errors import (
     MarkerCollision,
     NonTransverse,
 )
+import torushms.floer as floer
+import torushms.torus as torus
 from torushms.floer import (
     CFSpace,
     FloerElement,
@@ -572,3 +575,157 @@ def test_space_shapes():
     rank2 = Brane((0, -1), F(1, 4),
                   local_system=LocalSystem.from_eigenvalue(C(1), 2))
     assert cf(rank2, l0).hom_shape == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the work count the CLI budget reads
+# ---------------------------------------------------------------------------
+
+#: the primitive slopes with entries in [-2, 2], one of each +-pair
+_CLI_SLOPES = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1)]
+
+
+@st.composite
+def _cli_branes(draw, count):
+    """Branes as the CLI builds them, on pairwise non-parallel slopes: one
+    Jordan block of rank 1 to 6 with a constant phase, the trivial system
+    at rank 1 and phase 0."""
+    slopes = draw(st.lists(st.sampled_from(_CLI_SLOPES), min_size=count,
+                           max_size=count, unique=True))
+    branes = []
+    for m, n in slopes:
+        sign = draw(st.sampled_from([1, -1]))
+        rank = draw(st.integers(1, 6))
+        turns = draw(st.sampled_from([F(0), F(1, 7), F(2, 5), F(-3, 11)]))
+        system = (LocalSystem.trivial() if (rank, turns) == (1, 0)
+                  else LocalSystem.from_eigenvalue(phase(turns), rank))
+        shift = draw(st.sampled_from([F(0), F(1, 3), F(1, 4), F(2, 5), F(1, 7)]))
+        branes.append(Brane((sign * m, sign * n), shift, local_system=system))
+    return branes
+
+
+def _live(x):
+    return bool(x._keys) or x.cutoff is not None
+
+
+class _Formed:
+    """What the library forms, per `_sum` call (a product) and per
+    triangle: the transport diagonals, the products of `torus._scalar_mul`
+    or of `mat_mul` (those with two live factors), and whether any entry
+    dropped (a None from `torus._kept`, a dead transport entry)."""
+
+    def __init__(self, mp):
+        self.products = []  # per product: (phi2, phi1, cutoff, triangles)
+        self.dropped = False
+        for module, name, wrap in (
+            (floer, "_sum", self._sum), (floer, "_arc_transport", self._transport),
+            (torus, "_scalar_mul", self._scalar_mul), (floer, "mat_mul", self._mat_mul),
+            (torus, "_kept", self._kept),
+        ):
+            mp.setattr(module, name, wrap(getattr(module, name)))
+
+    def _count(self, steps):
+        triangle = self.products[-1][3][-1]
+        triangle["steps"] += steps
+
+    def _sum(self, f):
+        def sum_(phi2, phi1, cutoff, listing=None):
+            self.products.append((phi2, phi1, cutoff, []))
+            self.makers = 0
+            return f(phi2, phi1, cutoff, listing)
+        return sum_
+
+    def _transport(self, f):
+        def make(system, scalar, path):
+            first, self.makers = self.makers == 0, self.makers + 1
+            t = f(system, scalar, path)
+            blocks = [(sum(s for _, s in system.blocks[:i]), s)
+                      for i, (_, s) in enumerate(system.blocks)]
+
+            def transport(num, den):
+                if first:
+                    self.dropped = False
+                    self.products[-1][3].append({"steps": 0, "path": path})
+                out = t(num, den)
+                if path == "scalar":
+                    dead = None in out[0]
+                elif path == "matrix":
+                    dead = not all(_live(out[lo][lo + d]) for lo, s in blocks
+                                   for d in range(s))
+                else:
+                    dead = out is None
+                self.dropped |= dead
+                self._count(system.rank)
+                self.products[-1][3][-1]["dropped"] = self.dropped
+                return out
+            return transport
+        return make
+
+    def _scalar_mul(self, f):
+        def mul(col, rows):
+            self._count(sum(len(col(k) or ()) * len(rows[k]) for k in rows))
+            out = f(col, rows)
+            self.products[-1][3][-1]["dropped"] = self.dropped
+            return out
+        return mul
+
+    def _mat_mul(self, f):
+        def mul(a, b):
+            self._count(sum(_live(x) and _live(y) for row in a for col in zip(*b)
+                            for x, y in zip(row, col)))
+            return f(a, b)
+        return mul
+
+    def _kept(self, f):
+        def kept(c):
+            out = f(c)
+            self.dropped |= out is None
+            return out
+        return kept
+
+
+def _oriented_chain(*ranks):
+    """The chain of the CLI's assoc-oriented case, every product oriented."""
+    return [Brane(v, x, local_system=LocalSystem.from_eigenvalue(phase(F(1, 7)), r))
+            for v, x, r in zip([(3, 2), (3, 1), (1, 0), (1, 1)],
+                               [F(1, 7), F(1, 5), F(1, 11), F(1, 13)], ranks)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4]).flatmap(_cli_branes), st.integers(1, 16))
+@example(_oriented_chain(2, 3, 2, 3), 8)
+def test_the_work_count_bounds_what_mu2_and_assoc_form(branes, cutoff):
+    """`floer._work` on CLI-shaped mu2 and assoc inputs (e00 generators,
+    one Jordan block each): its triangles cover every triangle
+    `mu2_triangles` lists, at most one more per phi1 generator; no more
+    triangles are weighted than it counts; and per weighted triangle it
+    counts the steps `_scalar_mul` or `mat_mul` and the transports form,
+    exactly where no entry drops and never fewer: scalar steps on two
+    generators, series products on a mu2 output."""
+    try:
+        gens = [generator_element(b0, b1, cf(b0, b1).point(0))
+                for b0, b1 in zip(branes, branes[1:])]
+    except (NonTransverse, MarkerCollision):
+        assume(False)
+    with pytest.MonkeyPatch.context() as mp:
+        formed = _Formed(mp)
+        try:
+            if len(gens) == 2:
+                mu2(gens[1], gens[0], cutoff)
+            else:
+                assoc_defect(*gens, cutoff)
+        except (NonTransverse, MarkerCollision, DegenerateConfiguration):
+            assume(False)
+    _, _, counted = floer._work(branes, cutoff)
+    assert len(counted) == len(formed.products)
+    for (comps1, per, weighted, steps, series, _), (phi2, phi1, c, triangles) in zip(
+            counted, formed.products):
+        by_y1 = Counter(tri[1][1] for tri in mu2_triangles(phi2, phi1, c)[1])
+        assert len(phi1.entries) <= comps1
+        assert all(per - 1 <= n <= per for n in by_y1.values()), (per, by_y1)
+        assert len(triangles) <= weighted
+        for tri in triangles:
+            if tri["path"] != "rank1":
+                assert (tri["path"] == "matrix") == (series > 0)
+                assert tri["steps"] <= steps + series
+                assert tri["dropped"] or tri["steps"] == steps + series, (tri, steps)

@@ -79,7 +79,7 @@ from torushms.errors import (
     DegenerateConfiguration, MarkerCollision, NonTransverse, ParseError,
 )
 from torushms.floer import (
-    CFSpace, FloerElement, _chain, _count_markers, _ratio_along, cf,
+    CFSpace, FloerElement, _chain, _composed, _count_markers, _ratio_along, cf,
     generator_element, mu2, mu2_triangles,
 )
 from torushms.novikov import (
@@ -294,7 +294,7 @@ def mu2_oracle(phi2, phi1, cutoff, _collect: Optional[List[dict]] = None):
     four `mat_mul`s and `mat_scale` by q_power(area, sign), with a
     per-call transport dict and the triangle listing threaded through
     `_collect` as the JSON objects of `mu2 --triangles`."""
-    b0, b1, b2, d01, d02, d12 = _chain(phi2, phi1)
+    b0, b1, b2, d01, d02, d12 = _chain(*_composed(phi2, phi1))
     cutoff = F(cutoff)
     out_space = cf(b0, b2)
     if (d01 * d02 * d12) > 0:
@@ -1484,6 +1484,26 @@ def test_the_suite_shares_each_bundle_sum_on_its_points():
     assert a.total == b.total and a.total is not b.total
     a, b = (sheafk.ses_atiyah_coprime(3, 1, points[0], 1) for _ in range(2))
     assert a.total is not b.total and a.quot is not b.quot
+
+
+def test_the_suite_holds_one_sum_per_sheaf_and_point_index():
+    """At (5, 5, 2, 3) over five points, a one-sheaf sum on one of the
+    points is one object per (sheaf, point index): O_Q across D's points
+    and as a skyscraper tower's Y_1, O(D) and E(r, d) across relations."""
+    suite = relation_suite(RelationBounds(5, 5, 2, 3), _SWEEP_POINTS)
+    held, uses = {}, 0  # (sheaf, point index) -> ids of its sums
+    for tri in suite:
+        for s in (tri.sub, tri.total, tri.quot):
+            (sheaf, mult), *rest = s.terms or [(None, 0)]
+            pt = (sheaf.det_pt if isinstance(sheaf, Bundle)
+                  else sheaf.pt if isinstance(sheaf, Skyscraper) else None)
+            index = next((i for i, p in enumerate(_SWEEP_POINTS) if pt is p), None)
+            if mult == 1 and not rest and index is not None:
+                uses += 1
+                held.setdefault((repr(sheaf), index), set()).add(id(s))
+    assert any(key[0].startswith("Skyscraper") for key in held)
+    assert all(len(ids) == 1 for ids in held.values())
+    assert len(held) < uses
 
 
 def test_the_suite_classes_each_distinct_sum_once(monkeypatch):

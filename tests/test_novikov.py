@@ -419,9 +419,10 @@ def test_mu2_forms_no_fraction_per_generator_or_triangle(monkeypatch):
     calls into fractions.py that mu2 makes (sys.setprofile) are the same
     at cutoffs 8 and 16 (more triangles) and with one or every generator
     of phi2 weighted.  On constant eigenvalues that holds for every call.
-    A series eigenvalue's transport takes its arc as an exact rational,
-    one Fraction per arc formed in floer and series work under it, so
-    there the calls floer makes, less three per triangle, are the same."""
+    A series eigenvalue's transport takes its arc as an exact rational:
+    one Fraction per arc, formed in floer and not again by the transport
+    or `fractional_power`, so there the calls for arcs, less three per
+    triangle, are the same; series work under it forms its own."""
     phase = cmath.exp(2j * cmath.pi / 7)
     unit = S([(0, phase), (F(1, 3), 0.5)], 12)
     walk, triangles = floer._walk, []
@@ -433,14 +434,19 @@ def test_mu2_forms_no_fraction_per_generator_or_triangle(monkeypatch):
 
     monkeypatch.setattr(floer, "_walk", counted)
 
+    rewraps = {LocalSystem.transport.__code__, fractional_power.__code__}
+
     def calls(phi2, phi1, cutoff):
-        """mu2's calls into fractions.py: all of them, and those made from
-        floer.py less three per triangle walked."""
+        """mu2's calls into fractions.py: all of them, and those for arcs
+        (made from floer.py, or a Fraction formed in a transport) less
+        three per triangle walked."""
         made = {True: 0, False: 0}
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code.co_filename == fractions.__file__:
-                made[frame.f_back.f_code.co_filename == floer.__file__] += 1
+                caller = frame.f_back.f_code
+                made[caller.co_filename == floer.__file__ or (
+                    frame.f_code is F.__new__.__code__ and caller in rewraps)] += 1
 
         triangles.clear()
         sys.setprofile(profile)
