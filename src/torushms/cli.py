@@ -28,8 +28,10 @@ steps of the Tate group law, counted before the work starts.  Building
 costs |n| for each O(nP0); k0 adds |mult| per term and h per Sky,
 theta-sharp |mult| + rank per brane and |k| for slope (1, k), mirror |d|
 for a rank-1 bundle of degree d, all read on the syntax trees.  cf, mu2 and
-assoc count on their built branes what `floer._work` says they form.  So cf
-of L(1,999999999;0) and L(1,0;0), or a rank-10000 system, exit 1 at once.
+assoc count on their built branes what `floer._work` says they form; at
+the bound they take 44-226 ms on a 2-core x86-64 host, cf 143 ms.  So cf
+of L(1,999999999;0) and L(1,0;0), a rank-10000 system, or a rank-801
+system on a shift with a 100-digit denominator, exit 1 at once.
 
 Input grammar (EBNF).  Whitespace is free before, between and after
 tokens.  An INT has at most MAX_INT_DIGITS = 100 digits; a longer one is
@@ -485,14 +487,17 @@ class _Expr:
 
 #: The most work a command may ask for, in steps of the Tate group law:
 #: one point_mul or K-class addition, 2-5 us on a 2-core x86-64 host
-#: (CPython 3.11), so 10^5 steps take 0.2-0.5 s.  main compares the estimate
-#: of the verb's _VERBS entry, plus |n| per O(nP0), before building anything.
+#: (CPython 3.11), so 10^5 steps take 0.2-0.5 s.  main adds |n| for each
+#: O(nP0) it would build to the estimate of the verb's _VERBS entry, and
+#: compares the sum with this bound once, before any object is built.
+#: cf, mu2 and assoc compare their count once their branes are built.
 MAX_GROUP_STEPS = 100_000
 
 
 def _no_work(args, *trees) -> int:
-    """Verbs whose flags bound their work (--cutoff, the relation bounds, --x),
-    the cobordism verbs (exact classes) and the Floer verbs (`_check_floer`)."""
+    """Verbs whose flags bound their work (--cutoff, the relation bounds,
+    --x), and the cobordism verbs, which multiply exact classes.  cf, mu2
+    and assoc count theirs in `_check_floer`."""
     return 0
 
 
@@ -506,9 +511,12 @@ def _sharp_steps(args, branes: SumAst) -> int:
     """theta-sharp forms rank-many multiples of a vertical brane's point
     and |k| multiples of P0 for slope (1, k), and adds each term's class
     |mult| times."""
-    return sum(abs(mult) + (item.rank + (abs(item.n) if item.m == 1 else 0)
-                            if isinstance(item, BraneAst) else 0)
-               for mult, item in branes.terms)
+    steps = 0
+    for mult, item in branes.terms:
+        steps += abs(mult)
+        if isinstance(item, BraneAst):
+            steps += item.rank + (abs(item.n) if item.m == 1 else 0)
+    return steps
 
 
 def _mirror_steps(args, sheaf: SumAst) -> int:
@@ -524,8 +532,11 @@ def _mirror_steps(args, sheaf: SumAst) -> int:
 #: host (CPython 3.11; cf at |det| 20,000 takes 150 ms): 5 a CF point, 1 a
 #: matrix entry, 4 a triangle walked and 16 more listed (--triangles), and
 #: 11 a triangle weighted (rank 1 costs 18, as before), plus 1 a scalar
-#: step, 5 a series product and 1 per 32 binomial digits (`floer._work`).
-_POINT, _ENTRY, _WALKED, _LISTED, _WEIGHTED, _SERIES, _DIGITS = 5, 1, 4, 16, 11, 5, 32
+#: step, 5 a series product and 1 per 1.5 * 10^6 squared bits of the
+#: transports' binomials (`floer._work`), whose gcds take about 1.4 us per
+#: 1.5 * 10^6 from ranks 10 to 800 and shift denominators of 1 to 100 digits.
+_POINT, _ENTRY, _WALKED, _LISTED, _WEIGHTED, _SERIES = 5, 1, 4, 16, 11, 5
+_SQUARED_BITS = 1_500_000
 
 
 def _check_floer(*branes: Brane, cutoff=None, listed: bool = False) -> None:
@@ -533,14 +544,16 @@ def _check_floer(*branes: Brane, cutoff=None, listed: bool = False) -> None:
     points, entries, products = _work(branes, cutoff)
     _check_budget(_POINT * points + _ENTRY * entries + sum(
         comps1 * per * (_WALKED + _LISTED * listed)
-        + weighted * (_WEIGHTED + steps + _SERIES * series + digits // _DIGITS)
-        for comps1, per, weighted, steps, series, digits in products))
+        + weighted * (_WEIGHTED + steps + _SERIES * series + squares // _SQUARED_BITS)
+        for comps1, per, weighted, steps, series, squares in products))
 
 
 def _check_budget(steps: int) -> None:
     if steps > MAX_GROUP_STEPS:
-        raise ParseError(f"expression needs {steps} group-law steps, more than "
-                         f"MAX_GROUP_STEPS = {MAX_GROUP_STEPS}")
+        raise ParseError(
+            f"expression needs {steps} group-law steps, more than "
+            f"MAX_GROUP_STEPS = {MAX_GROUP_STEPS}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -719,9 +732,10 @@ def _tol(text: str) -> float:
 def _generator(l0: Brane, l1: Brane, idx: int) -> FloerElement:
     """`floer.generator_element` at point `idx`, on one CF(l0, l1)."""
     space = cf(l0, l1)
-    if not 0 <= idx < len(space.nums):
-        raise ParseError(f"generator index {idx} out of range 0..{len(space.nums) - 1}")
-    return FloerElement(space, {space.point(idx): _unit_matrix(space)})
+    coords = space.coords()
+    if not 0 <= idx < len(coords):
+        raise ParseError(f"generator index {idx} out of range 0..{len(coords) - 1}")
+    return FloerElement(space, {coords[idx]: _unit_matrix(space)})
 
 
 def _cmd_cf(args):

@@ -680,6 +680,13 @@ def mu2_bruteforce(phi2: FloerElement, phi1: FloerElement,
     return FloerElement(out_space, final)
 
 
+#: The products of `assoc_defect` in the order it forms them, as (L0, L1, L2,
+#: phi1, phi2): indices into the chain's branes, and for each input the index
+#: of the product that forms it, or None for the chain's own element.
+_ASSOC_PRODUCTS = ((1, 2, 3, None, None), (0, 1, 3, None, 0),  # mu2(c, b), then (c b) a
+                   (0, 1, 2, None, None), (0, 2, 3, 2, None))  # mu2(b, a), then c (b a)
+
+
 def assoc_defect(
     a: FloerElement,
     b: FloerElement,
@@ -695,8 +702,11 @@ def assoc_defect(
     are exact negatives (see the module docstring) and the defect is
     twice the largest coefficient of either bracketing."""
     cutoff = Fraction(cutoff)
-    lhs = mu2(mu2(c, b, cutoff), a, cutoff)
-    rhs = mu2(c, mu2(b, a, cutoff), cutoff)
+    chain, out = (a, b, c), []
+    for i0, i1, _, in1, in2 in _ASSOC_PRODUCTS:
+        out.append(mu2(chain[i1] if in2 is None else out[in2],
+                       chain[i0] if in1 is None else out[in1], cutoff))
+    lhs, rhs = out[1], out[3]
     return (lhs - rhs).max_abs_coeff(below=verdict_window(cutoff))
 
 
@@ -704,24 +714,26 @@ def _work(branes: Sequence[Brane], cutoff: Rational):
     """What `cf` (two branes), `mu2` (three) and `assoc_defect` (four) form on
     e00 generators, counted in O(1) at any rank: the points of every CF space
     and entries of every component matrix built, and per product (comps1,
-    per, weighted, steps, series, digits): phi1's most components, the
+    per, weighted, steps, series, squares): phi1's most components, the
     triangles `_walk` steps through per component, the most phi2 weights (y2
     corners have period |d12|), and per weighted triangle: the scalar steps,
     r0 + r1 + r2 transport diagonals plus 4 s0 chain products on generators
     (s0: L0's first Jordan block); the series products `mat_mul` forms on a
     mu2 output, all of whose entries hold its cutoff ((2 + r2 + t2) s0 as
     phi2, r1 t0 + t1 r0 + 2 r0 as phi1, t_i = sum of s (s + 1) / 2 over L_i's
-    blocks); and the digits of the diagonals' exact binomials, s (s - 1) / 2
-    a block.  Exact where no entry drops; the first parallel pair ends it."""
+    blocks); and the squared bit lengths of the transports' exact binomials,
+    whose gcds are quadratic in them.  On an arc t = p/q with |t| <= T,
+    binom(t, d) has fewer than d B bits, B = bits(q) + bits(bits(q)) +
+    bits(T) + 3: |binom(t, d)| < (e (T + 1))^d, and its denominator divides
+    q^d times q's part of d!.  Exact where no entry drops; the first
+    parallel pair ends it."""
     points = entries = 0
     products, outs = [], []  # outs: each product's most output components
     for b0, b1 in zip(branes, branes[1:]):
         if not (d := abs(det2(b0.slope, b1.slope))):
             return points, entries, products
         points, entries = points + d, entries + b0.rank * b1.rank * (len(branes) > 2)
-    # (L0, L1, L2, phi1, phi2) by index, as assoc_defect orders them; None: a generator
-    plan = {3: [(0, 1, 2, None, None)], 4: [(1, 2, 3, None, None), (0, 1, 3, None, 0),
-                                            (0, 1, 2, None, None), (0, 2, 3, 2, None)]}
+    plan = {3: ((0, 1, 2, None, None),), 4: _ASSOC_PRODUCTS}
     for i0, i1, i2, in1, in2 in plan.get(len(branes), ()):
         try:
             b0, b1, b2, d01, d02, d12 = _chain(branes[i0], branes[i1], branes[i2])
@@ -737,8 +749,17 @@ def _work(branes: Sequence[Brane], cutoff: Rational):
         formed = (r1 * t0 + t1 * r0 + 2 * r0 if in1 is not None
                   else (2 + r2 + t2) * s0 if in2 is not None else 4 * s0)
         series = 0 if (in1, in2) == (None, None) else formed
-        products.append((comps1, per, weighted, r0 + r1 + r2 + formed - series, series,
-                         t0 + t1 + t2 - r0 - r1 - r2))
+        # the arcs (U, R d02), (-U, R d12), (U d01, R d02 d12) as `_sum` forms them, |U| <= m
+        R = math.lcm(lattice_denominator(b0, b1), b2.shift.denominator)
+        m = 0 if X is None else lattice_window(0, X * R * R)[1] - 1
+        squares = 0
+        for b, q, top in ((b0, R * d02, m), (b1, R * d12, m), (b2, R * d02 * d12, m * d01)):
+            q = abs(q)
+            nq = q.bit_length()
+            B = nq + nq.bit_length() + (-(-abs(top) // q)).bit_length() + 3
+            squares += B * B * sum((s - 1) * s * (2 * s - 1) // 6  # (d B)^2, d = 1 .. s - 1
+                                   for _, s in b.local_system.blocks)
+        products.append((comps1, per, weighted, r0 + r1 + r2 + formed - series, series, squares))
         outs.append(min(abs(d02), weighted))
         points, entries = points + abs(d02), entries + outs[-1] * r0 * r2
     return points, entries, products

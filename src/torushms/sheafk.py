@@ -412,22 +412,19 @@ def iso_pair(f, g, label: str = "iso") -> RelationTriple:
 
 
 def _bundle_sum(table: dict, rank: int, degree: int, pt: TatePoint, i: int):
-    """SheafSum(Bundle(rank, degree, pt)), at rank 0 SheafSum(Skyscraper(pt,
-    1)), one per (rank, degree, i) for pt the point of index i.  Keyed by
-    index, never by value: 1 and 1+0j compare equal but give other bits."""
+    """SheafSum(Bundle(rank, degree, pt)), one per (rank, degree, i)."""
     s = table.get((rank, degree, i))
     if s is None:
-        s = table[rank, degree, i] = SheafSum(Bundle(rank, degree, pt) if rank else Skyscraper(pt, 1))
+        s = table[rank, degree, i] = SheafSum(Bundle(rank, degree, pt))
     return s
 
 
 def _divisor_sequences(
-    d_pt: TatePoint, q: TatePoint, table: dict, i: int, j: int
+    d_pt: TatePoint, q: TatePoint, quot: SheafSum, table: dict, i: int
 ) -> Callable[[int], RelationTriple]:
-    """d -> the divisor sequence of degree d over (d_pt, q), points i and j,
-    O(D) and O_Q from `table`.  The point of O(D - Q) is built once."""
+    """d -> the divisor sequence of degree d over (d_pt, q), O(D) from
+    `table` and the sum O_Q as `quot`.  The point of O(D - Q) is built once."""
     sub_pt = point_mul(d_pt, conjugate_zero(q))
-    quot = _bundle_sum(table, 0, 1, q, j)
 
     def relation(d_deg: int) -> RelationTriple:
         return RelationTriple(
@@ -442,7 +439,7 @@ def _divisor_sequences(
 
 def ses_divisor(d_deg: int, d_pt: TatePoint, q: TatePoint) -> RelationTriple:
     """0 -> O(D - Q) -> O(D) -> O_Q -> 0 for a degree-d divisor D."""
-    return _divisor_sequences(d_pt, q, {}, 0, 1)(d_deg)
+    return _divisor_sequences(d_pt, q, SheafSum(Skyscraper(q, 1)), {}, 0)(d_deg)
 
 
 def _atiyah_sequences(
@@ -489,8 +486,9 @@ def _tower_member(base: IndecSheaf, h: int) -> IndecSheaf:
 
 def _jordan_towers(base: IndecSheaf, y1=None) -> Callable[[int], RelationTriple]:
     """h -> the Jordan-tower sequence of height h over `base`.  Each
-    member Y_k is built once, when a sequence first needs it (Y_1 is `y1`
-    when given), and its sum is shared by the sequences that hold it."""
+    member Y_k is built once, when a sequence first needs it, and its
+    sum is shared by the (up to three) sequences that hold it; Y_1's sum
+    is `y1` when given."""
     if isinstance(base, Skyscraper):
         if base.h != 1 or base.shift:
             raise BadBase("tower base must be a simple unshifted skyscraper")
@@ -555,8 +553,11 @@ def relation_suite(
                 Bundle(1, n, point_pow(TatePoint.two_torsion(), n)),
             )
         )
-    divisors = [_divisor_sequences(d_pt, q, table, i, j)
-                for i, d_pt in enumerate(points) for j, q in enumerate(points)]
+    # O_Q per point index, never per value: 1 and 1+0j compare equal but
+    # give other bits
+    skies = [SheafSum(Skyscraper(q, 1)) for q in points]
+    divisors = [_divisor_sequences(d_pt, q, sky, table, i)
+                for i, d_pt in enumerate(points) for q, sky in zip(points, skies)]
     for d in range(-bounds.d_max, bounds.d_max + 1):
         out.extend(relation(d) for relation in divisors)
     for r in range(2, bounds.r_max + 1):
@@ -566,7 +567,7 @@ def relation_suite(
                 continue
             for relation in twists:
                 out.extend(relation(d, pt, i) for i, pt in enumerate(points))
-    bases = [(Skyscraper(p, 1), _bundle_sum(table, 0, 1, p, j)) for j, p in enumerate(points)]
+    bases = [(Skyscraper(p, 1), sky) for p, sky in zip(points, skies)]
     for r in range(1, bounds.r_max + 1):
         for d in range(-bounds.d_max, bounds.d_max + 1):
             if gcd(r, abs(d)) == 1:

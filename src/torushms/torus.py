@@ -359,7 +359,7 @@ class LocalSystem:
                 if lam is None:
                     diagonals += [None] * len(powers)
                     continue
-                for (b_num, b_den), power in zip(_binomials(num, den), powers):
+                for power, (b_num, b_den) in zip(powers, _binomials(num, den)):
                     c = None if _ratio_dropped(b_num, b_den) else _kept(
                         complex(b_num / b_den) * lam)
                     diagonals.append(c and power and _kept(c * power))

@@ -898,28 +898,37 @@ STD = ("--l0", "L(0,-1;1/4)", "--l1", "L(1,2;0)", "--l2", "L(1,0;0)")
 _RANK = "{M=phase 1/7, rank %d}"
 
 
-def _std_steps(r0=1, listed=False):
+def _std_steps(r0=1, listed=False, B=11):
     """mu2 on STD at cutoff 8 with rank r0 on l0: 5 steps a point of the
     spaces of phi1, phi2 and the output (|det| 1, 2, 1); 1 an entry of
     phi1 (1 x r0), phi2 (1 x 1) and the output's one component (1 x r0);
     1 + isqrt(4 * 32) = 12 triangles walked, 4 steps each (20 listed);
     phi2 weights 12 // 2 + 1 = 7 of them, 11 steps each plus 1 per scalar
     step (4 r0 products of the e00 chain, r0 + 1 + 1 transport diagonals)
-    and 1 per 32 digits of l0's binomials, r0 (r0 - 1) / 2."""
+    and 1 per 1.5 * 10^6 squared bits of l0's binomials: binom(t, d) for
+    d < r0 counts d B bits on the arc U / R, R = 4 and |U| <= isqrt(32 *
+    16 - 1) = 22, so B = bits(4) + bits(3) + bits(6) + 3 = 11.  A shift
+    1/D on l0 makes R = D and B = bits(D) + bits(bits(D)) + bits(6) + 3."""
     return (5 * (1 + 2 + 1) + (r0 + 1 + r0) + 12 * (20 if listed else 4)
-            + 7 * (11 + 4 * r0 + r0 + 2 + r0 * (r0 - 1) // 2 // 32))
+            + 7 * (11 + 4 * r0 + r0 + 2 + _squared(B, r0) // 1_500_000))
+
+
+def _squared(B, s):
+    """The squared bits of a size-s Jordan block's binomials, d B bits each."""
+    return B * B * (s - 1) * s * (2 * s - 1) // 6
 
 
 def _assoc_steps(r0=1):
     """ASSOC with rank r0 on l0: the spaces of a, b, c (|det| 2, 1, 1) and
     their entries (r0, 1, 1); then mu2(c, b) walks 7 triangles and weights
     7, 7 scalar steps each, mu2(., a) is misoriented, mu2(b, a) walks and
-    weights 5, 5 r0 + 2 scalar steps each and r0 (r0 - 1) / 2 binomial
-    digits, and mu2(c, .) is misoriented; each product builds one 1-point
-    space, and the two oriented ones one output component each, of 1 and
-    r0 entries."""
+    weights 5, 5 r0 + 2 scalar steps each and l0's binomials on the arc
+    U / 70, |U| <= isqrt(5 * 70^2 - 1) = 156 (B = 7 + 3 + 2 + 3 = 15), and
+    mu2(c, .) is misoriented; each product builds one 1-point space, and
+    the two oriented ones one output component each, of 1 and r0
+    entries."""
     return (5 * (2 + 1 + 1) + (r0 + 1 + 1) + (5 + 1 + 7 * 4 + 7 * (11 + 7)) + 5
-            + (5 + r0 + 5 * 4 + 5 * (11 + 5 * r0 + 2 + r0 * (r0 - 1) // 2 // 32)) + 5)
+            + (5 + r0 + 5 * 4 + 5 * (11 + 5 * r0 + 2 + _squared(15, r0) // 1_500_000)) + 5)
 
 
 @pytest.mark.parametrize(
@@ -930,14 +939,19 @@ def _assoc_steps(r0=1):
          _std_steps(r0=10000)),
         (("assoc", "--l0", "L(1,2;0)" + _RANK % 10000) + ASSOC[3:],
          _assoc_steps(r0=10000)),
+        # 10^99 + 7 has 329 bits
+        (("mu2", "--l0", f"L(0,-1;1/{10**99 + 7})" + _RANK % 801) + STD[2:],
+         _std_steps(r0=801, B=329 + 9 + 3 + 3)),
     ],
-    ids=["cf", "mu2", "assoc"],
+    ids=["cf", "mu2", "assoc", "mu2-long-shift"],
 )
 def test_floer_work_over_the_budget_is_refused_before_any_work(
     capsys, monkeypatch, argv, steps
 ):
-    """A slope of 10^9 makes cf list 10^9 points, and a rank-10^4 system
-    makes each weighted mu2 triangle form 5 * 10^4 scalar steps: the count
+    """A slope of 10^9 makes cf list 10^9 points, a rank-10^4 system makes
+    each weighted mu2 triangle form 5 * 10^4 scalar steps, and a shift
+    1/(10^99 + 7) makes a rank-801 transport's exact binomials grow by 344
+    bits a degree, against 11 for a shift 1/4: the count
     reads only the built branes and --cutoff, so no space is built.
     Building a brane is a gcd and one Jordan-block record at any rank."""
     def fail(*args):
@@ -963,6 +977,8 @@ def test_floer_work_over_the_budget_is_refused_before_any_work(
         (("mu2",) + STD, _std_steps()),
         (("mu2",) + STD + ("--triangles",), _std_steps(listed=True)),
         (("mu2", "--l0", "L(0,-1;1/4)" + _RANK % 8) + STD[2:], _std_steps(r0=8)),
+        (("mu2", "--l0", f"L(0,-1;1/{10**99 + 7})" + _RANK % 8) + STD[2:],
+         _std_steps(r0=8, B=329 + 9 + 3 + 3)),
         # a parallel pair ends the work: mu2 builds CF(l0, l1) and its
         # generator's one entry only
         (("mu2",) + STD[:4] + ("--l2", "L(1,2;1/2)"), 5 * 1 + 1),
@@ -980,7 +996,7 @@ def test_floer_work_over_the_budget_is_refused_before_any_work(
          5 * (3 + 1 + 1) + 3 + (6 * 2 + 12 * 4 + 12 * 18) + (6 + 7 * 4 + 7 * 34)
          + (6 * 2 + 7 * 4 + 7 * 18) + (6 + 2 * 6 * 4 + 12 * 34)),
     ],
-    ids=["cf", "cf-rank", "mu2", "mu2-triangles", "mu2-rank", "mu2-parallel",
+    ids=["cf", "cf-rank", "mu2", "mu2-triangles", "mu2-rank", "mu2-long-shift", "mu2-parallel",
          "assoc", "assoc-oriented"],
 )
 def test_floer_work_is_counted_per_verb(capsys, monkeypatch, argv, steps):

@@ -599,7 +599,8 @@ def _cli_branes(draw, count):
         turns = draw(st.sampled_from([F(0), F(1, 7), F(2, 5), F(-3, 11)]))
         system = (LocalSystem.trivial() if (rank, turns) == (1, 0)
                   else LocalSystem.from_eigenvalue(phase(turns), rank))
-        shift = draw(st.sampled_from([F(0), F(1, 3), F(1, 4), F(2, 5), F(1, 7)]))
+        shift = draw(st.sampled_from([F(0), F(1, 3), F(1, 4), F(2, 5), F(1, 7),
+                                      F(1, 10**30 + 57)]))
         branes.append(Brane((sign * m, sign * n), shift, local_system=system))
     return branes
 
@@ -611,8 +612,9 @@ def _live(x):
 class _Formed:
     """What the library forms, per `_sum` call (a product) and per
     triangle: the transport diagonals, the products of `torus._scalar_mul`
-    or of `mat_mul` (those with two live factors), and whether any entry
-    dropped (a None from `torus._kept`, a dead transport entry)."""
+    or of `mat_mul` (those with two live factors), the squared bit lengths
+    of the transports' binomials, and whether any entry dropped (a None
+    from `torus._kept`, a dead transport entry)."""
 
     def __init__(self, mp):
         self.products = []  # per product: (phi2, phi1, cutoff, triangles)
@@ -620,7 +622,7 @@ class _Formed:
         for module, name, wrap in (
             (floer, "_sum", self._sum), (floer, "_arc_transport", self._transport),
             (torus, "_scalar_mul", self._scalar_mul), (floer, "mat_mul", self._mat_mul),
-            (torus, "_kept", self._kept),
+            (torus, "_kept", self._kept), (torus, "_binomials", self._binomials),
         ):
             mp.setattr(module, name, wrap(getattr(module, name)))
 
@@ -645,7 +647,7 @@ class _Formed:
             def transport(num, den):
                 if first:
                     self.dropped = False
-                    self.products[-1][3].append({"steps": 0, "path": path})
+                    self.products[-1][3].append({"steps": 0, "squares": 0, "path": path})
                 out = t(num, den)
                 if path == "scalar":
                     dead = None in out[0]
@@ -676,6 +678,14 @@ class _Formed:
             return f(a, b)
         return mul
 
+    def _binomials(self, f):
+        def binomials(p, q):
+            for num, den in f(p, q):
+                bits = max(abs(num).bit_length(), abs(den).bit_length())
+                self.products[-1][3][-1]["squares"] += bits * bits
+                yield num, den
+        return binomials
+
     def _kept(self, f):
         def kept(c):
             out = f(c)
@@ -694,6 +704,8 @@ def _oriented_chain(*ranks):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([3, 4]).flatmap(_cli_branes), st.integers(1, 16))
 @example(_oriented_chain(2, 3, 2, 3), 8)
+@example([Brane((0, -1), F(1, 10**99 + 7), local_system=LocalSystem.from_eigenvalue(
+    phase(F(1, 7)), 6)), Brane((1, 2)), Brane((1, 0), F(2, 10**40 + 3))], 16)
 def test_the_work_count_bounds_what_mu2_and_assoc_form(branes, cutoff):
     """`floer._work` on CLI-shaped mu2 and assoc inputs (e00 generators,
     one Jordan block each): its triangles cover every triangle
@@ -701,7 +713,8 @@ def test_the_work_count_bounds_what_mu2_and_assoc_form(branes, cutoff):
     triangles are weighted than it counts; and per weighted triangle it
     counts the steps `_scalar_mul` or `mat_mul` and the transports form,
     exactly where no entry drops and never fewer: scalar steps on two
-    generators, series products on a mu2 output."""
+    generators, series products on a mu2 output; and at least the squared
+    bits of the transports' binomials."""
     try:
         gens = [generator_element(b0, b1, cf(b0, b1).point(0))
                 for b0, b1 in zip(branes, branes[1:])]
@@ -718,7 +731,7 @@ def test_the_work_count_bounds_what_mu2_and_assoc_form(branes, cutoff):
             assume(False)
     _, _, counted = floer._work(branes, cutoff)
     assert len(counted) == len(formed.products)
-    for (comps1, per, weighted, steps, series, _), (phi2, phi1, c, triangles) in zip(
+    for (comps1, per, weighted, steps, series, squares), (phi2, phi1, c, triangles) in zip(
             counted, formed.products):
         by_y1 = Counter(tri[1][1] for tri in mu2_triangles(phi2, phi1, c)[1])
         assert len(phi1.entries) <= comps1
@@ -729,3 +742,4 @@ def test_the_work_count_bounds_what_mu2_and_assoc_form(branes, cutoff):
                 assert (tri["path"] == "matrix") == (series > 0)
                 assert tri["steps"] <= steps + series
                 assert tri["dropped"] or tri["steps"] == steps + series, (tri, steps)
+            assert tri["squares"] <= squares, (tri, squares)
