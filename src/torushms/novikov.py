@@ -29,7 +29,8 @@ forms every sum: `a + b` is a running sum started at `a` with `b` added,
 and every loop that adds many series into one (the geometric series of
 `invert`, the binomial series of `fractional_power`, theta series, each
 matrix entry of `mu2`) keeps one running sum instead of re-merging the
-partial sum each step.  Where an addend is a series x times exact
+partial sum each step; a binomial term b * eps^k goes in in one pass.
+Where an addend is a series x times exact
 one-term factors (q^e times M^k in a theta term; the area weight,
 transports and generators of a rank-1 triangle), `add_product` adds it
 in one pass over x's keys: each coefficient goes through the stages of
@@ -45,9 +46,10 @@ is reduced to its least denominator; no kernel forms an exponent Fraction.
 A series keeps what is derived from it, and no caller passes tables
 around.  Its one private slot, `_held` (a `_Held`, filled on first use),
 holds its inverse (`invert`), its powers P_k = P_(k-1) * a (`_power`,
-which reads a^-k from the inverse's powers) and its table of eps powers
+which reads a^-k from the inverse's powers), its table of eps powers and
+its fractional powers, one series per distinct arc t
 (`fractional_power`), so each is formed once per series object, by the
-same products in the same order as a fresh formation.  `==`, `hash`,
+same steps in the same order as a fresh formation.  `==`, `hash`,
 `repr`, pickle and copy ignore the slot, and a copy starts empty.  Equal
 series are not merged: coefficients 1, 1.0 and 1+0j compare equal, but
 1.0 / c0 is a float for the first two and complex for the third.
@@ -467,13 +469,23 @@ class _RunningSum:
         self.coeffs = {k * factor: v for k, v in self.coeffs.items()}
         return self.den
 
-    def add(self, x: NovikovSeries) -> None:
+    def add(self, x: NovikovSeries, ratio=None) -> None:
+        """Add x, or (num/den) * x for `ratio` = (num, den), den > 0 and
+        |num/den| > ZERO_TOL, in one pass: each float or complex c first
+        takes the stage of `_fraction_multiple` and the drop rule."""
         den, coeffs = self.den, self.coeffs
         if den % x._den:
             den = self._grow(x._den)
             coeffs = self.coeffs
         scale = den // x._den
+        if ratio is not None:
+            fb = ratio[0] / ratio[1]
+            cb = complex(fb)
         for k, c in zip(x._keys, x._coeffs):
+            if ratio is not None:
+                c = 0 + (c * cb if type(c) is complex else c * fb)
+                if abs(c) <= ZERO_TOL:
+                    continue
             k *= scale
             total = coeffs.get(k, 0) + c
             if abs(total) <= ZERO_TOL:
@@ -552,15 +564,16 @@ class _RunningSum:
 
 
 class _Held:
-    """What is derived from one series and kept in its `_held` slot, each
-    None until first asked for: `inverse`; `powers`, the table of its
-    powers; `eps_powers`, (eps, the table of eps's powers) for a unit
-    c0 * (1 + eps)."""
+    """What is derived from one series and kept in its `_held` slot:
+    `inverse`, `powers` (its power table) and `eps_powers` (eps and its
+    power table, for a unit c0 (1 + eps)), each None until first asked
+    for, and `fractional`, u^t for each distinct arc t asked so far."""
 
-    __slots__ = ("inverse", "powers", "eps_powers")
+    __slots__ = ("inverse", "powers", "eps_powers", "fractional")
 
     def __init__(self):
         self.inverse = self.powers = self.eps_powers = None
+        self.fractional = {}
 
     @classmethod
     def of(cls, a: NovikovSeries) -> "_Held":
@@ -779,14 +792,22 @@ def fractional_power(u: NovikovSeries, t: Rational) -> NovikovSeries:
 
     Writes u = c0 (1 + eps) and returns c0^t * sum_k binom(t,k) eps^k,
     with c0^t taken on the principal logarithm branch.  Satisfies the
-    exponent law u^s * u^t = u^(s+t) up to cutoff/tolerance.  The powers
-    of eps are held on u (`_eps_powers`).
+    exponent law u^s * u^t = u^(s+t) up to cutoff/tolerance.  u^t is
+    held on u, formed once per distinct t (`_Held`), next to eps's powers.
     """
     if u.is_zero():
         raise ZeroSeries("fractional power of the zero series")
     if u.val() != 0:
         raise NonUnit(f"fractional_power needs val = 0, got val = {u.val()}")
     t = t if type(t) is Fraction else Fraction(t)  # floer's arcs are not copied
+    held = _Held.of(u).fractional
+    if t not in held:
+        held[t] = _formed_power(u, t)
+    return held[t]
+
+
+def _formed_power(u: NovikovSeries, t: Fraction) -> NovikovSeries:
+    """`fractional_power` formed afresh, each b * eps^k added in one pass."""
     eps, powers = _eps_powers(u)
     c0 = u.leading_coefficient()
     scale = cmath.exp(t * cmath.log(c0)) if t != 0 else 1.0 + 0.0j
@@ -808,6 +829,7 @@ def fractional_power(u: NovikovSeries, t: Rational) -> NovikovSeries:
         power = _nth(powers, eps, k, u.cutoff)
         if power.is_zero():
             break
-        out.add(_fraction_multiple(num, den, power))
+        ratio = None if _ratio_dropped(num, den) else (num, den)
+        out.add(power if ratio else _fraction_multiple(num, den, power), ratio)
     return scale * out.series()
 

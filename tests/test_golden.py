@@ -1,7 +1,7 @@
 """Golden corpus: byte-for-byte `--json` outputs of every verb (the
 Floer verbs `cf`, `mu2` with and without `--triangles` and `assoc`, and
 the theta, K-theory, mirror and cobordism verbs) and the exact terms and
-cutoffs of four library-level `mu2` products.
+cutoffs of five library-level `mu2` products.
 
 The Floer files under tests/golden/ were recorded once, from the
 grid-scan intersection enumerator and the series-by-series triangle
@@ -15,7 +15,9 @@ of a constant unit as a series, before its scalar chain;
 `relations_top.json` from the relation suite that built every relation
 from its public family constructor; the `markers_series_c32` product of
 `library_products.json` from the `Fraction` triangle walk that preceded
-the integer lattice walk.  The files of the other verbs were
+the integer lattice walk; its `series_jordan_c8` product from the
+`fractional_power` that formed every power afresh, each binomial term as
+its own series, before a unit held its powers.  The files of the other verbs were
 recorded from the code that still carried the mpmath coefficient backend and three
 separate loops for sums with multiplicities; their inputs use grammar
 phases and large multiplicities, so a change in evaluation order or
@@ -188,12 +190,13 @@ def _weights(space, rows, cols, salt):
 
 
 def library_products():
-    """Four products with every generator weighted, so that each output
+    """Five products with every generator weighted, so that each output
     entry sums many triangles: a Jordan rank-2 system on the middle
     brane of a small triple, the heavy rank-1 triple, the heavy triple
-    with the Jordan system on its middle brane, and a rank-1 triple with
+    with the Jordan system on its middle brane, a rank-1 triple with
     negative d02 and d12, its own Pin markers and a series eigenvalue,
-    which no CLI input can set."""
+    and the small triple with a series eigenvalue on a Jordan rank-2
+    middle brane.  No CLI input can set a series eigenvalue."""
     jordan = LocalSystem.from_eigenvalue(cmath.exp(2j * cmath.pi / 7), 2)
     l0 = Brane((0, -1), F(1, 4))
     l1 = Brane((1, 2), F(0), local_system=jordan)
@@ -237,11 +240,23 @@ def library_products():
         FloerElement(s01, _weights(s01, 1, 1, 8)),
         F(32),
     )
+    # a series eigenvalue on a size-2 Jordan block: the superdiagonal
+    # entries binom(t, 1) lam^t / lam of every transport on l1s
+    l1s = Brane((1, 2), F(0), local_system=LocalSystem.from_eigenvalue(NovikovSeries(
+        ((0, cmath.exp(2j * cmath.pi / 7)), (F(1, 3), 0.5), (F(1, 2), -0.25j)), F(8),
+    ), 2))
+    s01, s12 = cf(l0, l1s), cf(l1s, l2)
+    series_jordan = mu2(
+        FloerElement(s12, _weights(s12, 1, 2, 9)),
+        FloerElement(s01, _weights(s01, 2, 1, 10)),
+        F(8),
+    )
     return {
         "rank2_jordan_c12": rank2,
         "heavy_weighted_c8": heavy,
         "heavy_rank2_c6": heavy_rank2,
         "markers_series_c32": markers,
+        "series_jordan_c8": series_jordan,
     }
 
 

@@ -5,6 +5,7 @@ or, for the records, the dataclasses they were.
     NovikovSeries *, _fraction_multiple   mul_oracle (tests/shared.py)
     +, -, _RunningSum                     add_oracle (public constructor)
     _RunningSum.add_product               add_product_oracle
+    _RunningSum.add with a ratio          add_oracle of mul_oracle
     fractional_power                      fractional_power_oracle
     invert                                invert_oracle (geometric series)
     theta_eval(_raw), section_through,    theta_oracle (stepping walk,
@@ -33,7 +34,8 @@ records the mutants these tests kill; `python tests/mutants.py` re-runs
 it.  The work-count tests pin what a series holds (one inverse per
 series object, each power of a point's unit formed once across
 `section_through` and `eval_section`, each power of eps formed once per
-mu2 call), that holding it changes no identity of the series, that a
+mu2 call, each fractional power once per distinct arc), that holding it
+changes no identity of the series, that a
 series a kernel builds holds integer keys at its least denominator,
 with the identity of its Fraction twin, that
 each shared piece of the relation suite is built once, that a suite
@@ -820,15 +822,44 @@ def test_fraction_multiple_matches_the_operator(x, b):
     assert repr(got) == repr(mul_oracle(x, _const(b)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_series, colliding), _series,
+       st.one_of(st.sampled_from(_TOL_EDGE), _q(-10 ** 6, 10 ** 6, st.integers(1, 10 ** 6))))
+@example(NovikovSeries(((0, 2 * ZERO_TOL),)), NovikovSeries(((0, 2 * ZERO_TOL),)), F(1, 4))
+def test_running_sum_adds_a_rational_multiple_in_one_pass(start, x, b):
+    """`add(x, (num, den))` is `add(b * x)` for float and complex
+    coefficients, b's own drop included: 5e-13 at the start's key drops."""
+    assume(not novikov._ratio_dropped(b.numerator, b.denominator))
+    x = x * 1.0  # the coefficients of eps's powers: floats and complexes
+    acc = _RunningSum(start)
+    acc.add(x, (b.numerator, b.denominator))
+    assert repr(acc.series()) == repr(add_oracle(start, mul_oracle(x, _const(b))))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_units(max_cutoff=3), st.lists(_expo, min_size=1, max_size=4))
+@example(_UNIT, [F(1, 2), F(1, 3)])  # one numerator, two arcs
 def test_shared_fractional_power_matches_the_unshared_oracle(u, ts):
-    """The eps powers held on u serve every exponent t, as in a mu2 call:
-    a second call with the same t reads only held powers."""
-    for t in ts:
-        want = repr(fractional_power_oracle(u, t))
-        assert repr(fractional_power(u, t)) == want
-        assert repr(fractional_power(u, t)) == want
+    """The eps powers held on u serve every exponent t, as in a mu2 call,
+    and u holds one power per distinct t: a second call with the same t,
+    or with an equal Fraction object, returns the held series and forms
+    nothing (no `_binomials` run); a new t forms one fresh power."""
+    formed = []
+    real = novikov._binomials
+    per_t = 0 if novikov._eps_powers(u)[0].is_zero() else 1  # a constant unit's u^t
+    held = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(novikov, "_binomials", lambda p, q: formed.append(1) or real(p, q))
+        for t in ts:
+            before, new = len(formed), t not in held
+            got = fractional_power(u, t)
+            assert repr(got) == repr(fractional_power_oracle(u, t))
+            assert len(formed) == before + new * per_t
+            assert (got is held[t]) if not new else all(got is not h for h in held.values())
+            held[t] = got
+            assert fractional_power(u, t) is got
+            assert fractional_power(u, F(t.numerator, t.denominator)) is got
+            assert len(formed) == before + new * per_t
 
 
 @settings(max_examples=150, deadline=None)
@@ -1223,6 +1254,32 @@ def test_mu2_builds_each_eps_power_once(monkeypatch):
     assert len(set(arcs)) > 10  # many distinct arcs of the series-unit brane
     assert 0 < len(eps_products) <= k_max + 1
     assert len(set(eps_products)) == len(eps_products)  # each P_k once
+
+
+def test_one_bridge_task_forms_each_arc_power_once(monkeypatch):
+    """The theta bridge's pinned series-unit task on a fresh unit:
+    `theta_floer_equiv` with the tuned section, then the flat one.  Both
+    mu2 calls transport the unit over the same arcs of y2, so each u^t is
+    formed once (one `_binomials` run) and the second call on an arc is
+    answered from the unit's slot: calls are twice the distinct arcs."""
+    unit = NovikovSeries(_UNIT.terms, _UNIT.cutoff)
+    arcs, formed = [], []
+    real_power, real_binomials = torus.fractional_power, novikov._binomials
+
+    def power(u, t):
+        arcs.append((u is unit, t))
+        return real_power(u, t)
+
+    monkeypatch.setattr(torus, "fractional_power", power)
+    monkeypatch.setattr(novikov, "_binomials",
+                        lambda p, q: formed.append(F(p, q)) or real_binomials(p, q))
+    tuned = section_through(tate.conjugate_zero(TatePoint(F(1, 3), unit)), 12)
+    for sigma in (tuned, SectionCoeffs(NovikovSeries.one(), NovikovSeries.one())):
+        mirror.theta_floer_equiv(F(1, 3), unit, sigma, 12)
+    distinct = {t for on_unit, t in arcs if on_unit}
+    assert len(distinct) > 10 and all(on_unit for on_unit, _ in arcs)
+    assert sorted(formed) == sorted(distinct)
+    assert len(arcs) == 2 * len(distinct)
 
 
 def test_a_section_and_its_value_form_each_power_of_the_unit_once(monkeypatch):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torushms import RelationBounds
+from torushms.cobord import CobordClass, CurveClass
 from torushms.errors import BadBase, BadGcd
 from torushms.sheafk import (
     Bundle,
@@ -80,6 +81,19 @@ def test_one_sheaf_sum_never_renders_its_sheaf(monkeypatch):
     assert SheafSum([(b, 2), (c, 1), (c, -1)]).terms == ((b, 2),)
     assert (3 * as_sum(b) - as_sum(b)).terms == ((b, 2),)
     assert SheafSum([(b, 1), (b, -1)]).is_empty()
+
+
+def test_class_and_sum_strings():
+    """The `str` of a sum (zero, and two sheaves: a multiplicity of 1 is
+    not written), of a K0 class and of the two cobordism classes."""
+    p = TatePoint(F(1, 3), 1)
+    unit = "pt(x=1/3, unit=(1.0+0.0i)*q^(0))"
+    assert str(SheafSum()) == "0"
+    two = SheafSum([(Bundle(2, 3, p), 1), (Skyscraper(p, 2, 1), -3)])
+    assert str(two) == f"Bun(2,3,{unit}) + -3*Sky({unit},2)[1]"
+    assert str(K0Class(2, -1, p)) == f"(2, -1, {unit})"
+    assert str(CurveClass((1, 2), F(5, 3))) == "curve(v=(1, 2), flux=2/3)"
+    assert str(CobordClass(F(-1, 4), (3, -2))) == "(3/4, (3, -2))"
 
 
 def test_invalid_sheaves_rejected():
