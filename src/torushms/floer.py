@@ -19,6 +19,10 @@ corner phi2 weights, which `mu2` sums, and for `mu2_triangles` lists
 every triangle with its exact boundary data as a plain tuple, which
 `cli` renders.  It forms a few Fractions per call and none per
 generator or triangle, except in that listing.
+Per brane, its base and marker points are integer numerators held on it
+(`torus.held_lattice`); per product, R, the area denominator 2|d02
+d12|R^2, the arcs' denominators, the marker forms, the transports and the
+path are formed once; per triangle, only what depends on U.
 Each triangle contributes
 
     sign * q^area * T2 . phi2(y2) . T1 . phi1(y1) . T0
@@ -29,8 +33,9 @@ and sign = (-1)^(i(y1)) * (-1)^(crossings+1), with `crossings` the
 number of Pin markers met by the triangle boundary.  `_sum` forms it
 with the factors, products and sums of four `mat_mul`s in their order:
 on three rank-1 systems without matrices, where a triangle of exact
-one-term factors (`torus.scalar_power` for a constant eigenvalue) is one
-scalar chain and builds no series; where every eigenvalue and generator
+one-term factors (`torus.scalar_power` for a constant eigenvalue: the
+constant 1, without log or exp, on a trivial system) is one scalar chain
+and builds no series; where every eigenvalue and generator
 entry is an exact constant, on scalars (`torus.scalar_chain`: a Jordan
 transport is one scalar per superdiagonal, and exact zeros form no
 product, so an e00 generator touches one row or column); otherwise by
@@ -80,6 +85,7 @@ from .torus import (
     Vec,
     bezout,
     det2,
+    held_lattice,
     index_of,
     intersections,
     lattice_denominator,
@@ -350,34 +356,35 @@ def _triangle_window(d01: int, d02: int, d12: int, cutoff: Fraction):
     return None if d01 * d02 * d12 > 0 else 2 * abs(d02 * d12) * cutoff / abs(d01)
 
 
-def _marker_form(line, R: int, arc: Fraction, drift: Fraction):
+def _marker_form(held, R: int, arc: Fraction, drift: Fraction):
     """(M, F, Z, C, A, B, forward) for one brane's boundary arc of the
     triangles over each generator y1 = Y/R: the arc is arc*U, and the
-    Pin-marker lift (line = ((a, b), mk): the bezout pair of the slope
-    and the marker lift) sits c1 - drift*U along it from its start, for
-    c1 = a (mk - y1)_x + b (mk - y1)_y, so M c1 = C - A Y_x - B Y_y.  The
-    arc meets floor((F U - M c1)/M) - floor((Z U - M c1)/M) marker lifts,
-    negated when it runs backwards (`forward` is arc > 0, for U > 0); a
-    numerator divisible by M puts a lift on a corner."""
-    (a, b), mk = line
-    c = a * mk[0] + b * mk[1]
+    Pin-marker lift (held = `torus.held_lattice` of the brane: the marker
+    lift mk = (mx, my)/D and the bezout pair (a, b) of the slope) sits
+    c1 - drift*U along it from its start, for c1 = a (mk - y1)_x + b (mk -
+    y1)_y, so M c1 = C - A Y_x - B Y_y.  The arc meets floor((F U - M
+    c1)/M) - floor((Z U - M c1)/M) marker lifts, negated when it runs
+    backwards (`forward` is arc > 0, for U > 0); a numerator divisible by
+    M puts a lift on a corner."""
+    D, _, (mx, my), (a, b) = held
     hi = arc + drift
-    M = math.lcm(hi.denominator, drift.denominator, c.denominator, R)
+    M = math.lcm(hi.denominator, drift.denominator, D, R)
     return (M, hi.numerator * (M // hi.denominator),
             drift.numerator * (M // drift.denominator),
-            c.numerator * (M // c.denominator), a * (M // R), b * (M // R), arc > 0)
+            (a * mx + b * my) * (M // D), a * (M // R), b * (M // R), arc > 0)
 
 
-def _walk(s1: CFSpace, comps1, s2: CFSpace, comps2, s0: CFSpace, chain,
+def _walk(s1: CFSpace, comps1, s2: CFSpace, comps2, s0: CFSpace, chain, R: int,
           cutoff: Fraction, listing: Optional[list] = None):
     """Yield each triangle of mu2(phi2, phi1) with area below `cutoff`
-    whose y2 corner phi2 weights, as (y0, a1, a2, U, R, sign): y0 an index
+    whose y2 corner phi2 weights, as (y0, a1, a2, U, sign): y0 an index
     of s0 = CF(L0, L2), a1 and a2 values of the (index, value) pairs
     comps1 and comps2 on s1 and s2; with `listing`, append every triangle
     as `mu2_triangles` lists it.  `chain` is `_chain` of the three branes.
 
-    One lattice per call, read off the spaces: every y1 = Y/R and r are
-    integers over R = lcm(s1.den, L2's shift denominator).  Per y1, u =
+    One lattice per call, read off the spaces and the branes' held
+    lattices: every y1 = Y/R and r are integers over R = lcm(s1.den, L2's
+    shift denominator), which `_sum` passes.  Per y1, u =
     k + r, and k runs through `lattice_window(r, X)` (|U| <= m for U = R
     u): down from floor(-r), then up.  U gives s = U/(R d02), t = U/(R
     d12), the L2 arc d_arc = -U d01/(R d02 d12) (as d12 v0 - d02 v1 =
@@ -391,18 +398,18 @@ def _walk(s1: CFSpace, comps1, s2: CFSpace, comps2, s0: CFSpace, chain,
     assert index_of(b0, b2) == index_of(b0, b1) + index_of(b1, b2)
     branes = (b0, b1, b2)
     v0, v1, v2 = b0.slope, b1.slope, b2.slope
-    R = math.lcm(s1.den, b2.shift.denominator)
     D0, D2 = R * abs(d02), R * abs(d12)
     f0, f1, f2 = D0 // s0.den, R // s1.den, D2 // s2.den
     y0_at = {(x * f0, y * f0): i for i, (x, y) in enumerate(s0.nums)}
     y2_at = {(s2.nums[j][0] * f2, s2.nums[j][1] * f2): a2 for j, a2 in comps2}
     m = lattice_window(0, X * R * R)[1] - 1  # |U| <= m, or m = -1: none
-    lines = [(bezout(*b.slope), b.marker_point) for b in branes]
-    drift = lines[2][0][0] * v1[0] + lines[2][0][1] * v1[1]  # L2's marker per unit t
+    held = [held_lattice(b) for b in branes]
+    Db, base2, _, bez2 = held[2]
+    drift = bez2[0] * v1[0] + bez2[1] * v1[1]  # L2's marker per unit t
     arcs = (Fraction(1, R * d02), 0), (Fraction(1, R * d12), 0), (
         Fraction(-d01, R * d02 * d12), Fraction(drift, R * d12))
-    forms = [_marker_form(line, R, *a) for line, a in zip(lines, arcs)]
-    base2v = int(det2(b2.base_point, v2) * R)
+    forms = [_marker_form(h, R, *a) for h, a in zip(held, arcs)]
+    base2v = det2(base2, v2) * R // Db
     deg = (-1) ** index_of(b0, b1)
     e0, e2 = (1 if d02 > 0 else -1), (1 if d12 > 0 else -1)
     for j, a1 in comps1:
@@ -449,7 +456,7 @@ def _walk(s1: CFSpace, comps1, s2: CFSpace, comps2, s0: CFSpace, chain,
                         U * d01, R * d02 * d12)  # s, -t, -d_arc
                     listing.append((k, (p0, s1.point(j), p2), area, sign, turns, crossings))
                 if a2 is not None:
-                    yield y0_at[p0x % D0, p0y % D0], a1, a2, U, R, sign
+                    yield y0_at[p0x % D0, p0y % D0], a1, a2, U, sign
 
 
 def _rank1_factor(x: NovikovSeries):
@@ -545,15 +552,19 @@ def _sum(phi2: FloerElement, phi1: FloerElement, cutoff: Rational,
     # per output generator index, the running sum of each entry a product reaches
     acc: Dict[int, Dict[Tuple[int, int], _RunningSum]] = defaultdict(
         lambda: defaultdict(lambda: _RunningSum(start)))
-    triangles = _walk(phi1.space, comps1, phi2.space, comps2, out_space, chain,
+    R = math.lcm(phi1.space.den, b2.shift.denominator)
+    triangles = _walk(phi1.space, comps1, phi2.space, comps2, out_space, chain, R,
                       cutoff, listing)
-    for y0, a1, a2, U, R, sign in triangles:
-        sums = acc[y0]
-        num, den = abs(d01) * U * U, 2 * abs(d02 * d12) * R * R  # the area
-        T0, T1, T2 = t0(U, R * d02), t1(-U, R * d12), t2(U * d01, R * d02 * d12)
-        if path == "rank1":
+    # per call: the area |d01| U^2 / den, the arcs' denominators and the path
+    a01, den = abs(d01), 2 * abs(d02 * d12) * R * R
+    q0, q1, q2 = R * d02, R * d12, R * d02 * d12
+    rank1, scalar = path == "rank1", path == "scalar"
+    for y0, a1, a2, U, sign in triangles:
+        sums, num = acc[y0], a01 * U * U
+        T0, T1, T2 = t0(U, q0), t1(-U, q1), t2(U * d01, q2)
+        if rank1:
             _add_rank1(sums[0, 0], (T0, a1, T1, a2, T2), num, den, sign)
-        elif path == "scalar":
+        elif scalar:
             for i, m_row in scalar_chain(a1, T0, T1, a2, T2).items():
                 for j, c in m_row.items():
                     c = _kept(sign * c)

@@ -35,9 +35,11 @@ one-term factors (q^e times M^k in a theta term; the area weight,
 transports and generators of a rank-1 triangle), `add_product` adds it
 in one pass over x's keys: each coefficient goes through the stages of
 the products it replaces, `0 +` and the drop rule included, and lands at
-the shifted integer key.  Where x too is one exact term (a constant
-unit's theta term, a rank-1 triangle with no series factor), the caller
-runs those stages on scalars (`_kept`) and `add_term` adds the result.
+the shifted integer key; the pass stops at the running sum's cutoff,
+past which `series` would drop the key.  Where x too is one exact term
+(a constant unit's theta term, a rank-1 triangle with no series factor),
+the caller runs those stages on scalars (`_kept`) and `add_term` adds
+the result.
 A product of two multi-term series runs its double loop into an
 integer-keyed dict, leaving the inner loop at the first key at or above
 the cutoff.  Every kernel output (sums, products, negation, truncation)
@@ -506,11 +508,12 @@ class _RunningSum:
         coefficient goes through the stages of the one-term products it
         replaces: `0 + c * right`, then `0 + l * c` for each l in order,
         dropped at the first stage where |c| <= ZERO_TOL.  A kept term
-        is added at key shift + term key, as `add` adds it.  No stage cuts
-        a term: the product's cutoff is x's shifted by num/den, and every
-        term of x lies below x's.  A factor that the drop rule makes zero
-        makes the whole product the exact zero, which adds nothing; the
-        caller does not call this then.
+        is added at key shift + term key, as `add` adds it.  The pass stops
+        at the running sum's cutoff (a bisection of x's keys): a term at or
+        past it would land on a key that `series` drops, and the cutoff
+        only falls.  A factor that the drop rule makes zero makes the whole
+        product the exact zero, which adds nothing; the caller does not
+        call this then.
         """
         keys = x._keys
         if keys:
@@ -522,6 +525,9 @@ class _RunningSum:
                 base = self._grow(x._den)
             coeffs = self.coeffs
             shift, scale = num * (base // den), base // x._den
+            if self.cutoff is not None:  # the least x key past it: ceil((bound - shift) / scale)
+                stop = -((shift - _key_bound(self.cutoff, base)) // scale)
+                keys = keys[:bisect.bisect_left(keys, stop)]
             for k, c in zip(keys, x._coeffs):
                 if right is not None:
                     c = 0 + c * right

@@ -225,7 +225,10 @@ def scalar_chain(a1: dict, t0, t1, a2: dict, t2) -> dict:
 
 def scalar_power(c0):
     """(num, den) -> c0^(num/den) as `fractional_power` forms it for a one-term
-    c0: 0 + exp(complex(num / den) * log(c0)), 1.0 + 0.0j at 0, None if it drops."""
+    c0: 0 + exp(complex(num / den) * log(c0)), 1.0 + 0.0j at 0, None if it drops;
+    for c0 == 1, 1.0 + 0.0j without log or exp (exp(+-0 +- 0j) = 1 +- 0j, and 0 +)."""
+    if c0 == 1:
+        return lambda num, den: 1.0 + 0.0j
     log = cmath.log(c0)
     return lambda num, den: _kept(cmath.exp(complex(num / den) * log) if num else 1.0 + 0.0j)
 
@@ -436,6 +439,23 @@ class Brane:
         return s
 
 
+def held_lattice(brane: Brane):
+    """(D, base, marker, (a, b)): `base_point` and `marker_point` as integer
+    numerator pairs over D = lcm of the shift's and the marker's
+    denominators, and the Bezout pair of the slope.  Formed on the first
+    read and held in the brane's `_held_lattice` slot, which `==`, `hash`,
+    `repr` and pickle do not see."""
+    held = brane.__dict__.get("_held_lattice")
+    if held is None:
+        D = math.lcm(brane.shift.denominator, brane.marker.denominator)
+        s, k = int(brane.shift * D), int(brane.marker * D)
+        base = (s, 0) if brane.slope[1] else (0, s)
+        cx, cy = canonical_direction(brane.slope)
+        held = D, base, (base[0] + k * cx, base[1] + k * cy), bezout(*brane.slope)
+        object.__setattr__(brane, "_held_lattice", held)
+    return held
+
+
 def index_of(l0: Brane, l1: Brane) -> int:
     """Degree of every intersection point of the ordered pair:
     floor(alpha1 - alpha0) + 1 with the integer offsets included."""
@@ -472,8 +492,11 @@ def intersections(l0: Brane, l1: Brane) -> Tuple[Tuple[int, int], ...]:
     if d == 0:
         raise NonTransverse(f"branes {l0} and {l1} are parallel")
     n = lattice_denominator(l0, l1)
-    (x0, y0), (x1, y1) = (
-        (int(x * n), int(y * n)) for x, y in (l0.base_point, l1.base_point))
+    def scaled(D, p):  # N p mod 1 for p over D, or None off the lattice
+        x, y = p[0] * n, p[1] * n
+        return None if x % D or y % D else (x // D % n, y // D % n)
+    (D0, b0, m0, _), (D1, b1, m1, _) = held_lattice(l0), held_lattice(l1)
+    (x0, y0), (x1, y1) = scaled(D0, b0), scaled(D1, b1)
     c = det2((x1 - x0, y1 - y0), v1)  # N c
     found = set()
     for j in range(abs(d)):
@@ -485,11 +508,9 @@ def intersections(l0: Brane, l1: Brane) -> Tuple[Tuple[int, int], ...]:
         )
     # N times each marker point mod 1, which is in `found` only on the
     # lattice; the least point hit is named, L0's marker first
-    hits = [(mk, i) for i, brane in enumerate((l0, l1))
-            if (mk := tuple(x * n % n for x in brane.marker_point)) in found]
+    hits = [(mk, i) for i, mk in enumerate((scaled(D0, m0), scaled(D1, m1))) if mk in found]
     if hits:
         (x, y), i = min(hits)
-        raise MarkerCollision(
-            f"Pin marker of {(l0, l1)[i]} sits on intersection point {(x / n, y / n)}"
-        )
+        raise MarkerCollision(f"Pin marker of {(l0, l1)[i]} sits on intersection point "
+                              f"{(Fraction(x, n), Fraction(y, n))}")
     return tuple(sorted(found))

@@ -1,7 +1,7 @@
 """Golden corpus: byte-for-byte `--json` outputs of every verb (the
 Floer verbs `cf`, `mu2` with and without `--triangles` and `assoc`, and
 the theta, K-theory, mirror and cobordism verbs) and the exact terms and
-cutoffs of five library-level `mu2` products.
+cutoffs of six library-level `mu2` products.
 
 The Floer files under tests/golden/ were recorded once, from the
 grid-scan intersection enumerator and the series-by-series triangle
@@ -17,7 +17,10 @@ from its public family constructor; the `markers_series_c32` product of
 `library_products.json` from the `Fraction` triangle walk that preceded
 the integer lattice walk; its `series_jordan_c8` product from the
 `fractional_power` that formed every power afresh, each binomial term as
-its own series, before a unit held its powers.  The files of the other verbs were
+its own series, before a unit held its powers; its `trivial_rank2_c16`
+product and `mu2_trivial_rank2_c16.json` from the triangle loop that
+formed every trivial transport by exp and log and its per-call constants
+per triangle.  The files of the other verbs were
 recorded from the code that still carried the mpmath coefficient backend and three
 separate loops for sums with multiplicities; their inputs use grammar
 phases and large multiplicities, so a change in evaluation order or
@@ -82,6 +85,10 @@ CASES = {
     "mu2_rank2_c8": (0, ("mu2",) + RANK2 + ("--cutoff", "8")),
     "mu2_rank2_c8_triangles": (0, ("mu2",) + RANK2
                                + ("--cutoff", "8", "--triangles")),
+    # floer_sweep's tail shape: two trivial branes, then a Jordan rank-2 L2
+    "mu2_trivial_rank2_c16": (0, ("mu2", "--l0", "L(0,-1;1/4)", "--l1", "L(1,2;0)",
+                                  "--l2", "L(1,0;1/3){M=phase 1/7, rank 2}",
+                                  "--cutoff", "16")),
     # three constant phases: the scalar transports, each with its own log
     "mu2_phase3_c16": (0, ("mu2",
                            "--l0", "L(0,-1;1/4){M=phase 1/7, rank 1}",
@@ -190,13 +197,14 @@ def _weights(space, rows, cols, salt):
 
 
 def library_products():
-    """Five products with every generator weighted, so that each output
+    """Six products with every generator weighted, so that each output
     entry sums many triangles: a Jordan rank-2 system on the middle
     brane of a small triple, the heavy rank-1 triple, the heavy triple
     with the Jordan system on its middle brane, a rank-1 triple with
     negative d02 and d12, its own Pin markers and a series eigenvalue,
-    and the small triple with a series eigenvalue on a Jordan rank-2
-    middle brane.  No CLI input can set a series eigenvalue."""
+    the small triple with a series eigenvalue on a Jordan rank-2
+    middle brane, and the small triple with the Jordan system on L2
+    after two trivial branes.  No CLI input can set a series eigenvalue."""
     jordan = LocalSystem.from_eigenvalue(cmath.exp(2j * cmath.pi / 7), 2)
     l0 = Brane((0, -1), F(1, 4))
     l1 = Brane((1, 2), F(0), local_system=jordan)
@@ -251,12 +259,22 @@ def library_products():
         FloerElement(s01, _weights(s01, 2, 1, 10)),
         F(8),
     )
+    # floer_sweep's tail shape: the Jordan rank-2 system on L2 of the
+    # small triple, after two trivial branes
+    l1t, l2j = Brane((1, 2), F(0)), Brane((1, 0), F(1, 3), local_system=jordan)
+    s01, s12 = cf(l0, l1t), cf(l1t, l2j)
+    trivial_rank2 = mu2(
+        FloerElement(s12, _weights(s12, 2, 1, 11)),
+        FloerElement(s01, _weights(s01, 1, 1, 12)),
+        F(16),
+    )
     return {
         "rank2_jordan_c12": rank2,
         "heavy_weighted_c8": heavy,
         "heavy_rank2_c6": heavy_rank2,
         "markers_series_c32": markers,
         "series_jordan_c8": series_jordan,
+        "trivial_rank2_c16": trivial_rank2,
     }
 
 

@@ -4,7 +4,8 @@ or, for the records, the dataclasses they were.
     kernel                                oracle
     NovikovSeries *, _fraction_multiple   mul_oracle (tests/shared.py)
     +, -, _RunningSum                     add_oracle (public constructor)
-    _RunningSum.add_product               add_product_oracle
+    _RunningSum.add_product               add_product_oracle, and its
+                                            pass unstopped at the cutoff
     _RunningSum.add with a ratio          add_oracle of mul_oracle
     fractional_power                      fractional_power_oracle
     invert                                invert_oracle (geometric series)
@@ -14,6 +15,7 @@ or, for the records, the dataclasses they were.
     mat_mul                               mat_mul_oracle (sums from zero())
     point_mul, conjugate_zero, point_pow  point_mul_oracle, conjugate_zero_oracle
     LocalSystem.transport                 transport_oracle (scratch blocks)
+    scalar_power of c0 == 1               the exp/log formula it replaces
     mu2, mu2_triangles (every rank)       mu2_oracle (one loop, matrices)
     cli._generator, generator_element     generator_oracle
     vanishes, vanishes_truncated          vanishes_truncated_oracle, and
@@ -34,7 +36,8 @@ records the mutants these tests kill; `python tests/mutants.py` re-runs
 it.  The work-count tests pin what a series holds (one inverse per
 series object, each power of a point's unit formed once across
 `section_through` and `eval_section`, each power of eps formed once per
-mu2 call, each fractional power once per distinct arc), that holding it
+mu2 call, each fractional power once per distinct arc, no log or exp
+for a trivial system's transports), that holding it
 changes no identity of the series, that a
 series a kernel builds holds integer keys at its least denominator,
 with the identity of its Fraction twin, that
@@ -1383,6 +1386,98 @@ def test_add_product_returns_the_callers_shift_object():
     out = entry.series()
     assert (out._den, out._keys) == (6, (10, 13))
     assert out.terms == ((F(5, 3), 3.0), (F(13, 6), 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(NovikovSeries, st.lists(st.tuples(_expo, any_coeff), max_size=4),
+              _q(-14, 6, _den)),
+    st.lists(
+        st.tuples(_series, _expo, st.one_of(st.none(), _kept),
+                  st.lists(_kept, min_size=1, max_size=2)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@example(NovikovSeries.zero(1), [(NovikovSeries(((F(2, 3), 1.0),)), F(0), None, [1])])
+def test_add_product_stops_at_the_running_cutoff(start, items):
+    """The pass that stops at the running sum's cutoff against the same
+    pass unstopped (the sum's cutoff lifted while it runs, then lowered as
+    the pass lowers it), from starts whose cutoff lies below most of x's
+    shifted terms: after every product, the same cutoff, denominator and
+    coefficients below the cutoff, and the same series.  In the example,
+    x's one term lands on the last key below the cutoff."""
+    stopped, unstopped = _RunningSum(start), _RunningSum(start)
+    for x, shift, right, lefts in items:
+        stopped.add_product(shift.numerator, shift.denominator, x, right, lefts)
+        held, unstopped.cutoff = unstopped.cutoff, None
+        unstopped.add_product(shift.numerator, shift.denominator, x, right, lefts)
+        unstopped.cutoff = novikov._min_cutoff(held, unstopped.cutoff)
+        assert (stopped.cutoff, stopped.den) == (unstopped.cutoff, unstopped.den)
+        bound = novikov._key_bound(stopped.cutoff, stopped.den)
+        assert ({k: repr(c) for k, c in stopped.coeffs.items() if k < bound}
+                == {k: repr(c) for k, c in unstopped.coeffs.items() if k < bound})
+        assert repr(stopped.series()) == repr(unstopped.series())
+
+
+# ---------------------------------------------------------------------------
+# the constant transports of trivial systems
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 1.0, 1 + 0j, complex(1, -0.0)]),
+       st.integers(-10**12, 10**12), st.integers(1, 10**12), st.booleans())
+@example(1, 0, 7, False)
+@example(complex(1, -0.0), -3, 5, True)
+def test_trivial_scalar_power_is_the_exp_log_formula(c0, num, den, negative):
+    """For c0 == 1 `torus.scalar_power` gives the constant 1.0 + 0.0j
+    without log or exp: `repr`-equal to the formula it replaces for every
+    arc num/den, num = 0 and negative parts included."""
+    den = -den if negative else den
+    want = torus._kept(cmath.exp(complex(num / den) * cmath.log(c0)) if num else 1.0 + 0.0j)
+    assert repr(torus.scalar_power(c0)(num, den)) == repr(want)
+
+
+def test_mu2_on_trivial_branes_forms_no_log_or_exp(monkeypatch):
+    """On three trivial rank-1 branes every transport is the constant 1:
+    mu2 calls neither `cmath.exp` nor `cmath.log` (a counting patch on
+    `torus.cmath`), and still calls each brane's `floer._arc_transport`
+    callable once per weighted triangle with its arc (num, den), where
+    `_Formed` (test_floer.py) keys each triangle.  A phase on L1 calls
+    both: the patch is in place."""
+    made, arcs = [], []
+
+    class Counting:
+        def __getattr__(self, name):
+            f = getattr(cmath, name)
+            return lambda *args: (made.append(name), f(*args))[1]
+
+    real = floer._arc_transport
+
+    def arc_transport(system, scalar, path):
+        t = real(system, scalar, path)
+
+        def transport(num, den):
+            arcs.append((system, num, den))
+            return t(num, den)
+        return transport
+
+    l0, l1, l2 = Brane((0, -1), F(1, 4)), Brane((1, 2)), Brane((1, 0), F(1, 3))
+    phi1 = weighted(l0, l1, NovikovSeries.constant(1.5))
+    phi2 = weighted(l1, l2, NovikovSeries.constant(0.5 - 0.25j))
+    _, tris = mu2_triangles(phi2, phi1, 12)
+    want = repr(mu2(phi2, phi1, 12))
+    monkeypatch.setattr(torus, "cmath", Counting())
+    monkeypatch.setattr(floer, "_arc_transport", arc_transport)
+    assert repr(mu2(phi2, phi1, 12)) == want
+    assert made == [] and len(tris) > 10
+    assert [b for b, _, _ in arcs] == [l.local_system for _ in tris for l in (l0, l1, l2)]
+    assert all(type(num) is int and type(den) is int for _, num, den in arcs)
+    phased = Brane((1, 2), local_system=LocalSystem.from_eigenvalue(_phase))
+    mu2(weighted(phased, l2, NovikovSeries.constant(1)),
+        weighted(l0, phased, NovikovSeries.constant(1)), 12)
+    assert {"exp", "log"} <= set(made)
 
 
 # ---------------------------------------------------------------------------

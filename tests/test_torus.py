@@ -2,14 +2,19 @@
 predicates, the intersection enumerator, and parallel transport."""
 
 import cmath
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from torushms.errors import MarkerCollision, NonTransverse, NonUnit
+from torushms.errors import (
+    DegenerateConfiguration, MarkerCollision, NonTransverse, NonUnit,
+)
+from torushms.floer import cf, mu2
 from torushms.novikov import NovikovSeries
 from torushms.torus import (
     Brane,
@@ -18,6 +23,7 @@ from torushms.torus import (
     bezout,
     canonical_direction,
     det2,
+    held_lattice,
     index_of,
     intersections,
     is_primitive,
@@ -26,6 +32,8 @@ from torushms.torus import (
     mat_mul,
     upper_half,
 )
+
+from shared import weighted
 
 F = Fraction
 
@@ -252,6 +260,44 @@ def test_closed_form_matches_grid_scan(l0, l1, mode, pick):
                     l1 = _with_marker_on(l1, y)
     want = _outcome(grid_intersections, l0, l1)
     assert _outcome(points_of, l0, l1) == want
+
+
+_markers = st.builds(F, st.integers(-70, 70), st.sampled_from([1, 2, 3, 7, 64]))
+_L1, _L2 = Brane((1, 2), F(1, 5)), Brane((1, 0), F(1, 3))
+
+
+def _products(brane: Brane):
+    """`repr`s of CF(brane, L1) and of mu2 of the triple (brane, L1, L2)
+    with every generator weighted, or the error either raises."""
+    try:
+        s01, s12 = cf(brane, _L1), cf(_L1, _L2)
+        phi1 = weighted(brane, _L1, NovikovSeries.constant(1.5 - 0.5j))
+        return repr(s01), repr(mu2(weighted(_L1, _L2, NovikovSeries.constant(2.0)), phi1, 6))
+    except (NonTransverse, MarkerCollision, DegenerateConfiguration) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_slopes, _shifts, _markers)
+def test_held_lattice_is_the_fraction_geometry_outside_the_record(slope, shift, marker):
+    """`held_lattice` holds `base_point` and `marker_point` as integer
+    numerators over one denominator, and the slope's Bezout pair.  The
+    slot is not part of the record: a brane read through it equals,
+    hashes, prints and pickles as one never read, no pickle or copy
+    carries it, and a copy gives `repr`-equal `cf` and `mu2` outputs."""
+    brane, unread = Brane(slope, shift, 0, marker), Brane(slope, shift, 0, marker)
+    D, base, mk, bez = held_lattice(brane)
+    assert (F(base[0], D), F(base[1], D)) == brane.base_point
+    assert (F(mk[0], D), F(mk[1], D)) == brane.marker_point
+    assert bez == bezout(*slope)
+    assert held_lattice(brane) is held_lattice(brane)
+    assert pickle.dumps(brane) == pickle.dumps(unread)
+    want = _products(brane)
+    for other in (pickle.loads(pickle.dumps(brane)), copy.copy(brane), copy.deepcopy(brane)):
+        assert "_held_lattice" not in vars(other)
+        assert other == brane == unread and hash(other) == hash(brane)
+        assert repr(other) == repr(brane)
+        assert _products(other) == want
 
 
 def test_bezout():
